@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream bench-json bench-json-smoke check-stream check-perf check-zoo check-obs serve check-serve check-dist check-vlt2 verify clean
+.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream bench-json bench-json-smoke check-stream check-perf check-annotate check-zoo check-obs serve check-serve check-dist check-vlt2 verify clean
 
 all: build
 
@@ -26,7 +26,7 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-check: build vet test race check-perf check-zoo check-obs check-dist check-vlt2
+check: build vet test race check-perf check-annotate check-zoo check-obs check-dist check-vlt2
 
 # Race-detector pass over every package. -short skips the golden
 # double-render (TestGoldenSerialVsParallel), which the detector slows by an
@@ -95,6 +95,21 @@ check-stream:
 # steady-state CVU and batch paths.
 check-perf:
 	$(GO) test -count=1 -run 'TestCVUDifferential|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh|TestCVUOpsAllocFree|NextBatch|TestPump|TestRecordBatch' ./internal/lvp/ ./internal/trace/ ./internal/vm/
+
+# Annotation-slab gate, run standalone (uncached), then again under the race
+# detector (-short keeps three workloads in the suite differential): the
+# memory-op slab walk against Annotator.RecordBatch (states and Stats on the
+# edge cases, and through the suite on every workload, both targets and
+# every unit configuration and sweep point), one unit run per hardware
+# configuration and its hardware-identity label, the allocation bounds of
+# the slab walk and of a suite unit run, the CVU differential widened to
+# 8192 LVPT indices and to forced address-bucket collisions, and vm.Run's
+# chunked collector against RunSink with its allocation bound.
+ANNOTATE_TESTS = 'Slab|ExtractLoads|TestCVUDifferential|FuzzCVUDifferential|TestCVUBucketCollisions|TestOneUnitRun|TestSimCacheByHardware|TestSharedRunLabel|TestUnitRunAllocs|TestRunMatchesRunSink|TestCollectLengths|TestRunAllocBound'
+
+check-annotate:
+	$(GO) test -count=1 -run $(ANNOTATE_TESTS) ./internal/lvp/ ./internal/exp/ ./internal/vm/
+	$(GO) test -race -count=1 -short -run $(ANNOTATE_TESTS) ./internal/lvp/ ./internal/exp/ ./internal/vm/
 
 # Predictor-zoo gate, run standalone (uncached): the randomized two-level
 # differential against the map-based reference (predictions, confidence

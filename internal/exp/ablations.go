@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"lvp/internal/bench"
 	"lvp/internal/locality"
@@ -16,6 +17,79 @@ import (
 // design-space directions the paper's §7 calls out (table sizing,
 // classification, and predictors beyond last-value).
 
+// Default points of the three unit-geometry sweeps.
+var (
+	lvptSweepSizes = []int{256, 512, 1024, 2048, 4096, 8192}
+	lctSweepBits   = []int{1, 2, 3}
+	cvuSweepSizes  = []int{8, 16, 32, 64, 128, 256}
+)
+
+// lvptSweepConfig is the Simple unit with an LVPT of size entries.
+func lvptSweepConfig(size int) lvp.Config {
+	cfg := lvp.Simple
+	cfg.Name = fmt.Sprintf("Simple/%d", size)
+	cfg.LVPTEntries = size
+	return cfg
+}
+
+// lctSweepConfig is the Simple unit with bits-wide LCT counters.
+func lctSweepConfig(bits int) lvp.Config {
+	cfg := lvp.Simple
+	cfg.Name = fmt.Sprintf("Simple/lct%d", bits)
+	cfg.LCTBits = bits
+	return cfg
+}
+
+// cvuSweepConfig is the Constant unit with a CVU of size entries.
+func cvuSweepConfig(size int) lvp.Config {
+	cfg := lvp.Constant
+	cfg.Name = fmt.Sprintf("Constant/cvu%d", size)
+	cfg.CVUEntries = size
+	return cfg
+}
+
+// unitConfigs lists every LVP unit configuration the suite annotates with:
+// the paper's Table 2 rows, the ablation configurations and every default
+// point of the three unit-geometry sweeps, in that order.
+func unitConfigs() []lvp.Config {
+	cfgs := append(append([]lvp.Config{}, lvp.Configs...), lvp.AblationConfigs...)
+	for _, n := range lvptSweepSizes {
+		cfgs = append(cfgs, lvptSweepConfig(n))
+	}
+	for _, b := range lctSweepBits {
+		cfgs = append(cfgs, lctSweepConfig(b))
+	}
+	for _, n := range cvuSweepSizes {
+		cfgs = append(cfgs, cvuSweepConfig(n))
+	}
+	return cfgs
+}
+
+// runNames maps each hardware identity among unitConfigs to the name of
+// the first configuration listed with it.
+var runNames = sync.OnceValue(func() map[lvp.Config]string {
+	names := map[lvp.Config]string{}
+	for _, cfg := range unitConfigs() {
+		if _, ok := names[hwConfig(cfg)]; !ok {
+			names[hwConfig(cfg)] = cfg.Name
+		}
+	}
+	return names
+})
+
+// runConfig is cfg under the name its shared unit run or simulation is
+// labelled with in phase spans and tracer events: the unitConfigs name of
+// its hardware identity, so the label does not depend on which requester
+// happened to build the shared entry (LCT sweep 2-bit runs as "Simple").
+// A configuration outside unitConfigs keeps its own name; it labels a run
+// shared with another such alias by whichever of the two built it.
+func runConfig(cfg lvp.Config) lvp.Config {
+	if name, ok := runNames()[hwConfig(cfg)]; ok {
+		cfg.Name = name
+	}
+	return cfg
+}
+
 // LVPTSweepResult holds prediction coverage (fraction of loads predicted
 // correctly, Simple-style unit) as the LVPT size grows.
 type LVPTSweepResult struct {
@@ -28,13 +102,11 @@ type LVPTSweepResult struct {
 // on the PPC target.
 func (s *Suite) LVPTSweep(sizes []int) (*LVPTSweepResult, error) {
 	if len(sizes) == 0 {
-		sizes = []int{256, 512, 1024, 2048, 4096, 8192}
+		sizes = lvptSweepSizes
 	}
 	res := &LVPTSweepResult{Sizes: sizes, Coverage: make([]float64, len(sizes))}
 	for i, size := range sizes {
-		cfg := lvp.Simple
-		cfg.Name = fmt.Sprintf("Simple/%d", size)
-		cfg.LVPTEntries = size
+		cfg := lvptSweepConfig(size)
 		// Per-benchmark slots keep the GeoMean reduction order (and thus
 		// its floating-point rounding) independent of completion order.
 		covs := make([]float64, len(bench.All()))
@@ -76,14 +148,12 @@ type LCTBitsResult struct {
 // LCTBitsSweep measures classification quality vs counter width.
 func (s *Suite) LCTBitsSweep(bits []int) (*LCTBitsResult, error) {
 	if len(bits) == 0 {
-		bits = []int{1, 2, 3}
+		bits = lctSweepBits
 	}
 	res := &LCTBitsResult{Bits: bits,
 		Accuracy: make([]float64, len(bits)), Coverage: make([]float64, len(bits))}
 	for i, b := range bits {
-		cfg := lvp.Simple
-		cfg.Name = fmt.Sprintf("Simple/lct%d", b)
-		cfg.LCTBits = b
+		cfg := lctSweepConfig(b)
 		n := len(bench.All())
 		accs, covs := make([]float64, n), make([]float64, n)
 		err := s.forEachBenchIdx(func(bi int, bm bench.Benchmark) error {
@@ -125,13 +195,11 @@ type CVUSweepResult struct {
 // CVUSweep measures the CVU-capacity sensitivity of constant verification.
 func (s *Suite) CVUSweep(sizes []int) (*CVUSweepResult, error) {
 	if len(sizes) == 0 {
-		sizes = []int{8, 16, 32, 64, 128, 256}
+		sizes = cvuSweepSizes
 	}
 	res := &CVUSweepResult{Sizes: sizes, ConstRate: make([]float64, len(sizes))}
 	for i, size := range sizes {
-		cfg := lvp.Constant
-		cfg.Name = fmt.Sprintf("Constant/cvu%d", size)
-		cfg.CVUEntries = size
+		cfg := cvuSweepConfig(size)
 		rates := make([]float64, len(bench.All()))
 		err := s.forEachBenchIdx(func(bi int, b bench.Benchmark) error {
 			st, err := s.AnnotationStats(b.Name, prog.PPC, cfg)

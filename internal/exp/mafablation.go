@@ -45,13 +45,20 @@ func (s *Suite) MAFAblation() (*MAFResult, error) {
 		if err != nil {
 			return err
 		}
-		blocking := axp21164.Config21164()
+		// The blocking runs are the paper's 21164 cells, shared with
+		// Figure 6 and Table 6 through the suite cache.
+		bBase, err := s.Sim21164(b.Name, nil)
+		if err != nil {
+			return err
+		}
+		simple := lvp.Simple
+		bLVP, err := s.Sim21164(b.Name, &simple)
+		if err != nil {
+			return err
+		}
 		nonblocking := axp21164.Config21164()
 		nonblocking.Name = "21164+MAF"
 		nonblocking.NonBlocking = true
-
-		bBase := axp21164.Simulate(t, nil, blocking, "")
-		bLVP := axp21164.Simulate(t, ann, blocking, "Simple")
 		nBase := axp21164.Simulate(t, nil, nonblocking, "")
 		nLVP := axp21164.Simulate(t, ann, nonblocking, "Simple")
 		res.Rows[i] = MAFRow{

@@ -16,10 +16,11 @@ import (
 // atomic.
 
 // SuiteCacheStats exposes the traffic counters of the suite's four
-// single-flight caches. Each cache's Builds() (gets minus hits) equals its
-// Entries when single-flight coalescing works — the property the engine's
-// determinism rests on, and what tests assert directly instead of inferring
-// from timings.
+// single-flight caches (Annotations is the unit-run cache behind both
+// Annotation and AnnotationStats). Each cache's Builds() (gets minus hits)
+// equals its Entries when single-flight coalescing works — the property the
+// engine's determinism rests on, and what tests assert directly instead of
+// inferring from timings.
 type SuiteCacheStats struct {
 	Traces      par.CacheStats
 	Annotations par.CacheStats
@@ -32,7 +33,7 @@ func (s *Suite) CacheStats() SuiteCacheStats {
 	c := s.cacheState()
 	return SuiteCacheStats{
 		Traces:      c.traces.Stats(),
-		Annotations: c.anns.Stats(),
+		Annotations: c.runs.Stats(),
 		Sims620:     c.s620.Stats(),
 		Sims21164:   c.s164.Stats(),
 	}

@@ -10,35 +10,37 @@ import (
 	"lvp/internal/stats"
 )
 
-// resourceVariant is one single-axis enlargement of the base 620.
+// resourceVariant is one single-axis enlargement of the base 620. A
+// variant without apply is a standard machine (the 620, or the 620+ when
+// plus), simulated through the suite's cache so it shares the no-LVP cells
+// the paper figures already built.
 type resourceVariant struct {
 	name  string
 	apply func(*ppc620.Config)
+	plus  bool
 }
 
 func resourceVariants() []resourceVariant {
 	return []resourceVariant{
-		{"base 620", func(c *ppc620.Config) {}},
-		{"2x reservation stations", func(c *ppc620.Config) {
+		{name: "base 620"},
+		{name: "2x reservation stations", apply: func(c *ppc620.Config) {
 			for f := range c.RS {
 				c.RS[f] *= 2
 			}
 		}},
-		{"2x rename buffers", func(c *ppc620.Config) {
+		{name: "2x rename buffers", apply: func(c *ppc620.Config) {
 			c.GPRRename *= 2
 			c.FPRRename *= 2
 		}},
-		{"2x completion buffer", func(c *ppc620.Config) {
+		{name: "2x completion buffer", apply: func(c *ppc620.Config) {
 			c.Completion *= 2
 		}},
-		{"2nd load/store unit", func(c *ppc620.Config) {
+		{name: "2nd load/store unit", apply: func(c *ppc620.Config) {
 			c.Units[ppc620.LSU] = 2
 			c.MaxLoadDispatch, c.MaxStoreDispatch = 2, 2
 			c.RelaxedLS = true
 		}},
-		{"620+ (all of the above)", func(c *ppc620.Config) {
-			*c = ppc620.Config620Plus()
-		}},
+		{name: "620+ (all of the above)", plus: true},
 	}
 }
 
@@ -71,9 +73,16 @@ func (s *Suite) ResourceSweep() (*ResourceResult, error) {
 		}
 		base := 0
 		for vi, v := range variants {
-			cfg := ppc620.Config620()
-			v.apply(&cfg)
-			st := ppc620.Simulate(t, nil, cfg, "")
+			var st ppc620.Stats
+			if v.apply == nil {
+				if st, err = s.Sim620(b.Name, v.plus, nil); err != nil {
+					return err
+				}
+			} else {
+				cfg := ppc620.Config620()
+				v.apply(&cfg)
+				st = ppc620.Simulate(t, nil, cfg, "")
+			}
 			if vi == 0 {
 				base = st.Cycles
 			}

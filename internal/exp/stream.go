@@ -116,10 +116,7 @@ func (s *Suite) StreamSim620(name string, plus bool, cfg *lvp.Config) (ppc620.St
 	if plus {
 		mc = ppc620.Config620Plus()
 	}
-	cfgName := "none"
-	if cfg != nil {
-		cfgName = cfg.Name
-	}
+	cfgName := lvpLabel(cfg)
 	start := time.Now()
 	st, err := ppc620.SimulateSourceObs(src, mc, cfgName, s.Tracer)
 	if err != nil {
@@ -144,10 +141,7 @@ func (s *Suite) StreamSim21164(name string, cfg *lvp.Config) (axp21164.Stats, er
 	if err != nil {
 		return axp21164.Stats{}, err
 	}
-	cfgName := "none"
-	if cfg != nil {
-		cfgName = cfg.Name
-	}
+	cfgName := lvpLabel(cfg)
 	start := time.Now()
 	st, err := axp21164.SimulateSourceObs(src, axp21164.Config21164(), cfgName, s.Tracer)
 	if err != nil {

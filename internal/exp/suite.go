@@ -47,13 +47,23 @@ type traceKey struct {
 	scale  int
 }
 
-// annKey memoizes annotations by the full Config value, not just its name,
-// so two ad-hoc configs that share a name can never collide.
+// annKey memoizes unit runs by the full Config value with its Name cleared
+// (hwConfig): two configs that share a name can never collide, and two that
+// differ only in name share one run.
 type annKey struct {
 	name   string
 	target string
 	scale  int
 	cfg    lvp.Config
+}
+
+// hwConfig is cfg's hardware identity: the configuration with its Name
+// cleared. The annotation and simulation caches key by it, and stamp the
+// requested name back onto what they return, so a sweep point equal to a
+// named configuration (LVPT 1024 ≡ Simple) reuses that configuration's run.
+func hwConfig(cfg lvp.Config) lvp.Config {
+	cfg.Name = ""
+	return cfg
 }
 
 type sim620Key struct {
@@ -77,11 +87,13 @@ type zooKey struct {
 	scale  int
 }
 
-// annotated pairs an annotation with the unit stats produced alongside it,
-// so one cached build serves both Annotation and AnnotationStats callers.
-type annotated struct {
-	ann trace.Annotation
-	st  lvp.Stats
+// unitRun is one cached LVP unit run: its statistics plus every load's
+// prediction state in load order, from which Annotation scatters the
+// per-record form — so one run serves both Annotation and AnnotationStats
+// callers, whichever comes first.
+type unitRun struct {
+	st     lvp.Stats
+	states []trace.PredState
 }
 
 // Suite generates and caches everything the experiments need.
@@ -134,7 +146,8 @@ type Suite struct {
 type suiteCaches struct {
 	traces par.Cache[traceKey, *trace.Trace]
 	loads  par.Cache[traceKey, lvp.LoadSlab]
-	anns   par.Cache[annKey, annotated]
+	runs   par.Cache[annKey, unitRun]
+	anns   par.Cache[annKey, trace.Annotation]
 	s620   par.Cache[sim620Key, ppc620.Stats]
 	s164   par.Cache[sim164Key, axp21164.Stats]
 	zoo    par.Cache[zooKey, ZooCell]
@@ -228,18 +241,23 @@ func (s *Suite) Trace(name string, target prog.Target) (*trace.Trace, error) {
 	})
 }
 
-// Loads returns the benchmark's PPC dynamic-load stream in decode-once slab
-// form (PC/value pairs of every load, trace order). The slab is extracted
-// once per (benchmark, scale) and shared — the predictor-zoo sweep fans
-// every family out over it instead of re-filtering the record stream.
-func (s *Suite) Loads(name string) (lvp.LoadSlab, error) {
+// Loads returns the memory-op slab of one benchmark's trace on one target
+// (lvp.ExtractLoads). It is extracted once per trace and shared: every unit
+// run annotates from it, and the predictor-zoo sweep fans every family out
+// over its load lanes, instead of each re-filtering the record stream. The
+// extraction is the annotation layer's input, so its time is charged to the
+// annotate phase timer (without counting a unit run in progress.annotate).
+func (s *Suite) Loads(name string, target prog.Target) (lvp.LoadSlab, error) {
 	ctx := s.context()
-	return s.cacheState().loads.GetCtx(ctx, traceKey{name, prog.PPC.Name, s.Scale}, func() (lvp.LoadSlab, error) {
-		t, err := s.Trace(name, prog.PPC)
+	return s.cacheState().loads.GetCtx(ctx, traceKey{name, target.Name, s.Scale}, func() (lvp.LoadSlab, error) {
+		t, err := s.Trace(name, target)
 		if err != nil {
 			return lvp.LoadSlab{}, err
 		}
-		return lvp.ExtractLoads(t), nil
+		start := time.Now()
+		slab := lvp.ExtractLoads(t)
+		s.Metrics.Timer("phase.annotate").Observe(time.Since(start))
+		return slab, nil
 	})
 }
 
@@ -262,62 +280,92 @@ func (s *Suite) finishPhase(phase string, start time.Time, attrs ...slog.Attr) {
 	}
 }
 
-// Annotation returns the cached LVP annotation and unit stats for one
-// benchmark/target/config. The LVP Unit runs exactly once per key across
-// all concurrent consumers.
-func (s *Suite) Annotation(name string, target prog.Target, cfg lvp.Config) (trace.Annotation, lvp.Stats, error) {
+// runUnit returns the cached LVP unit run for one benchmark/target/config.
+// The unit runs exactly once per hardware identity across all concurrent
+// consumers, over the trace's cached memory-op slab, under the identity's
+// label (runConfig) rather than the requester's name.
+func (s *Suite) runUnit(name string, target prog.Target, cfg lvp.Config) (unitRun, error) {
 	ctx := s.context()
-	r, err := s.cacheState().anns.GetCtx(ctx, annKey{name, target.Name, s.Scale, cfg}, func() (annotated, error) {
-		t, err := s.Trace(name, target)
+	return s.cacheState().runs.GetCtx(ctx, annKey{name, target.Name, s.Scale, hwConfig(cfg)}, func() (unitRun, error) {
+		slab, err := s.Loads(name, target)
 		if err != nil {
-			return annotated{}, err
+			return unitRun{}, err
 		}
 		if err := ctx.Err(); err != nil {
-			return annotated{}, err
+			return unitRun{}, err
 		}
+		cfg := runConfig(cfg)
 		start := time.Now()
-		a, st, err := lvp.AnnotateTraced(t, cfg, s.Tracer)
+		states := make([]trace.PredState, slab.Len())
+		st, err := lvp.AnnotateSlab(slab, cfg, s.Tracer, states)
 		if err != nil {
-			return annotated{}, err
+			return unitRun{}, fmt.Errorf("annotating %s/%s: %w", name, target.Name, err)
 		}
 		s.recordAnnStats(st)
 		s.finishPhase("annotate", start,
 			slog.String("bench", name), slog.String("target", target.Name),
 			slog.String("config", cfg.Name))
-		return annotated{a, st}, nil
+		return unitRun{st, states}, nil
 	})
-	return r.ann, r.st, err
+}
+
+// Annotation returns the cached per-record LVP annotation and unit stats for
+// one benchmark/target/config — the form the machine models and the
+// dataflow analysis consume. It is scattered once per key from the cached
+// unit run, so the unit never re-runs for it.
+func (s *Suite) Annotation(name string, target prog.Target, cfg lvp.Config) (trace.Annotation, lvp.Stats, error) {
+	r, err := s.runUnit(name, target, cfg)
+	if err != nil {
+		return nil, lvp.Stats{}, err
+	}
+	key := annKey{name, target.Name, s.Scale, hwConfig(cfg)}
+	ann, err := s.cacheState().anns.GetCtx(s.context(), key, func() (trace.Annotation, error) {
+		slab, err := s.Loads(name, target)
+		if err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		ann := slab.Scatter(r.states)
+		s.Metrics.Timer("phase.annotate").Observe(time.Since(start))
+		return ann, nil
+	})
+	if err != nil {
+		return nil, lvp.Stats{}, err
+	}
+	r.st.Config = cfg.Name
+	return ann, r.st, nil
 }
 
 // AnnotationStats returns the LVP Unit counters for one
-// benchmark/target/config (Tables 3 and 4). It shares the Annotation cache,
-// so the unit never re-runs for stats that were already produced.
+// benchmark/target/config (Tables 3 and 4). It shares the unit-run cache
+// with Annotation but never scatters a per-record annotation.
 func (s *Suite) AnnotationStats(name string, target prog.Target, cfg lvp.Config) (lvp.Stats, error) {
-	_, st, err := s.Annotation(name, target, cfg)
-	return st, err
+	r, err := s.runUnit(name, target, cfg)
+	r.st.Config = cfg.Name
+	return r.st, err
 }
 
 // Sim620 simulates one benchmark on the 620 (plus=false) or 620+ with the
 // given LVP config; cfg == nil means no LVP hardware.
 func (s *Suite) Sim620(name string, plus bool, cfg *lvp.Config) (ppc620.Stats, error) {
 	key := sim620Key{name: name, plus: plus, noLVP: cfg == nil}
+	run := simConfig(cfg)
 	if cfg != nil {
-		key.cfg = *cfg
+		key.cfg = hwConfig(*cfg)
 	}
 	ctx := s.context()
-	return s.cacheState().s620.GetCtx(ctx, key, func() (ppc620.Stats, error) {
+	st, err := s.cacheState().s620.GetCtx(ctx, key, func() (ppc620.Stats, error) {
 		if s.Stream {
-			return s.StreamSim620(name, plus, cfg)
+			return s.StreamSim620(name, plus, run)
 		}
 		t, err := s.Trace(name, prog.PPC)
 		if err != nil {
 			return ppc620.Stats{}, err
 		}
 		var ann trace.Annotation
-		cfgName := "none"
-		if cfg != nil {
-			cfgName = cfg.Name
-			ann, _, err = s.Annotation(name, prog.PPC, *cfg)
+		cfgName := lvpLabel(run)
+		if run != nil {
+			ann, _, err = s.Annotation(name, prog.PPC, *run)
 			if err != nil {
 				return ppc620.Stats{}, err
 			}
@@ -337,29 +385,50 @@ func (s *Suite) Sim620(name string, plus bool, cfg *lvp.Config) (ppc620.Stats, e
 			slog.String("config", cfgName))
 		return st, nil
 	})
+	st.LVPConfig = lvpLabel(cfg)
+	return st, err
+}
+
+// simConfig is the configuration a shared simulation of cfg runs under:
+// cfg under its run label (runConfig), nil for no LVP hardware. The
+// requested name is stamped back on the cached result.
+func simConfig(cfg *lvp.Config) *lvp.Config {
+	if cfg == nil {
+		return nil
+	}
+	run := runConfig(*cfg)
+	return &run
+}
+
+// lvpLabel is the LVPConfig label a simulation of cfg carries.
+func lvpLabel(cfg *lvp.Config) string {
+	if cfg == nil {
+		return "none"
+	}
+	return cfg.Name
 }
 
 // Sim21164 simulates one benchmark on the 21164 with the given LVP config
 // (nil = no LVP hardware).
 func (s *Suite) Sim21164(name string, cfg *lvp.Config) (axp21164.Stats, error) {
 	key := sim164Key{name: name, noLVP: cfg == nil}
+	run := simConfig(cfg)
 	if cfg != nil {
-		key.cfg = *cfg
+		key.cfg = hwConfig(*cfg)
 	}
 	ctx := s.context()
-	return s.cacheState().s164.GetCtx(ctx, key, func() (axp21164.Stats, error) {
+	st, err := s.cacheState().s164.GetCtx(ctx, key, func() (axp21164.Stats, error) {
 		if s.Stream {
-			return s.StreamSim21164(name, cfg)
+			return s.StreamSim21164(name, run)
 		}
 		t, err := s.Trace(name, prog.AXP)
 		if err != nil {
 			return axp21164.Stats{}, err
 		}
 		var ann trace.Annotation
-		cfgName := "none"
-		if cfg != nil {
-			cfgName = cfg.Name
-			ann, _, err = s.Annotation(name, prog.AXP, *cfg)
+		cfgName := lvpLabel(run)
+		if run != nil {
+			ann, _, err = s.Annotation(name, prog.AXP, *run)
 			if err != nil {
 				return axp21164.Stats{}, err
 			}
@@ -374,6 +443,8 @@ func (s *Suite) Sim21164(name string, cfg *lvp.Config) (axp21164.Stats, error) {
 			slog.String("bench", name), slog.String("config", cfgName))
 		return st, nil
 	})
+	st.LVPConfig = lvpLabel(cfg)
+	return st, err
 }
 
 // forEachBench runs fn for every benchmark on the suite's worker pool and

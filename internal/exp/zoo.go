@@ -8,6 +8,7 @@ import (
 
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
+	"lvp/internal/prog"
 	"lvp/internal/report"
 	"lvp/internal/stats"
 )
@@ -39,7 +40,7 @@ func (s *Suite) ZooCell(benchName, family string) (ZooCell, error) {
 		// Decode once, fan out: every family's cell for this benchmark
 		// measures over the same cached load slab instead of re-walking
 		// the full record stream.
-		loads, err := s.Loads(benchName)
+		loads, err := s.Loads(benchName, prog.PPC)
 		if err != nil {
 			return ZooCell{}, err
 		}

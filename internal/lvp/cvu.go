@@ -1,5 +1,7 @@
 package lvp
 
+import "math/bits"
+
 // CVU is the Constant Verification Unit (paper §3.3): a small
 // fully-associative table of (data address, LVPT index) pairs. An entry
 // asserts "the value cached at this LVPT index is coherent with memory at
@@ -11,12 +13,13 @@ package lvp
 // operation, which makes every Unit.Load pay O(capacity) on the constant
 // path and every store pay O(capacity) again. This implementation instead
 // exploits the same structure the paper's CAM matches on: entries are
-// reachable through two secondary indexes — a map keyed by LVPT index
-// (Lookup, Insert, InvalidateIndex) and a map keyed by 8-byte address
-// bucket (InvalidateAddr walks only the buckets a store footprint can
-// touch) — and LRU eviction is O(1) via an intrusive recency list. All
-// node storage lives in one slab that grows to at most `capacity` entries,
-// so steady-state operations are allocation-free. The behavior is
+// reachable through two secondary indexes — flat chain-head arrays, one
+// indexed directly by LVPT index (Lookup, Insert, InvalidateIndex) and one
+// a fixed power-of-two hash of the 8-byte address bucket (InvalidateAddr
+// walks only the chains a store footprint can touch) — and LRU eviction is
+// O(1) via an intrusive recency list. All node storage lives in one slab
+// that grows to at most `capacity` entries, so steady-state operations are
+// allocation-free and no operation hashes through a Go map. The behavior is
 // decision-for-decision identical to the linear-scan reference model
 // (`referenceCVU` in cvu_diff_test.go), enforced by a randomized
 // differential test.
@@ -31,8 +34,19 @@ type CVU struct {
 	head  int       // most recently used, -1 = empty
 	tail  int       // least recently used, -1 = empty
 
-	byIndex  map[int]int    // LVPT index -> chain head (idxPrev/idxNext)
-	byBucket map[uint64]int // addr>>3 -> chain head (bktPrev/bktNext)
+	// byIndex[i] heads the chain (idxPrev/idxNext) of entries at LVPT
+	// index i, -1 when there are none. It starts empty and doubles to cover
+	// the largest index inserted; Lookup and InvalidateIndex treat an index
+	// beyond it as an empty chain.
+	byIndex []int32
+	// byBucket[bucketSlot(addr>>3)] heads the chain (bktPrev/bktNext) of
+	// every entry whose 8-byte address bucket hashes to that slot, -1 when
+	// empty. Its size is fixed at construction: a power of two at least
+	// twice the capacity, so chains stay short. A chain can mix buckets;
+	// InvalidateAddr filters by address, so a collision costs a compare,
+	// never a wrong decision.
+	byBucket    []int32
+	bucketShift uint // 64 - log2(len(byBucket))
 }
 
 // CVUStats counts CAM events. Plain ints — one CVU per Unit per goroutine;
@@ -59,10 +73,10 @@ type CVUStats struct {
 // list, its LVPT-index chain and its address-bucket chain. A free slot is
 // chained through next only.
 type cvuNode struct {
-	addr   uint64
-	index  int
-	used   uint64 // LRU timestamp (kept for the reference differential)
-	bucket uint64 // addr >> 3, the key it is chained under in byBucket
+	addr  uint64
+	index int
+	used  uint64 // LRU timestamp (kept for the reference differential)
+	slot  int    // byBucket slot it is chained under
 
 	prev, next       int // LRU list: prev toward MRU, next toward LRU
 	idxPrev, idxNext int
@@ -70,16 +84,56 @@ type cvuNode struct {
 }
 
 // NewCVU returns a CVU with the given capacity; capacity <= 0 disables it.
+// LVPT indices must be non-negative.
 func NewCVU(capacity int) *CVU {
 	if capacity < 0 {
 		capacity = 0
 	}
 	c := &CVU{capacity: capacity, free: -1, head: -1, tail: -1}
 	if capacity > 0 {
-		c.byIndex = make(map[int]int, capacity)
-		c.byBucket = make(map[uint64]int, capacity)
+		slots := 2
+		for slots < 2*capacity {
+			slots <<= 1
+		}
+		c.byBucket = make([]int32, slots)
+		fillNone(c.byBucket)
+		c.bucketShift = uint(64 - bits.TrailingZeros(uint(slots)))
 	}
 	return c
+}
+
+// fillNone marks every chain head empty.
+func fillNone(heads []int32) {
+	for i := range heads {
+		heads[i] = -1
+	}
+}
+
+// growIndex extends byIndex to cover indices [0, n).
+func (c *CVU) growIndex(n int) {
+	if n <= len(c.byIndex) {
+		return
+	}
+	if n < 2*len(c.byIndex) {
+		n = 2 * len(c.byIndex)
+	}
+	heads := make([]int32, n)
+	fillNone(heads[copy(heads, c.byIndex):])
+	c.byIndex = heads
+}
+
+// bucketSlot hashes an address bucket (addr>>3) onto a byBucket slot with a
+// Fibonacci multiply, so strided addresses spread over the whole table.
+func (c *CVU) bucketSlot(bucket uint64) int {
+	return int((bucket * 0x9E3779B97F4A7C15) >> c.bucketShift)
+}
+
+// indexHead returns the head of index's chain, or -1.
+func (c *CVU) indexHead(index int) int {
+	if index >= len(c.byIndex) {
+		return -1
+	}
+	return int(c.byIndex[index])
 }
 
 // find returns the slab slot holding (addr, index), or -1. It walks the
@@ -89,11 +143,7 @@ func (c *CVU) find(addr uint64, index int) int {
 	if c.size == 0 {
 		return -1
 	}
-	n, ok := c.byIndex[index]
-	if !ok {
-		return -1
-	}
-	for ; n >= 0; n = c.nodes[n].idxNext {
+	for n := c.indexHead(index); n >= 0; n = c.nodes[n].idxNext {
 		if c.nodes[n].addr == addr {
 			return n
 		}
@@ -150,7 +200,7 @@ func (c *CVU) Insert(addr uint64, index int) {
 	}
 	nd := &c.nodes[n]
 	nd.addr, nd.index, nd.used = addr, index, c.clock
-	nd.bucket = addr >> 3
+	nd.slot = c.bucketSlot(addr >> 3)
 	c.pushFront(n)
 	c.linkIndex(n)
 	c.linkBucket(n)
@@ -194,7 +244,7 @@ func (c *CVU) InvalidateAddr(addr uint64, size int) int {
 			}
 		} else {
 			for b := loB; ; b++ {
-				for n, ok := c.byBucket[b]; ok && n >= 0; {
+				for n := int(c.byBucket[c.bucketSlot(b)]); n >= 0; {
 					next := c.nodes[n].bktNext
 					if a := c.nodes[n].addr; a >= lo && a <= hi {
 						c.remove(n)
@@ -219,8 +269,7 @@ func (c *CVU) InvalidateAddr(addr uint64, size int) int {
 func (c *CVU) InvalidateIndex(index int) int {
 	removed := 0
 	if c.size > 0 {
-		n, ok := c.byIndex[index]
-		for ok && n >= 0 {
+		for n := c.indexHead(index); n >= 0; {
 			next := c.nodes[n].idxNext
 			c.remove(n)
 			removed++
@@ -272,29 +321,28 @@ func (c *CVU) moveToFront(n int) {
 // linkIndex chains n at the head of its LVPT-index chain.
 func (c *CVU) linkIndex(n int) {
 	nd := &c.nodes[n]
-	if h, ok := c.byIndex[nd.index]; ok {
-		nd.idxPrev, nd.idxNext = -1, h
+	c.growIndex(nd.index + 1)
+	h := int(c.byIndex[nd.index])
+	nd.idxPrev, nd.idxNext = -1, h
+	if h >= 0 {
 		c.nodes[h].idxPrev = n
-	} else {
-		nd.idxPrev, nd.idxNext = -1, -1
 	}
-	c.byIndex[nd.index] = n
+	c.byIndex[nd.index] = int32(n)
 }
 
-// linkBucket chains n at the head of its address-bucket chain.
+// linkBucket chains n at the head of its address-bucket slot's chain.
 func (c *CVU) linkBucket(n int) {
 	nd := &c.nodes[n]
-	if h, ok := c.byBucket[nd.bucket]; ok {
-		nd.bktPrev, nd.bktNext = -1, h
+	h := int(c.byBucket[nd.slot])
+	nd.bktPrev, nd.bktNext = -1, h
+	if h >= 0 {
 		c.nodes[h].bktPrev = n
-	} else {
-		nd.bktPrev, nd.bktNext = -1, -1
 	}
-	c.byBucket[nd.bucket] = n
+	c.byBucket[nd.slot] = int32(n)
 }
 
 // unlink detaches n from the recency list and both chains, fixing up the
-// map heads (or deleting emptied keys). The slot itself is not recycled.
+// chain heads (-1 once a chain empties). The slot itself is not recycled.
 func (c *CVU) unlink(n int) {
 	nd := &c.nodes[n]
 	if nd.prev >= 0 {
@@ -309,20 +357,16 @@ func (c *CVU) unlink(n int) {
 	}
 	if nd.idxPrev >= 0 {
 		c.nodes[nd.idxPrev].idxNext = nd.idxNext
-	} else if nd.idxNext >= 0 {
-		c.byIndex[nd.index] = nd.idxNext
 	} else {
-		delete(c.byIndex, nd.index)
+		c.byIndex[nd.index] = int32(nd.idxNext)
 	}
 	if nd.idxNext >= 0 {
 		c.nodes[nd.idxNext].idxPrev = nd.idxPrev
 	}
 	if nd.bktPrev >= 0 {
 		c.nodes[nd.bktPrev].bktNext = nd.bktNext
-	} else if nd.bktNext >= 0 {
-		c.byBucket[nd.bucket] = nd.bktNext
 	} else {
-		delete(c.byBucket, nd.bucket)
+		c.byBucket[nd.slot] = int32(nd.bktNext)
 	}
 	if nd.bktNext >= 0 {
 		c.nodes[nd.bktNext].bktPrev = nd.bktPrev

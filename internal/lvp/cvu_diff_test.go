@@ -263,26 +263,96 @@ func TestCVUDifferential(t *testing.T) {
 
 // FuzzCVUDifferential interprets the fuzz input as an operation script, so
 // the fuzzer can hunt for divergent sequences beyond the random regime.
-// Each op consumes 11 bytes: kind, 8 addr bytes, index, size.
+// Each op consumes 12 bytes: kind, 8 addr bytes, 2 index bytes (an index
+// below 8192, the largest swept LVPT), size.
 func FuzzCVUDifferential(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0x10, 0x00, 3, 8})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0x10, 0x00, 0, 3, 8})
 	f.Add([]byte{
-		1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfa, 1, 8, // insert near max
-		2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 8, // store at max
+		1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfa, 0, 1, 8, // insert near max
+		2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 8, // store at max
+	})
+	f.Add([]byte{
+		1, 0, 0, 0, 0, 0, 0, 0x10, 0x00, 0x1f, 0xff, 8, // insert at index 8191
+		0, 0, 0, 0, 0, 0, 0, 0x10, 0x00, 0x1f, 0xff, 8, // hit it
+		3, 0, 0, 0, 0, 0, 0, 0x00, 0x00, 0x1f, 0xff, 8, // invalidate it
 	})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		got := NewCVU(4)
-		want := newReferenceCVU(4)
-		for step := 0; len(script) >= 11; step++ {
-			op := cvuOp{kind: int(script[0] % 4), idx: int(script[9] % 8)}
+		got, want := NewCVU(4), newReferenceCVU(4)
+		for step := 0; len(script) >= 12; step++ {
+			op := cvuOp{kind: int(script[0] % 4), idx: (int(script[9])<<8 | int(script[10])) % 8192}
 			for _, b := range script[1:9] {
 				op.addr = op.addr<<8 | uint64(b)
 			}
-			op.size = int(int8(script[10]))
-			script = script[11:]
+			op.size = int(int8(script[11]))
+			script = script[12:]
 			applyOp(t, step, op, got, want)
 		}
 	})
+}
+
+// TestCVUDifferentialWideIndex widens the index space to a full
+// 8192-entry LVPT (the largest LVPT sweep point). Indices come from a small
+// pool spread over [0, 8192), so Lookup hits and index invalidations still
+// happen while the index chain heads grow.
+func TestCVUDifferentialWideIndex(t *testing.T) {
+	steps := 4000
+	if testing.Short() {
+		steps = 800
+	}
+	for _, capacity := range []int{1, 8, 32, 128} {
+		for seed := int64(0); seed < 4; seed++ {
+			rnd := rand.New(rand.NewSource(seed*977 + int64(capacity)))
+			pool := []int{0, 8191, 1023, 1024, 4095, 4096}
+			for len(pool) < 16 {
+				pool = append(pool, rnd.Intn(8192))
+			}
+			got, want := NewCVU(capacity), newReferenceCVU(capacity)
+			for step := 0; step < steps; step++ {
+				op := randomOp(rnd)
+				op.idx = pool[rnd.Intn(len(pool))]
+				applyOp(t, step, op, got, want)
+			}
+		}
+	}
+}
+
+// TestCVUBucketCollisions forces byBucket collisions: every address comes
+// from 8-byte buckets that hash to one slot, or from their neighbours, so
+// chains mix buckets and InvalidateAddr must filter by address. The test
+// also checks a chain really did hold entries from different buckets.
+func TestCVUBucketCollisions(t *testing.T) {
+	for _, capacity := range []int{1, 4, 32} {
+		probe := NewCVU(capacity)
+		slot := probe.bucketSlot(0x1000 >> 3)
+		var colliding []uint64
+		for b := uint64(0x1000 >> 3); len(colliding) < 12; b++ {
+			if probe.bucketSlot(b) == slot {
+				colliding = append(colliding, b)
+			}
+		}
+		mixed := false
+		for seed := int64(0); seed < 8; seed++ {
+			rnd := rand.New(rand.NewSource(seed*31 + int64(capacity)))
+			got, want := NewCVU(capacity), newReferenceCVU(capacity)
+			for step := 0; step < 2000; step++ {
+				op := cvuOp{kind: rnd.Intn(4), idx: rnd.Intn(6), size: 1 + rnd.Intn(16)}
+				b := colliding[rnd.Intn(len(colliding))]
+				if rnd.Intn(4) == 0 {
+					b++ // a neighbouring bucket, reachable by wide stores
+				}
+				op.addr = b<<3 + uint64(rnd.Intn(8))
+				applyOp(t, step, op, got, want)
+				buckets := map[uint64]bool{}
+				for n := int(got.byBucket[slot]); n >= 0; n = got.nodes[n].bktNext {
+					buckets[got.nodes[n].addr>>3] = true
+				}
+				mixed = mixed || len(buckets) > 1
+			}
+		}
+		if capacity > 1 && !mixed {
+			t.Errorf("capacity %d: no chain ever held two buckets; the collisions were not forced", capacity)
+		}
+	}
 }
 
 // TestCVUInvalidateAddrBoundaries pins the overflow-safe overlap semantics

@@ -133,45 +133,27 @@ func (m ZooMeasure) Accuracy() float64 {
 	return float64(m.Hits) / float64(m.Attempts)
 }
 
-// LoadSlab is the decode-once form of a trace's dynamic load stream: the PC
-// and loaded value of every load, in trace order, as parallel slices. A zoo
-// sweep extracts it once per trace and fans every predictor family out over
-// the same slab, instead of re-walking (and re-filtering) the full record
-// stream per family. The slab is immutable once built and safe to share
-// across goroutines.
-type LoadSlab struct {
-	PCs    []uint64
-	Values []uint64
-}
-
-// Len reports the number of dynamic loads in the slab.
-func (s LoadSlab) Len() int { return len(s.PCs) }
-
-// ExtractLoads scans the trace once and returns its load stream as a slab.
-func ExtractLoads(t *trace.Trace) LoadSlab {
+// MeasureZoo runs a predictor over every load in the trace. Predictors
+// implementing ConfidencePredictor are measured through Lookup, so declined
+// predictions count against coverage but not accuracy; plain Predictors are
+// treated as always speaking (MeasureAccuracy's regime).
+func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
+	// MeasureZooLoads reads only the PC and value lanes, so a one-off
+	// measurement gathers just those rather than the whole ExtractLoads slab.
 	n := 0
 	for i := range t.Records {
 		if t.Records[i].IsLoad() {
 			n++
 		}
 	}
-	s := LoadSlab{PCs: make([]uint64, 0, n), Values: make([]uint64, 0, n)}
+	loads := LoadSlab{PCs: make([]uint64, 0, n), Values: make([]uint64, 0, n)}
 	for i := range t.Records {
-		r := &t.Records[i]
-		if r.IsLoad() {
-			s.PCs = append(s.PCs, r.PC)
-			s.Values = append(s.Values, r.Value)
+		if r := &t.Records[i]; r.IsLoad() {
+			loads.PCs = append(loads.PCs, r.PC)
+			loads.Values = append(loads.Values, r.Value)
 		}
 	}
-	return s
-}
-
-// MeasureZoo runs a predictor over every load in the trace. Predictors
-// implementing ConfidencePredictor are measured through Lookup, so declined
-// predictions count against coverage but not accuracy; plain Predictors are
-// treated as always speaking (MeasureAccuracy's regime).
-func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
-	return MeasureZooLoads(ExtractLoads(t), p)
+	return MeasureZooLoads(loads, p)
 }
 
 // MeasureZooLoads is MeasureZoo over a pre-extracted load slab — the
