@@ -42,13 +42,16 @@ race:
 race-full:
 	$(GO) test -race -timeout 30m ./...
 
-# Short fuzz sessions over the trace codecs: the whole-trace round-trip
+# Short fuzz sessions over the trace codecs — the whole-trace round-trip
 # property, the streaming Reader/Writer round-trip property, and the VLT2
-# block-codec round-trip (both decode paths, every codec).
+# block-codec round-trip (both decode paths, every codec) — and over the
+# whole file pipeline: raw bytes → trace.Open → lvp.Pipe → both timing
+# models (never a panic; decode errors come back from Simulate).
 fuzz:
 	$(GO) test -fuzz='FuzzRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzStreamRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzVLT2RoundTrip$$' -fuzztime=30s ./internal/trace/
+	$(GO) test -run XXX -fuzz='FuzzSimulate$$' -fuzztime=30s ./internal/exp/
 
 # Experiment-engine benchmarks: compare ExpAllSerial vs ExpAllParallel for
 # the worker-pool speedup.
@@ -62,11 +65,11 @@ bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkAnnotate' -benchtime 2s -count 3 .
 
 # Streaming-layer benchmarks: record-at-a-time decode/encode vs the
-# whole-trace codec, batched vs per-record decode (StreamDecodeBatch vs
-# StreamDecode), and the fused gen→annotate→sim cell on both interface
-# chains (StreamFusedBatch vs StreamFusedPerRecord).
+# whole-trace codec, and batched vs per-record decode (StreamDecodeBatch vs
+# StreamDecode). The fused gen→annotate→sim cell is lvpbench's
+# pipeline.fused.batch.
 bench-stream:
-	$(GO) test -run xxx -bench 'Stream|MemDecode|MemEncode|MemPipeline' -benchtime 1s ./internal/trace/ ./internal/exp/
+	$(GO) test -run xxx -bench 'Stream|MemDecode|MemEncode' -benchtime 1s ./internal/trace/
 
 # Benchmark-trajectory grid (see PERFORMANCE.md): the full run refreshes the
 # checked-in BENCH_PR10.json baseline; the smoke run is the CI sizing that
@@ -82,19 +85,22 @@ bench-json-smoke:
 
 # Streaming memory/identity gate, run standalone (uncached): the
 # allocation-regression tests (0 allocs/record on the Reader/Writer/LVP hot
-# paths), the 10M-record peak-RSS bound, and the per-workload differential
-# between the streamed and in-memory pipelines. All of these also run as
-# part of plain `make test` / `make check`.
+# paths), the 10M-record peak-RSS bound, the per-workload differential
+# between vm.Source → lvp.Pipe → Simulate and the suite's in-memory cells,
+# and the slab contract of both timing models (stats independent of how
+# the trace is cut into slabs; source errors returned, never a panic). All
+# of these also run as part of plain `make test` / `make check`.
 check-stream:
-	$(GO) test -count=1 -run 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead' ./internal/trace/ ./internal/lvp/ ./internal/exp/
+	$(GO) test -count=1 -run 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateSlabContract|TestSimulateReturnsSourceError' ./internal/trace/ ./internal/lvp/ ./internal/exp/
 
 # Hot-path identity and allocation gates, run standalone (uncached): the
 # randomized CVU differential against the linear-scan reference (states,
 # stats, and eviction victims must be decision-identical), the batched
-# decode/annotate differentials, and the 0-allocs/record gates on the
-# steady-state CVU and batch paths.
+# decode/annotate differentials, the Pipe's records-before-error rule, the
+# in-memory span source, and the 0-allocs/record gates on the steady-state
+# CVU and batch paths.
 check-perf:
-	$(GO) test -count=1 -run 'TestCVUDifferential|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh|TestCVUOpsAllocFree|NextBatch|TestPump|TestRecordBatch' ./internal/lvp/ ./internal/trace/ ./internal/vm/
+	$(GO) test -count=1 -run 'TestCVUDifferential|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh|TestCVUOpsAllocFree|NextBatch|TestPipeDeliversRecordsBeforeError|TestSlabsOneSpan|TestRecordBatch' ./internal/lvp/ ./internal/trace/ ./internal/vm/
 
 # Annotation-slab gate, run standalone (uncached), then again under the race
 # detector (-short keeps three workloads in the suite differential): the

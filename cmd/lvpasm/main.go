@@ -82,13 +82,19 @@ func main() {
 		for _, r := range locality.Measure(tr, locality.DefaultEntries, 1, 16) {
 			fmt.Printf("value locality, depth %2d: %5.1f%%\n", r.Depth, r.Overall.Percent())
 		}
-		base := ppc620.Simulate(tr, nil, ppc620.Config620(), "")
+		base, err := ppc620.Simulate(tr.Slabs(nil), ppc620.Config620(), "", nil)
+		if err != nil {
+			fatal(err)
+		}
 		for _, cfg := range lvp.Configs {
 			ann, st, err := lvp.Annotate(tr, cfg)
 			if err != nil {
 				fatal(err)
 			}
-			sim := ppc620.Simulate(tr, ann, ppc620.Config620(), cfg.Name)
+			sim, err := ppc620.Simulate(tr.Slabs(ann), ppc620.Config620(), cfg.Name, nil)
+			if err != nil {
+				fatal(err)
+			}
 			fmt.Printf("%-9s coverage %5.1f%%  constants %5.1f%%  620 speedup %.3f\n",
 				cfg.Name, 100*st.Coverage(), 100*st.ConstantRate(),
 				float64(base.Cycles)/float64(sim.Cycles))

@@ -6,7 +6,6 @@
 //	lvpsim -exp all            # every table and figure
 //	lvpsim -exp all -parallel 8  # same output, 8 experiment workers
 //	lvpsim -exp fig6 -scale 2  # one experiment at double run length
-//	lvpsim -exp fig6 -stream   # simulation cells stream in bounded memory
 //	lvpsim -exp zoosweep -zoo stride,two-level  # restrict the predictor zoo
 //	lvpsim -list               # list experiment names
 //	lvpsim -list-zoo           # list predictor-zoo families
@@ -45,7 +44,6 @@ func main() {
 		expFlag     = flag.String("exp", "all", "experiment to run (see -list), or comma-separated set, or 'all' / 'paper'")
 		scale       = flag.Int("scale", 1, "benchmark run-length multiplier")
 		parallel    = flag.Int("parallel", 0, "experiment worker-pool size (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
-		stream      = flag.Bool("stream", false, "run simulation cells as streaming gen→annotate→sim pipelines (bounded memory); output is identical")
 		zoo         = flag.String("zoo", "", "comma-separated predictor families for the zoosweep experiment (default: every registered family; see -list-zoo)")
 		list        = flag.Bool("list", false, "list experiments and exit")
 		listZoo     = flag.Bool("list-zoo", false, "list predictor-zoo families and exit")
@@ -106,7 +104,6 @@ func main() {
 	}
 
 	s := exp.NewSuiteParallel(*scale, *parallel)
-	s.Stream = *stream
 	if *zoo != "" {
 		for _, name := range strings.Split(*zoo, ",") {
 			name = strings.TrimSpace(name)

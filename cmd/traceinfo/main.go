@@ -5,8 +5,8 @@
 // bytes, and the trace.v2.* decode counters.
 //
 // The file is processed in one streaming pass: every table's accumulator
-// consumes each record as it is decoded, so summarising a multi-gigabyte
-// trace needs O(1) memory.
+// consumes each batch of records as it is decoded, so summarising a
+// multi-gigabyte trace needs O(1) memory.
 //
 // Usage:
 //
@@ -56,7 +56,7 @@ func main() {
 		m.SetMetrics(reg)
 	}
 
-	// One pass, every accumulator fed per record.
+	// One pass, every accumulator fed per decoded batch.
 	z := trace.NewSummarizer(sr.Name(), sr.Target())
 	meter := locality.NewMeter(locality.DefaultEntries, 1, 16)
 	anns := make([]*lvp.Annotator, len(lvp.Configs))
@@ -65,18 +65,22 @@ func main() {
 			fatal(err)
 		}
 	}
+	buf := make([]trace.Record, 1024)
+	states := make([]trace.PredState, len(buf))
 	for {
-		r, err := sr.Next()
+		n, err := sr.NextBatch(buf)
+		for i := range buf[:n] {
+			z.Add(&buf[i])
+			meter.Add(&buf[i])
+		}
+		for _, a := range anns {
+			a.RecordBatch(buf[:n], states)
+		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			fatal(err)
-		}
-		z.Add(r)
-		meter.Add(r)
-		for _, a := range anns {
-			a.Record(r)
 		}
 	}
 	sum := z.Summary()

@@ -34,7 +34,7 @@ func TestSimulateAllocsDoNotScale(t *testing.T) {
 	}
 	measure := func(tr *trace.Trace) float64 {
 		return testing.AllocsPerRun(5, func() {
-			Simulate(tr, nil, Config21164(), "")
+			simTrace(tr, nil, Config21164(), "")
 		})
 	}
 	small := measure(loadAddMix(4096))

@@ -130,37 +130,16 @@ func execLatency(op isa.Op) int {
 	}
 }
 
-// Simulate runs the annotated trace through the in-order model. ann may be
-// nil (no LVP hardware).
-func Simulate(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string) Stats {
-	return SimulateObs(tr, ann, cfg, lvpName, nil)
-}
-
-// SimulateObs is Simulate with an event tracer: value-misprediction
-// squashes and cancelled predictions on the sim channel, L1 misses on the
-// cache channel. obsTr == nil is exactly Simulate.
-//
-// It is a thin wrapper over SimulateSourceObs on an in-memory slice source,
-// so the in-memory and streaming paths share one cycle-level core.
-func SimulateObs(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, obsTr *obs.Tracer) Stats {
-	st, err := SimulateSourceObs(tr.StreamAnnotated(ann), cfg, lvpName, obsTr)
-	if err != nil {
-		// A slice source cannot fail.
-		panic("axp21164: in-memory simulation failed: " + err.Error())
-	}
-	return st
-}
-
-// SimulateSource runs an annotated record stream through the in-order model
-// in bounded memory: the machine is a strict forward pass, so only one
-// record is live at a time. An error from the source (e.g. a trace decode
-// failure) aborts the run.
-func SimulateSource(src trace.AnnotatedSource, cfg Config, lvpName string) (Stats, error) {
-	return SimulateSourceObs(src, cfg, lvpName, nil)
-}
-
-// SimulateSourceObs is SimulateSource with an event tracer.
-func SimulateSourceObs(src trace.AnnotatedSource, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
+// Simulate runs an annotated record stream through the in-order model and
+// returns its statistics; lvpName labels the run. The machine is a strict
+// forward pass over the source's slabs, so an in-memory trace (Trace.Slabs)
+// is walked in place and a streamed one (lvp.Pipe) runs in bounded memory.
+// Nil slab states model a machine without LVP hardware. obsTr, when
+// non-nil, receives value-misprediction squashes and cancelled predictions
+// on the sim channel and L1 misses on the cache channel. An error from the
+// source (e.g. a trace decode failure) aborts the run and is returned with
+// zero Stats.
+func Simulate(src trace.SlabSource, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
 	hier := &cache.Hierarchy{
 		L1:        cache.MustNew(cfg.L1),
 		L2:        cache.MustNew(cfg.L2),
@@ -169,10 +148,6 @@ func SimulateSourceObs(src trace.AnnotatedSource, cfg Config, lvpName string, ob
 	}
 	bp := bpred.New(bpred.Default21164)
 	st := Stats{Machine: cfg.Name, LVPConfig: lvpName}
-	// The slab reader turns any upstream — span-capable, batch-capable, or
-	// per-record — into slabs of records, so the in-order issue loop runs
-	// over plain slices instead of the per-record interface chain.
-	slab := trace.NewSlabReader(src)
 
 	var readyG, readyF [isa.NumRegs]int
 	cycle := 0
@@ -188,7 +163,7 @@ func SimulateSourceObs(src trace.AnnotatedSource, cfg Config, lvpName string, ob
 	}
 
 	for {
-		recs, preds, err := slab.Next()
+		recs, preds, err := src.NextSlab()
 		if err == io.EOF {
 			break
 		}

@@ -18,13 +18,22 @@ func mkTrace(recs []trace.Record) *trace.Trace {
 	return &trace.Trace{Name: "t", Target: "axp", Records: recs}
 }
 
+// simTrace simulates an in-memory trace: one span, which cannot fail.
+func simTrace(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string) Stats {
+	st, err := Simulate(tr.Slabs(ann), cfg, lvpName, nil)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
 func TestInOrderDualIssue(t *testing.T) {
 	// Independent adds: 2 integer pipes -> IPC ~2.
 	var recs []trace.Record
 	for i := 0; i < 4000; i++ {
 		recs = append(recs, trace.Record{Op: isa.ADD, Rd: isa.Reg(5 + i%8), Ra: 1, Rb: 2})
 	}
-	s := Simulate(mkTrace(recs), nil, Config21164(), "")
+	s := simTrace(mkTrace(recs), nil, Config21164(), "")
 	if ipc := s.IPC(); ipc < 1.8 || ipc > 2.2 {
 		t.Errorf("independent adds IPC = %.2f, want ~2 (two integer pipes)", ipc)
 	}
@@ -41,7 +50,7 @@ func TestMixedIntFPWider(t *testing.T) {
 			trace.Record{Op: isa.FMUL, Rd: 8, Ra: 2, Rb: 3},
 		)
 	}
-	s := Simulate(mkTrace(recs), nil, Config21164(), "")
+	s := simTrace(mkTrace(recs), nil, Config21164(), "")
 	if ipc := s.IPC(); ipc < 3.0 {
 		t.Errorf("mixed int/FP IPC = %.2f, want near 4", ipc)
 	}
@@ -52,7 +61,7 @@ func TestInOrderStallsOnDependence(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		recs = append(recs, trace.Record{Op: isa.ADD, Rd: 5, Ra: 5, Rb: 5})
 	}
-	s := Simulate(mkTrace(recs), nil, Config21164(), "")
+	s := simTrace(mkTrace(recs), nil, Config21164(), "")
 	if ipc := s.IPC(); ipc > 1.05 {
 		t.Errorf("dependent chain IPC = %.2f, must be ~1", ipc)
 	}
@@ -81,8 +90,8 @@ func annLoads(tr *trace.Trace, st trace.PredState) trace.Annotation {
 
 func TestZeroCycleLoadSpeedsUp(t *testing.T) {
 	tr := loadUseTrace(2000)
-	base := Simulate(tr, nil, Config21164(), "")
-	pred := Simulate(tr, annLoads(tr, trace.PredCorrect), Config21164(), "p")
+	base := simTrace(tr, nil, Config21164(), "")
+	pred := simTrace(tr, annLoads(tr, trace.PredCorrect), Config21164(), "p")
 	if pred.Cycles >= base.Cycles {
 		t.Errorf("correct predictions must help the in-order core: %d >= %d",
 			pred.Cycles, base.Cycles)
@@ -91,8 +100,8 @@ func TestZeroCycleLoadSpeedsUp(t *testing.T) {
 
 func TestSquashPenaltyOnMisprediction(t *testing.T) {
 	tr := loadUseTrace(2000)
-	base := Simulate(tr, nil, Config21164(), "")
-	bad := Simulate(tr, annLoads(tr, trace.PredIncorrect), Config21164(), "b")
+	base := simTrace(tr, nil, Config21164(), "")
+	bad := simTrace(tr, annLoads(tr, trace.PredIncorrect), Config21164(), "b")
 	if bad.Cycles <= base.Cycles {
 		t.Errorf("mispredictions must cost: %d <= %d", bad.Cycles, base.Cycles)
 	}
@@ -113,8 +122,8 @@ func TestConstantLoadBypassesMemoryEvenOnMiss(t *testing.T) {
 		)
 	}
 	tr := mkTrace(recs)
-	base := Simulate(tr, nil, Config21164(), "")
-	cons := Simulate(tr, annLoads(tr, trace.PredConstant), Config21164(), "c")
+	base := simTrace(tr, nil, Config21164(), "")
+	cons := simTrace(tr, annLoads(tr, trace.PredConstant), Config21164(), "c")
 	if cons.Cycles >= base.Cycles/2 {
 		t.Errorf("CVU constants should eliminate miss stalls: %d vs %d",
 			cons.Cycles, base.Cycles)
@@ -140,8 +149,8 @@ func TestPredictionCancelledOnL1Miss(t *testing.T) {
 		)
 	}
 	tr := mkTrace(recs)
-	base := Simulate(tr, nil, Config21164(), "")
-	pred := Simulate(tr, annLoads(tr, trace.PredCorrect), Config21164(), "p")
+	base := simTrace(tr, nil, Config21164(), "")
+	pred := simTrace(tr, annLoads(tr, trace.PredCorrect), Config21164(), "p")
 	if pred.PredictionsCancelled == 0 {
 		t.Error("expected cancelled predictions for missing loads")
 	}
@@ -160,7 +169,7 @@ func TestBlockingMissStallsPipe(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		recs = append(recs, trace.Record{Op: isa.ADD, Rd: 6, Ra: 1, Rb: 2})
 	}
-	s := Simulate(mkTrace(recs), nil, Config21164(), "")
+	s := simTrace(mkTrace(recs), nil, Config21164(), "")
 	// 40 independent adds alone would take ~20 cycles; the miss adds a
 	// memory-latency stall.
 	if s.Cycles < Config21164().MemLatency {
@@ -183,8 +192,8 @@ func TestBranchPenalty(t *testing.T) {
 		}
 		return &trace.Trace{Records: recs}
 	}
-	good := Simulate(mk(false), nil, Config21164(), "")
-	bad := Simulate(mk(true), nil, Config21164(), "")
+	good := simTrace(mk(false), nil, Config21164(), "")
+	bad := simTrace(mk(true), nil, Config21164(), "")
 	if bad.Cycles <= good.Cycles {
 		t.Errorf("alternating branches should cost more: %d <= %d", bad.Cycles, good.Cycles)
 	}
@@ -192,8 +201,8 @@ func TestBranchPenalty(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	tr := loadUseTrace(500)
-	a := Simulate(tr, nil, Config21164(), "")
-	b := Simulate(tr, nil, Config21164(), "")
+	a := simTrace(tr, nil, Config21164(), "")
+	b := simTrace(tr, nil, Config21164(), "")
 	if a.Cycles != b.Cycles || a.IPC() != b.IPC() {
 		t.Error("nondeterministic simulation")
 	}
@@ -201,7 +210,7 @@ func TestDeterministic(t *testing.T) {
 
 func TestStatsBasics(t *testing.T) {
 	tr := loadUseTrace(100)
-	s := Simulate(tr, annLoads(tr, trace.PredCorrect), Config21164(), "Simple")
+	s := simTrace(tr, annLoads(tr, trace.PredCorrect), Config21164(), "Simple")
 	if s.Machine != "21164" || s.LVPConfig != "Simple" {
 		t.Errorf("labels: %q %q", s.Machine, s.LVPConfig)
 	}
@@ -223,7 +232,7 @@ func TestComplexLatencies(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		recs = append(recs, trace.Record{Op: isa.MUL, Rd: 5, Ra: 5, Rb: 5})
 	}
-	s := Simulate(mkTrace(recs), nil, Config21164(), "")
+	s := simTrace(mkTrace(recs), nil, Config21164(), "")
 	if perOp := float64(s.Cycles) / 100; perOp < 7 || perOp > 10 {
 		t.Errorf("dependent muls %.1f cycles/op, want ~8", perOp)
 	}
@@ -231,7 +240,7 @@ func TestComplexLatencies(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		recs = append(recs, trace.Record{Op: isa.FDIV, Rd: 5, Ra: 5, Rb: 5})
 	}
-	s = Simulate(mkTrace(recs), nil, Config21164(), "")
+	s = simTrace(mkTrace(recs), nil, Config21164(), "")
 	if perOp := float64(s.Cycles) / 50; perOp < 30 {
 		t.Errorf("dependent fdivs %.1f cycles/op, want ~36", perOp)
 	}
@@ -247,10 +256,10 @@ func TestNonBlockingConfigHelps(t *testing.T) {
 		)
 	}
 	tr := mkTrace(recs)
-	blocking := Simulate(tr, nil, Config21164(), "")
+	blocking := simTrace(tr, nil, Config21164(), "")
 	cfg := Config21164()
 	cfg.NonBlocking = true
-	maf := Simulate(tr, nil, cfg, "")
+	maf := simTrace(tr, nil, cfg, "")
 	if maf.Cycles >= blocking.Cycles {
 		t.Errorf("MAF (%d cycles) should beat blocking misses (%d)", maf.Cycles, blocking.Cycles)
 	}

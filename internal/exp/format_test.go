@@ -59,6 +59,26 @@ func decodeVia(t *testing.T, enc []byte, indexed bool) *trace.Trace {
 	return got
 }
 
+// simSpan620 runs an in-memory trace through the 620 model as one span.
+func simSpan620(t *testing.T, tr *trace.Trace, ann trace.Annotation, mc ppc620.Config, name string) ppc620.Stats {
+	t.Helper()
+	st, err := ppc620.Simulate(tr.Slabs(ann), mc, name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// simSpan21164 runs an in-memory trace through the 21164 model as one span.
+func simSpan21164(t *testing.T, tr *trace.Trace, ann trace.Annotation, name string) axp21164.Stats {
+	t.Helper()
+	st, err := axp21164.Simulate(tr.Slabs(ann), axp21164.Config21164(), name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestFormatDifferential is the VLT1↔VLT2 differential gate: for every
 // suite workload and every encoding in the matrix, the decoded records and
 // metadata must be byte-identical to the in-memory trace, the annotation
@@ -89,9 +109,9 @@ func TestFormatDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want620 := ppc620.Simulate(wantPPC, wantAnn, ppc620.Config620(), cfg.Name)
-			want620p := ppc620.Simulate(wantPPC, wantAnn, ppc620.Config620Plus(), cfg.Name)
-			want164 := axp21164.Simulate(wantAXP, annAXP, axp21164.Config21164(), cfg.Name)
+			want620 := simSpan620(t, wantPPC, wantAnn, ppc620.Config620(), cfg.Name)
+			want620p := simSpan620(t, wantPPC, wantAnn, ppc620.Config620Plus(), cfg.Name)
+			want164 := simSpan21164(t, wantAXP, annAXP, cfg.Name)
 
 			for _, f := range formatEncodings {
 				f := f
@@ -138,17 +158,17 @@ func TestFormatDifferential(t *testing.T) {
 
 					// All three machine models, fed from the decoded
 					// traces, must report identical stats.
-					if got := ppc620.Simulate(gotPPC, gotAnn, ppc620.Config620(), cfg.Name); !reflect.DeepEqual(got, want620) {
+					if got := simSpan620(t, gotPPC, gotAnn, ppc620.Config620(), cfg.Name); !reflect.DeepEqual(got, want620) {
 						t.Fatalf("620 stats differ:\n mem  %+v\n file %+v", want620, got)
 					}
-					if got := ppc620.Simulate(gotPPC, gotAnn, ppc620.Config620Plus(), cfg.Name); !reflect.DeepEqual(got, want620p) {
+					if got := simSpan620(t, gotPPC, gotAnn, ppc620.Config620Plus(), cfg.Name); !reflect.DeepEqual(got, want620p) {
 						t.Fatalf("620+ stats differ:\n mem  %+v\n file %+v", want620p, got)
 					}
 					gotAnnAXP, _, err := lvp.Annotate(gotAXP, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := axp21164.Simulate(gotAXP, gotAnnAXP, axp21164.Config21164(), cfg.Name); !reflect.DeepEqual(got, want164) {
+					if got := simSpan21164(t, gotAXP, gotAnnAXP, cfg.Name); !reflect.DeepEqual(got, want164) {
 						t.Fatalf("21164 stats differ:\n mem  %+v\n file %+v", want164, got)
 					}
 				})

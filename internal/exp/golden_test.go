@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -51,6 +53,13 @@ func renderAll(t *testing.T, workers int) map[string][]byte {
 // be byte-identical to the same experiment rendered by a suite running 8
 // workers. Any ordering sensitivity in the fan-out, the single-flight
 // caches, or the merge layer shows up here as a diff.
+//
+// The serial renders are also pinned to the checked-in
+// testdata/render.golden, whose bytes are exactly `lvpsim -exp all` stdout
+// (every experiment in registry order), so a change that shifts numbers in
+// both runs alike still fails. Under the race detector, which renders only
+// a subset, the file comparison is skipped.
+// Regenerate deliberately with: go test ./internal/exp -run GoldenSerialVsParallel -update
 func TestGoldenSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders the full experiment suite twice; skipped in -short")
@@ -68,14 +77,41 @@ func TestGoldenSerialVsParallel(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(a, b) {
-			i := 0
-			for i < len(a) && i < len(b) && a[i] == b[i] {
-				i++
-			}
-			lo, hi := max(0, i-80), i
+			i := firstDiff(a, b)
 			t.Errorf("%s: serial and parallel output differ at byte %d\nserial  : ...%q\nparallel: ...%q",
-				e.Name, i, a[lo:min(len(a), hi+80)], b[lo:min(len(b), hi+80)])
+				e.Name, i, window(a, i), window(b, i))
 		}
+	}
+	if raceEnabled {
+		return
+	}
+	var all bytes.Buffer
+	for _, e := range experiments {
+		all.Write(serial[e.Name])
+	}
+	if *updateGolden {
+		checkGolden(t, "render.golden", all.Bytes())
+		return
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "render.golden"))
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	// Walk the golden file experiment by experiment so a divergence is
+	// reported against the experiment that rendered it.
+	off := 0
+	for _, e := range experiments {
+		got := serial[e.Name]
+		end := min(len(want), off+len(got))
+		if !bytes.Equal(got, want[off:end]) {
+			i := firstDiff(got, want[off:end])
+			t.Fatalf("%s: render diverged from testdata/render.golden at byte %d of the experiment (regenerate with -update if intended)\ngot : ...%q\nwant: ...%q",
+				e.Name, i, window(got, i), window(want[off:], i))
+		}
+		off = end
+	}
+	if off != len(want) {
+		t.Fatalf("testdata/render.golden has %d bytes past the last experiment", len(want)-off)
 	}
 }
 

@@ -51,12 +51,18 @@ func (s *Suite) GVPStudy() (*GVPResult, error) {
 		if err != nil {
 			return err
 		}
-		gvpSimple := ppc620.Simulate(t, gvpAnn, ppc620.Config620(), "GVP-Simple")
+		gvpSimple, err := ppc620.Simulate(t.Slabs(gvpAnn), ppc620.Config620(), "GVP-Simple", nil)
+		if err != nil {
+			return err
+		}
 		perfAnn, _, err := lvp.AnnotateGeneral(t, lvp.Perfect)
 		if err != nil {
 			return err
 		}
-		gvpPerfect := ppc620.Simulate(t, perfAnn, ppc620.Config620(), "GVP-Perfect")
+		gvpPerfect, err := ppc620.Simulate(t.Slabs(perfAnn), ppc620.Config620(), "GVP-Perfect", nil)
+		if err != nil {
+			return err
+		}
 		res.Rows[i] = GVPRow{
 			Name:       b.Name,
 			LVPSimple:  float64(base.Cycles) / float64(lvpSimple.Cycles),

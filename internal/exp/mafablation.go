@@ -59,8 +59,14 @@ func (s *Suite) MAFAblation() (*MAFResult, error) {
 		nonblocking := axp21164.Config21164()
 		nonblocking.Name = "21164+MAF"
 		nonblocking.NonBlocking = true
-		nBase := axp21164.Simulate(t, nil, nonblocking, "")
-		nLVP := axp21164.Simulate(t, ann, nonblocking, "Simple")
+		nBase, err := axp21164.Simulate(t.Slabs(nil), nonblocking, "", nil)
+		if err != nil {
+			return err
+		}
+		nLVP, err := axp21164.Simulate(t.Slabs(ann), nonblocking, "Simple", nil)
+		if err != nil {
+			return err
+		}
 		res.Rows[i] = MAFRow{
 			Name:               b.Name,
 			BlockingIPC:        bBase.IPC(),

@@ -81,7 +81,9 @@ func (s *Suite) ResourceSweep() (*ResourceResult, error) {
 			} else {
 				cfg := ppc620.Config620()
 				v.apply(&cfg)
-				st = ppc620.Simulate(t, nil, cfg, "")
+				if st, err = ppc620.Simulate(t.Slabs(nil), cfg, "", nil); err != nil {
+					return err
+				}
 			}
 			if vi == 0 {
 				base = st.Cycles

@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"lvp/internal/bench"
@@ -10,16 +12,16 @@ import (
 	"lvp/internal/prog"
 )
 
-// TestDumpSimStats writes every machine-model and annotation statistic the
-// suite produces to the file named by SIM_STATS_OUT, as canonical JSON. It is
-// a refactoring harness, skipped in normal runs: capture the dump before a
-// machine-model or LVP-unit change, re-run after, and diff — the two files
-// must be byte-identical, because optimization work on the simulators must
-// never change a single simulated decision.
-func TestDumpSimStats(t *testing.T) {
-	out := os.Getenv("SIM_STATS_OUT")
-	if out == "" {
-		t.Skip("set SIM_STATS_OUT=<path> to dump simulation statistics")
+// TestSimStatsGolden pins every machine-model and annotation statistic the
+// suite produces — 17 workloads × {none, Simple, Limit, Perfect} on the 620
+// and the 21164, Simple on the 620+, and the unit counters of five LVP
+// configurations on both targets — to a checked-in canonical JSON dump. A
+// refactor of the models, the LVP unit or the record pipeline must leave
+// every simulated decision, and so every byte, unchanged.
+// Regenerate deliberately with: go test ./internal/exp -run SimStatsGolden -update
+func TestSimStatsGolden(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("simulates every workload under four configurations; skipped in -short and under the race detector")
 	}
 	s := NewSuiteParallel(1, 0)
 	type row struct {
@@ -54,14 +56,49 @@ func TestDumpSimStats(t *testing.T) {
 			}
 		}
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(rows); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "simstats.golden", buf.Bytes())
+}
+
+// checkGolden compares got against testdata/<name>, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", golden, len(got))
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		i := firstDiff(got, want)
+		t.Fatalf("output diverged from %s at byte %d (regenerate with -update if intended)\ngot : ...%q\nwant: ...%q",
+			golden, i, window(got, i), window(want, i))
+	}
+}
+
+// firstDiff is the index of the first byte where a and b differ (the shorter
+// length when one is a prefix of the other).
+func firstDiff(a, b []byte) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// window is the ±80-byte neighbourhood of offset i in p, for diff messages.
+func window(p []byte, i int) []byte {
+	return p[max(0, i-80):min(len(p), i+80)]
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
 	"lvp/internal/ppc620"
@@ -24,48 +25,55 @@ func streamDiffBenches() []bench.Benchmark {
 	return all
 }
 
-// streamCell runs the streaming gen → annotate front half for one cell and
-// materializes what flows out of it, so it can be compared against the
-// in-memory pipeline.
-func streamCell(t *testing.T, name string, target prog.Target, cfg lvp.Config, scale, maxSteps int) ([]trace.Record, trace.Annotation) {
+// streamPipe builds the streaming gen → annotate front half of one cell: the
+// functional VM's record batches annotated on the fly by an LVP unit under
+// cfg. Nothing is materialized.
+func streamPipe(t *testing.T, name string, target prog.Target, cfg lvp.Config, s *Suite) *lvp.Pipe {
 	t.Helper()
 	bm, err := bench.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := bm.Build(target, scale)
+	p, err := bm.Build(target, s.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := lvp.NewPipe(vm.NewSource(p, maxSteps), cfg, nil)
+	pipe, err := lvp.NewPipe(vm.NewSource(p, s.MaxSteps), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pipe
+}
+
+// drainSlabs materializes everything a slab source delivers.
+func drainSlabs(t *testing.T, src trace.SlabSource) ([]trace.Record, trace.Annotation) {
+	t.Helper()
 	var recs []trace.Record
 	var ann trace.Annotation
 	for {
-		r, st, err := pipe.Next()
+		r, st, err := src.NextSlab()
 		if err == io.EOF {
 			return recs, ann
 		}
 		if err != nil {
-			t.Fatalf("stream %s/%s: %v", name, target.Name, err)
+			t.Fatal(err)
 		}
-		recs = append(recs, *r)
-		ann = append(ann, st)
+		recs = append(recs, r...)
+		ann = append(ann, st...)
 	}
 }
 
-// runStreamDifferential is the tentpole's end-to-end differential: for each
-// workload, the streaming pipeline must produce (a) the exact record
-// sequence and annotation bytes of the in-memory gen → annotate path, and
-// (b) simulation stats identical to the in-memory path on all three machine
-// models. With parallel=true the per-bench subtests run concurrently, so
-// the streaming cells also exercise the suite caches under contention.
+// runStreamDifferential is the library-level streaming differential: for
+// each workload, the chain vm.NewSource → lvp.NewPipe must produce (a) the
+// exact records and annotation of the suite's materialized trace and
+// annotation, and (b) fed straight into each timing model's Simulate, stats
+// identical to the suite's cached 620, 620+ and 21164 cells under Simple —
+// the bounded-memory composition and the in-memory span path are one
+// pipeline. With parallel=true the per-bench subtests run concurrently
+// against one suite, so the suite caches are also exercised under
+// contention.
 func runStreamDifferential(t *testing.T, parallel bool) {
 	mem := NewSuiteParallel(1, 1)
-	stream := NewSuiteParallel(1, 1)
-	stream.Stream = true
 	for _, b := range streamDiffBenches() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -74,7 +82,6 @@ func runStreamDifferential(t *testing.T, parallel bool) {
 			}
 			cfg := lvp.Simple
 
-			// Gen → annotate: byte-identical records and annotation.
 			wantTr, err := mem.Trace(b.Name, prog.PPC)
 			if err != nil {
 				t.Fatal(err)
@@ -83,7 +90,7 @@ func runStreamDifferential(t *testing.T, parallel bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs, ann := streamCell(t, b.Name, prog.PPC, cfg, mem.Scale, mem.MaxSteps)
+			recs, ann := drainSlabs(t, streamPipe(t, b.Name, prog.PPC, cfg, mem))
 			if !reflect.DeepEqual(recs, wantTr.Records) {
 				t.Fatal("streamed records differ from the materialized trace")
 			}
@@ -91,40 +98,33 @@ func runStreamDifferential(t *testing.T, parallel bool) {
 				t.Fatal("streamed annotation differs from the in-memory annotation")
 			}
 
-			// Sim stats: streaming suite vs in-memory suite on every
-			// machine model, with and without LVP hardware.
-			m620, err := mem.Sim620(b.Name, false, &cfg)
+			for _, plus := range []bool{false, true} {
+				mc := ppc620.Config620()
+				if plus {
+					mc = ppc620.Config620Plus()
+				}
+				got, err := ppc620.Simulate(streamPipe(t, b.Name, prog.PPC, cfg, mem), mc, cfg.Name, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := mem.Sim620(b.Name, plus, &cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s stats differ:\n suite  %+v\n stream %+v", mc.Name, want, got)
+				}
+			}
+			got, err := axp21164.Simulate(streamPipe(t, b.Name, prog.AXP, cfg, mem), axp21164.Config21164(), cfg.Name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s620, err := stream.Sim620(b.Name, false, &cfg)
+			want, err := mem.Sim21164(b.Name, &cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(m620, s620) {
-				t.Fatalf("620 stats differ:\n mem    %+v\n stream %+v", m620, s620)
-			}
-			m620p, err := mem.Sim620(b.Name, true, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s620p, err := stream.Sim620(b.Name, true, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(m620p, s620p) {
-				t.Fatalf("620+ (no LVP) stats differ:\n mem    %+v\n stream %+v", m620p, s620p)
-			}
-			m164, err := mem.Sim21164(b.Name, &cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s164, err := stream.Sim21164(b.Name, &cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(m164, s164) {
-				t.Fatalf("21164 stats differ:\n mem    %+v\n stream %+v", m164, s164)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("21164 stats differ:\n suite  %+v\n stream %+v", want, got)
 			}
 		})
 	}
@@ -136,106 +136,8 @@ func TestStreamDifferential(t *testing.T) {
 }
 
 // TestStreamDifferentialParallel re-runs the differential with concurrent
-// per-bench subtests: same invariants, now with the streaming cells racing
-// through the shared suite caches (the race gate runs this under -race).
+// per-bench subtests racing through the shared suite caches (the race gate
+// runs this under -race).
 func TestStreamDifferentialParallel(t *testing.T) {
 	runStreamDifferential(t, true)
-}
-
-// TestStreamCellsMetered pins the streaming telemetry: a streamed cell
-// must count its records on trace.stream.records and itself on
-// trace.stream.cells.
-func TestStreamCellsMetered(t *testing.T) {
-	s := NewSuiteParallel(1, 1)
-	s.Stream = true
-	name := bench.All()[0].Name
-	if _, err := s.Sim21164(name, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Metrics.Counter("trace.stream.cells").Value(); got != 1 {
-		t.Fatalf("trace.stream.cells = %d, want 1", got)
-	}
-	recs := s.Metrics.Counter("trace.stream.records").Value()
-	if recs <= 0 {
-		t.Fatalf("trace.stream.records = %d, want > 0", recs)
-	}
-	// A cached re-request must not stream the cell again.
-	if _, err := s.Sim21164(name, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Metrics.Counter("trace.stream.cells").Value(); got != 1 {
-		t.Fatalf("trace.stream.cells after cached hit = %d, want 1", got)
-	}
-}
-
-// BenchmarkStreamPipeline measures a full streaming gen → annotate → sim
-// cell; BenchmarkMemPipeline is the same cell through the materialized
-// in-memory pipeline (excluding suite caches on both sides).
-func BenchmarkStreamPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := NewSuiteParallel(1, 1)
-		s.Stream = true
-		if _, err := s.Sim620(bench.All()[0].Name, false, &lvp.Simple); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMemPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := NewSuiteParallel(1, 1)
-		if _, err := s.Sim620(bench.All()[0].Name, false, &lvp.Simple); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// perRecordSource and perRecordAnnotated hide batch capability behind the
-// plain interfaces, reconstructing the PR-4 record-at-a-time pipeline so
-// the fused benchmarks can compare the two paths on identical work.
-type perRecordSource struct{ trace.Source }
-
-type perRecordAnnotated struct{ trace.AnnotatedSource }
-
-// fusedCell runs one gen → annotate → sim cell outside the suite caches;
-// perRecord forces every stage onto the record-at-a-time interfaces.
-func fusedCell(b *testing.B, perRecord bool) {
-	b.Helper()
-	bm := bench.All()[0]
-	p, err := bm.Build(prog.PPC, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var src trace.Source = vm.NewSource(p, 0)
-	if perRecord {
-		src = perRecordSource{src}
-	}
-	pipe, err := lvp.NewPipe(src, lvp.Simple, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ann trace.AnnotatedSource = pipe
-	if perRecord {
-		ann = perRecordAnnotated{ann}
-	}
-	if _, err := ppc620.SimulateSource(ann, ppc620.Config620(), lvp.Simple.Name); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkStreamFusedBatch measures the fused gen → annotate → sim cell on
-// the batched path (vm.Source.NextBatch → Pipe.NextBatch → trace.Pump);
-// BenchmarkStreamFusedPerRecord is the identical cell forced onto the PR-4
-// per-record interface chain. Their ratio is the pipeline_batch_speedup
-// trajectory metric in BENCH_PR5.json.
-func BenchmarkStreamFusedBatch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fusedCell(b, false)
-	}
-}
-
-func BenchmarkStreamFusedPerRecord(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fusedCell(b, true)
-	}
 }

@@ -106,13 +106,6 @@ type Suite struct {
 	// GOMAXPROCS-derived default. 1 runs serially. Output is
 	// byte-identical for every value.
 	Workers int
-	// Stream routes machine-simulation cells through the streaming
-	// pipeline (gen → annotate → sim in one pass, bounded memory, no
-	// trace materialization) instead of the cached in-memory path. Stats
-	// are identical either way; only the memory profile differs.
-	// Experiments that need a materialized trace (locality, annotation
-	// tables) are unaffected.
-	Stream bool
 	// ZooFamilies restricts the predictor-zoo sweep to the named
 	// families (lvpsim -zoo); empty selects every registered family.
 	// Output stays deterministic for any selection.
@@ -355,9 +348,6 @@ func (s *Suite) Sim620(name string, plus bool, cfg *lvp.Config) (ppc620.Stats, e
 	}
 	ctx := s.context()
 	st, err := s.cacheState().s620.GetCtx(ctx, key, func() (ppc620.Stats, error) {
-		if s.Stream {
-			return s.StreamSim620(name, plus, run)
-		}
 		t, err := s.Trace(name, prog.PPC)
 		if err != nil {
 			return ppc620.Stats{}, err
@@ -378,7 +368,10 @@ func (s *Suite) Sim620(name string, plus bool, cfg *lvp.Config) (ppc620.Stats, e
 			mc = ppc620.Config620Plus()
 		}
 		start := time.Now()
-		st := ppc620.SimulateObs(t, ann, mc, cfgName, s.Tracer)
+		st, err := ppc620.Simulate(t.Slabs(ann), mc, cfgName, s.Tracer)
+		if err != nil {
+			return ppc620.Stats{}, err
+		}
 		s.record620Stats(st)
 		s.finishPhase("sim620", start,
 			slog.String("bench", name), slog.String("machine", mc.Name),
@@ -418,9 +411,6 @@ func (s *Suite) Sim21164(name string, cfg *lvp.Config) (axp21164.Stats, error) {
 	}
 	ctx := s.context()
 	st, err := s.cacheState().s164.GetCtx(ctx, key, func() (axp21164.Stats, error) {
-		if s.Stream {
-			return s.StreamSim21164(name, run)
-		}
 		t, err := s.Trace(name, prog.AXP)
 		if err != nil {
 			return axp21164.Stats{}, err
@@ -437,7 +427,10 @@ func (s *Suite) Sim21164(name string, cfg *lvp.Config) (axp21164.Stats, error) {
 			return axp21164.Stats{}, err
 		}
 		start := time.Now()
-		st := axp21164.SimulateObs(t, ann, axp21164.Config21164(), cfgName, s.Tracer)
+		st, err := axp21164.Simulate(t.Slabs(ann), axp21164.Config21164(), cfgName, s.Tracer)
+		if err != nil {
+			return axp21164.Stats{}, err
+		}
 		s.record164Stats(st)
 		s.finishPhase("sim21164", start,
 			slog.String("bench", name), slog.String("config", cfgName))

@@ -3,8 +3,6 @@ package exp
 import (
 	"bytes"
 	"flag"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -27,25 +25,7 @@ func TestZooSweepGoldenFile(t *testing.T) {
 	var buf bytes.Buffer
 	res.Render(&buf)
 
-	golden := filepath.Join("testdata", "zoosweep.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", golden, buf.Len())
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("zoosweep output diverged from %s (regenerate with -update if intended)\n--- got ---\n%s\n--- want ---\n%s",
-			golden, buf.Bytes(), want)
-	}
+	checkGolden(t, "zoosweep.golden", buf.Bytes())
 }
 
 // TestZooSweepSerialVsParallel is the zoo's own determinism gate, run even

@@ -2,6 +2,8 @@ package lvp
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -9,50 +11,63 @@ import (
 	"lvp/internal/trace"
 )
 
-// pipeDrainNext pulls a Pipe record-at-a-time, materializing everything.
-func pipeDrainNext(t *testing.T, p *Pipe) ([]trace.Record, trace.Annotation) {
+// recordRef annotates recs one record at a time through Unit.Load and
+// Unit.Store: the per-load reference every batched path must match.
+func recordRef(t *testing.T, cfg Config, recs []trace.Record) (trace.Annotation, Stats) {
 	t.Helper()
+	u, err := NewUnit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ann := make(trace.Annotation, len(recs))
+	for i := range recs {
+		switch r := &recs[i]; {
+		case r.IsLoad():
+			ann[i] = u.Load(r.PC, r.Addr, r.Value)
+		case r.IsStore():
+			u.Store(r.Addr, int(r.Size))
+		}
+	}
+	return ann, u.Stats()
+}
+
+// pipeDrain pulls a Pipe slab by slab, materializing everything, and
+// returns the records, states and the terminal error (nil for io.EOF).
+func pipeDrain(p *Pipe) ([]trace.Record, trace.Annotation, error) {
 	var recs []trace.Record
 	var ann trace.Annotation
 	for {
-		r, st, err := p.Next()
+		r, st, err := p.NextSlab()
 		if err == io.EOF {
-			return recs, ann
+			return recs, ann, nil
 		}
 		if err != nil {
-			t.Fatal(err)
+			return recs, ann, err
 		}
-		recs = append(recs, *r)
-		ann = append(ann, st)
+		if len(r) == 0 || len(st) != len(r) {
+			return recs, ann, fmt.Errorf("slab of %d records with %d states", len(r), len(st))
+		}
+		recs = append(recs, r...)
+		ann = append(ann, st...)
 	}
 }
 
-// pipeDrainBatch pulls a Pipe via NextBatch with the given buffer size.
-func pipeDrainBatch(t *testing.T, p *Pipe, bufSize int) ([]trace.Record, trace.Annotation) {
-	t.Helper()
-	recs := make([]trace.Record, 0, bufSize)
-	var ann trace.Annotation
-	buf := make([]trace.Record, bufSize)
-	states := make([]trace.PredState, bufSize)
-	for {
-		n, err := p.NextBatch(buf, states)
-		recs = append(recs, buf[:n]...)
-		ann = append(ann, states[:n]...)
-		if err == io.EOF {
-			return recs, ann
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+// chunkSource caps every NextBatch of the wrapped source at k records, so a
+// Pipe refills at an arbitrary granularity.
+type chunkSource struct {
+	trace.BatchSource
+	k int
+}
+
+func (c chunkSource) NextBatch(buf []trace.Record) (int, error) {
+	return c.BatchSource.NextBatch(buf[:min(c.k, len(buf))])
 }
 
 // TestPipeNextBatchMatchesNext is the annotation-layer batch differential:
-// for every paper configuration, NextBatch over both a per-record source
-// (the in-memory slice, exercising the gather path) and a batch-capable
-// source (the VLT1 Reader, exercising the pass-through path) must produce
-// exactly the records, states and unit statistics of the record-at-a-time
-// Pipe.
+// for every paper configuration, a Pipe refilled through NextBatch — from
+// the in-memory slice source and from the batch-decoding VLT1 Reader, at
+// refill sizes 1, 7 and the full buffer — must produce exactly the records,
+// states and unit statistics of the record-at-a-time reference.
 func TestPipeNextBatchMatchesNext(t *testing.T) {
 	tr := mixedTrace(4096)
 	var enc bytes.Buffer
@@ -61,77 +76,105 @@ func TestPipeNextBatchMatchesNext(t *testing.T) {
 	}
 	for _, cfg := range Configs {
 		t.Run(cfg.Name, func(t *testing.T) {
-			ref, err := NewPipe(tr.Stream(), cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantRecs, wantAnn := pipeDrainNext(t, ref)
-			wantStats := ref.Stats()
-
-			for _, bufSize := range []int{1, 7, 256} {
-				// Gather path: per-record slice source underneath.
-				p1, err := NewPipe(tr.Stream(), cfg, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recs, ann := pipeDrainBatch(t, p1, bufSize)
-				if !reflect.DeepEqual(recs, wantRecs) || !reflect.DeepEqual(ann, wantAnn) {
-					t.Fatalf("bufSize %d (slice src): batched pipe diverged", bufSize)
-				}
-				if p1.Stats() != wantStats {
-					t.Fatalf("bufSize %d (slice src): stats diverged", bufSize)
-				}
-
-				// Pass-through path: batch-capable Reader underneath.
+			wantAnn, wantStats := recordRef(t, cfg, tr.Records)
+			for _, k := range []int{1, 7, pipeBatch} {
 				rd, err := trace.NewReader(bytes.NewReader(enc.Bytes()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				p2, err := NewPipe(rd, cfg, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recs, ann = pipeDrainBatch(t, p2, bufSize)
-				if !reflect.DeepEqual(recs, wantRecs) || !reflect.DeepEqual(ann, wantAnn) {
-					t.Fatalf("bufSize %d (reader src): batched pipe diverged", bufSize)
-				}
-				if p2.Stats() != wantStats {
-					t.Fatalf("bufSize %d (reader src): stats diverged", bufSize)
+				for name, src := range map[string]trace.BatchSource{"slice": tr.Stream(), "reader": rd} {
+					p, err := NewPipe(chunkSource{src, k}, cfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					recs, ann, err := pipeDrain(p)
+					if err != nil {
+						t.Fatalf("refill %d (%s src): %v", k, name, err)
+					}
+					if !reflect.DeepEqual(recs, tr.Records) || !reflect.DeepEqual(ann, wantAnn) {
+						t.Fatalf("refill %d (%s src): pipe diverged from the per-record reference", k, name)
+					}
+					if p.Stats() != wantStats {
+						t.Fatalf("refill %d (%s src): stats diverged", k, name)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestRecordBatchMatchesRecord pins Annotator.RecordBatch against the
-// per-record form on the same unit configuration.
-func TestRecordBatchMatchesRecord(t *testing.T) {
-	tr := mixedTrace(2048)
-	for _, cfg := range Configs {
-		a1, err := NewAnnotator(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := NewAnnotator(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		states := make([]trace.PredState, len(tr.Records))
-		a2.RecordBatch(tr.Records, states)
-		for i := range tr.Records {
-			if want := a1.Record(&tr.Records[i]); states[i] != want {
-				t.Fatalf("cfg %s record %d: batch %v, per-record %v",
-					cfg.Name, i, states[i], want)
-			}
-		}
-		if s1, s2 := a1.Stats(), a2.Stats(); s1 != s2 {
-			t.Fatalf("cfg %s: stats diverged:\n record %+v\n batch  %+v", cfg.Name, s1, s2)
+// errSource yields its records in one batch together with a non-EOF error,
+// the records-then-error case of the BatchSource contract.
+type errSource struct {
+	recs []trace.Record
+	err  error
+	done bool
+}
+
+func (s *errSource) Next() (*trace.Record, error) { panic("batch only") }
+
+func (s *errSource) NextBatch(buf []trace.Record) (int, error) {
+	if s.done {
+		return 0, s.err
+	}
+	s.done = true
+	return copy(buf, s.recs), s.err
+}
+
+// TestPipeDeliversRecordsBeforeError: when a refill arrives as (n > 0, err),
+// the Pipe must hand out those n annotated records first and then return
+// the error on every later call.
+func TestPipeDeliversRecordsBeforeError(t *testing.T) {
+	boom := errors.New("boom")
+	recs := mixedTrace(5).Records
+	p, err := NewPipe(&errSource{recs: recs, err: boom}, Simple, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := p.NextSlab()
+	if err != nil || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("first slab: %d records, err %v; want all %d records first", len(got), err, len(recs))
+	}
+	for i := 0; i < 2; i++ {
+		if r, st, err := p.NextSlab(); err != boom || r != nil || st != nil {
+			t.Fatalf("after the records: err = %v, want boom (sticky)", err)
 		}
 	}
 }
 
-// TestPipeNextBatchAllocFree pins the fused batched gen→annotate hop at
-// zero allocations per batch in steady state.
+// TestRecordBatchMatchesRecord pins Annotator.RecordBatch, over the whole
+// trace and over odd-sized pieces of it, against the per-record reference on
+// the same unit configuration.
+func TestRecordBatchMatchesRecord(t *testing.T) {
+	tr := mixedTrace(2048)
+	for _, cfg := range Configs {
+		wantAnn, wantStats := recordRef(t, cfg, tr.Records)
+		for _, k := range []int{1, 13, len(tr.Records)} {
+			a, err := NewAnnotator(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states := make(trace.Annotation, len(tr.Records))
+			for i := 0; i < len(tr.Records); i += k {
+				j := min(i+k, len(tr.Records))
+				a.RecordBatch(tr.Records[i:j], states[i:j])
+			}
+			for i := range states {
+				if states[i] != wantAnn[i] {
+					t.Fatalf("cfg %s pieces of %d, record %d: batch %v, per-record %v",
+						cfg.Name, k, i, states[i], wantAnn[i])
+				}
+			}
+			if st := a.Stats(); st != wantStats {
+				t.Fatalf("cfg %s pieces of %d: stats diverged:\n record %+v\n batch  %+v", cfg.Name, k, wantStats, st)
+			}
+		}
+	}
+}
+
+// TestPipeNextBatchAllocFree pins the fused gen→annotate hop — one NextBatch
+// refill plus its RecordBatch annotation per slab — at zero allocations per
+// slab in steady state.
 func TestPipeNextBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -141,26 +184,23 @@ func TestPipeNextBatchAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]trace.Record, 256)
-	states := make([]trace.PredState, 256)
 	// Warm-up.
 	for i := 0; i < 64; i++ {
-		if _, err := p.NextBatch(buf, states); err != nil {
+		if _, _, err := p.NextSlab(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(2000, func() {
-		if _, err := p.NextBatch(buf, states); err != nil && err != io.EOF {
+		if _, _, err := p.NextSlab(); err != nil && err != io.EOF {
 			t.Fatal(err)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("Pipe.NextBatch allocates %v allocs/batch, want 0", avg)
+		t.Fatalf("Pipe.NextSlab allocates %v allocs/slab, want 0", avg)
 	}
 }
 
-// BenchmarkAnnotatorRecordBatch measures the batched annotation hot path;
-// its per-record baseline is BenchmarkAnnotatorRecord in stream_test.go.
+// BenchmarkAnnotatorRecordBatch measures the batched annotation hot path.
 func BenchmarkAnnotatorRecordBatch(b *testing.B) {
 	tr := mixedTrace(1 << 16)
 	a, err := NewAnnotator(Simple, nil)

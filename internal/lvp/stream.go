@@ -8,12 +8,13 @@ import (
 )
 
 // Annotator is the streaming form of Annotate: records are fed in trace
-// order, one at a time, and each receives its prediction state immediately.
-// It is phase 2 of the pipeline without the materialized trace — the unit
-// state, classification and CVU discipline are exactly Annotate's, because
-// Annotate is implemented on top of it. Record is allocation-free, so the
-// per-load predict/verify path can run inside the fused gen→annotate→sim
-// pipeline at full speed.
+// order, in batches of any size, and each receives its prediction state
+// immediately. It is phase 2 of the pipeline without the materialized trace
+// — the unit state, classification and CVU discipline are exactly
+// Annotate's, because Annotate is implemented on top of it. RecordBatch is
+// allocation-free once its gather scratch has grown, so the per-load
+// predict/verify path can run inside the fused gen→annotate→sim pipeline at
+// full speed.
 type Annotator struct {
 	u *Unit
 	// Gather scratch for RecordBatch: consecutive loads are copied into
@@ -33,25 +34,15 @@ func NewAnnotator(cfg Config, tr *obs.Tracer) (*Annotator, error) {
 	return &Annotator{u: u}, nil
 }
 
-// Record processes one record: loads are predicted and verified, stores
-// invalidate the CVU, and everything else passes through as PredNone.
-func (a *Annotator) Record(r *trace.Record) trace.PredState {
-	switch {
-	case r.IsLoad():
-		return a.u.Load(r.PC, r.Addr, r.Value)
-	case r.IsStore():
-		a.u.Store(r.Addr, int(r.Size))
-	}
-	return trace.PredNone
-}
-
 // RecordBatch processes recs in order, writing each record's state into the
-// parallel states slice (len(states) must be at least len(recs)). It is
-// exactly len(recs) calls to Record: runs of consecutive loads are gathered
-// into parallel operand slices and handed to Unit.LoadBatch (whose states
-// land contiguously back in states), stores and other records are handled
-// in place. Trace order — and with it the CVU invalidation discipline — is
-// preserved exactly.
+// parallel states slice (len(states) must be at least len(recs)): loads are
+// predicted and verified, stores invalidate the CVU, and everything else
+// passes through as PredNone. Runs of consecutive loads are gathered into
+// parallel operand slices and handed to Unit.LoadBatch (whose states land
+// contiguously back in states); stores and other records are handled in
+// place. Trace order — and with it the CVU invalidation discipline — is
+// preserved exactly, so any split of a trace into batches yields the same
+// states and statistics.
 func (a *Annotator) RecordBatch(recs []trace.Record, states []trace.PredState) {
 	u := a.u
 	for i := 0; i < len(recs); {
@@ -83,18 +74,27 @@ func (a *Annotator) RecordBatch(recs []trace.Record, states []trace.PredState) {
 // Stats returns the unit statistics accumulated so far.
 func (a *Annotator) Stats() Stats { return a.u.Stats() }
 
-// Pipe adapts a record source into the annotated stream the timing models
-// consume: each Next pulls one record from src, annotates it, and hands the
-// pair downstream without buffering. Stats is valid once the stream has
-// drained (Next returned io.EOF).
+// pipeBatch is Pipe's refill size: large enough to amortize the per-refill
+// interface calls to nothing, small enough to stay resident in L1 (256
+// records ≈ 20 KiB).
+const pipeBatch = 256
+
+// Pipe is the streaming trace.SlabSource: each NextSlab refills a
+// pipeBatch-record buffer through src.NextBatch, annotates the refill with
+// RecordBatch, and hands records and states downstream as one slab, so a
+// record source of any length reaches a timing model in bounded memory.
+// Stats is valid once the stream has drained (NextSlab returned io.EOF).
 type Pipe struct {
-	src trace.Source
-	a   *Annotator
+	src    trace.BatchSource
+	a      *Annotator
+	recs   [pipeBatch]trace.Record
+	states [pipeBatch]trace.PredState
+	err    error // sticky: the source's error, returned after its records
 }
 
 // NewPipe returns an annotated stream over src under cfg; tr attaches an
 // event tracer (nil disables tracing).
-func NewPipe(src trace.Source, cfg Config, tr *obs.Tracer) (*Pipe, error) {
+func NewPipe(src trace.BatchSource, cfg Config, tr *obs.Tracer) (*Pipe, error) {
 	a, err := NewAnnotator(cfg, tr)
 	if err != nil {
 		return nil, err
@@ -102,49 +102,22 @@ func NewPipe(src trace.Source, cfg Config, tr *obs.Tracer) (*Pipe, error) {
 	return &Pipe{src: src, a: a}, nil
 }
 
-// Next yields the next record and its prediction state; io.EOF after the
-// final record.
-func (p *Pipe) Next() (*trace.Record, trace.PredState, error) {
-	r, err := p.src.Next()
-	if err != nil {
-		return nil, trace.PredNone, err
+// NextSlab returns the next annotated refill (see trace.SlabSource).
+func (p *Pipe) NextSlab() ([]trace.Record, []trace.PredState, error) {
+	if p.err != nil {
+		return nil, nil, p.err
 	}
-	return r, p.a.Record(r), nil
-}
-
-// NextBatch pulls up to len(recs) records from the source and annotates
-// them in order (see trace.AnnotatedBatchSource). When the source is
-// itself batch-capable the whole gen → annotate hop costs two calls per
-// batch; otherwise records are gathered one at a time and annotated in
-// bulk, which still amortizes the annotation dispatch.
-func (p *Pipe) NextBatch(recs []trace.Record, states []trace.PredState) (int, error) {
-	var n int
-	var err error
-	if bs, ok := p.src.(trace.BatchSource); ok {
-		n, err = bs.NextBatch(recs)
-	} else {
-		for n < len(recs) {
-			r, rerr := p.src.Next()
-			if rerr != nil {
-				err = rerr
-				break
-			}
-			recs[n] = *r
-			n++
-		}
-		if n > 0 && err == io.EOF {
-			err = nil
-		}
-	}
+	n, err := p.src.NextBatch(p.recs[:])
+	p.err = err
 	if n == 0 {
-		return 0, err
+		if err == nil {
+			p.err = io.EOF // a (0, nil) source would otherwise spin
+		}
+		return nil, nil, p.err
 	}
-	p.a.RecordBatch(recs[:n], states[:n])
-	return n, err
+	p.a.RecordBatch(p.recs[:n], p.states[:n])
+	return p.recs[:n], p.states[:n], nil
 }
-
-// Annotated reports that the stream carries real LVP annotations.
-func (p *Pipe) Annotated() bool { return true }
 
 // Stats returns the unit statistics accumulated so far.
 func (p *Pipe) Stats() Stats { return p.a.Stats() }

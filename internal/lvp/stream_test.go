@@ -1,7 +1,6 @@
 package lvp
 
 import (
-	"io"
 	"reflect"
 	"testing"
 
@@ -48,9 +47,10 @@ func mixedTrace(n int) *trace.Trace {
 }
 
 // TestAnnotatorMatchesAnnotate pins the single-code-path contract of the
-// streaming layer: feeding records one at a time through Annotator (and
-// through Pipe over a trace Source) yields exactly the annotation and
-// statistics of the whole-trace Annotate, for every paper configuration.
+// streaming layer: feeding records through an Annotator in small batches
+// (and through a Pipe over a trace source) yields exactly the annotation
+// and statistics of the whole-trace Annotate, for every paper
+// configuration.
 func TestAnnotatorMatchesAnnotate(t *testing.T) {
 	tr := mixedTrace(4096)
 	for _, cfg := range Configs {
@@ -65,8 +65,9 @@ func TestAnnotatorMatchesAnnotate(t *testing.T) {
 				t.Fatalf("NewAnnotator: %v", err)
 			}
 			gotAnn := make(trace.Annotation, len(tr.Records))
-			for i := range tr.Records {
-				gotAnn[i] = a.Record(&tr.Records[i])
+			for i := 0; i < len(tr.Records); i += 3 {
+				j := min(i+3, len(tr.Records))
+				a.RecordBatch(tr.Records[i:j], gotAnn[i:j])
 			}
 			if !reflect.DeepEqual(gotAnn, wantAnn) {
 				t.Fatal("Annotator states differ from Annotate")
@@ -79,19 +80,9 @@ func TestAnnotatorMatchesAnnotate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewPipe: %v", err)
 			}
-			if !p.Annotated() {
-				t.Fatal("Pipe.Annotated() = false, want true")
-			}
-			var pipeAnn trace.Annotation
-			for {
-				_, st, err := p.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatalf("Pipe.Next: %v", err)
-				}
-				pipeAnn = append(pipeAnn, st)
+			_, pipeAnn, err := pipeDrain(p)
+			if err != nil {
+				t.Fatalf("Pipe.NextSlab: %v", err)
 			}
 			if !reflect.DeepEqual(pipeAnn, wantAnn) {
 				t.Fatal("Pipe states differ from Annotate")
@@ -140,20 +131,5 @@ func TestUnitLoadAllocFree(t *testing.T) {
 				t.Fatalf("Unit.Load/Store allocates %.4f objects/record after warm-up, want 0", avg)
 			}
 		})
-	}
-}
-
-// BenchmarkAnnotatorRecord measures the streaming per-record annotation
-// hot path under the paper's Simple configuration.
-func BenchmarkAnnotatorRecord(b *testing.B) {
-	tr := mixedTrace(4096)
-	a, err := NewAnnotator(Simple, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Record(&tr.Records[i%len(tr.Records)])
 	}
 }

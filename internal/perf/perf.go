@@ -1,7 +1,7 @@
 // Package perf is the benchmark-trajectory harness: a fixed grid of
-// pipeline-stage benchmarks (generation, both trace codecs, annotation, the
-// fused streaming cell, both timing models on their record and batch fetch
-// paths, the predictor-zoo sweep) executed programmatically via
+// pipeline-stage benchmarks (generation and VLT1 decode on their record and
+// batch paths, the VLT2 codec, annotation, the fused streaming cell, both
+// timing models, the predictor-zoo sweep) executed programmatically via
 // testing.Benchmark and reported as a stable JSON document. The checked-in
 // BENCH_*.json snapshots give every PR a measurable perf baseline — see
 // PERFORMANCE.md for how to read and refresh them.
@@ -59,7 +59,7 @@ type Report struct {
 	GOARCH    string  `json:"goarch"`
 	Entries   []Entry `json:"entries"`
 	// Ratios are records/sec speedups between named grid cells; the keys
-	// are fixed. *_batch_speedup compares a batched stage against its PR-4
+	// are fixed. *_batch_speedup compares a batched stage against its
 	// record-at-a-time form on identical work. vlt2_size_ratio is the odd
 	// one out: VLT2-flate encoded bytes over VLT1 bytes (smaller is
 	// better), computed from Sizes rather than cell timings.
@@ -129,15 +129,11 @@ var grid = []gridCell{
 	{"codec2.decode.flate", enc2fBytes, benchDecode2Flate},
 	{"codec2.decode.fixed", enc2xBytes, benchDecode2Fixed},
 	{"codec2.decode.fixed.parallel", enc2xBytes, benchDecode2FixedParallel},
-	{"annotate.record", nil, benchAnnotateRecord},
 	{"annotate.batch", nil, benchAnnotateBatch},
-	{"pipeline.fused.record", nil, benchFusedRecord},
 	{"pipeline.fused.batch", nil, benchFusedBatch},
 	{"pipeline.file.vlt1", encBytes, benchFileVLT1},
 	{"pipeline.file.vlt2", enc2Bytes, benchFileVLT2},
-	{"sim.620.record", nil, benchSim620Record},
 	{"sim.620.batch", nil, benchSim620Batch},
-	{"sim.21164.record", nil, benchSim21164Record},
 	{"sim.21164.batch", nil, benchSim21164Batch},
 	{"zoo.sweep", nil, benchZooSweep},
 	{"zoo.sweep.shared", nil, benchZooSweepShared},
@@ -148,15 +144,11 @@ var grid = []gridCell{
 var ratios = []struct{ key, num, den string }{
 	{"gen_batch_speedup", "gen.batch", "gen.record"},
 	{"decode_batch_speedup", "codec.decode.batch", "codec.decode.record"},
-	{"annotate_batch_speedup", "annotate.batch", "annotate.record"},
-	{"pipeline_batch_speedup", "pipeline.fused.batch", "pipeline.fused.record"},
 	{"vlt2_decode_speedup", "codec2.decode.indexed", "codec.decode.batch"},
 	{"vlt2_parallel_speedup", "codec2.decode.parallel", "codec.decode.batch"},
 	{"vlt2_fixed_speedup", "codec2.decode.fixed", "codec.decode.batch"},
 	{"vlt2_fixed_parallel_speedup", "codec2.decode.fixed.parallel", "codec.decode.batch"},
 	{"file_pipeline_speedup", "pipeline.file.vlt2", "pipeline.file.vlt1"},
-	{"sim_620_batch_speedup", "sim.620.batch", "sim.620.record"},
-	{"sim_21164_batch_speedup", "sim.21164.batch", "sim.21164.record"},
 	{"zoo_shared_speedup", "zoo.sweep.shared", "zoo.sweep"},
 }
 
@@ -508,18 +500,6 @@ func benchDecode2FixedParallel(b *testing.B, w *workload) {
 	}
 }
 
-func benchAnnotateRecord(b *testing.B, w *workload) {
-	for i := 0; i < b.N; i++ {
-		a, err := lvp.NewAnnotator(lvp.Simple, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := range w.tr.Records {
-			a.Record(&w.tr.Records[j])
-		}
-	}
-}
-
 func benchAnnotateBatch(b *testing.B, w *workload) {
 	states := make([]trace.PredState, len(w.tr.Records))
 	for i := 0; i < b.N; i++ {
@@ -531,39 +511,17 @@ func benchAnnotateBatch(b *testing.B, w *workload) {
 	}
 }
 
-// perRecordSource and perRecordAnnotated hide batch capability, forcing the
-// fused cell onto the PR-4 record-at-a-time interface chain.
-type perRecordSource struct{ trace.Source }
-
-type perRecordAnnotated struct{ trace.AnnotatedSource }
-
-func fused(b *testing.B, w *workload, perRecord bool) {
-	var src trace.Source = vm.NewSource(w.prog, 0)
-	if perRecord {
-		src = perRecordSource{src}
-	}
-	pipe, err := lvp.NewPipe(src, lvp.Simple, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ann trace.AnnotatedSource = pipe
-	if perRecord {
-		ann = perRecordAnnotated{ann}
-	}
-	if _, err := ppc620.SimulateSource(ann, ppc620.Config620(), lvp.Simple.Name); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func benchFusedRecord(b *testing.B, w *workload) {
-	for i := 0; i < b.N; i++ {
-		fused(b, w, true)
-	}
-}
-
+// benchFusedBatch runs the fused gen → annotate → 620 cell: the VM's
+// batches refill an lvp.Pipe whose annotated slabs feed the timing model.
 func benchFusedBatch(b *testing.B, w *workload) {
 	for i := 0; i < b.N; i++ {
-		fused(b, w, false)
+		pipe, err := lvp.NewPipe(vm.NewSource(w.prog, 0), lvp.Simple, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ppc620.Simulate(pipe, ppc620.Config620(), lvp.Simple.Name, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -579,7 +537,7 @@ func benchFileVLT1(b *testing.B, w *workload) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ppc620.SimulateSource(pipe, ppc620.Config620(), lvp.Simple.Name); err != nil {
+		if _, err := ppc620.Simulate(pipe, ppc620.Config620(), lvp.Simple.Name, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -598,37 +556,19 @@ func benchFileVLT2(b *testing.B, w *workload) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ppc620.SimulateSource(pipe, ppc620.Config620(), lvp.Simple.Name); err != nil {
+		if _, err := ppc620.Simulate(pipe, ppc620.Config620(), lvp.Simple.Name, nil); err != nil {
 			b.Fatal(err)
 		}
 		pr.Close()
 	}
 }
 
-// The sim.* record/batch pairs isolate the machine-model loops on the
-// prepared in-memory trace: .batch is the default slab-at-a-time fetch path
-// (what Simulate runs), .record hides the source's batch capability so the
-// same loop pays a per-record interface pull — the PR-9 regime.
-
-func benchSim620Record(b *testing.B, w *workload) {
-	for i := 0; i < b.N; i++ {
-		src := perRecordAnnotated{w.tr.StreamAnnotated(w.ann)}
-		if _, err := ppc620.SimulateSource(src, ppc620.Config620(), lvp.Simple.Name); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// The sim.* cells isolate the machine-model loops on the prepared in-memory
+// trace, walked as one zero-copy span.
 
 func benchSim620Batch(b *testing.B, w *workload) {
 	for i := 0; i < b.N; i++ {
-		ppc620.Simulate(w.tr, w.ann, ppc620.Config620(), lvp.Simple.Name)
-	}
-}
-
-func benchSim21164Record(b *testing.B, w *workload) {
-	for i := 0; i < b.N; i++ {
-		src := perRecordAnnotated{w.tr.StreamAnnotated(w.ann)}
-		if _, err := axp21164.SimulateSource(src, axp21164.Config21164(), lvp.Simple.Name); err != nil {
+		if _, err := ppc620.Simulate(w.tr.Slabs(w.ann), ppc620.Config620(), lvp.Simple.Name, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -636,7 +576,9 @@ func benchSim21164Record(b *testing.B, w *workload) {
 
 func benchSim21164Batch(b *testing.B, w *workload) {
 	for i := 0; i < b.N; i++ {
-		axp21164.Simulate(w.tr, w.ann, axp21164.Config21164(), lvp.Simple.Name)
+		if _, err := axp21164.Simulate(w.tr.Slabs(w.ann), axp21164.Config21164(), lvp.Simple.Name, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -34,7 +34,7 @@ func TestSimulateAllocsDoNotScale(t *testing.T) {
 	}
 	measure := func(tr *trace.Trace) float64 {
 		return testing.AllocsPerRun(5, func() {
-			Simulate(tr, nil, Config620(), "")
+			simTrace(tr, nil, Config620(), "")
 		})
 	}
 	small := measure(loadAddMix(4096))

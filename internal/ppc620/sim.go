@@ -67,11 +67,10 @@ type entry struct {
 // load behind a spec tag) is bounded by a further Completion+CompleteWidth
 // below the head — see ringSize.
 type machine struct {
-	cfg       Config
-	slab      *trace.SlabReader
-	annotated bool
-	hier      *cache.Hierarchy
-	bp        *bpred.Predictor
+	cfg  Config
+	src  trace.SlabSource
+	hier *cache.Hierarchy
+	bp   *bpred.Predictor
 
 	entries  []entry // ring; index with at()
 	ringMask int
@@ -83,7 +82,8 @@ type machine struct {
 
 	srcDone bool
 	// The current slab: fetch consumes curRecs[bi:] record by record. A nil
-	// curPreds means every record in the slab carries PredNone.
+	// curPreds means no LVP hardware: every record carries PredNone and no
+	// load state is counted.
 	curRecs  []trace.Record
 	curPreds []trace.PredState
 	bi       int
@@ -179,46 +179,20 @@ func ringSize(cfg Config) int {
 	return size
 }
 
-// Simulate runs the trace through the machine model. ann may be nil (no LVP
-// unit); lvpName labels the run in the stats.
-func Simulate(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string) Stats {
-	return SimulateObs(tr, ann, cfg, lvpName, nil)
-}
-
-// SimulateObs is Simulate with an event tracer: machine incidents (alias
-// refetches, MSHR stalls, bank conflicts) on the sim channel, L1 misses on
-// the cache channel. obsTr == nil is exactly Simulate.
-//
-// It is a thin wrapper over SimulateSourceObs on an in-memory slice source,
-// so the in-memory and streaming paths share one cycle-level core.
-func SimulateObs(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, obsTr *obs.Tracer) Stats {
-	st, err := SimulateSourceObs(tr.StreamAnnotated(ann), cfg, lvpName, obsTr)
-	if err != nil {
-		// A slice source cannot fail.
-		panic("ppc620: in-memory simulation failed: " + err.Error())
-	}
-	return st
-}
-
-// SimulateSource runs an annotated record stream through the machine model
-// in bounded memory: the trace is never materialized, only the machine's
-// window of in-flight entries is held. An error from the source (e.g. a
-// trace decode failure) aborts the run.
-func SimulateSource(src trace.AnnotatedSource, cfg Config, lvpName string) (Stats, error) {
-	return SimulateSourceObs(src, cfg, lvpName, nil)
-}
-
-// SimulateSourceObs is SimulateSource with an event tracer. The fetch loop
-// consumes the source slab-at-a-time through a trace.SlabReader: span-capable
-// sources (the in-memory trace) are walked in place with zero copies,
-// batch-capable ones (the fused gen → annotate pipeline, the trace readers)
-// refill a local slab in bulk, and only record-only sources pay per-record
-// interface dispatch.
-func SimulateSourceObs(src trace.AnnotatedSource, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
+// Simulate runs an annotated record stream through the machine model and
+// returns its statistics; lvpName labels the run. The fetch loop walks the
+// source's slabs in place, so an in-memory trace (Trace.Slabs) costs no
+// copies, and a streamed one (lvp.Pipe) runs in bounded memory: only the
+// machine's window of in-flight entries is held. Nil slab states model a
+// machine without LVP hardware. obsTr, when non-nil, receives machine
+// incidents (alias refetches, MSHR stalls, bank conflicts) on the sim
+// channel and L1 misses on the cache channel. An error from the source
+// (e.g. a trace decode failure) aborts the run and is returned with zero
+// Stats.
+func Simulate(src trace.SlabSource, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
 	m := &machine{
-		cfg:       cfg,
-		slab:      trace.NewSlabReader(src),
-		annotated: src.Annotated(),
+		cfg: cfg,
+		src: src,
 		hier: &cache.Hierarchy{
 			L1:        cache.MustNew(cfg.L1),
 			L2:        cache.MustNew(cfg.L2),
@@ -276,7 +250,7 @@ func (m *machine) prepare(e *entry, i int, r *trace.Record, pred trace.PredState
 	e.srcA, e.srcB, e.specSrc = -1, -1, -1
 	e.resultReadyC = unknown
 	e.verifyC = unknown
-	e.pred = trace.PredNone
+	e.pred = pred
 	e.dispatched, e.issued, e.completed = false, false, false
 	e.mispred, e.cancelled = false, false
 	wg := f&opWritesGPR != 0 && r.Rd != isa.R0
@@ -285,16 +259,6 @@ func (m *machine) prepare(e *entry, i int, r *trace.Record, pred trace.PredState
 	e.usesRename = wg && f&opIsCompare == 0
 	e.isLoad = f&opIsLoad != 0
 	e.isStore = f&opIsStore != 0
-	if m.annotated {
-		// Annotations normally cover loads only; AnnotateGeneral also
-		// marks other register-writing instructions, which this model
-		// handles with the same forward-at-dispatch / verify-after-
-		// execute semantics.
-		e.pred = pred
-		if e.isLoad {
-			m.stats.LoadStates[e.pred]++
-		}
-	}
 }
 
 // isCompare reports VLR compare ops. On the PowerPC these are cmp/fcmp
@@ -349,7 +313,7 @@ func execLatency(op isa.Op) int {
 // once the upstream is exhausted; an empty source is detected by the prime
 // call before cycle 0 (an empty run performs zero cycles).
 func (m *machine) refill() error {
-	recs, preds, err := m.slab.Next()
+	recs, preds, err := m.src.NextSlab()
 	if err == io.EOF {
 		m.srcDone = true
 		m.curRecs, m.curPreds, m.bi = nil, nil, 0
@@ -410,14 +374,21 @@ func (m *machine) fetch(cycle int) error {
 			}
 		}
 		r := &m.curRecs[m.bi]
+		info := infoOf(r.Op)
+		// Annotations normally cover loads only; AnnotateGeneral also marks
+		// other register-writing instructions, which this model handles
+		// with the same forward-at-dispatch / verify-after-execute
+		// semantics.
 		pred := trace.PredNone
 		if m.curPreds != nil {
 			pred = m.curPreds[m.bi]
+			if info.flags&opIsLoad != 0 {
+				m.stats.LoadStates[pred]++
+			}
 		}
 		m.bi++
 		i := m.fetched
 		e := m.at(i)
-		info := infoOf(r.Op)
 		m.prepare(e, i, r, pred, info)
 		m.fetched++
 		// Branch prediction happens at fetch, against the slab record

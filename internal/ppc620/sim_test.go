@@ -19,6 +19,15 @@ func mkTrace(recs []trace.Record) *trace.Trace {
 	return &trace.Trace{Name: "t", Target: "ppc", Records: recs}
 }
 
+// simTrace simulates an in-memory trace: one span, which cannot fail.
+func simTrace(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string) Stats {
+	st, err := Simulate(tr.Slabs(ann), cfg, lvpName, nil)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
 func addChain(n int, dep bool) []trace.Record {
 	recs := make([]trace.Record, n)
 	for i := range recs {
@@ -32,7 +41,7 @@ func addChain(n int, dep bool) []trace.Record {
 }
 
 func TestIndependentAddsSuperscalar(t *testing.T) {
-	s := Simulate(mkTrace(addChain(4000, false)), nil, Config620(), "")
+	s := simTrace(mkTrace(addChain(4000, false)), nil, Config620(), "")
 	if ipc := s.IPC(); ipc < 1.5 {
 		t.Errorf("independent adds IPC = %.2f; expected superscalar (>1.5)", ipc)
 	}
@@ -42,7 +51,7 @@ func TestIndependentAddsSuperscalar(t *testing.T) {
 }
 
 func TestDependentChainSerializes(t *testing.T) {
-	s := Simulate(mkTrace(addChain(4000, true)), nil, Config620(), "")
+	s := simTrace(mkTrace(addChain(4000, true)), nil, Config620(), "")
 	if ipc := s.IPC(); ipc > 1.1 {
 		t.Errorf("fully dependent adds IPC = %.2f; must be ~1", ipc)
 	}
@@ -59,7 +68,7 @@ func TestLoadUseChainLatency(t *testing.T) {
 			trace.Record{Op: isa.ADD, Rd: 5, Ra: 5, Rb: 0},
 		)
 	}
-	s := Simulate(mkTrace(recs), nil, Config620(), "")
+	s := simTrace(mkTrace(recs), nil, Config620(), "")
 	perPair := float64(s.Cycles) / 1000
 	if perPair < 2.5 {
 		t.Errorf("load-use chain %.2f cycles/pair; expected >= ~3 (2-cycle load + add)", perPair)
@@ -85,8 +94,8 @@ func TestCorrectPredictionCollapsesChain(t *testing.T) {
 		)
 	}
 	tr := mkTrace(recs)
-	base := Simulate(tr, nil, Config620(), "")
-	pred := Simulate(tr, annotateAll(len(recs), trace.PredCorrect), Config620(), "pred")
+	base := simTrace(tr, nil, Config620(), "")
+	pred := simTrace(tr, annotateAll(len(recs), trace.PredCorrect), Config620(), "pred")
 	if pred.Cycles >= base.Cycles {
 		t.Errorf("correct predictions did not speed up the chain: %d >= %d",
 			pred.Cycles, base.Cycles)
@@ -113,8 +122,8 @@ func TestIncorrectPredictionCostsALittle(t *testing.T) {
 		)
 	}
 	tr := mkTrace(recs)
-	base := Simulate(tr, nil, Config620(), "")
-	bad := Simulate(tr, annotateAll(len(recs), trace.PredIncorrect), Config620(), "bad")
+	base := simTrace(tr, nil, Config620(), "")
+	bad := simTrace(tr, annotateAll(len(recs), trace.PredIncorrect), Config620(), "bad")
 	if bad.Cycles <= base.Cycles {
 		t.Errorf("mispredictions should cost cycles: %d <= %d", bad.Cycles, base.Cycles)
 	}
@@ -134,8 +143,8 @@ func TestConstantLoadSkipsCache(t *testing.T) {
 		)
 	}
 	tr := mkTrace(recs)
-	base := Simulate(tr, nil, Config620(), "")
-	cons := Simulate(tr, annotateAll(len(recs), trace.PredConstant), Config620(), "cvu")
+	base := simTrace(tr, nil, Config620(), "")
+	cons := simTrace(tr, annotateAll(len(recs), trace.PredConstant), Config620(), "cvu")
 	if cons.CacheAccesses >= base.CacheAccesses {
 		t.Errorf("constant loads should reduce cache accesses: %d >= %d",
 			cons.CacheAccesses, base.CacheAccesses)
@@ -159,8 +168,8 @@ func TestBranchMispredictsCostCycles(t *testing.T) {
 		}
 		return &trace.Trace{Name: "b", Records: recs}
 	}
-	predictable := Simulate(mk(false), nil, Config620(), "")
-	alternating := Simulate(mk(true), nil, Config620(), "")
+	predictable := simTrace(mk(false), nil, Config620(), "")
+	alternating := simTrace(mk(true), nil, Config620(), "")
 	if alternating.Cycles <= predictable.Cycles {
 		t.Errorf("alternating branches should cost more: %d <= %d",
 			alternating.Cycles, predictable.Cycles)
@@ -183,8 +192,8 @@ func Test620PlusFasterOnParallelCode(t *testing.T) {
 		)
 	}
 	tr := mkTrace(recs)
-	base := Simulate(tr, nil, Config620(), "")
-	plus := Simulate(tr, nil, Config620Plus(), "")
+	base := simTrace(tr, nil, Config620(), "")
+	plus := simTrace(tr, nil, Config620Plus(), "")
 	if plus.Cycles >= base.Cycles {
 		t.Errorf("620+ (%d cycles) should beat 620 (%d) on parallel memory code",
 			plus.Cycles, base.Cycles)
@@ -201,7 +210,7 @@ func TestBankConflictsDetected(t *testing.T) {
 			trace.Record{Op: isa.SD, Rb: 2, Ra: 1, Addr: 0x100080, Value: 1, Size: 8},
 		)
 	}
-	s := Simulate(mkTrace(recs), nil, Config620(), "")
+	s := simTrace(mkTrace(recs), nil, Config620(), "")
 	if s.BankConflicts == 0 {
 		t.Error("same-bank load/store traffic should produce bank conflicts")
 	}
@@ -211,14 +220,14 @@ func TestBankConflictsDetected(t *testing.T) {
 }
 
 func TestRSWaitAccounting(t *testing.T) {
-	s := Simulate(mkTrace(addChain(1000, true)), nil, Config620(), "")
+	s := simTrace(mkTrace(addChain(1000, true)), nil, Config620(), "")
 	if s.RSWaitN[SCFX] == 0 {
 		t.Fatal("no SCFX instructions accounted")
 	}
 	if s.AvgRSWait(SCFX) <= 0 {
 		t.Error("dependent adds must show nonzero dependency wait")
 	}
-	s2 := Simulate(mkTrace(addChain(1000, false)), nil, Config620(), "")
+	s2 := simTrace(mkTrace(addChain(1000, false)), nil, Config620(), "")
 	if s2.AvgRSWait(SCFX) >= s.AvgRSWait(SCFX) {
 		t.Error("independent adds must wait less than a dependent chain")
 	}
@@ -226,8 +235,8 @@ func TestRSWaitAccounting(t *testing.T) {
 
 func TestSimulationDeterministic(t *testing.T) {
 	tr := mkTrace(addChain(500, false))
-	a := Simulate(tr, nil, Config620(), "")
-	b := Simulate(tr, nil, Config620(), "")
+	a := simTrace(tr, nil, Config620(), "")
+	b := simTrace(tr, nil, Config620(), "")
 	if a.Cycles != b.Cycles {
 		t.Errorf("nondeterministic: %d vs %d", a.Cycles, b.Cycles)
 	}
@@ -254,7 +263,7 @@ func TestStoreToLoadForwarding(t *testing.T) {
 			trace.Record{Op: isa.LD, Rd: 5, Ra: 1, Addr: 0x100000, Value: 5, Size: 8, Class: isa.LoadIntData},
 		)
 	}
-	s := Simulate(mkTrace(recs), nil, Config620(), "")
+	s := simTrace(mkTrace(recs), nil, Config620(), "")
 	if s.AliasRefetches > 50 {
 		t.Errorf("forwarded loads should rarely refetch, got %d refetches", s.AliasRefetches)
 	}
@@ -272,7 +281,7 @@ func TestAliasRefetchDetected(t *testing.T) {
 			trace.Record{Op: isa.LD, Rd: 5, Ra: 3, Addr: 0x100000, Value: 5, Size: 8, Class: isa.LoadIntData},
 		)
 	}
-	s := Simulate(mkTrace(recs), nil, Config620(), "")
+	s := simTrace(mkTrace(recs), nil, Config620(), "")
 	if s.AliasRefetches == 0 {
 		t.Error("expected store-to-load alias refetches")
 	}
@@ -295,7 +304,7 @@ func TestLoadsBypassUnrelatedSlowStores(t *testing.T) {
 				trace.Record{Op: isa.ADD, Rd: 6, Ra: 5, Rb: 5},
 			)
 		}
-		return Simulate(mkTrace(recs), nil, Config620(), "").Cycles
+		return simTrace(mkTrace(recs), nil, Config620(), "").Cycles
 	}
 	disjoint := mk(false)
 	aliased := mk(true)
@@ -319,8 +328,8 @@ func TestMSHRLimitThrottlesMisses(t *testing.T) {
 	bounded := Config620()
 	unbounded := Config620()
 	unbounded.MSHRs = 0 // unlimited
-	sb := Simulate(tr, nil, bounded, "")
-	su := Simulate(tr, nil, unbounded, "")
+	sb := simTrace(tr, nil, bounded, "")
+	su := simTrace(tr, nil, unbounded, "")
 	if sb.MSHRStalls == 0 {
 		t.Fatal("expected MSHR stalls on a miss storm")
 	}
@@ -338,11 +347,11 @@ func TestComplexUnitsNotPipelined(t *testing.T) {
 		divs = append(divs, trace.Record{Op: isa.DIV, Rd: isa.Reg(5 + i%8), Ra: 1, Rb: 2})
 		fdivs = append(fdivs, trace.Record{Op: isa.FDIV, Rd: isa.Reg(5 + i%8), Ra: 1, Rb: 2})
 	}
-	sd := Simulate(mkTrace(divs), nil, Config620(), "")
+	sd := simTrace(mkTrace(divs), nil, Config620(), "")
 	if perOp := float64(sd.Cycles) / 100; perOp < 30 {
 		t.Errorf("divides %.1f cycles/op; MCFX must be non-pipelined (~35)", perOp)
 	}
-	sf := Simulate(mkTrace(fdivs), nil, Config620(), "")
+	sf := simTrace(mkTrace(fdivs), nil, Config620(), "")
 	if perOp := float64(sf.Cycles) / 100; perOp < 15 {
 		t.Errorf("fdivs %.1f cycles/op; complex FP must be non-pipelined (~18)", perOp)
 	}
@@ -351,7 +360,7 @@ func TestComplexUnitsNotPipelined(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		fadds = append(fadds, trace.Record{Op: isa.FADD, Rd: isa.Reg(5 + i%8), Ra: 1, Rb: 2})
 	}
-	sa := Simulate(mkTrace(fadds), nil, Config620(), "")
+	sa := simTrace(mkTrace(fadds), nil, Config620(), "")
 	if perOp := float64(sa.Cycles) / 300; perOp > 2 {
 		t.Errorf("fadds %.2f cycles/op; simple FP must be pipelined (~1)", perOp)
 	}

@@ -5,17 +5,17 @@ import (
 	"io"
 )
 
-// Batched streaming. The PR-4 pull pipeline moves one record per interface
-// call: gen → annotate → sim costs several dynamic dispatches per record,
-// and the VLT1 Reader additionally pays an io.ByteReader interface call per
-// varint *byte*. The batch layer amortizes all of that: sources that can
-// produce records in bulk implement NextBatch, and Pump re-buffers any
-// batch-capable source so record-at-a-time consumers (the cycle-level
-// machine models) read from a local buffer instead of an interface chain.
+// Batched streaming. A per-record pull pipeline pays several dynamic
+// dispatches per record, and the VLT1 Reader additionally pays an
+// io.ByteReader interface call per varint *byte*. The batch layer amortizes
+// all of that: record sources that can produce records in bulk implement
+// NextBatch, and the annotated stream into the timing models moves whole
+// slabs (SlabSource).
 //
 // Batches never change what flows through the pipeline — only how many
-// records move per call. The streamed-vs-in-memory differential gate and
-// the NextBatch-vs-Next differentials in batch_test.go pin that equivalence.
+// records move per call. The NextBatch-vs-Next differentials in
+// batch_test.go and the slab-contract property tests of the timing models
+// pin that equivalence.
 
 // BatchSource is a Source that can also deliver records in bulk. NextBatch
 // fills buf with as many records as are available, up to len(buf), and
@@ -28,108 +28,41 @@ type BatchSource interface {
 	NextBatch(buf []Record) (int, error)
 }
 
-// AnnotatedBatchSource is the batched form of AnnotatedSource: NextBatch
-// fills recs and the parallel states slice (len(states) must be at least
-// len(recs)) with the same contract as BatchSource.NextBatch.
-type AnnotatedBatchSource interface {
-	AnnotatedSource
-	NextBatch(recs []Record, states []PredState) (int, error)
-}
-
-// AnnotatedSpanSource is an annotated source that can hand over
-// internally-owned runs of records without copying: NextSpan returns the
-// next non-empty run and its parallel prediction states. A nil states slice
-// means every record in the run carries PredNone (the un-annotated case,
-// saving a dead per-record state array). The returned slices are owned by
-// the source and valid only until the next NextSpan call. Returns
-// (nil, nil, io.EOF) once the stream is exhausted; an error may follow
-// already-delivered spans.
+// SlabSource is the annotated record stream the timing models consume (the
+// seam between phases 2 and 3 of the paper's framework, §5). NextSlab
+// returns the next non-empty run of records and their parallel prediction
+// states; the slices are owned by the source and valid only until the next
+// call. Nil states mean no LVP hardware: every record is PredNone. It
+// returns (nil, nil, io.EOF) once the stream is exhausted. An error is
+// returned only after every record before it has been delivered, and is
+// then returned again by every later call.
 //
-// In-memory sources (Trace.StreamAnnotated) satisfy this by returning views
-// of their backing arrays, which lets the machine models' batch loops run
-// over the trace with zero per-record interface calls and zero copies.
-type AnnotatedSpanSource interface {
-	AnnotatedSource
-	NextSpan() ([]Record, []PredState, error)
+// Two types implement it: Trace.Slabs (the in-memory trace as one zero-copy
+// span) and lvp.Pipe (a record source annotated in refills).
+type SlabSource interface {
+	NextSlab() ([]Record, []PredState, error)
 }
 
-// SlabReader adapts any AnnotatedSource for slab-at-a-time consumption: each
-// Next hands the caller a view of the next run of records and states. It
-// picks the cheapest path the source supports — zero-copy spans, bulk
-// NextBatch refills into an internal slab, or a record-at-a-time gather —
-// so the timing models' fetch loops are written once against slabs and pay
-// per-record interface dispatch only when the source offers nothing better.
-// Errors follow the Pump discipline: records delivered before a decode
-// failure are always handed over first; the error surfaces on the following
-// Next call.
-type SlabReader struct {
-	src    AnnotatedSource
-	batch  AnnotatedBatchSource
-	span   AnnotatedSpanSource
-	recs   [pumpBatch]Record
-	states [pumpBatch]PredState
-	err    error // pending error, delivered after the current slab drains
+// span is the in-memory SlabSource: the whole trace, then EOF.
+type span struct {
+	recs   []Record
+	states []PredState
 }
 
-// NewSlabReader returns a SlabReader over src.
-func NewSlabReader(src AnnotatedSource) *SlabReader {
-	sr := &SlabReader{src: src}
-	if sp, ok := src.(AnnotatedSpanSource); ok {
-		sr.span = sp
-	} else if bs, ok := src.(AnnotatedBatchSource); ok {
-		sr.batch = bs
+func (s *span) NextSlab() ([]Record, []PredState, error) {
+	if len(s.recs) == 0 {
+		return nil, nil, io.EOF
 	}
-	return sr
+	recs, states := s.recs, s.states
+	s.recs, s.states = nil, nil
+	return recs, states, nil
 }
 
-// Annotated reports whether the underlying source carries LVP annotations.
-func (s *SlabReader) Annotated() bool { return s.src.Annotated() }
-
-// Next returns the next non-empty slab of records and their states; a nil
-// states slice means every record in the slab is PredNone. The slices are
-// valid until the following Next call. io.EOF after the final slab.
-func (s *SlabReader) Next() ([]Record, []PredState, error) {
-	if s.err != nil {
-		err := s.err
-		s.err = nil
-		return nil, nil, err
-	}
-	switch {
-	case s.span != nil:
-		recs, states, err := s.span.NextSpan()
-		if len(recs) == 0 {
-			if err == nil {
-				err = io.EOF
-			}
-			return nil, nil, err
-		}
-		s.err = err
-		return recs, states, nil
-	case s.batch != nil:
-		n, err := s.batch.NextBatch(s.recs[:], s.states[:])
-		if n == 0 {
-			if err == nil {
-				err = io.EOF // a (0, nil) source would otherwise spin
-			}
-			return nil, nil, err
-		}
-		s.err = err
-		return s.recs[:n], s.states[:n], nil
-	}
-	n := 0
-	for n < len(s.recs) {
-		r, pred, err := s.src.Next()
-		if err != nil {
-			if n == 0 {
-				return nil, nil, err
-			}
-			s.err = err
-			break
-		}
-		s.recs[n], s.states[n] = *r, pred
-		n++
-	}
-	return s.recs[:n], s.states[:n], nil
+// Slabs returns t's records paired with ann as a SlabSource that hands over
+// the whole trace as one zero-copy span. A nil ann models a machine without
+// LVP hardware.
+func (t *Trace) Slabs(ann Annotation) SlabSource {
+	return &span{recs: t.Records, states: ann}
 }
 
 // maxEncodedRecord bounds one VLT1 record's encoding: a 6-byte fixed
@@ -248,74 +181,3 @@ func (r *Reader) decodeFast(p []byte, rec *Record) int {
 	r.prevPC = rec.PC
 	return off
 }
-
-// noLVPBatch is NoLVP over a batch-capable source: record batches pass
-// through, every state is PredNone.
-type noLVPBatch struct {
-	noLVP
-	bs BatchSource
-}
-
-func (n noLVPBatch) NextBatch(recs []Record, states []PredState) (int, error) {
-	m, err := n.bs.NextBatch(recs)
-	for i := 0; i < m; i++ {
-		states[i] = PredNone
-	}
-	return m, err
-}
-
-// pumpBatch is Pump's internal buffer size: large enough to amortize the
-// per-batch interface call to nothing, small enough to stay resident in L1
-// (256 records ≈ 20 KiB).
-const pumpBatch = 256
-
-// Pump adapts a batch-capable annotated source for record-at-a-time
-// consumers: Next serves from a local buffer refilled via one NextBatch
-// call per pumpBatch records, so a cycle-level model's fetch loop pays a
-// buffer read instead of an interface-call chain. Records returned by Next
-// stay valid until the buffer refills — the same one-call lifetime the
-// AnnotatedSource contract gives.
-type Pump struct {
-	src    AnnotatedBatchSource
-	recs   [pumpBatch]Record
-	states [pumpBatch]PredState
-	i, n   int
-	err    error // error delivered after the buffered records drain
-}
-
-// NewPump returns a Pump buffering src.
-func NewPump(src AnnotatedBatchSource) *Pump { return &Pump{src: src} }
-
-// Buffer re-buffers src through a Pump when it is batch-capable and
-// returns it unchanged otherwise, so callers can wrap unconditionally.
-func Buffer(src AnnotatedSource) AnnotatedSource {
-	if bs, ok := src.(AnnotatedBatchSource); ok {
-		return NewPump(bs)
-	}
-	return src
-}
-
-// Next returns the next buffered record, refilling as needed.
-func (p *Pump) Next() (*Record, PredState, error) {
-	if p.i >= p.n {
-		if p.err != nil {
-			return nil, PredNone, p.err
-		}
-		n, err := p.src.NextBatch(p.recs[:], p.states[:])
-		if n == 0 {
-			if err == nil {
-				err = io.EOF // a (0, nil) source would otherwise spin
-			}
-			p.err = err
-			return nil, PredNone, err
-		}
-		p.i, p.n, p.err = 0, n, err
-	}
-	r := &p.recs[p.i]
-	st := p.states[p.i]
-	p.i++
-	return r, st, nil
-}
-
-// Annotated reports whether the underlying source carries LVP annotations.
-func (p *Pump) Annotated() bool { return p.src.Annotated() }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -118,111 +117,29 @@ func runBatchErrDiff(t *testing.T, enc []byte) {
 	}
 }
 
-// errAfterSource yields k records and then a non-EOF error in the same
-// NextBatch call, exercising the records-then-error contract.
-type errAfterSource struct {
-	recs []Record
-	err  error
-	done bool
-}
-
-func (s *errAfterSource) Next() (*Record, PredState, error) { panic("batch only") }
-
-func (s *errAfterSource) NextBatch(recs []Record, states []PredState) (int, error) {
-	if s.done {
-		return 0, s.err
-	}
-	s.done = true
-	n := copy(recs, s.recs)
-	for i := 0; i < n; i++ {
-		states[i] = PredNone
-	}
-	return n, s.err
-}
-
-func (s *errAfterSource) Annotated() bool { return false }
-
-// TestPumpMatchesReader pins the Pump adapter: re-buffering a batch-capable
-// source must yield exactly the per-record sequence of the unbuffered
-// source, including the PredNone states of a NoLVP wrapper.
-func TestPumpMatchesReader(t *testing.T) {
-	enc := encodeTrace(genTrace(3001))
-	r1, err := NewReader(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drainNext(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewReader(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NoLVP(r2)
-	if _, ok := src.(AnnotatedBatchSource); !ok {
-		t.Fatal("NoLVP over a Reader must be batch-capable")
-	}
-	pump := Buffer(src)
-	if _, ok := pump.(*Pump); !ok {
-		t.Fatal("Buffer must re-buffer a batch-capable source through a Pump")
-	}
-	var got []Record
-	for {
-		rec, st, err := pump.Next()
-		if err == io.EOF {
-			break
+// TestSlabsOneSpan pins the in-memory SlabSource: the whole trace as one
+// zero-copy span carrying the annotation (nil without LVP hardware), then
+// io.EOF on every later call; an empty trace is EOF at once.
+func TestSlabsOneSpan(t *testing.T) {
+	tr := genTrace(300)
+	ann := NewAnnotation(tr)
+	for _, a := range []Annotation{nil, ann} {
+		src := tr.Slabs(a)
+		recs, states, err := src.NextSlab()
+		if err != nil || len(recs) != len(tr.Records) || &recs[0] != &tr.Records[0] {
+			t.Fatalf("first slab: %d records, err %v; want the whole trace in place", len(recs), err)
 		}
-		if err != nil {
-			t.Fatal(err)
+		if (states == nil) != (a == nil) || len(states) != len(a) {
+			t.Fatalf("states %d (nil %v), want the annotation (nil %v)", len(states), states == nil, a == nil)
 		}
-		if st != PredNone {
-			t.Fatalf("NoLVP state = %v, want PredNone", st)
-		}
-		got = append(got, *rec)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("pumped records differ from direct decode")
-	}
-	if pump.Annotated() {
-		t.Fatal("NoLVP pump must not report annotations")
-	}
-}
-
-// TestPumpDeliversRecordsBeforeError: when a batch arrives as (n > 0, err),
-// the Pump must hand out all n records before surfacing the error, and the
-// error must then be sticky.
-func TestPumpDeliversRecordsBeforeError(t *testing.T) {
-	boom := errors.New("boom")
-	src := &errAfterSource{recs: genTrace(5).Records, err: boom}
-	p := NewPump(src)
-	for i := 0; i < 5; i++ {
-		if _, _, err := p.Next(); err != nil {
-			t.Fatalf("record %d: premature error %v", i, err)
+		for i := 0; i < 2; i++ {
+			if recs, states, err := src.NextSlab(); err != io.EOF || recs != nil || states != nil {
+				t.Fatalf("after the span: %d records, %d states, err %v; want io.EOF", len(recs), len(states), err)
+			}
 		}
 	}
-	for i := 0; i < 2; i++ {
-		if _, _, err := p.Next(); err != boom {
-			t.Fatalf("after drain: err = %v, want boom (sticky)", err)
-		}
-	}
-}
-
-// recordOnlySource strips a source down to the bare AnnotatedSource methods,
-// hiding any batch/span capability of the wrapped source.
-type recordOnlySource struct {
-	src AnnotatedSource
-}
-
-func (s recordOnlySource) Next() (*Record, PredState, error) { return s.src.Next() }
-func (s recordOnlySource) Annotated() bool                   { return s.src.Annotated() }
-
-// TestBufferPassthrough: a per-record-only source must come back unchanged.
-func TestBufferPassthrough(t *testing.T) {
-	tr := genTrace(8)
-	src := recordOnlySource{tr.StreamAnnotated(nil)}
-	if got := Buffer(src); got != src {
-		t.Fatal("Buffer must return per-record sources unchanged")
+	if _, _, err := (&Trace{}).Slabs(nil).NextSlab(); err != io.EOF {
+		t.Fatalf("empty trace: err %v, want io.EOF", err)
 	}
 }
 

@@ -24,17 +24,6 @@ type Source interface {
 	Next() (*Record, error)
 }
 
-// AnnotatedSource yields records paired with their per-record LVP
-// prediction state, the unit of work flowing into the timing models in
-// streaming mode. Annotated reports whether the stream carries real LVP
-// annotations; false models a machine without LVP hardware (every state is
-// PredNone, and the models skip their prediction-state accounting exactly
-// as they do for a nil Annotation).
-type AnnotatedSource interface {
-	Next() (*Record, PredState, error)
-	Annotated() bool
-}
-
 // sliceSource streams an in-memory trace.
 type sliceSource struct {
 	t *Trace
@@ -50,89 +39,17 @@ func (s *sliceSource) Next() (*Record, error) {
 	return r, nil
 }
 
-// Stream returns a Source yielding t's records in order.
-func (t *Trace) Stream() Source { return &sliceSource{t: t} }
-
-// annotatedSlice streams an in-memory trace with its annotation.
-type annotatedSlice struct {
-	t   *Trace
-	ann Annotation
-	i   int
-}
-
-func (s *annotatedSlice) Next() (*Record, PredState, error) {
-	if s.i >= len(s.t.Records) {
-		return nil, PredNone, io.EOF
-	}
-	r := &s.t.Records[s.i]
-	st := PredNone
-	if s.ann != nil {
-		st = s.ann[s.i]
-	}
-	s.i++
-	return r, st, nil
-}
-
-func (s *annotatedSlice) Annotated() bool { return s.ann != nil }
-
-// NextBatch copies up to len(recs) records (and their states) in bulk.
-func (s *annotatedSlice) NextBatch(recs []Record, states []PredState) (int, error) {
+func (s *sliceSource) NextBatch(buf []Record) (int, error) {
 	if s.i >= len(s.t.Records) {
 		return 0, io.EOF
 	}
-	n := copy(recs, s.t.Records[s.i:])
-	if s.ann != nil {
-		copy(states[:n], s.ann[s.i:s.i+n])
-	} else {
-		for i := range states[:n] {
-			states[i] = PredNone
-		}
-	}
+	n := copy(buf, s.t.Records[s.i:])
 	s.i += n
 	return n, nil
 }
 
-// NextSpan hands over the remaining records and states as zero-copy views of
-// the trace's own backing arrays (nil states when un-annotated), so batch
-// consumers walk the in-memory trace without a single per-record call.
-func (s *annotatedSlice) NextSpan() ([]Record, []PredState, error) {
-	if s.i >= len(s.t.Records) {
-		return nil, nil, io.EOF
-	}
-	recs := s.t.Records[s.i:]
-	var states []PredState
-	if s.ann != nil {
-		states = s.ann[s.i:]
-	}
-	s.i = len(s.t.Records)
-	return recs, states, nil
-}
-
-// StreamAnnotated returns an AnnotatedSource pairing t's records with ann.
-// A nil ann models a machine without LVP hardware.
-func (t *Trace) StreamAnnotated(ann Annotation) AnnotatedSource {
-	return &annotatedSlice{t: t, ann: ann}
-}
-
-// noLVP adapts a plain Source into an un-annotated AnnotatedSource.
-type noLVP struct{ src Source }
-
-func (n noLVP) Next() (*Record, PredState, error) {
-	r, err := n.src.Next()
-	return r, PredNone, err
-}
-
-func (noLVP) Annotated() bool { return false }
-
-// NoLVP adapts src for a timing model run without LVP hardware: every
-// record carries PredNone and Annotated reports false. When src can
-// deliver batches, the adapter is itself an AnnotatedBatchSource.
-func NoLVP(src Source) AnnotatedSource {
-	if bs, ok := src.(BatchSource); ok {
-		return noLVPBatch{noLVP{src}, bs}
-	}
-	return noLVP{src}
-}
+// Stream returns a BatchSource yielding t's records in order.
+func (t *Trace) Stream() BatchSource { return &sliceSource{t: t} }
 
 // Reader decodes a VLT1 stream record-at-a-time. The header (name, target,
 // count) is read at construction; Next then yields each record without

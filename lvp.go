@@ -10,7 +10,10 @@
 //     Perfect), paper §3;
 //   - cycle-level machine models of the PowerPC 620, 620+ and Alpha AXP
 //     21164 with LVP integration (Simulate620, Simulate620Plus,
-//     Simulate21164), paper §4;
+//     Simulate21164), paper §4. These pass the in-memory trace to each
+//     model's single Simulate entry point as one span; the same entry
+//     point also runs a streamed, annotated trace in bounded memory (see
+//     README, "Streaming mode");
 //   - experiment drivers regenerating every table and figure of the
 //     paper's evaluation (NewSuite and the exp.Suite methods), paper §6.
 //
@@ -246,17 +249,23 @@ type Stats21164 = axp21164.Stats
 // Simulate620 runs a (PPC-target) trace through the PowerPC 620 model.
 // ann may be nil for a machine without LVP hardware; lvpName labels the run.
 func Simulate620(t *Trace, ann Annotation, lvpName string) Stats620 {
-	return ppc620.Simulate(t, ann, ppc620.Config620(), lvpName)
+	// An in-memory trace is a single span that cannot fail.
+	st, _ := ppc620.Simulate(t.Slabs(ann), ppc620.Config620(), lvpName, nil)
+	return st
 }
 
 // Simulate620Plus runs a trace through the enhanced 620+ model.
 func Simulate620Plus(t *Trace, ann Annotation, lvpName string) Stats620 {
-	return ppc620.Simulate(t, ann, ppc620.Config620Plus(), lvpName)
+	// An in-memory trace is a single span that cannot fail.
+	st, _ := ppc620.Simulate(t.Slabs(ann), ppc620.Config620Plus(), lvpName, nil)
+	return st
 }
 
 // Simulate21164 runs an (AXP-target) trace through the Alpha 21164 model.
 func Simulate21164(t *Trace, ann Annotation, lvpName string) Stats21164 {
-	return axp21164.Simulate(t, ann, axp21164.Config21164(), lvpName)
+	// An in-memory trace is a single span that cannot fail.
+	st, _ := axp21164.Simulate(t.Slabs(ann), axp21164.Config21164(), lvpName, nil)
+	return st
 }
 
 // --- dataflow limits ---
