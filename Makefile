@@ -109,7 +109,9 @@ check-perf:
 # every unit configuration and sweep point), one unit run per hardware
 # configuration and its hardware-identity label, the allocation bounds of
 # the slab walk and of a suite unit run, the CVU differential widened to
-# 8192 LVPT indices and to forced address-bucket collisions, and vm.Run's
+# 8192 LVPT indices, to forced address-bucket collisions and to the key
+# shapes the full-key lookup depends on (strided addresses past capacity
+# under one index; one address under several indices), and vm.Run's
 # chunked collector against RunSink with its allocation bound.
 ANNOTATE_TESTS = 'Slab|ExtractLoads|TestCVUDifferential|FuzzCVUDifferential|TestCVUBucketCollisions|TestOneUnitRun|TestSimCacheByHardware|TestSharedRunLabel|TestUnitRunAllocs|TestRunMatchesRunSink|TestCollectLengths|TestRunAllocBound'
 
@@ -122,10 +124,14 @@ check-annotate:
 # state, and replacement victims must be decision-identical), the
 # tagged/set-associative LVPT property tests (alias freedom, LRU victim
 # order, 0-allocs gates), the stride edge cases, the checked-in zoosweep
-# golden table, serial-vs-parallel byte identity, and the served-vs-direct
-# zoo-cell identity — the concurrent sweep tests under the race detector.
+# golden table, serial-vs-parallel byte identity, the served-vs-direct
+# zoo-cell identity, and the one-walk load-stream statistics against the
+# walks they replaced on every workload (the fused path-LVPT pass vs one
+# walk per table, the slab predictor loop vs the record walk, the cached
+# suite locality vs a direct measurement) — the concurrent sweep tests
+# under the race detector.
 check-zoo:
-	$(GO) test -count=1 -run 'TwoLevel|Assoc|Tagged|Stride|Family|MeasureZoo|TestZoo' ./internal/lvp/ ./internal/exp/
+	$(GO) test -count=1 -run 'TwoLevel|Assoc|Tagged|Stride|Family|MeasureZoo|TestZoo|Walk' ./internal/lvp/ ./internal/exp/
 	$(GO) test -race -count=1 -run 'TestZoo' ./internal/exp/ ./internal/serve/
 
 # Serving-telemetry gate, run standalone (uncached): the disabled-path

@@ -196,9 +196,9 @@ func main() {
 
 	// Always report run totals, so long runs end with a measurement even
 	// without -progress or -metrics.
-	traces, anns, sims := cellCounts(s)
-	fmt.Fprintf(os.Stderr, "lvpsim: %d experiments, %d cells (%d traces, %d annotations, %d simulations) in %v\n",
-		ran, traces+anns+sims, traces, anns, sims, time.Since(start).Round(time.Millisecond))
+	traces, locs, anns, sims := cellCounts(s)
+	fmt.Fprintf(os.Stderr, "lvpsim: %d experiments, %d cells (%d traces, %d locality, %d annotations, %d simulations) in %v\n",
+		ran, traces+locs+anns+sims, traces, locs, anns, sims, time.Since(start).Round(time.Millisecond))
 
 	if *metrics != "" {
 		s.FinalizeMetrics()
@@ -220,12 +220,13 @@ func main() {
 }
 
 // cellCounts reads the completed-build counters from the suite registry.
-func cellCounts(s *exp.Suite) (traces, anns, sims int64) {
+func cellCounts(s *exp.Suite) (traces, locs, anns, sims int64) {
 	traces = s.Metrics.Counter("progress.trace").Value()
+	locs = s.Metrics.Counter("progress.locality").Value()
 	anns = s.Metrics.Counter("progress.annotate").Value()
 	sims = s.Metrics.Counter("progress.sim620").Value() +
 		s.Metrics.Counter("progress.sim21164").Value()
-	return traces, anns, sims
+	return traces, locs, anns, sims
 }
 
 // startProgress launches a goroutine refreshing one stderr status line with
@@ -245,11 +246,11 @@ func startProgress(s *exp.Suite, start time.Time) (stop func()) {
 				fmt.Fprintf(os.Stderr, "\r%*s\r", 79, "")
 				return
 			case <-tick.C:
-				traces, anns, sims := cellCounts(s)
+				traces, locs, anns, sims := cellCounts(s)
 				busy := s.Metrics.Gauge("pool.busy").Value()
 				fmt.Fprintf(os.Stderr,
-					"\rlvpsim: traces %d · annotations %d · simulations %d · %d busy · %v ",
-					traces, anns, sims, busy,
+					"\rlvpsim: traces %d · locality %d · annotations %d · simulations %d · %d busy · %v ",
+					traces, locs, anns, sims, busy,
 					time.Since(start).Round(time.Second))
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"lvp/internal/bench"
-	"lvp/internal/locality"
 	"lvp/internal/lvp"
 	"lvp/internal/prog"
 	"lvp/internal/report"
@@ -252,15 +251,18 @@ type PredictorResult struct {
 func (s *Suite) PredictorStudy() (*PredictorResult, error) {
 	res := &PredictorResult{Rows: make([]PredictorRow, len(bench.All()))}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
-		t, err := s.Trace(b.Name, prog.PPC)
+		loads, err := s.Loads(b.Name, prog.PPC)
 		if err != nil {
 			return err
 		}
-		lv := lvp.MeasureAccuracy(t, lvp.NewLastValue(1024))
-		tv := lvp.MeasureAccuracy(t, lvp.NewTwoValue(1024))
-		st := lvp.MeasureAccuracy(t, lvp.NewStride(1024))
-		cx := lvp.MeasureAccuracy(t, lvp.NewContext(1024, 4096))
-		loc := locality.Measure(t, 1024, 1)
+		loc, err := s.Locality(b.Name, prog.PPC)
+		if err != nil {
+			return err
+		}
+		lv := lvp.MeasureAccuracy(loads, lvp.NewLastValue(1024))
+		tv := lvp.MeasureAccuracy(loads, lvp.NewTwoValue(1024))
+		st := lvp.MeasureAccuracy(loads, lvp.NewStride(1024))
+		cx := lvp.MeasureAccuracy(loads, lvp.NewContext(1024, 4096))
 		res.Rows[i] = PredictorRow{
 			Name:      b.Name,
 			LastValue: lv.Percent(),

@@ -40,11 +40,14 @@ type GVLResult struct {
 func (s *Suite) GeneralValueLocality() (*GVLResult, error) {
 	res := &GVLResult{Rows: make([]GVLRow, len(bench.All()))}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
+		loads, err := s.Locality(b.Name, prog.PPC)
+		if err != nil {
+			return err
+		}
 		t, err := s.Trace(b.Name, prog.PPC)
 		if err != nil {
 			return err
 		}
-		loads := locality.Measure(t, locality.DefaultEntries, 1)
 		all := locality.MeasureGeneral(t, locality.DefaultEntries, 1, 16)
 		row := GVLRow{
 			Name:    b.Name,
@@ -121,8 +124,8 @@ func (s *Suite) PathLVPStudy(histBits []int) (*PathResult, error) {
 			return err
 		}
 		row := PathRow{Name: b.Name, Acc: make([]float64, len(histBits))}
-		for i, hb := range histBits {
-			row.Acc[i] = lvp.MeasurePathAccuracy(t, 4096, hb).Percent()
+		for i, r := range lvp.MeasurePathAccuracy(t, 4096, histBits...) {
+			row.Acc[i] = r.Percent()
 		}
 		res.Rows[bi] = row
 		return nil

@@ -5,7 +5,6 @@ import (
 
 	"lvp/internal/bench"
 	"lvp/internal/isa"
-	"lvp/internal/locality"
 	"lvp/internal/prog"
 	"lvp/internal/report"
 	"lvp/internal/stats"
@@ -85,11 +84,10 @@ func (s *Suite) Figure1() (*Fig1Result, error) {
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
 		row := Fig1Row{Name: b.Name}
 		for _, tg := range prog.Targets {
-			t, err := s.Trace(b.Name, tg)
+			rs, err := s.Locality(b.Name, tg)
 			if err != nil {
 				return err
 			}
-			rs := locality.Measure(t, locality.DefaultEntries, 1, 16)
 			if tg.Name == "axp" {
 				row.AXPD1, row.AXPD16 = rs[0].Overall.Percent(), rs[1].Overall.Percent()
 			} else {
@@ -147,11 +145,10 @@ type Fig2Result struct {
 func (s *Suite) Figure2() (*Fig2Result, error) {
 	res := &Fig2Result{Rows: make([]Fig2Row, len(bench.All()))}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
-		t, err := s.Trace(b.Name, prog.PPC)
+		rs, err := s.Locality(b.Name, prog.PPC)
 		if err != nil {
 			return err
 		}
-		rs := locality.Measure(t, locality.DefaultEntries, 1, 16)
 		row := Fig2Row{Name: b.Name}
 		total := rs[0].Overall.Total
 		for c := isa.LoadClass(1); c < isa.NumLoadClasses; c++ {

@@ -29,6 +29,7 @@ import (
 
 	"lvp/internal/axp21164"
 	"lvp/internal/bench"
+	"lvp/internal/locality"
 	"lvp/internal/lvp"
 	"lvp/internal/obs"
 	"lvp/internal/par"
@@ -139,6 +140,7 @@ type Suite struct {
 type suiteCaches struct {
 	traces par.Cache[traceKey, *trace.Trace]
 	loads  par.Cache[traceKey, lvp.LoadSlab]
+	locs   par.Cache[traceKey, []locality.Result]
 	runs   par.Cache[annKey, unitRun]
 	anns   par.Cache[annKey, trace.Annotation]
 	s620   par.Cache[sim620Key, ppc620.Stats]
@@ -251,6 +253,31 @@ func (s *Suite) Loads(name string, target prog.Target) (lvp.LoadSlab, error) {
 		slab := lvp.ExtractLoads(t)
 		s.Metrics.Timer("phase.annotate").Observe(time.Since(start))
 		return slab, nil
+	})
+}
+
+// Locality returns the load value locality of one benchmark's trace on one
+// target under the paper's 1K-entry history table (locality.Measure): [0]
+// at history depth 1 and [1] at depth 16. Both come from one walk of the
+// trace, taken once per trace and shared by every driver that reports
+// locality (Figures 1 and 2, the general-value-locality and predictor
+// studies). The walk is timed as the locality phase. The result is shared:
+// read only.
+func (s *Suite) Locality(name string, target prog.Target) ([]locality.Result, error) {
+	ctx := s.context()
+	return s.cacheState().locs.GetCtx(ctx, traceKey{name, target.Name, s.Scale}, func() ([]locality.Result, error) {
+		t, err := s.Trace(name, target)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		rs := locality.Measure(t, locality.DefaultEntries, 1, 16)
+		s.finishPhase("locality", start,
+			slog.String("bench", name), slog.String("target", target.Name))
+		return rs, nil
 	})
 }
 

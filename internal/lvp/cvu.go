@@ -13,13 +13,14 @@ import "math/bits"
 // operation, which makes every Unit.Load pay O(capacity) on the constant
 // path and every store pay O(capacity) again. This implementation instead
 // exploits the same structure the paper's CAM matches on: entries are
-// reachable through two secondary indexes — flat chain-head arrays, one
-// indexed directly by LVPT index (Lookup, Insert, InvalidateIndex) and one
-// a fixed power-of-two hash of the 8-byte address bucket (InvalidateAddr
-// walks only the chains a store footprint can touch) — and LRU eviction is
-// O(1) via an intrusive recency list. All node storage lives in one slab
-// that grows to at most `capacity` entries, so steady-state operations are
-// allocation-free and no operation hashes through a Go map. The behavior is
+// reachable through two secondary indexes — flat chain-head arrays, one a
+// fixed power-of-two hash of the 8-byte address bucket (Lookup and Insert
+// match the full (address, index) key on its chain; InvalidateAddr walks
+// only the chains a store footprint can touch) and one indexed directly by
+// LVPT index (InvalidateIndex) — and LRU eviction is O(1) via an intrusive
+// recency list. All node storage lives in one slab that grows to at most
+// `capacity` entries, so steady-state operations are allocation-free and no
+// operation hashes through a Go map. The behavior is
 // decision-for-decision identical to the linear-scan reference model
 // (`referenceCVU` in cvu_diff_test.go), enforced by a randomized
 // differential test.
@@ -36,15 +37,17 @@ type CVU struct {
 
 	// byIndex[i] heads the chain (idxPrev/idxNext) of entries at LVPT
 	// index i, -1 when there are none. It starts empty and doubles to cover
-	// the largest index inserted; Lookup and InvalidateIndex treat an index
-	// beyond it as an empty chain.
+	// the largest index inserted; InvalidateIndex treats an index beyond it
+	// as an empty chain. Only InvalidateIndex walks it; it can grow toward
+	// the capacity (see find).
 	byIndex []int32
 	// byBucket[bucketSlot(addr>>3)] heads the chain (bktPrev/bktNext) of
 	// every entry whose 8-byte address bucket hashes to that slot, -1 when
 	// empty. Its size is fixed at construction: a power of two at least
-	// twice the capacity, so chains stay short. A chain can mix buckets;
-	// InvalidateAddr filters by address, so a collision costs a compare,
-	// never a wrong decision.
+	// twice the capacity, so chains stay short. A chain can mix buckets and
+	// hold one address under several indices; find matches both halves of
+	// the key and InvalidateAddr filters by address, so a collision costs a
+	// compare, never a wrong decision.
 	byBucket    []int32
 	bucketShift uint // 64 - log2(len(byBucket))
 }
@@ -136,15 +139,18 @@ func (c *CVU) indexHead(index int) int {
 	return int(c.byIndex[index])
 }
 
-// find returns the slab slot holding (addr, index), or -1. It walks the
-// LVPT-index chain: the CAM key is the concatenation of address and index,
-// so every candidate shares the index and the chain is typically one entry.
+// find returns the slab slot holding (addr, index), or -1. The CAM key is
+// the concatenation of address and index, so it walks the address-bucket
+// chain — short by construction, being Fibonacci-hashed over at least twice
+// as many slots as entries — and matches both halves. (The LVPT-index chain
+// is no substitute: a strided load inserts a new address under one index
+// every iteration, so that chain grows toward the capacity.)
 func (c *CVU) find(addr uint64, index int) int {
 	if c.size == 0 {
 		return -1
 	}
-	for n := c.indexHead(index); n >= 0; n = c.nodes[n].idxNext {
-		if c.nodes[n].addr == addr {
+	for n := int(c.byBucket[c.bucketSlot(addr>>3)]); n >= 0; n = c.nodes[n].bktNext {
+		if nd := &c.nodes[n]; nd.addr == addr && nd.index == index {
 			return n
 		}
 	}

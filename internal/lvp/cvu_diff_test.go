@@ -10,6 +10,7 @@ package lvp
 // victims — after every single operation.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -276,6 +277,15 @@ func FuzzCVUDifferential(f *testing.F) {
 		0, 0, 0, 0, 0, 0, 0, 0x10, 0x00, 0x1f, 0xff, 8, // hit it
 		3, 0, 0, 0, 0, 0, 0, 0x00, 0x00, 0x1f, 0xff, 8, // invalidate it
 	})
+	f.Add([]byte{
+		1, 0, 0, 0, 0, 0, 0, 0x20, 0x00, 0, 1, 8, // insert (0x2000, 1)
+		1, 0, 0, 0, 0, 0, 0, 0x20, 0x00, 0, 2, 8, // same address, index 2
+		0, 0, 0, 0, 0, 0, 0, 0x20, 0x00, 0, 3, 8, // index 3 must miss
+		0, 0, 0, 0, 0, 0, 0, 0x20, 0x00, 0, 2, 8, // index 2 hits
+		3, 0, 0, 0, 0, 0, 0, 0x00, 0x00, 0, 1, 8, // drop index 1 only
+		0, 0, 0, 0, 0, 0, 0, 0x20, 0x00, 0, 1, 8, // index 1 now misses
+		0, 0, 0, 0, 0, 0, 0, 0x20, 0x00, 0, 2, 8, // index 2 still hits
+	})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		got, want := NewCVU(4), newReferenceCVU(4)
 		for step := 0; len(script) >= 12; step++ {
@@ -314,6 +324,132 @@ func TestCVUDifferentialWideIndex(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCVUDifferentialKeyShapes drives the two key shapes the full-key
+// lookup depends on, at the Simple (32) and Constant/Limit (128) CVU sizes:
+//
+//   - strided: a few LVPT indices, each inserting a fresh strided address
+//     every time (a strided load keeps its PC), so each receives more than
+//     capacity distinct addresses and its index chain grows long while the
+//     address-bucket chains stay short;
+//   - shared: a handful of addresses each inserted under several indices,
+//     so one bucket chain holds same-address entries that a lookup under
+//     another index must not hit.
+//
+// Each shape also checks it really built what it claims.
+func TestCVUDifferentialKeyShapes(t *testing.T) {
+	steps := 6000
+	if testing.Short() {
+		steps = 2000
+	}
+	for _, capacity := range []int{32, 128} {
+		for seed := int64(0); seed < 3; seed++ {
+			t.Run(fmt.Sprintf("strided/cap%d/seed%d", capacity, seed), func(t *testing.T) {
+				rnd := rand.New(rand.NewSource(seed*7919 + int64(capacity)))
+				const indices = 3
+				var next [indices]uint64 // inserts so far per index
+				distinct := make(map[int]map[uint64]bool)
+				got, want := NewCVU(capacity), newReferenceCVU(capacity)
+				longest := 0
+				for step := 0; step < steps; step++ {
+					k := rnd.Intn(indices)
+					stride := uint64(8 << k)
+					base := 0x10000 + uint64(k)<<20
+					op := cvuOp{idx: 100 + 37*k, size: 8}
+					switch r := rnd.Intn(100); {
+					case r < 45: // the next strided address
+						op.kind = 1
+						op.addr = base + stride*next[k]
+						next[k]++
+						if distinct[op.idx] == nil {
+							distinct[op.idx] = map[uint64]bool{}
+						}
+						distinct[op.idx][op.addr] = true
+					case r < 90: // a recent address: hits while resident
+						op.kind = 0
+						back := uint64(rnd.Intn(2*capacity)) + 1
+						if back > next[k] {
+							back = next[k]
+						}
+						op.addr = base + stride*(next[k]-back)
+						if rnd.Intn(8) == 0 {
+							op.idx = 100 + 37*((k+1)%indices) // right address, wrong index
+						}
+					case r < 99: // a store into the strided region
+						op.kind = 2
+						op.addr = base + stride*uint64(rnd.Intn(int(next[k])+1))
+					default: // the load's value changed
+						op.kind = 3
+					}
+					applyOp(t, step, op, got, want)
+					for k := 0; k < indices; k++ {
+						longest = max(longest, got.indexChainLen(100+37*k))
+					}
+				}
+				for idx, addrs := range distinct {
+					if len(addrs) <= capacity {
+						t.Errorf("index %d received %d distinct addresses, want more than capacity %d", idx, len(addrs), capacity)
+					}
+				}
+				if longest < capacity/2 {
+					t.Errorf("longest index chain %d, want at least %d: the strided shape did not build long chains", longest, capacity/2)
+				}
+			})
+			t.Run(fmt.Sprintf("shared/cap%d/seed%d", capacity, seed), func(t *testing.T) {
+				rnd := rand.New(rand.NewSource(seed*104729 + int64(capacity)))
+				addrs := []uint64{0x2000, 0x2008, 0x2010, 0x9000}
+				got, want := NewCVU(capacity), newReferenceCVU(capacity)
+				shared := false
+				for step := 0; step < steps; step++ {
+					op := cvuOp{
+						addr: addrs[rnd.Intn(len(addrs))],
+						idx:  rnd.Intn(12),
+						size: []int{1, 4, 8}[rnd.Intn(3)],
+					}
+					switch r := rnd.Intn(100); {
+					case r < 45:
+						op.kind = 1
+					case r < 90:
+						op.kind = 0
+					case r < 95:
+						op.kind = 2
+					default:
+						op.kind = 3
+					}
+					applyOp(t, step, op, got, want)
+					shared = shared || got.sameAddrInChain()
+				}
+				if !shared {
+					t.Error("no bucket chain ever held one address under two indices")
+				}
+			})
+		}
+	}
+}
+
+// indexChainLen counts the entries chained under one LVPT index.
+func (c *CVU) indexChainLen(index int) int {
+	n := 0
+	for e := c.indexHead(index); e >= 0; e = c.nodes[e].idxNext {
+		n++
+	}
+	return n
+}
+
+// sameAddrInChain reports whether any address-bucket chain holds two
+// entries with the same address (necessarily under different indices).
+func (c *CVU) sameAddrInChain() bool {
+	for _, h := range c.byBucket {
+		seen := map[uint64]bool{}
+		for n := int(h); n >= 0; n = c.nodes[n].bktNext {
+			if seen[c.nodes[n].addr] {
+				return true
+			}
+			seen[c.nodes[n].addr] = true
+		}
+	}
+	return false
 }
 
 // TestCVUBucketCollisions forces byBucket collisions: every address comes

@@ -360,7 +360,7 @@ func TestContextPredictorLearnsCycle(t *testing.T) {
 
 func TestMeasureAccuracy(t *testing.T) {
 	tr := constLoadTrace(100, 0x100000, 42)
-	acc := MeasureAccuracy(tr, NewLastValue(1024))
+	acc := MeasurePredictor(tr, NewLastValue(1024))
 	if acc.Total != 100 || acc.Hits != 99 {
 		t.Errorf("last-value accuracy = %d/%d, want 99/100", acc.Hits, acc.Total)
 	}
@@ -372,8 +372,8 @@ func TestMeasureAccuracy(t *testing.T) {
 			Value: uint64(8 * i), Size: 8, Class: isa.LoadIntData,
 		})
 	}
-	lv := MeasureAccuracy(tr2, NewLastValue(1024))
-	st := MeasureAccuracy(tr2, NewStride(1024))
+	lv := MeasurePredictor(tr2, NewLastValue(1024))
+	st := MeasurePredictor(tr2, NewStride(1024))
 	if st.Hits <= lv.Hits {
 		t.Errorf("stride (%d) must beat last-value (%d) on strided data", st.Hits, lv.Hits)
 	}

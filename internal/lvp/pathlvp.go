@@ -55,26 +55,35 @@ func (p *PathLVP) Branch(taken bool) {
 	}
 }
 
-// MeasurePathAccuracy runs a PathLVP over a trace, feeding it branch
-// outcomes, and reports the fraction of loads predicted exactly. histBits=0
+// MeasurePathAccuracy runs one PathLVP per histBits entry over a trace in
+// a single pass and reports, per table, the fraction of loads predicted
+// exactly: every conditional branch shifts each table's history register,
+// and every load is scored by (then trains) each table. histBits = 0
 // degenerates to plain last-value prediction (the control).
-func MeasurePathAccuracy(t *trace.Trace, entries, histBits int) locality.Ratio {
-	p := NewPathLVP(entries, histBits)
-	var r locality.Ratio
+func MeasurePathAccuracy(t *trace.Trace, entries int, histBits ...int) []locality.Ratio {
+	tables := make([]*PathLVP, len(histBits))
+	for k, hb := range histBits {
+		tables[k] = NewPathLVP(entries, hb)
+	}
+	rs := make([]locality.Ratio, len(histBits))
 	for i := range t.Records {
 		rec := &t.Records[i]
 		if isa.IsCondBranch(rec.Op) {
-			p.Branch(rec.Taken)
+			for _, p := range tables {
+				p.Branch(rec.Taken)
+			}
 			continue
 		}
 		if !rec.IsLoad() {
 			continue
 		}
-		r.Total++
-		if p.Predict(rec.PC) == rec.Value {
-			r.Hits++
+		for k, p := range tables {
+			rs[k].Total++
+			if p.Predict(rec.PC) == rec.Value {
+				rs[k].Hits++
+			}
+			p.Update(rec.PC, rec.Value)
 		}
-		p.Update(rec.PC, rec.Value)
 	}
-	return r
+	return rs
 }

@@ -23,8 +23,8 @@ func TestPathLVPDisambiguatesByPath(t *testing.T) {
 			trace.Record{PC: 0x1004, Op: isa.LD, Addr: 0x8000, Value: v, Size: 8, Class: isa.LoadIntData},
 		)
 	}
-	plain := MeasurePathAccuracy(tr, 1024, 0)
-	path := MeasurePathAccuracy(tr, 1024, 2)
+	rs := MeasurePathAccuracy(tr, 1024, 0, 2)
+	plain, path := rs[0], rs[1]
 	if plain.Percent() > 10 {
 		t.Errorf("plain last-value should fail on alternating values, got %.1f%%", plain.Percent())
 	}

@@ -219,22 +219,26 @@ func (p *Context) Update(pc, actual uint64) {
 	p.last1[i] = actual
 }
 
-// MeasureAccuracy runs a predictor over every load in the trace and reports
-// the fraction predicted exactly.
-func MeasureAccuracy(t *trace.Trace, p Predictor) locality.Ratio {
-	var r locality.Ratio
-	for i := range t.Records {
-		rec := &t.Records[i]
-		if !rec.IsLoad() {
-			continue
-		}
-		r.Total++
-		if p.Predict(rec.PC) == rec.Value {
+// MeasureAccuracy runs a predictor over every load of a pre-extracted slab
+// (its PC and value lanes) and reports the fraction predicted exactly. The
+// predictor always speaks: a ConfidencePredictor's declines are not
+// consulted (MeasureZooLoads separates those out).
+func MeasureAccuracy(loads LoadSlab, p Predictor) locality.Ratio {
+	r := locality.Ratio{Total: loads.Len()}
+	for i, pc := range loads.PCs {
+		value := loads.Values[i]
+		if p.Predict(pc) == value {
 			r.Hits++
 		}
-		p.Update(rec.PC, rec.Value)
+		p.Update(pc, value)
 	}
 	return r
+}
+
+// MeasurePredictor is MeasureAccuracy over a trace: it gathers the trace's
+// load PC and value lanes and runs the same loop.
+func MeasurePredictor(t *trace.Trace, p Predictor) locality.Ratio {
+	return MeasureAccuracy(valueLanes(t), p)
 }
 
 // TwoValue is a buildable depth-2 value predictor: each entry holds two

@@ -138,8 +138,13 @@ func (m ZooMeasure) Accuracy() float64 {
 // predictions count against coverage but not accuracy; plain Predictors are
 // treated as always speaking (MeasureAccuracy's regime).
 func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
-	// MeasureZooLoads reads only the PC and value lanes, so a one-off
-	// measurement gathers just those rather than the whole ExtractLoads slab.
+	return MeasureZooLoads(valueLanes(t), p)
+}
+
+// valueLanes gathers only the PC and value lanes of the trace's loads: the
+// predictor measurements read nothing else, so a one-off measurement skips
+// the rest of the ExtractLoads slab.
+func valueLanes(t *trace.Trace) LoadSlab {
 	n := 0
 	for i := range t.Records {
 		if t.Records[i].IsLoad() {
@@ -153,7 +158,7 @@ func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
 			loads.Values = append(loads.Values, r.Value)
 		}
 	}
-	return MeasureZooLoads(loads, p)
+	return loads
 }
 
 // MeasureZooLoads is MeasureZoo over a pre-extracted load slab — the

@@ -80,11 +80,12 @@ type Options struct {
 }
 
 // workload is the prepared input shared by every grid cell: one benchmark
-// program, its materialized trace, annotation, and its VLT1, VLT2-raw and
-// VLT2-flate encodings.
+// program, its materialized trace, memory-op slab, annotation, and its VLT1,
+// VLT2-raw and VLT2-flate encodings.
 type workload struct {
 	prog    *prog.Program
 	tr      *trace.Trace
+	loads   lvp.LoadSlab
 	ann     trace.Annotation
 	enc     []byte // VLT1
 	enc2    []byte // VLT2, raw blocks
@@ -115,7 +116,9 @@ func enc2xBytes(w *workload) int64 { return int64(len(w.enc2x)) }
 // through the zero-copy NextBlock API), decode of flate-compressed blocks,
 // and the fixed-width codec both indexed and parallel. The pipeline.file.*
 // pair runs the full fused pipeline (decode → annotate → 620 timing model)
-// from an encoded trace in each format.
+// from an encoded trace in each format. The annotate.slab pair is the
+// suite's annotation path — a unit run over the trace's memory-op slab —
+// under Simple (32-entry CVU) and Constant (128-entry CVU).
 var grid = []gridCell{
 	{"gen.record", nil, benchGenRecord},
 	{"gen.batch", nil, benchGenBatch},
@@ -130,6 +133,8 @@ var grid = []gridCell{
 	{"codec2.decode.fixed", enc2xBytes, benchDecode2Fixed},
 	{"codec2.decode.fixed.parallel", enc2xBytes, benchDecode2FixedParallel},
 	{"annotate.batch", nil, benchAnnotateBatch},
+	{"annotate.slab", nil, benchAnnotateSlab(lvp.Simple)},
+	{"annotate.slab.constant", nil, benchAnnotateSlab(lvp.Constant)},
 	{"pipeline.fused.batch", nil, benchFusedBatch},
 	{"pipeline.file.vlt1", encBytes, benchFileVLT1},
 	{"pipeline.file.vlt2", enc2Bytes, benchFileVLT2},
@@ -140,7 +145,9 @@ var grid = []gridCell{
 }
 
 // ratios maps each fixed ratio key to its numerator/denominator entries,
-// compared on records/sec.
+// compared on records/sec. annotate_constant_cost is how many times slower
+// a Constant unit run is than a Simple one: the CVU work the larger CAM
+// adds, so a CVU search growing with occupancy shows up as drift.
 var ratios = []struct{ key, num, den string }{
 	{"gen_batch_speedup", "gen.batch", "gen.record"},
 	{"decode_batch_speedup", "codec.decode.batch", "codec.decode.record"},
@@ -150,6 +157,7 @@ var ratios = []struct{ key, num, den string }{
 	{"vlt2_fixed_parallel_speedup", "codec2.decode.fixed.parallel", "codec.decode.batch"},
 	{"file_pipeline_speedup", "pipeline.file.vlt2", "pipeline.file.vlt1"},
 	{"zoo_shared_speedup", "zoo.sweep.shared", "zoo.sweep"},
+	{"annotate_constant_cost", "annotate.slab", "annotate.slab.constant"},
 }
 
 // Run executes the full grid and returns the report.
@@ -268,7 +276,7 @@ func prepare(name string, scale int) (*workload, error) {
 		return nil, fmt.Errorf("perf: vlt2/fixed encoding %s: %w", name, err)
 	}
 	return &workload{
-		prog: p, tr: tr, ann: ann,
+		prog: p, tr: tr, loads: lvp.ExtractLoads(tr), ann: ann,
 		enc: buf.Bytes(), enc2: buf2.Bytes(), enc2f: buf2f.Bytes(), enc2x: buf2x.Bytes(),
 		records: int64(len(tr.Records)),
 	}, nil
@@ -508,6 +516,19 @@ func benchAnnotateBatch(b *testing.B, w *workload) {
 			b.Fatal(err)
 		}
 		a.RecordBatch(w.tr.Records, states)
+	}
+}
+
+// benchAnnotateSlab runs a fresh unit under cfg over the workload's
+// memory-op slab, as every suite unit run does.
+func benchAnnotateSlab(cfg lvp.Config) func(b *testing.B, w *workload) {
+	return func(b *testing.B, w *workload) {
+		states := make([]trace.PredState, w.loads.Len())
+		for i := 0; i < b.N; i++ {
+			if _, err := lvp.AnnotateSlab(w.loads, cfg, nil, states); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

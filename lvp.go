@@ -225,7 +225,7 @@ func MeasureZoo(t *Trace, p Predictor) ZooMeasure { return core.MeasureZoo(t, p)
 // MeasurePredictor reports the fraction of loads a predictor gets exactly
 // right over a trace.
 func MeasurePredictor(t *Trace, p Predictor) float64 {
-	r := core.MeasureAccuracy(t, p)
+	r := core.MeasurePredictor(t, p)
 	return float64(r.Hits) / float64(max(1, r.Total))
 }
 
@@ -234,7 +234,7 @@ func MeasurePredictor(t *Trace, p Predictor) float64 {
 // folded into the table index. histBits = 0 degenerates to last-value
 // prediction.
 func MeasurePathPredictor(t *Trace, entries, histBits int) float64 {
-	r := core.MeasurePathAccuracy(t, entries, histBits)
+	r := core.MeasurePathAccuracy(t, entries, histBits)[0]
 	return float64(r.Hits) / float64(max(1, r.Total))
 }
 
