@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream bench-json bench-json-smoke check-stream check-perf check-annotate check-zoo check-obs serve check-serve check-dist check-vlt2 verify clean
+.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream bench-json bench-json-smoke check-stream check-perf check-annotate check-zoo check-obs serve check-serve check-dist check-vlt2 loc verify clean
 
 all: build
 
@@ -42,11 +42,12 @@ race:
 race-full:
 	$(GO) test -race -timeout 30m ./...
 
-# Short fuzz sessions over the trace codecs — the whole-trace round-trip
-# property, the streaming Reader/Writer round-trip property, and the VLT2
-# block-codec round-trip (both decode paths, every codec) — and over the
-# whole file pipeline: raw bytes → trace.Open → lvp.Pipe → both timing
-# models (never a panic; decode errors come back from Simulate).
+# Short fuzz sessions over the trace codecs — the read-only VLT1 Reader's
+# whole-trace and record-at-a-time round-trip properties (re-encoded by the
+# tests' reference encoder), and the VLT2 block-codec round-trip (both
+# decode paths, both codecs) — and over the whole file pipeline: raw bytes →
+# trace.Open → lvp.Pipe → both timing models (never a panic; decode errors
+# come back from Simulate).
 fuzz:
 	$(GO) test -fuzz='FuzzRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzStreamRoundTrip$$' -fuzztime=30s ./internal/trace/
@@ -64,12 +65,11 @@ bench:
 bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkAnnotate' -benchtime 2s -count 3 .
 
-# Streaming-layer benchmarks: record-at-a-time decode/encode vs the
-# whole-trace codec, and batched vs per-record decode (StreamDecodeBatch vs
-# StreamDecode). The fused gen→annotate→sim cell is lvpbench's
-# pipeline.fused.batch.
+# Streaming-layer benchmarks: the VLT2 encode and batched decode paths, and
+# the VLT1 Reader's record-at-a-time decode. The fused gen→annotate→sim cell
+# is lvpbench's pipeline.fused.batch.
 bench-stream:
-	$(GO) test -run xxx -bench 'Stream|MemDecode|MemEncode' -benchtime 1s ./internal/trace/
+	$(GO) test -run xxx -bench 'VLT2|StreamDecode' -benchtime 1s ./internal/trace/
 
 # Benchmark-trajectory grid (see PERFORMANCE.md): the full run refreshes the
 # checked-in BENCH_PR10.json baseline; the smoke run is the CI sizing that
@@ -84,8 +84,9 @@ bench-json-smoke:
 	$(GO) run ./cmd/lvpbench -smoke -out bench-smoke.json -compare BENCH_PR10.json
 
 # Streaming memory/identity gate, run standalone (uncached): the
-# allocation-regression tests (0 allocs/record on the Reader/Writer/LVP hot
-# paths), the 10M-record peak-RSS bound, the per-workload differential
+# allocation-regression tests (0 allocs/record on the VLT1 Reader, the VLT2
+# Writer2 and the LVP hot paths), the 10M-record peak-RSS bound of a
+# Writer2 → Reader2 stream through a pipe, the per-workload differential
 # between vm.Source → lvp.Pipe → Simulate and the suite's in-memory cells,
 # and the slab contract of both timing models (stats independent of how
 # the trace is cut into slabs; source errors returned, never a panic). All
@@ -144,18 +145,25 @@ check-obs:
 	$(GO) test -count=1 -run 'Histogram|Span|Prometheus|Timeline|AccessLog|RequestID|TracingOn|Publish|BucketBounds|BucketIndex|FlightRecorder' ./internal/obs/ ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestHistogramConcurrent|TestSpanConcurrent|TestConcurrentPublish|TestTracingOnIdentity' ./internal/obs/ ./internal/serve/
 
-# VLT2 block-codec gate, run standalone (uncached): the VLT1/VLT2
-# cross-format differential (records, annotation bytes, and all three
-# machine models' stats byte-identical regardless of format), the
-# hostile-input table (truncated blocks, corrupted checksums, lying header
-# lengths, overlapping index entries — clean errors, never panics), the
-# checked-in fuzz corpus seeds, the random-seek and parallel-width property
-# tests, and the 0-allocs/record gates on the VLT2 batch paths — then the
-# parallel-decode identity property again under the race detector.
+# Trace-format gate, run standalone (uncached): the format differential
+# (records, annotation bytes, and all three machine models' stats
+# byte-identical from every VLT2 encoding), the VLT1 leg (every workload's
+# VLT1 encoding decodes to the in-memory trace) and the checked-in VLT1
+# fixtures, the hostile-input table (truncated blocks, corrupted checksums,
+# lying header lengths, overlapping or wrapping index entries, the retired
+# codec bytes 2 and 3 — ErrCorrupt, never panics), the checked-in fuzz
+# corpus seeds, the random-seek property test, and the 0-allocs/record
+# gates on the VLT2 batch paths.
 check-vlt2:
-	$(GO) test -count=1 -run 'TestVLT2|FuzzVLT2' ./internal/trace/
+	$(GO) test -count=1 -run 'TestVLT2|FuzzVLT2|TestVLT1' ./internal/trace/
 	$(GO) test -count=1 -run 'TestFormatDifferential' ./internal/exp/
-	$(GO) test -race -count=1 -short -run 'TestVLT2ParallelWidthsProperty|TestVLT2SeekProperty' ./internal/trace/
+
+# Non-test Go lines per package and in total (ROADMAP aim 2): _test.go
+# files, testdata/, benchmark/ and .bench_build/ are excluded.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | \
+		xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^\\./", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # Run the experiment daemon locally (see SERVING.md for the API).
 serve:

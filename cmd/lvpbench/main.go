@@ -1,5 +1,5 @@
 // Command lvpbench runs the fixed benchmark-trajectory grid (generation,
-// VLT1 codec, annotation, fused streaming pipeline, both timing models)
+// VLT2 codec, annotation, fused streaming pipeline, both timing models)
 // and emits the measurements as JSON — the data behind the checked-in
 // BENCH_*.json perf baselines. See PERFORMANCE.md for the grid's meaning
 // and how to refresh the snapshots.

@@ -10,7 +10,7 @@
 //
 //	lvpdump -bench grep -target ppc | less
 //	lvpdump -asm prog.s
-//	lvpdump -trace grep.ppc.vlt | head
+//	lvpdump -trace grep.ppc.vlt2 | head
 //	lvpdump -trace grep.ppc.vlt2 -seek 1000000 -n 20
 package main
 
@@ -128,23 +128,26 @@ func dumpTrace(path string, seek uint64, n int64) error {
 	if err != nil {
 		return err
 	}
+	if c, ok := sr.(io.Closer); ok {
+		defer c.Close() // releases a VLT2 mapping before the file closes
+	}
 	fmt.Printf("; trace %s/%s, %d records\n", sr.Name(), sr.Target(), sr.Count())
-	if seek > 0 {
-		if ir, ok := sr.(*trace.IndexedReader); ok {
-			if err := ir.SeekRecord(seek); err != nil {
+	if ir, ok := sr.(*trace.IndexedReader); ok {
+		if err := ir.SeekRecord(seek); err != nil {
+			return err
+		}
+	} else {
+		// The VLT1 header carries the record count, so a seek past the
+		// end fails here exactly as SeekRecord fails on VLT2.
+		if seek > sr.Count() {
+			return fmt.Errorf("trace: seek to record %d beyond count %d", seek, sr.Count())
+		}
+		var buf [512]trace.Record
+		for skipped := uint64(0); skipped < seek; {
+			k, err := sr.NextBatch(buf[:min(uint64(len(buf)), seek-skipped)])
+			skipped += uint64(k)
+			if err != nil {
 				return err
-			}
-		} else {
-			var buf [512]trace.Record
-			for skipped := uint64(0); skipped < seek; {
-				k, err := sr.NextBatch(buf[:min(uint64(len(buf)), seek-skipped)])
-				skipped += uint64(k)
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
 			}
 		}
 	}

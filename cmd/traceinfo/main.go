@@ -10,8 +10,8 @@
 //
 // Usage:
 //
-//	traceinfo grep.ppc.vlt
 //	traceinfo grep.ppc.vlt2
+//	traceinfo grep.ppc.vlt     # a VLT1 file
 package main
 
 import (
@@ -49,6 +49,9 @@ func main() {
 	sr, err := trace.OpenFile(f)
 	if err != nil {
 		fatal(err)
+	}
+	if c, ok := sr.(io.Closer); ok {
+		defer c.Close() // releases a VLT2 mapping before the file closes
 	}
 	reg := obs.NewRegistry()
 	type metered interface{ SetMetrics(*obs.Registry) }

@@ -1,19 +1,17 @@
-// Command vltconv converts trace files between the VLT1 and VLT2 formats
-// (and between VLT2 block codecs), streaming record by record so traces of
-// any size convert in bounded memory. The input format is auto-detected
-// from its magic bytes; -verify re-reads both files afterwards and checks
+// Command vltconv converts a trace file — VLT1 or VLT2, auto-detected from
+// its magic bytes — to VLT2 with the chosen block codec and block size,
+// streaming record by record so traces of any size convert in bounded
+// memory. -verify re-reads both files afterwards and checks
 // record-for-record equality.
 //
 // Usage:
 //
 //	vltconv -o grep.ppc.vlt2 grep.ppc.vlt                 # VLT1 → VLT2 (raw blocks)
 //	vltconv -codec flate -o grep.small.vlt2 grep.ppc.vlt  # compressed blocks
-//	vltconv -format vlt1 -o grep.ppc.vlt grep.ppc.vlt2    # back-convert
-//	vltconv -verify -codec fixed -o g.vlt2 grep.ppc.vlt
+//	vltconv -verify -block-records 1024 -o g.vlt2 grep.ppc.vlt2
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -26,9 +24,8 @@ import (
 func main() {
 	var (
 		out         = flag.String("o", "", "output file (required)")
-		formatName  = flag.String("format", "vlt2", "output format: vlt1 or vlt2")
-		codecName   = flag.String("codec", "raw", "vlt2 block codec: raw, flate, fixed, or fixed-flate")
-		blockRecs   = flag.Int("block-records", 0, "vlt2 records per block (0 = default)")
+		codecName   = flag.String("codec", "raw", "block codec: raw or flate")
+		blockRecs   = flag.Int("block-records", 0, "records per block (0 = default)")
 		verify      = flag.Bool("verify", false, "re-read input and output and verify record equality")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -38,23 +35,16 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 || *out == "" {
-		fmt.Fprintln(os.Stderr, "usage: vltconv -o <out> [-format vlt1|vlt2] [-codec ...] <in>")
+		fmt.Fprintln(os.Stderr, "usage: vltconv -o <out> [-codec raw|flate] [-block-records n] [-verify] <in>")
 		os.Exit(2)
 	}
 	in := flag.Arg(0)
-	format, err := trace.FormatByName(*formatName)
-	if err != nil {
-		fatal(err)
-	}
 	codec, err := trace.BlockCodecByName(*codecName)
 	if err != nil {
 		fatal(err)
 	}
-	if format == trace.FormatVLT1 && (codec != trace.CodecRaw || *blockRecs != 0) {
-		fatal(fmt.Errorf("-codec and -block-records apply only to -format vlt2"))
-	}
 
-	n, err := convert(in, *out, format, codec, *blockRecs)
+	n, err := convert(in, *out, trace.Writer2Options{Codec: codec, BlockRecords: *blockRecs})
 	if err != nil {
 		fatal(err)
 	}
@@ -70,36 +60,39 @@ func main() {
 	}
 }
 
-// convert streams every record of in into a new file at out in the
-// requested format, returning the record count.
-func convert(in, out string, format trace.Format, codec trace.BlockCodec, blockRecs int) (uint64, error) {
-	fi, err := os.Open(in)
+// openTrace opens path through trace.OpenFile. The returned closer releases
+// the decoder (unmapping a VLT2 file) and then the file.
+func openTrace(path string) (trace.Decoder, func(), error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := trace.OpenFile(f)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return d, func() {
+		if c, ok := d.(io.Closer); ok {
+			c.Close()
+		}
+		f.Close()
+	}, nil
+}
+
+// convert streams every record of in into a new VLT2 file at out, returning
+// the record count.
+func convert(in, out string, opts trace.Writer2Options) (uint64, error) {
+	src, done, err := openTrace(in)
 	if err != nil {
 		return 0, err
 	}
-	defer fi.Close()
-	src, err := trace.OpenFile(fi)
-	if err != nil {
-		return 0, err
-	}
+	defer done()
 	fo, err := os.Create(out)
 	if err != nil {
 		return 0, err
 	}
-	var enc trace.Encoder
-	if format == trace.FormatVLT2 {
-		enc, err = trace.NewWriter2Opts(fo, src.Name(), src.Target(),
-			trace.Writer2Options{Codec: codec, BlockRecords: blockRecs})
-	} else {
-		// VLT1 wants its record count up front when known; the indexed
-		// VLT2 reader always knows it, a sequential VLT1 source knows it
-		// from its own header. Fall back to backpatching otherwise.
-		if n := src.Count(); n > 0 {
-			enc, err = trace.NewEncoder(fo, format, src.Name(), src.Target(), int64(n))
-		} else {
-			enc, err = trace.NewEncoder(fo, format, src.Name(), src.Target(), -1)
-		}
-	}
+	enc, err := trace.NewWriter2Opts(fo, src.Name(), src.Target(), opts)
 	if err != nil {
 		fo.Close()
 		return 0, err
@@ -131,24 +124,16 @@ func convert(in, out string, format trace.Format, codec trace.BlockCodec, blockR
 // verifyEqual streams both files in lockstep and reports the first
 // divergence.
 func verifyEqual(a, b string) error {
-	fa, err := os.Open(a)
+	da, doneA, err := openTrace(a)
 	if err != nil {
 		return err
 	}
-	defer fa.Close()
-	fb, err := os.Open(b)
+	defer doneA()
+	db, doneB, err := openTrace(b)
 	if err != nil {
 		return err
 	}
-	defer fb.Close()
-	da, err := trace.Open(bufio.NewReaderSize(fa, 1<<16))
-	if err != nil {
-		return err
-	}
-	db, err := trace.Open(bufio.NewReaderSize(fb, 1<<16))
-	if err != nil {
-		return err
-	}
+	defer doneB()
 	var n uint64
 	for {
 		ra, ea := da.Next()

@@ -12,22 +12,16 @@ import (
 	"lvp/internal/trace"
 )
 
-// formatEncodings is the cross-format matrix for the differential gate:
-// VLT1 plus every VLT2 codec, and one deliberately awkward block size so
-// records straddle block boundaries in odd places.
+// formatEncodings is the encoding matrix for the differential gate: both
+// VLT2 codecs, and one deliberately awkward block size so records straddle
+// block boundaries in odd places. (VLT1 is read-only; its leg is
+// internal/trace's TestVLT1Differential.)
 var formatEncodings = []struct {
 	name string
 	enc  func(tr *trace.Trace) ([]byte, error)
 }{
-	{"vlt1", func(tr *trace.Trace) ([]byte, error) {
-		var buf bytes.Buffer
-		err := trace.Write(&buf, tr)
-		return buf.Bytes(), err
-	}},
 	{"vlt2-raw", vlt2Enc(trace.Writer2Options{})},
 	{"vlt2-flate", vlt2Enc(trace.Writer2Options{Codec: trace.CodecFlate})},
-	{"vlt2-fixed", vlt2Enc(trace.Writer2Options{Codec: trace.CodecFixed})},
-	{"vlt2-fixed-flate", vlt2Enc(trace.Writer2Options{Codec: trace.CodecFixedFlate})},
 	{"vlt2-odd-blocks", vlt2Enc(trace.Writer2Options{BlockRecords: 61})},
 }
 
@@ -79,7 +73,7 @@ func simSpan21164(t *testing.T, tr *trace.Trace, ann trace.Annotation, name stri
 	return st
 }
 
-// TestFormatDifferential is the VLT1↔VLT2 differential gate: for every
+// TestFormatDifferential is the trace-format differential gate: for every
 // suite workload and every encoding in the matrix, the decoded records and
 // metadata must be byte-identical to the in-memory trace, the annotation
 // computed from the decoded records must match the in-memory annotation,
@@ -124,14 +118,10 @@ func TestFormatDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// Every decode path the format supports must
+					// Both decode paths, sequential and indexed, must
 					// materialize the identical trace.
-					paths := []bool{false}
-					if f.name != "vlt1" {
-						paths = append(paths, true) // indexed
-					}
 					var gotPPC *trace.Trace
-					for _, indexed := range paths {
+					for _, indexed := range []bool{false, true} {
 						gotPPC = decodeVia(t, encPPC, indexed)
 						if gotPPC.Name != wantPPC.Name || gotPPC.Target != wantPPC.Target {
 							t.Fatalf("metadata differs: got %q/%q want %q/%q",
@@ -141,7 +131,7 @@ func TestFormatDifferential(t *testing.T) {
 							t.Fatalf("decoded records differ (indexed=%v)", indexed)
 						}
 					}
-					gotAXP := decodeVia(t, encAXP, f.name != "vlt1")
+					gotAXP := decodeVia(t, encAXP, true)
 					if !reflect.DeepEqual(gotAXP.Records, wantAXP.Records) {
 						t.Fatal("decoded AXP records differ")
 					}

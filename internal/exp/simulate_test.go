@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -265,10 +267,19 @@ func TestSimulateReturnsSourceError(t *testing.T) {
 	}
 }
 
-// fuzzSeeds returns small real traces in VLT1 and VLT2 (raw and flate
-// blocks) plus truncations of each.
+// fuzzSeeds returns the checked-in VLT1 fixtures (internal/trace's
+// testdata/vlt1: minimal and padded count fields) and a small real trace in
+// VLT2 (raw and flate blocks), plus truncations of each.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
+	var files [][]byte
+	for _, name := range []string{"shapes.vlt", "shapes.padded.vlt"} {
+		b, err := os.ReadFile(filepath.Join("..", "trace", "testdata", "vlt1", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		files = append(files, b)
+	}
 	p, err := randomProgram(1, prog.PPC)
 	if err != nil {
 		f.Fatal(err)
@@ -278,20 +289,15 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	tr.Records = tr.Records[:min(len(tr.Records), 400)]
-	var seeds [][]byte
-	encoders := []func(*bytes.Buffer) error{
-		func(b *bytes.Buffer) error { return trace.Write(b, tr) },
-		func(b *bytes.Buffer) error { return trace.Write2(b, tr, trace.Writer2Options{}) },
-		func(b *bytes.Buffer) error {
-			return trace.Write2(b, tr, trace.Writer2Options{Codec: trace.CodecFlate})
-		},
-	}
-	for _, enc := range encoders {
+	for _, opts := range []trace.Writer2Options{{}, {Codec: trace.CodecFlate}} {
 		var b bytes.Buffer
-		if err := enc(&b); err != nil {
+		if err := trace.Write2(&b, tr, opts); err != nil {
 			f.Fatal(err)
 		}
-		full := b.Bytes()
+		files = append(files, b.Bytes())
+	}
+	var seeds [][]byte
+	for _, full := range files {
 		seeds = append(seeds, full, full[:len(full)/2], full[:len(full)-1])
 	}
 	return seeds

@@ -65,20 +65,20 @@ func (c chunkSource) NextBatch(buf []trace.Record) (int, error) {
 
 // TestPipeNextBatchMatchesNext is the annotation-layer batch differential:
 // for every paper configuration, a Pipe refilled through NextBatch — from
-// the in-memory slice source and from the batch-decoding VLT1 Reader, at
+// the in-memory slice source and from the batch-decoding VLT2 Reader2, at
 // refill sizes 1, 7 and the full buffer — must produce exactly the records,
 // states and unit statistics of the record-at-a-time reference.
 func TestPipeNextBatchMatchesNext(t *testing.T) {
 	tr := mixedTrace(4096)
 	var enc bytes.Buffer
-	if err := trace.Write(&enc, tr); err != nil {
+	if err := trace.Write2(&enc, tr, trace.Writer2Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range Configs {
 		t.Run(cfg.Name, func(t *testing.T) {
 			wantAnn, wantStats := recordRef(t, cfg, tr.Records)
 			for _, k := range []int{1, 7, pipeBatch} {
-				rd, err := trace.NewReader(bytes.NewReader(enc.Bytes()))
+				rd, err := trace.NewReader2(bytes.NewReader(enc.Bytes()))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,7 +1,7 @@
 // Package perf is the benchmark-trajectory harness: a fixed grid of
-// pipeline-stage benchmarks (generation and VLT1 decode on their record and
-// batch paths, the VLT2 codec, annotation, the fused streaming cell, both
-// timing models, the predictor-zoo sweep) executed programmatically via
+// pipeline-stage benchmarks (generation on its record and batch paths, the
+// VLT2 codec, annotation, the fused streaming cell, both timing models, the
+// predictor-zoo sweep) executed programmatically via
 // testing.Benchmark and reported as a stable JSON document. The checked-in
 // BENCH_*.json snapshots give every PR a measurable perf baseline — see
 // PERFORMANCE.md for how to read and refresh them.
@@ -49,20 +49,22 @@ type Entry struct {
 
 // Report is the full bench-grid result.
 type Report struct {
-	Schema    string  `json:"schema"`
-	Bench     string  `json:"bench"`
-	Target    string  `json:"target"`
-	Scale     int     `json:"scale"`
-	Smoke     bool    `json:"smoke,omitempty"`
-	GoVersion string  `json:"go_version"`
-	GOOS      string  `json:"goos"`
-	GOARCH    string  `json:"goarch"`
-	Entries   []Entry `json:"entries"`
+	Schema    string `json:"schema"`
+	Bench     string `json:"bench"`
+	Target    string `json:"target"`
+	Scale     int    `json:"scale"`
+	Smoke     bool   `json:"smoke,omitempty"`
+	GoVersion string `json:"go_version"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	// NumCPU and GOMAXPROCS record the host's parallelism, so a snapshot's
+	// numbers are read against the CPUs that produced them.
+	NumCPU     int     `json:"num_cpu"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	Entries    []Entry `json:"entries"`
 	// Ratios are records/sec speedups between named grid cells; the keys
 	// are fixed. *_batch_speedup compares a batched stage against its
-	// record-at-a-time form on identical work. vlt2_size_ratio is the odd
-	// one out: VLT2-flate encoded bytes over VLT1 bytes (smaller is
-	// better), computed from Sizes rather than cell timings.
+	// record-at-a-time form on identical work.
 	Ratios map[string]float64 `json:"ratios"`
 	// Sizes records the at-rest encoded size of the workload trace in each
 	// format, in bytes.
@@ -80,63 +82,48 @@ type Options struct {
 }
 
 // workload is the prepared input shared by every grid cell: one benchmark
-// program, its materialized trace, memory-op slab, annotation, and its VLT1,
+// program, its materialized trace, memory-op slab, annotation, and its
 // VLT2-raw and VLT2-flate encodings.
 type workload struct {
 	prog    *prog.Program
 	tr      *trace.Trace
 	loads   lvp.LoadSlab
 	ann     trace.Annotation
-	enc     []byte // VLT1
 	enc2    []byte // VLT2, raw blocks
 	enc2f   []byte // VLT2, flate blocks
-	enc2x   []byte // VLT2, fixed-width blocks
 	records int64
 }
 
 // gridCell is one fixed grid entry: bytes != 0 marks byte-denominated
-// stages (MB/s reported against the VLT1 encoding size).
+// stages (MB/s reported against the size of the encoding they process).
 type gridCell struct {
 	name  string
 	bytes func(w *workload) int64
 	run   func(b *testing.B, w *workload)
 }
 
-func encBytes(w *workload) int64 { return int64(len(w.enc)) }
-
 func enc2Bytes(w *workload) int64 { return int64(len(w.enc2)) }
 
 func enc2fBytes(w *workload) int64 { return int64(len(w.enc2f)) }
 
-func enc2xBytes(w *workload) int64 { return int64(len(w.enc2x)) }
-
 // grid is the fixed benchmark grid, in report order. The codec2.* cells
 // cover the VLT2 block codec: encode, the sequential stream decoder, the
-// zero-copy indexed decoder, decode fanned out on the worker pool (drained
-// through the zero-copy NextBlock API), decode of flate-compressed blocks,
-// and the fixed-width codec both indexed and parallel. The pipeline.file.*
-// pair runs the full fused pipeline (decode → annotate → 620 timing model)
-// from an encoded trace in each format. The annotate.slab pair is the
-// suite's annotation path — a unit run over the trace's memory-op slab —
-// under Simple (32-entry CVU) and Constant (128-entry CVU).
+// zero-copy indexed decoder, and decode of flate-compressed blocks.
+// pipeline.file.vlt2 runs the full fused pipeline (indexed decode →
+// annotate → 620 timing model) from the encoded trace. The annotate.slab
+// pair is the suite's annotation path — a unit run over the trace's
+// memory-op slab — under Simple (32-entry CVU) and Constant (128-entry CVU).
 var grid = []gridCell{
 	{"gen.record", nil, benchGenRecord},
 	{"gen.batch", nil, benchGenBatch},
-	{"codec.decode.record", encBytes, benchDecodeRecord},
-	{"codec.decode.batch", encBytes, benchDecodeBatch},
-	{"codec.encode", encBytes, benchEncode},
 	{"codec2.encode", enc2Bytes, benchEncode2},
 	{"codec2.decode.batch", enc2Bytes, benchDecode2Batch},
 	{"codec2.decode.indexed", enc2Bytes, benchDecode2Indexed},
-	{"codec2.decode.parallel", enc2Bytes, benchDecode2Parallel},
 	{"codec2.decode.flate", enc2fBytes, benchDecode2Flate},
-	{"codec2.decode.fixed", enc2xBytes, benchDecode2Fixed},
-	{"codec2.decode.fixed.parallel", enc2xBytes, benchDecode2FixedParallel},
 	{"annotate.batch", nil, benchAnnotateBatch},
 	{"annotate.slab", nil, benchAnnotateSlab(lvp.Simple)},
 	{"annotate.slab.constant", nil, benchAnnotateSlab(lvp.Constant)},
 	{"pipeline.fused.batch", nil, benchFusedBatch},
-	{"pipeline.file.vlt1", encBytes, benchFileVLT1},
 	{"pipeline.file.vlt2", enc2Bytes, benchFileVLT2},
 	{"sim.620.batch", nil, benchSim620Batch},
 	{"sim.21164.batch", nil, benchSim21164Batch},
@@ -150,12 +137,6 @@ var grid = []gridCell{
 // adds, so a CVU search growing with occupancy shows up as drift.
 var ratios = []struct{ key, num, den string }{
 	{"gen_batch_speedup", "gen.batch", "gen.record"},
-	{"decode_batch_speedup", "codec.decode.batch", "codec.decode.record"},
-	{"vlt2_decode_speedup", "codec2.decode.indexed", "codec.decode.batch"},
-	{"vlt2_parallel_speedup", "codec2.decode.parallel", "codec.decode.batch"},
-	{"vlt2_fixed_speedup", "codec2.decode.fixed", "codec.decode.batch"},
-	{"vlt2_fixed_parallel_speedup", "codec2.decode.fixed.parallel", "codec.decode.batch"},
-	{"file_pipeline_speedup", "pipeline.file.vlt2", "pipeline.file.vlt1"},
 	{"zoo_shared_speedup", "zoo.sweep.shared", "zoo.sweep"},
 	{"annotate_constant_cost", "annotate.slab", "annotate.slab.constant"},
 }
@@ -188,6 +169,7 @@ func Run(opts Options) (*Report, error) {
 		Schema: Schema, Bench: opts.Bench, Target: prog.PPC.Name,
 		Scale: opts.Scale, Smoke: opts.Smoke,
 		GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Ratios: make(map[string]float64, len(ratios)),
 	}
 	perSec := make(map[string]float64, len(grid))
@@ -222,13 +204,8 @@ func Run(opts Options) (*Report, error) {
 		}
 	}
 	rep.Sizes = map[string]int64{
-		"vlt1":       int64(len(w.enc)),
 		"vlt2_raw":   int64(len(w.enc2)),
 		"vlt2_flate": int64(len(w.enc2f)),
-		"vlt2_fixed": int64(len(w.enc2x)),
-	}
-	if len(w.enc) > 0 {
-		rep.Ratios["vlt2_size_ratio"] = round3(float64(len(w.enc2f)) / float64(len(w.enc)))
 	}
 	rep.PeakRSSKB = peakRSSKB()
 	return rep, nil
@@ -259,10 +236,6 @@ func prepare(name string, scale int) (*workload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("perf: annotating %s: %w", name, err)
 	}
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, tr); err != nil {
-		return nil, fmt.Errorf("perf: encoding %s: %w", name, err)
-	}
 	var buf2 bytes.Buffer
 	if err := trace.Write2(&buf2, tr, trace.Writer2Options{}); err != nil {
 		return nil, fmt.Errorf("perf: vlt2 encoding %s: %w", name, err)
@@ -271,13 +244,9 @@ func prepare(name string, scale int) (*workload, error) {
 	if err := trace.Write2(&buf2f, tr, trace.Writer2Options{Codec: trace.CodecFlate}); err != nil {
 		return nil, fmt.Errorf("perf: vlt2/flate encoding %s: %w", name, err)
 	}
-	var buf2x bytes.Buffer
-	if err := trace.Write2(&buf2x, tr, trace.Writer2Options{Codec: trace.CodecFixed}); err != nil {
-		return nil, fmt.Errorf("perf: vlt2/fixed encoding %s: %w", name, err)
-	}
 	return &workload{
 		prog: p, tr: tr, loads: lvp.ExtractLoads(tr), ann: ann,
-		enc: buf.Bytes(), enc2: buf2.Bytes(), enc2f: buf2f.Bytes(), enc2x: buf2x.Bytes(),
+		enc2: buf2.Bytes(), enc2f: buf2f.Bytes(),
 		records: int64(len(tr.Records)),
 	}, nil
 }
@@ -351,56 +320,6 @@ func benchGenBatch(b *testing.B, w *workload) {
 	}
 }
 
-func benchDecodeRecord(b *testing.B, w *workload) {
-	for i := 0; i < b.N; i++ {
-		r, err := trace.NewReader(bytes.NewReader(w.enc))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := r.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func benchDecodeBatch(b *testing.B, w *workload) {
-	buf := make([]trace.Record, 256)
-	for i := 0; i < b.N; i++ {
-		r, err := trace.NewReader(bytes.NewReader(w.enc))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := r.NextBatch(buf); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func benchEncode(b *testing.B, w *workload) {
-	for i := 0; i < b.N; i++ {
-		wr, err := trace.NewWriterCount(io.Discard, w.tr.Name, w.tr.Target, uint64(len(w.tr.Records)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := range w.tr.Records {
-			if err := wr.WriteRecord(&w.tr.Records[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := wr.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchEncode2(b *testing.B, w *workload) {
 	for i := 0; i < b.N; i++ {
 		wr, err := trace.NewWriter2(io.Discard, w.tr.Name, w.tr.Target)
@@ -451,29 +370,6 @@ func benchDecode2Indexed(b *testing.B, w *workload) {
 	}
 }
 
-// drainBlocks drives pr through the zero-copy block API to EOF.
-func drainBlocks(b *testing.B, pr *trace.ParallelReader) {
-	for {
-		if _, err := pr.NextBlock(); err == io.EOF {
-			return
-		} else if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchDecode2Parallel(b *testing.B, w *workload) {
-	for i := 0; i < b.N; i++ {
-		r, err := trace.NewIndexedReaderBytes(w.enc2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pr := r.Parallel(0)
-		drainBlocks(b, pr)
-		pr.Close()
-	}
-}
-
 func benchDecode2Flate(b *testing.B, w *workload) {
 	buf := make([]trace.Record, 256)
 	for i := 0; i < b.N; i++ {
@@ -482,29 +378,6 @@ func benchDecode2Flate(b *testing.B, w *workload) {
 			b.Fatal(err)
 		}
 		drainDecoder(b, r, buf)
-	}
-}
-
-func benchDecode2Fixed(b *testing.B, w *workload) {
-	buf := make([]trace.Record, 256)
-	for i := 0; i < b.N; i++ {
-		r, err := trace.NewIndexedReaderBytes(w.enc2x)
-		if err != nil {
-			b.Fatal(err)
-		}
-		drainDecoder(b, r, buf)
-	}
-}
-
-func benchDecode2FixedParallel(b *testing.B, w *workload) {
-	for i := 0; i < b.N; i++ {
-		r, err := trace.NewIndexedReaderBytes(w.enc2x)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pr := r.Parallel(0)
-		drainBlocks(b, pr)
-		pr.Close()
 	}
 }
 
@@ -546,11 +419,12 @@ func benchFusedBatch(b *testing.B, w *workload) {
 	}
 }
 
-// benchFileVLT1 runs the full fused pipeline — decode, annotate, 620 timing
-// model — sourced from an encoded VLT1 trace, the pre-VLT2 file path.
-func benchFileVLT1(b *testing.B, w *workload) {
+// benchFileVLT2 runs the full fused pipeline — decode, annotate, 620 timing
+// model — sourced from the encoded trace: indexed zero-copy blocks feeding
+// the annotate+simulate chain.
+func benchFileVLT2(b *testing.B, w *workload) {
 	for i := 0; i < b.N; i++ {
-		r, err := trace.NewReader(bytes.NewReader(w.enc))
+		r, err := trace.NewIndexedReaderBytes(w.enc2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -561,26 +435,6 @@ func benchFileVLT1(b *testing.B, w *workload) {
 		if _, err := ppc620.Simulate(pipe, ppc620.Config620(), lvp.Simple.Name, nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchFileVLT2 is benchFileVLT1 on the VLT2 path: indexed zero-copy blocks
-// decoded on the worker pool, feeding the same annotate+simulate chain.
-func benchFileVLT2(b *testing.B, w *workload) {
-	for i := 0; i < b.N; i++ {
-		r, err := trace.NewIndexedReaderBytes(w.enc2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pr := r.Parallel(0)
-		pipe, err := lvp.NewPipe(pr, lvp.Simple, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ppc620.Simulate(pipe, ppc620.Config620(), lvp.Simple.Name, nil); err != nil {
-			b.Fatal(err)
-		}
-		pr.Close()
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // TestRunGridShape runs the grid at minimal sizing and pins the report's
 // deterministic structure: schema, entry names in grid order, the fixed
 // ratio keys, and sane measurements (positive throughput everywhere, zero
-// allocs/record on the streaming decode hot paths).
+// allocs/record on the VLT2 decode hot paths).
 func TestRunGridShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid run is slow under -short")
@@ -43,7 +43,7 @@ func TestRunGridShape(t *testing.T) {
 	}
 	for _, e := range rep.Entries {
 		switch e.Name {
-		case "codec.decode.record", "codec.decode.batch":
+		case "codec2.decode.batch", "codec2.decode.indexed", "codec2.decode.flate":
 			// One reader allocation per pass amortizes below 0.001
 			// allocs/record on any real trace; a regression to per-record
 			// allocation would show up as >= 1 here.

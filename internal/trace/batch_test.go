@@ -40,10 +40,10 @@ func drainBatch(r *Reader, bufSize int) ([]Record, error) {
 	}
 }
 
-// TestReaderNextBatchMatchesNext is the batch layer's codec differential:
+// TestReaderNextBatchMatchesNext is the VLT1 Reader's batch differential:
 // NextBatch must decode exactly the record sequence Next does, for buffer
-// sizes spanning the degenerate (1), the awkward (odd, smaller than the
-// peek window) and the typical (pump-sized and larger).
+// sizes spanning the degenerate (1), the awkward (odd) and the typical
+// (pump-sized and larger).
 func TestReaderNextBatchMatchesNext(t *testing.T) {
 	enc := encodeTrace(genTrace(5003))
 	want, err := func() ([]Record, error) {
@@ -74,7 +74,7 @@ func TestReaderNextBatchMatchesNext(t *testing.T) {
 // TestReaderNextBatchErrorsMatchNext truncates and corrupts encoded streams
 // at every byte offset: the batched reader must deliver exactly the records
 // the record-at-a-time reader delivers and then fail with the identical
-// error message (the fast path falls back to Next for anything invalid).
+// error message.
 func TestReaderNextBatchErrorsMatchNext(t *testing.T) {
 	enc := encodeTrace(genTrace(64))
 	for off := 10; off < len(enc); off += 7 {
@@ -162,30 +162,5 @@ func TestReaderNextBatchAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Reader.NextBatch allocates %v allocs/batch, want 0", avg)
-	}
-}
-
-// BenchmarkStreamDecodeBatch measures the batched VLT1 decode path; its
-// per-record baseline is BenchmarkStreamDecode in stream_test.go, and the
-// ratio is the bench harness's decode_batch_speedup trajectory metric.
-func BenchmarkStreamDecodeBatch(b *testing.B) {
-	enc := encodeTrace(genTrace(1 << 16))
-	b.SetBytes(int64(len(enc)))
-	b.ReportAllocs()
-	buf := make([]Record, 256)
-	for i := 0; i < b.N; i++ {
-		r, err := NewReader(bytes.NewReader(enc))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			_, err := r.NextBatch(buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }

@@ -20,13 +20,12 @@ import (
 // as signed deltas from the previous record's PC (almost always +4), which
 // keeps typical records to a few bytes.
 //
-// The count field is normally a minimal uvarint; streaming writers that do
-// not know the count up front reserve a padded fixed-width uvarint instead
-// and backpatch it (see Writer). Both decode identically.
+// The count field is normally a minimal uvarint; streaming writers that did
+// not know the count up front reserved a padded ten-byte uvarint instead and
+// backpatched it. Both decode identically.
 //
-// The encoder and decoder live in stream.go (Writer.WriteRecord and
-// Reader.Next); Read and Write below are the whole-trace convenience layer
-// on top of them.
+// VLT1 is read-only: the Reader in stream.go decodes it (Open and OpenFile
+// detect it on its magic), and every trace this package writes is VLT2.
 
 const magic = "VLT1"
 
@@ -50,55 +49,11 @@ var (
 // strings.
 const MaxHeaderString = 1 << 12
 
-// Write encodes t to w in the VLT1 binary format.
-func Write(w io.Writer, t *Trace) error {
-	sw, err := NewWriterCount(w, t.Name, t.Target, uint64(len(t.Records)))
-	if err != nil {
-		return err
-	}
-	for i := range t.Records {
-		if err := sw.WriteRecord(&t.Records[i]); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
-}
-
-// Read decodes a VLT1 trace from r.
-func Read(r io.Reader) (*Trace, error) {
-	sr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Name: sr.Name(), Target: sr.Target()}
-	// Allocate incrementally rather than trusting the count header: a
-	// malformed input claiming billions of records must fail with a
-	// decode error, not an enormous up-front allocation.
-	const allocChunk = 1 << 16
-	t.Records = make([]Record, 0, min(sr.Count(), allocChunk))
-	for {
-		rec, err := sr.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, *rec)
-	}
-}
-
 func writeString(bw *bufio.Writer, s string) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], uint64(len(s)))
 	bw.Write(buf[:n])
 	bw.WriteString(s)
-}
-
-func writeUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	bw.Write(buf[:n])
 }
 
 func readString(br *bufio.Reader) (string, error) {

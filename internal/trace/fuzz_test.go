@@ -26,19 +26,11 @@ func fuzzSeedTrace() *Trace {
 	}
 }
 
-func encodeTrace(t *Trace) []byte {
-	var buf bytes.Buffer
-	if err := Write(&buf, t); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzRoundTrip feeds arbitrary bytes to the decoder. The invariants:
+// FuzzRoundTrip feeds arbitrary bytes to the VLT1 decoder. The invariants:
 //
-//  1. Read never panics — malformed inputs must return an error;
-//  2. any trace Read accepts is canonical: decode(encode(decode(x))) ==
-//     decode(x), record for record.
+//  1. decoding never panics — malformed inputs must return an error;
+//  2. any trace the decoder accepts is canonical: decode(encode(decode(x)))
+//     == decode(x), record for record, through the reference encoder.
 //
 // The seed corpus covers a valid encoding of every record shape plus the
 // malformed prefixes the decoder's error paths care about.
@@ -54,17 +46,13 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(append(bytes.Clone(valid), 0xAA))                                                   // trailing garbage (ignored)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Read(bytes.NewReader(data))
+		tr, err := readVLT1(data)
 		if err != nil {
 			return // malformed input rejected; that is the contract
 		}
-		// Accepted input: encoding must succeed and decode back to the
-		// exact same records.
-		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			t.Fatalf("Write of decoded trace failed: %v", err)
-		}
-		tr2, err := Read(bytes.NewReader(buf.Bytes()))
+		// Accepted input: it must re-encode and decode back to the exact
+		// same records.
+		tr2, err := readVLT1(encodeTrace(tr))
 		if err != nil {
 			t.Fatalf("re-decode of encoded trace failed: %v", err)
 		}
@@ -87,7 +75,7 @@ func FuzzRoundTrip(f *testing.F) {
 // under -fuzz.
 func TestRoundTripSeed(t *testing.T) {
 	want := fuzzSeedTrace()
-	got, err := Read(bytes.NewReader(encodeTrace(want)))
+	got, err := readVLT1(encodeTrace(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +122,8 @@ func TestReadRejectsMalformed(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tc.mutate(bytes.Clone(valid))
-			if _, err := Read(bytes.NewReader(data)); err == nil {
-				t.Fatalf("Read accepted malformed input (%s)", tc.name)
+			if _, err := readVLT1(data); err == nil {
+				t.Fatalf("decoder accepted malformed input (%s)", tc.name)
 			}
 		})
 	}

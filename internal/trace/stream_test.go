@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,45 +58,8 @@ func genTrace(n int) *Trace {
 	return t
 }
 
-// memWriterAt is an in-memory io.Writer + io.WriterAt: appends on Write,
-// overwrites on WriteAt. It lets tests exercise the Writer's backpatch path
-// without a file.
-type memWriterAt struct{ b []byte }
-
-func (m *memWriterAt) Write(p []byte) (int, error) {
-	m.b = append(m.b, p...)
-	return len(p), nil
-}
-
-func (m *memWriterAt) WriteAt(p []byte, off int64) (int, error) {
-	if off < 0 || int(off)+len(p) > len(m.b) {
-		return 0, errors.New("memWriterAt: write outside written region")
-	}
-	copy(m.b[off:], p)
-	return len(p), nil
-}
-
-// encodePadded encodes t with the unknown-count streaming Writer, so the
-// count field is the padded fixed-width form.
-func encodePadded(t *Trace) []byte {
-	var m memWriterAt
-	sw, err := NewWriter(&m, t.Name, t.Target)
-	if err != nil {
-		panic(err)
-	}
-	for i := range t.Records {
-		if err := sw.WriteRecord(&t.Records[i]); err != nil {
-			panic(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		panic(err)
-	}
-	return m.b
-}
-
-// decodeStream drains a Reader into a Trace, the long way around, so tests
-// compare the streaming path against Read explicitly.
+// decodeStream drains a Reader into a Trace record-at-a-time, so tests
+// compare the streaming path against the whole-trace ReadAll explicitly.
 func decodeStream(tb testing.TB, data []byte) (*Reader, *Trace) {
 	tb.Helper()
 	sr, err := NewReader(bytes.NewReader(data))
@@ -118,9 +79,9 @@ func decodeStream(tb testing.TB, data []byte) (*Reader, *Trace) {
 	}
 }
 
-// TestReaderMatchesRead pins the tentpole invariant at the decode layer:
-// the record-at-a-time Reader yields exactly the records the whole-trace
-// Read materializes, for both count encodings.
+// TestReaderMatchesRead pins the decode layer's invariant: the
+// record-at-a-time Reader yields exactly the records the whole-trace
+// ReadAll(Open) materializes, for both count encodings.
 func TestReaderMatchesRead(t *testing.T) {
 	want := genTrace(1000)
 	for _, enc := range []struct {
@@ -131,16 +92,20 @@ func TestReaderMatchesRead(t *testing.T) {
 		{"padded count", encodePadded(want)},
 	} {
 		t.Run(enc.name, func(t *testing.T) {
-			ref, err := Read(bytes.NewReader(enc.data))
+			d, err := Open(bytes.NewReader(enc.data))
 			if err != nil {
-				t.Fatalf("Read: %v", err)
+				t.Fatalf("Open: %v", err)
+			}
+			ref, err := ReadAll(d)
+			if err != nil {
+				t.Fatalf("ReadAll: %v", err)
 			}
 			sr, got := decodeStream(t, enc.data)
 			if got.Name != ref.Name || got.Target != ref.Target {
 				t.Fatalf("header: got %q/%q, want %q/%q", got.Name, got.Target, ref.Name, ref.Target)
 			}
 			if !reflect.DeepEqual(got.Records, ref.Records) {
-				t.Fatal("streaming decode differs from Read")
+				t.Fatal("streaming decode differs from ReadAll")
 			}
 			if !reflect.DeepEqual(got.Records, want.Records) {
 				t.Fatal("decode differs from the source records")
@@ -153,178 +118,6 @@ func TestReaderMatchesRead(t *testing.T) {
 				if _, err := sr.Next(); err != io.EOF {
 					t.Fatalf("Next after EOF: %v", err)
 				}
-			}
-		})
-	}
-}
-
-// TestPaddedEncodingLayout pins that the padded-count encoding differs from
-// the minimal one only in the width of the count field: same header before
-// it, byte-identical record stream after it.
-func TestPaddedEncodingLayout(t *testing.T) {
-	tr := genTrace(321)
-	minimal := encodeTrace(tr)
-	padded := encodePadded(tr)
-	headerLen := len(magic) +
-		uvarintLen(uint64(len(tr.Name))) + len(tr.Name) +
-		uvarintLen(uint64(len(tr.Target))) + len(tr.Target)
-	minCount := uvarintLen(uint64(len(tr.Records)))
-	if !bytes.Equal(minimal[:headerLen], padded[:headerLen]) {
-		t.Fatal("headers before the count field differ")
-	}
-	if !bytes.Equal(minimal[headerLen+minCount:], padded[headerLen+countFieldWidth:]) {
-		t.Fatal("record streams after the count field differ")
-	}
-	if len(padded)-len(minimal) != countFieldWidth-minCount {
-		t.Fatalf("padded is %d bytes longer, want %d", len(padded)-len(minimal), countFieldWidth-minCount)
-	}
-}
-
-// TestWriterCountByteIdentical pins that the known-count streaming Writer
-// produces byte-for-byte the same output as the whole-trace Write.
-func TestWriterCountByteIdentical(t *testing.T) {
-	tr := genTrace(500)
-	var buf bytes.Buffer
-	sw, err := NewWriterCount(&buf, tr.Name, tr.Target, uint64(len(tr.Records)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Records {
-		if err := sw.WriteRecord(&tr.Records[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sw.Count() != uint64(len(tr.Records)) {
-		t.Fatalf("Count()=%d, want %d", sw.Count(), len(tr.Records))
-	}
-	if !bytes.Equal(buf.Bytes(), encodeTrace(tr)) {
-		t.Fatal("NewWriterCount output is not byte-identical to Write")
-	}
-}
-
-// writeSeekerOnly hides an *os.File's WriteAt so the Writer's Close must
-// take the io.WriteSeeker backpatch path.
-type writeSeekerOnly struct{ f *os.File }
-
-func (s writeSeekerOnly) Write(p []byte) (int, error)               { return s.f.Write(p) }
-func (s writeSeekerOnly) Seek(off int64, whence int) (int64, error) { return s.f.Seek(off, whence) }
-
-// TestStreamWriterBackpatch covers the unknown-count Writer against every
-// backpatch capability: io.WriterAt (*os.File directly), io.WriteSeeker
-// (file behind a seek-only wrapper), and neither (ErrNotSeekable).
-func TestStreamWriterBackpatch(t *testing.T) {
-	tr := genTrace(777)
-	writeAll := func(t *testing.T, w io.Writer) *Writer {
-		t.Helper()
-		sw, err := NewWriter(w, tr.Name, tr.Target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range tr.Records {
-			if err := sw.WriteRecord(&tr.Records[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return sw
-	}
-	check := func(t *testing.T, path string) {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("decoding backpatched file: %v", err)
-		}
-		if got.Name != tr.Name || got.Target != tr.Target || !reflect.DeepEqual(got.Records, tr.Records) {
-			t.Fatal("backpatched file does not decode to the source trace")
-		}
-	}
-
-	t.Run("writerAt", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "wa.vlt")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		sw := writeAll(t, f)
-		if err := sw.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		check(t, path)
-	})
-
-	t.Run("writeSeeker", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "ws.vlt")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		sw := writeAll(t, writeSeekerOnly{f})
-		if err := sw.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		// After Close the file offset must be back at the end, so a caller
-		// appending (or stat'ing size) sees the whole stream.
-		off, err := f.Seek(0, io.SeekCurrent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if off != fi.Size() {
-			t.Fatalf("offset after Close = %d, want file size %d", off, fi.Size())
-		}
-		check(t, path)
-	})
-
-	t.Run("notSeekable", func(t *testing.T) {
-		var buf bytes.Buffer
-		sw := writeAll(t, &buf)
-		if err := sw.Close(); !errors.Is(err, ErrNotSeekable) {
-			t.Fatalf("Close = %v, want ErrNotSeekable", err)
-		}
-	})
-}
-
-// TestWriterCountMismatch pins the promised-count contract: Close fails
-// with ErrCountMismatch when the writer lied about the record count, in
-// either direction.
-func TestWriterCountMismatch(t *testing.T) {
-	tr := genTrace(5)
-	for _, tc := range []struct {
-		name    string
-		promise uint64
-		write   int
-	}{
-		{"fewer than promised", 5, 3},
-		{"more than promised", 2, 5},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			sw, err := NewWriterCount(&buf, tr.Name, tr.Target, tc.promise)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < tc.write; i++ {
-				if err := sw.WriteRecord(&tr.Records[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sw.Close(); !errors.Is(err, ErrCountMismatch) {
-				t.Fatalf("Close = %v, want ErrCountMismatch", err)
-			}
-			// The mismatch is sticky.
-			if err := sw.Close(); !errors.Is(err, ErrCountMismatch) {
-				t.Fatalf("second Close = %v, want ErrCountMismatch", err)
 			}
 		})
 	}
@@ -348,11 +141,11 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 }
 
 // TestWriterStickyError pins that an underlying write failure surfaces from
-// WriteRecord (not silently swallowed by buffering) and stays sticky for
-// every later call including Close.
+// Writer2.WriteRecord (not silently swallowed by buffering) and stays sticky
+// for every later call including Close.
 func TestWriterStickyError(t *testing.T) {
 	tr := genTrace(64)
-	sw, err := NewWriterCount(&failAfterWriter{limit: 1 << 16}, tr.Name, tr.Target, 1<<40)
+	sw, err := NewWriter2(&failAfterWriter{limit: 1 << 16}, tr.Name, tr.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,17 +190,17 @@ func TestHeaderStringCap(t *testing.T) {
 		}
 	})
 	t.Run("read path too", func(t *testing.T) {
-		_, err := Read(bytes.NewReader(oversize(MaxHeaderString + 1)))
+		_, err := Open(bytes.NewReader(oversize(MaxHeaderString + 1)))
 		if !errors.Is(err, ErrStringTooLong) {
-			t.Fatalf("Read = %v, want ErrStringTooLong", err)
+			t.Fatalf("Open = %v, want ErrStringTooLong", err)
 		}
 	})
 	t.Run("exactly at cap accepted", func(t *testing.T) {
 		name := strings.Repeat("n", MaxHeaderString)
 		tr := &Trace{Name: name, Target: "ppc"}
-		got, err := Read(bytes.NewReader(encodeTrace(tr)))
+		got, err := readVLT1(encodeTrace(tr))
 		if err != nil {
-			t.Fatalf("Read rejected a %d-byte name: %v", MaxHeaderString, err)
+			t.Fatalf("decoder rejected a %d-byte name: %v", MaxHeaderString, err)
 		}
 		if got.Name != name {
 			t.Fatal("cap-length name did not round-trip")
@@ -430,7 +223,7 @@ func writeUvarintBuf(buf *bytes.Buffer, v uint64) {
 
 // FuzzStreamRoundTrip is the streaming-layer twin of FuzzRoundTrip: the
 // record-at-a-time Reader must never panic on arbitrary bytes, and any
-// stream it fully decodes must re-encode (via the streaming Writer) to a
+// stream it fully decodes must re-encode (via the reference encoder) to a
 // stream that decodes to the same records.
 func FuzzStreamRoundTrip(f *testing.F) {
 	valid := encodeTrace(fuzzSeedTrace())
@@ -461,21 +254,8 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			}
 			recs = append(recs, *rec)
 		}
-		// Fully decoded: stream it back out and decode again.
-		var buf bytes.Buffer
-		sw, err := NewWriterCount(&buf, sr.Name(), sr.Target(), uint64(len(recs)))
-		if err != nil {
-			t.Fatalf("NewWriterCount: %v", err)
-		}
-		for i := range recs {
-			if err := sw.WriteRecord(&recs[i]); err != nil {
-				t.Fatalf("WriteRecord %d: %v", i, err)
-			}
-		}
-		if err := sw.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		sr2, got := decodeStream(t, buf.Bytes())
+		// Fully decoded: encode it again and decode the result.
+		sr2, got := decodeStream(t, encodeTrace(&Trace{Name: sr.Name(), Target: sr.Target(), Records: recs}))
 		if sr2.Name() != sr.Name() || sr2.Target() != sr.Target() {
 			t.Fatalf("header drift: %q/%q -> %q/%q", sr.Name(), sr.Target(), sr2.Name(), sr2.Target())
 		}
@@ -519,36 +299,15 @@ func TestReaderNextAllocFree(t *testing.T) {
 	}
 }
 
-// TestWriterWriteRecordAllocFree is the encode-side twin: WriteRecord must
-// not allocate per record.
+// TestWriterWriteRecordAllocFree is the encode-side twin, on the flate
+// codec: Writer2.WriteRecord must not allocate per record, block flushes
+// and DEFLATE included.
 func TestWriterWriteRecordAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	recs := genTrace(64).Records
-	sw, err := NewWriterCount(io.Discard, "gen", "ppc", 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	for ; i < 16; i++ { // warm up
-		if err := sw.WriteRecord(&recs[i%len(recs)]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(4096, func() {
-		if err := sw.WriteRecord(&recs[i%len(recs)]); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if avg != 0 {
-		t.Fatalf("Writer.WriteRecord allocates %.2f objects/record, want 0", avg)
-	}
+	writer2AllocFree(t, Writer2Options{Codec: CodecFlate})
 }
 
-// BenchmarkStreamDecode measures the record-at-a-time decode hot path;
-// BenchmarkMemDecode is the whole-trace Read baseline on the same bytes.
+// BenchmarkStreamDecode measures the VLT1 Reader's record-at-a-time decode
+// path.
 func BenchmarkStreamDecode(b *testing.B) {
 	data := encodeTrace(genTrace(1 << 16))
 	b.SetBytes(int64(len(data)))
@@ -565,51 +324,6 @@ func BenchmarkStreamDecode(b *testing.B) {
 			} else if err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-func BenchmarkMemDecode(b *testing.B) {
-	data := encodeTrace(genTrace(1 << 16))
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Read(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStreamEncode measures the record-at-a-time encode hot path;
-// BenchmarkMemEncode is the whole-trace Write baseline.
-func BenchmarkStreamEncode(b *testing.B) {
-	tr := genTrace(1 << 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sw, err := NewWriterCount(io.Discard, tr.Name, tr.Target, uint64(len(tr.Records)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for j := range tr.Records {
-			if err := sw.WriteRecord(&tr.Records[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := sw.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMemEncode(b *testing.B) {
-	tr := genTrace(1 << 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Write(io.Discard, tr); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -45,11 +44,7 @@ func TestSummarize(t *testing.T) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	got, err := Read(&buf)
+	got, err := readVLT1(encodeTrace(tr))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -62,10 +57,10 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOPE----"))); err == nil {
+	if _, err := readVLT1([]byte("NOPE----")); err == nil {
 		t.Fatal("expected magic error")
 	}
-	if _, err := Read(bytes.NewReader([]byte("VL"))); err == nil {
+	if _, err := readVLT1([]byte("VL")); err == nil {
 		t.Fatal("expected short-read error")
 	}
 }
@@ -104,11 +99,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 	for range 50 {
 		tr := gen()
-		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		got, err := Read(&buf)
+		got, err := readVLT1(encodeTrace(tr))
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -165,11 +156,7 @@ func TestCodecPersistsResultValues(t *testing.T) {
 		{PC: 0x1004, Op: isa.FADD, Rd: 2, Ra: 1, Rb: 3, Value: 0x3FF0000000000000},
 		{PC: 0x1008, Op: isa.SUB, Rd: 6, Ra: 5, Rb: 5, Value: 0}, // zero omitted, still round-trips
 	}}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := readVLT1(encodeTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +168,7 @@ func TestCodecPersistsResultValues(t *testing.T) {
 func TestCodecRobustAgainstGarbage(t *testing.T) {
 	// Malformed inputs must produce errors, never panics or giant
 	// allocations. Start from a valid encoding and corrupt it.
-	var buf bytes.Buffer
-	if err := Write(&buf, sampleTrace()); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := encodeTrace(sampleTrace())
 	rnd := rand.New(rand.NewSource(11))
 	for i := 0; i < 500; i++ {
 		corrupt := append([]byte(nil), valid...)
@@ -210,7 +193,7 @@ func TestCodecRobustAgainstGarbage(t *testing.T) {
 					t.Fatalf("codec panicked on corrupt input: %v", r)
 				}
 			}()
-			tr, err := Read(bytes.NewReader(corrupt))
+			tr, err := readVLT1(corrupt)
 			// Either an error, or a decode that at least respects
 			// its own record count.
 			if err == nil && tr == nil {

@@ -23,7 +23,7 @@ import (
 //	block   := kind byte (=0)
 //	           count     uvarint   records in the block (1..MaxBlockRecords)
 //	           rawLen    uvarint   payload bytes before compression
-//	           codec     byte      bit 0 = DEFLATE, bit 1 = fixed-width
+//	           codec     byte      0 = raw, 1 = DEFLATE
 //	           encLen    uvarint   payload bytes on the wire
 //	           firstPC   uvarint   PC of the block's first record (delta anchor)
 //	           firstAddr uvarint   Addr of the block's first memory record
@@ -61,20 +61,13 @@ import (
 // branch mispredictions and its only multi-load varints.
 //	[dtarg] signed varint Targ-PC, present iff op is a branch
 //
-// Fixed-width blocks (codec bit 1) skip the delta form entirely: each record
-// is fixedRecSize2 bytes of little-endian fields at fixed offsets (see the
-// constant), decoding at memcpy speed on little-endian hosts. The same
-// canonical rules apply — a non-memory record must carry Addr 0, a
-// non-branch record Targ 0, the pad byte must be zero — so the two record
-// encodings accept exactly the same record streams.
-//
 // The footer's index entries carry each block's absolute file offset, total
 // on-wire size (header + payload) and record count, so a reader holding an
-// io.ReaderAt can seek to record N in O(log blocks) and decode disjoint
-// blocks in parallel (vlt2_index.go, vlt2_parallel.go). The trailer's fixed
-// width lets it find the footer from the end of the file. Sequential readers
-// need none of that: blocks are self-describing, so a pipe decodes front to
-// back (vlt2_reader.go), cross-checking the footer as it passes it.
+// io.ReaderAt can seek to record N in O(log blocks) (vlt2_index.go). The
+// trailer's fixed width lets it find the footer from the end of the file.
+// Sequential readers need none of that: blocks are self-describing, so a
+// pipe decodes front to back (vlt2_reader.go), cross-checking the footer as
+// it passes it.
 
 const (
 	magic2        = "VLT2"
@@ -99,28 +92,7 @@ const (
 	// Blocks that DEFLATE fails to shrink are stored raw, so the format
 	// never grows over CodecRaw by more than the headers.
 	CodecFlate BlockCodec = 1
-	// CodecFixed stores each record as fixedRecSize2 little-endian bytes
-	// at fixed offsets — no deltas, no varints — trading at-rest size for
-	// near-memcpy decode. Suited to spill files and intermediate traces
-	// that are written once and decoded hot.
-	CodecFixed BlockCodec = 2
-	// CodecFixedFlate is CodecFixed with DEFLATE (BestSpeed) per block;
-	// fixed-width records compress well, recovering much of the size cost.
-	CodecFixedFlate BlockCodec = 3
 )
-
-// Codec bits: bit 0 selects DEFLATE compression, bit 1 selects fixed-width
-// record encoding. The two axes are orthogonal.
-const (
-	codecFlateBit = 1
-	codecFixedBit = 2
-)
-
-// fixedRecSize2 is the wire size of one CodecFixed record. The layout
-// mirrors Record itself: PC, Addr, Value at 0/8/16, Imm (two's complement)
-// at 24, the byte fields Op, Rd, Ra, Rb, Class, Size, Taken at 32..38, a
-// zero pad byte at 39, and Targ at 40.
-const fixedRecSize2 = 48
 
 func (c BlockCodec) String() string {
 	switch c {
@@ -128,23 +100,18 @@ func (c BlockCodec) String() string {
 		return "raw"
 	case CodecFlate:
 		return "flate"
-	case CodecFixed:
-		return "fixed"
-	case CodecFixedFlate:
-		return "fixed-flate"
 	}
 	return fmt.Sprintf("BlockCodec(%d)", uint8(c))
 }
 
-// BlockCodecByName resolves a codec flag value ("raw", "flate", "fixed",
-// or "fixed-flate").
+// BlockCodecByName resolves a codec flag value ("raw" or "flate").
 func BlockCodecByName(name string) (BlockCodec, error) {
-	for _, c := range []BlockCodec{CodecRaw, CodecFlate, CodecFixed, CodecFixedFlate} {
+	for _, c := range []BlockCodec{CodecRaw, CodecFlate} {
 		if c.String() == name {
 			return c, nil
 		}
 	}
-	return 0, fmt.Errorf("trace: unknown block codec %q (want raw, flate, fixed, or fixed-flate)", name)
+	return 0, fmt.Errorf("trace: unknown block codec %q (want raw or flate)", name)
 }
 
 const (
@@ -220,6 +187,16 @@ const (
 	fHasVal = 19
 )
 
+// uvarintLen is the encoded size of v as a minimal uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
 // zigzag maps a signed delta onto the uvarint space.
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 
@@ -294,28 +271,6 @@ func appendRecord2(dst []byte, r *Record, prevPC, prevAddr uint64) ([]byte, uint
 	return dst, prevPC, prevAddr
 }
 
-// appendRecordFixed appends r's CodecFixed encoding: fixedRecSize2 bytes of
-// little-endian fields at fixed offsets, one explicit store per field so the
-// output is identical on every platform (struct padding never leaks).
-func appendRecordFixed(dst []byte, r *Record) []byte {
-	var b [fixedRecSize2]byte
-	binary.LittleEndian.PutUint64(b[0:], r.PC)
-	binary.LittleEndian.PutUint64(b[8:], r.Addr)
-	binary.LittleEndian.PutUint64(b[16:], r.Value)
-	binary.LittleEndian.PutUint64(b[24:], uint64(r.Imm))
-	b[32] = uint8(r.Op)
-	b[33] = uint8(r.Rd)
-	b[34] = uint8(r.Ra)
-	b[35] = uint8(r.Rb)
-	b[36] = uint8(r.Class)
-	b[37] = r.Size
-	if r.Taken {
-		b[38] = 1
-	}
-	binary.LittleEndian.PutUint64(b[40:], r.Targ)
-	return append(dst, b[:]...)
-}
-
 // Writer2Options configure a VLT2 writer. The zero value selects the
 // defaults (DefaultBlockRecords records per block, CodecRaw payloads).
 type Writer2Options struct {
@@ -334,9 +289,9 @@ type indexEnt2 struct {
 }
 
 // Writer2 encodes a VLT2 stream record-at-a-time in constant memory (one
-// block buffered). Unlike the VLT1 Writer it never needs to backpatch — the
-// record count and block index live in the footer — so any io.Writer works,
-// seekable or not, with or without a known count.
+// block buffered). It never needs to backpatch — the record count and block
+// index live in the footer — so any io.Writer works, seekable or not, with
+// or without a known count.
 type Writer2 struct {
 	w      *bufio.Writer
 	opts   Writer2Options
@@ -373,7 +328,7 @@ func NewWriter2Opts(w io.Writer, name, target string, opts Writer2Options) (*Wri
 	if opts.BlockRecords < 1 || opts.BlockRecords > MaxBlockRecords {
 		return nil, fmt.Errorf("trace: block size %d out of range [1, %d]", opts.BlockRecords, MaxBlockRecords)
 	}
-	if opts.Codec > CodecFixedFlate {
+	if opts.Codec > CodecFlate {
 		return nil, fmt.Errorf("trace: unknown block codec %d", opts.Codec)
 	}
 	bw, ok := w.(*bufio.Writer)
@@ -391,7 +346,7 @@ func NewWriter2Opts(w io.Writer, name, target string, opts Writer2Options) (*Wri
 	if _, err := bw.Write(nil); err != nil {
 		return nil, err
 	}
-	if opts.Codec&codecFlateBit != 0 {
+	if opts.Codec == CodecFlate {
 		fw, err := flate.NewWriter(&w2.cbuf, flate.BestSpeed)
 		if err != nil {
 			return nil, err
@@ -422,11 +377,7 @@ func (w *Writer2) WriteRecord(r *Record) error {
 		w.prevAddr = r.Addr
 		w.haveAddr = true
 	}
-	if w.opts.Codec&codecFixedBit != 0 {
-		w.payload = appendRecordFixed(w.payload, r)
-	} else {
-		w.payload, w.prevPC, w.prevAddr = appendRecord2(w.payload, r, w.prevPC, w.prevAddr)
-	}
+	w.payload, w.prevPC, w.prevAddr = appendRecord2(w.payload, r, w.prevPC, w.prevAddr)
 	w.bcount++
 	w.n++
 	if w.bcount >= w.opts.BlockRecords {
@@ -444,7 +395,7 @@ func (w *Writer2) flushBlock() error {
 	}
 	raw := w.payload
 	enc := raw
-	codec := w.opts.Codec &^ codecFlateBit
+	codec := CodecRaw
 	if w.fw != nil {
 		w.cbuf.Reset()
 		w.fw.Reset(&w.cbuf)
@@ -460,7 +411,7 @@ func (w *Writer2) flushBlock() error {
 		// compressed file is never slower *and* bigger per block.
 		if w.cbuf.Len() < len(raw) {
 			enc = w.cbuf.Bytes()
-			codec |= codecFlateBit
+			codec = CodecFlate
 		}
 	}
 	hdr := blockHdr2{

@@ -2,23 +2,26 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// fuzzCodecs covers every codec and an awkward block size, so the fuzz and
-// hostile-input gates exercise each decode path (varint, fixed, flate, and
-// multi-block boundaries).
+// fuzzCodecs covers both codecs at the default and an awkward block size,
+// so the fuzz and hostile-input gates exercise each decode path (varint,
+// flate, and multi-block boundaries).
 var fuzzCodecs = []Writer2Options{
 	{},
 	{Codec: CodecFlate},
-	{Codec: CodecFixed},
-	{Codec: CodecFixedFlate},
 	{BlockRecords: 7},
-	{Codec: CodecFixed, BlockRecords: 7},
+	{Codec: CodecFlate, BlockRecords: 7},
 }
 
 func encodeVLT2(tr *Trace, opts Writer2Options) []byte {
@@ -27,6 +30,34 @@ func encodeVLT2(tr *Trace, opts Writer2Options) []byte {
 		panic(err)
 	}
 	return buf.Bytes()
+}
+
+// forgeCodec rewrites block 0's codec byte and re-signs the block CRC over
+// the forged header and the block's uncompressed payload, so the codec byte
+// is the input's only defect.
+func forgeCodec(enc []byte, codec byte) []byte {
+	ir, err := NewIndexedReaderBytes(enc)
+	if err != nil {
+		panic(err)
+	}
+	e := ir.idx[0]
+	blk := enc[e.off : e.off+e.size]
+	h, payloadOff, err := parseBlockHdr(blk)
+	if err != nil {
+		panic(err)
+	}
+	var br blockReader
+	raw, err := br.decompress(&h, blk[payloadOff:])
+	if err != nil {
+		panic(err)
+	}
+	h.codec = BlockCodec(codec)
+	hdr := h.appendWire(nil)
+	out := bytes.Clone(enc)
+	copy(out[e.off:], hdr)
+	binary.LittleEndian.PutUint32(out[e.off+uint64(len(hdr)):],
+		crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, raw))
+	return out
 }
 
 // decodeAllVLT2 drains a decoder without a testing.T, for use inside the
@@ -61,6 +92,10 @@ func FuzzVLT2RoundTrip(f *testing.F) {
 	for _, opts := range fuzzCodecs {
 		f.Add(encodeVLT2(seed, opts))
 	}
+	// Codec bytes 2 and 3 named the retired fixed-width codecs; both must
+	// be rejected.
+	f.Add(forgeCodec(encodeVLT2(seed, Writer2Options{}), 2))
+	f.Add(forgeCodec(encodeVLT2(seed, Writer2Options{Codec: CodecFlate}), 3))
 	f.Add(encodeVLT2(&Trace{Name: "empty", Target: "axp"}, Writer2Options{}))
 	valid := encodeVLT2(seed, Writer2Options{BlockRecords: 64})
 	f.Add([]byte{})
@@ -96,9 +131,9 @@ func FuzzVLT2RoundTrip(f *testing.F) {
 			t.Fatal("indexed and sequential decode disagree on accepted input")
 		}
 		// Canonicality: accepted input must survive a re-encode round trip
-		// under each distinct payload codec.
+		// under each payload codec.
 		tr := &Trace{Name: sr.Name(), Target: sr.Target(), Records: srecs}
-		for _, opts := range fuzzCodecs[:3] {
+		for _, opts := range fuzzCodecs[:2] {
 			re, err := NewReader2(bytes.NewReader(encodeVLT2(tr, opts)))
 			if err != nil {
 				t.Fatalf("re-encode (%v) rejected: %v", opts, err)
@@ -134,19 +169,53 @@ func rebuiltFooter(enc []byte, ir *IndexedReader, entries []indexEnt2, total uin
 	return out
 }
 
+// corpusSeed decodes one checked-in FuzzVLT2RoundTrip corpus entry.
+func corpusSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzVLT2RoundTrip", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, okPrefix := strings.CutPrefix(strings.TrimSpace(string(data)), "go test fuzz v1\n[]byte(")
+	lit, okSuffix := strings.CutSuffix(lit, ")")
+	if !okPrefix || !okSuffix {
+		t.Fatalf("%s: not a one-[]byte corpus entry", name)
+	}
+	b, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(b)
+}
+
 // TestVLT2Hostile corrupts a valid multi-block file in every structurally
 // interesting way and requires a clean error — never a panic, never silent
 // wrong data — from the decode paths that can see the damage. The indexed
 // reader must reject every case; seqFails marks the cases the sequential
 // reader (which never reads the footer index) must also reject.
 func TestVLT2Hostile(t *testing.T) {
+	// The valid-fixed corpus entry is a well-formed file of the retired
+	// fixed-width codec: both readers must reject it as corrupt.
+	t.Run("corpus-valid-fixed", func(t *testing.T) {
+		data := corpusSeed(t, "valid-fixed")
+		d, err := NewIndexedReaderBytes(data)
+		if err == nil {
+			_, err = decodeAllVLT2(d)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("indexed reader: %v, want ErrCorrupt", err)
+		}
+		if _, err = decodeAllVLT2(mustReader2(t, data)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("sequential reader: %v, want ErrCorrupt", err)
+		}
+	})
+
 	tr := &Trace{Name: "hostile", Target: "ppc", Records: genRecords(500, 11)}
 	for _, base := range []struct {
 		name string
 		opts Writer2Options
 	}{
 		{"varint", Writer2Options{BlockRecords: 64}},
-		{"fixed", Writer2Options{Codec: CodecFixed, BlockRecords: 64}},
 		{"flate", Writer2Options{Codec: CodecFlate, BlockRecords: 64}},
 	} {
 		t.Run(base.name, func(t *testing.T) {
@@ -171,6 +240,12 @@ func TestVLT2Hostile(t *testing.T) {
 			gap[1].off++ // entry 1 skips a byte
 			lyingSize := append([]indexEnt2(nil), idx...)
 			lyingSize[0].size += lyingSize[1].size // entry 0 swallows entry 1
+			// Entry 0's size wraps off+size around 2^64 to land on offset
+			// 5, where a forged entry 1 resumes and runs to the footer.
+			wrap := []indexEnt2{
+				{off: idx[0].off, size: -idx[0].off + 5, count: 1},
+				{off: 5, size: ir.fOff - 5, count: total - 1},
+			}
 
 			// hdr0/hdr1 are the blocks' header lengths. The payload flip
 			// aims mid-payload (a flip in a DEFLATE stream's final byte
@@ -203,24 +278,25 @@ func TestVLT2Hostile(t *testing.T) {
 				{"index-gap", rebuiltFooter(enc, ir, gap, total), false, ErrCorrupt},
 				{"index-lying-size", rebuiltFooter(enc, ir, lyingSize, total), false, ErrCorrupt},
 				{"footer-lying-total", rebuiltFooter(enc, ir, idx, total+1), false, ErrCorrupt},
+				{"footer-size-overflow", rebuiltFooter(enc, ir, wrap, total), true, ErrCorrupt},
+				{"codec-byte-2", forgeCodec(enc, 2), true, ErrCorrupt},
+				{"codec-byte-3", forgeCodec(enc, 3), true, ErrCorrupt},
 			}
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
-					if d, err := NewIndexedReaderBytes(tc.data); err == nil {
+					d, err := NewIndexedReaderBytes(tc.data)
+					if err == nil {
 						if _, err = decodeAllVLT2(d); err == nil {
 							t.Fatal("indexed reader accepted hostile input")
 						}
-					} else if tc.want != nil && !errors.Is(err, tc.want) {
-						t.Fatalf("indexed open error %v does not unwrap to %v", err, tc.want)
+					}
+					if tc.want != nil && !errors.Is(err, tc.want) {
+						t.Fatalf("indexed reader error %v does not unwrap to %v", err, tc.want)
 					}
 					if !tc.seqFails {
 						return
 					}
-					d, err := NewReader2(bytes.NewReader(tc.data))
-					if err != nil {
-						return
-					}
-					if _, err = decodeAllVLT2(d); err == nil {
+					if _, err = decodeAllVLT2(mustReader2(t, tc.data)); err == nil {
 						t.Fatal("sequential reader accepted hostile input")
 					} else if tc.want != nil && !errors.Is(err, tc.want) {
 						t.Fatalf("sequential error %v does not unwrap to %v", err, tc.want)
@@ -229,6 +305,17 @@ func TestVLT2Hostile(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mustReader2 opens data with the sequential reader; every hostile input
+// keeps a valid file header, so opening must succeed.
+func mustReader2(t *testing.T, data []byte) *Reader2 {
+	t.Helper()
+	d, err := NewReader2(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func appendUint32LE(dst []byte, v uint32) []byte {

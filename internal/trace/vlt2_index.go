@@ -13,16 +13,14 @@ import (
 )
 
 // Indexed VLT2 access: with an io.ReaderAt the footer index turns a trace
-// file into a random-access collection of independently decodable blocks —
-// O(log blocks) seeking to any record, and parallel block decode
-// (vlt2_parallel.go). When the underlying file can be memory-mapped the
-// reader works directly on the mapping: raw block payloads decode with no
-// copy at all.
+// file into a random-access collection of independently decodable blocks,
+// so seeking to any record costs O(log blocks). When the underlying file
+// can be memory-mapped the reader works directly on the mapping: raw block
+// payloads decode with no copy at all.
 
 // IndexedReader decodes a VLT2 file through its footer index. It satisfies
-// Decoder (sequential reads from the current position) and adds SeekRecord
-// and Parallel. Not safe for concurrent use; Parallel returns a dedicated
-// reader instead of mutating this one.
+// Decoder (sequential reads from the current position) and adds SeekRecord.
+// Not safe for concurrent use.
 type IndexedReader struct {
 	ra     io.ReaderAt
 	data   []byte       // whole-file view (mmap or caller-provided); nil → ReadAt path
@@ -45,10 +43,9 @@ type IndexedReader struct {
 	err      error // sticky decode error
 }
 
-// NewIndexedReader opens a VLT2 file through ra, which must serve
-// concurrent ReadAt calls (os.File and bytes.Reader both do) for Parallel
-// to be usable. When ra is an *os.File the file is memory-mapped if the
-// platform supports it; Close releases the mapping.
+// NewIndexedReader opens a VLT2 file through ra. When ra is an *os.File the
+// file is memory-mapped if the platform supports it; Close releases the
+// mapping.
 func NewIndexedReader(ra io.ReaderAt, size int64) (*IndexedReader, error) {
 	ir := &IndexedReader{ra: ra, m: newV2Metrics(nil)}
 	if f, ok := ra.(*os.File); ok {
@@ -331,11 +328,10 @@ func parseBlockHdr(b []byte) (blockHdr2, int, error) {
 }
 
 // stageBlock fetches block i, verifies it against its index entry, and
-// stages its payload in dec. fetch/blockBuf provide the reusable buffers, so
-// any cursor (the reader's own, or a parallel worker's) can stage blocks.
-func (ir *IndexedReader) stageBlock(i int, fetch *blockReader, blockBuf *[]byte, dec *blockDec, m *v2Metrics) error {
+// stages its payload in the reader's block decoder.
+func (ir *IndexedReader) stageBlock(i int) error {
 	e := ir.idx[i]
-	b, err := ir.readAt(blockBuf, e.off, int(e.size))
+	b, err := ir.readAt(&ir.blockBuf, e.off, int(e.size))
 	if err != nil {
 		return fmt.Errorf("trace: vlt2 block %d: %w", i, err)
 	}
@@ -349,14 +345,14 @@ func (ir *IndexedReader) stageBlock(i int, fetch *blockReader, blockBuf *[]byte,
 	if uint64(payloadOff)+h.encLen != e.size {
 		return fmt.Errorf("%w: block %d wire size %d != index size %d", ErrCorrupt, i, uint64(payloadOff)+h.encLen, e.size)
 	}
-	raw, err := fetch.decompress(&h, b[payloadOff:uint64(payloadOff)+h.encLen])
+	raw, err := ir.fetch.decompress(&h, b[payloadOff:uint64(payloadOff)+h.encLen])
 	if err != nil {
 		return fmt.Errorf("trace: vlt2 block %d: %w", i, err)
 	}
-	dec.reset(raw, &h)
-	m.blocks.Inc()
-	m.rawBytes.Add(int64(h.rawLen))
-	m.encBytes.Add(int64(h.encLen))
+	ir.dec.reset(raw, &h)
+	ir.m.blocks.Inc()
+	ir.m.rawBytes.Add(int64(h.rawLen))
+	ir.m.encBytes.Add(int64(h.encLen))
 	return nil
 }
 
@@ -375,7 +371,7 @@ func (ir *IndexedReader) SeekRecord(n uint64) error {
 	}
 	// Find the block b with cum[b] <= n < cum[b+1].
 	b := sort.Search(len(ir.idx), func(i int) bool { return ir.cum[i+1] > n })
-	if err := ir.stageBlock(b, &ir.fetch, &ir.blockBuf, &ir.dec, &ir.m); err != nil {
+	if err := ir.stageBlock(b); err != nil {
 		ir.err = err
 		return err
 	}
@@ -423,7 +419,7 @@ func (ir *IndexedReader) NextBatch(buf []Record) (int, error) {
 			if ir.cur >= len(ir.idx) {
 				break
 			}
-			if err := ir.stageBlock(ir.cur, &ir.fetch, &ir.blockBuf, &ir.dec, &ir.m); err != nil {
+			if err := ir.stageBlock(ir.cur); err != nil {
 				ir.err = err
 				if n > 0 {
 					return n, nil

@@ -7,18 +7,16 @@ import (
 	"testing"
 )
 
-// propEncodings is the encoding matrix the seek/parallel property tests
-// run over: every payload codec, block sizes that do and do not divide the
-// record count.
+// propEncodings is the encoding matrix the seek property test runs over:
+// both payload codecs, block sizes that do and do not divide the record
+// count.
 var propEncodings = []struct {
 	name string
 	opts Writer2Options
 }{
 	{"varint", Writer2Options{BlockRecords: 128}},
 	{"varint-odd", Writer2Options{BlockRecords: 61}},
-	{"fixed", Writer2Options{Codec: CodecFixed, BlockRecords: 128}},
 	{"flate", Writer2Options{Codec: CodecFlate, BlockRecords: 128}},
-	{"fixed-flate", Writer2Options{Codec: CodecFixedFlate, BlockRecords: 61}},
 }
 
 // TestVLT2SeekProperty drives random SeekRecord positions and checks that
@@ -75,55 +73,8 @@ func TestVLT2SeekProperty(t *testing.T) {
 	}
 }
 
-// TestVLT2ParallelWidthsProperty checks that parallel decode is
-// byte-identical to serial decode at every worker width 1..16, through
-// both the batch and the zero-copy block delivery APIs. Under -race this
-// doubles as the decode pipeline's data-race gate.
-func TestVLT2ParallelWidthsProperty(t *testing.T) {
-	want := genRecords(20_000, 31)
-	tr := &Trace{Name: "par", Target: "ppc", Records: want}
-	for _, e := range propEncodings {
-		t.Run(e.name, func(t *testing.T) {
-			enc := encodeVLT2(tr, e.opts)
-			widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-			if testing.Short() {
-				widths = []int{1, 2, 3, 7, 16}
-			}
-			for _, w := range widths {
-				ir, err := NewIndexedReaderBytes(enc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pr := ir.Parallel(w)
-				var got []Record
-				if w%2 == 0 {
-					// Even widths drain through NextBatch…
-					got = drain(t, pr)
-				} else {
-					// …odd widths through the zero-copy block API.
-					for {
-						blk, err := pr.NextBlock()
-						if err == io.EOF {
-							break
-						}
-						if err != nil {
-							t.Fatalf("width %d: %v", w, err)
-						}
-						got = append(got, blk...)
-					}
-				}
-				pr.Close()
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("width %d: parallel decode differs from the encoded records", w)
-				}
-			}
-		})
-	}
-}
-
 // TestVLT2IndexedNextBatchAllocFree pins the indexed batch path — VLT2's
-// hot decode loop, raw and fixed codecs both — at zero allocations per
-// batch at steady state.
+// hot decode loop — at zero allocations per batch at steady state.
 func TestVLT2IndexedNextBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -134,7 +85,6 @@ func TestVLT2IndexedNextBatchAllocFree(t *testing.T) {
 		opts Writer2Options
 	}{
 		{"varint", Writer2Options{}},
-		{"fixed", Writer2Options{Codec: CodecFixed}},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			ir, err := NewIndexedReaderBytes(encodeVLT2(tr, e.opts))
@@ -154,21 +104,28 @@ func TestVLT2IndexedNextBatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestVLT2WriterAllocFree pins the encode loop: after warmup, WriteRecord
-// must not allocate except when a block flushes (the flush reuses buffers
-// too, so even flush boundaries stay at zero amortized).
+// TestVLT2WriterAllocFree pins the encode loop on raw blocks: after warmup,
+// WriteRecord must not allocate except when a block flushes (the flush
+// reuses buffers too, so even flush boundaries stay at zero amortized).
 func TestVLT2WriterAllocFree(t *testing.T) {
+	writer2AllocFree(t, Writer2Options{})
+}
+
+// writer2AllocFree measures Writer2.WriteRecord's allocations per record
+// under opts, after two blocks of warm-up bring every reused buffer (and
+// the flate state) to size.
+func writer2AllocFree(t *testing.T, opts Writer2Options) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	recs := genRecords(4096, 43)
-	w, err := NewWriter2(io.Discard, "alloc", "ppc")
+	w, err := NewWriter2Opts(io.Discard, "alloc", "ppc", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up one full block so payload and header buffers reach size.
-	for i := range recs {
-		if err := w.WriteRecord(&recs[i]); err != nil {
+	for i := range 2 * DefaultBlockRecords {
+		if err := w.WriteRecord(&recs[i%len(recs)]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,22 +137,6 @@ func TestVLT2WriterAllocFree(t *testing.T) {
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("Writer2.WriteRecord allocates %v allocs/record, want 0", avg)
+		t.Fatalf("Writer2.WriteRecord (%v) allocates %v allocs/record, want 0", opts.Codec, avg)
 	}
-}
-
-// TestVLT2ParallelReuseAfterClose ensures Close is idempotent and a closed
-// reader fails cleanly rather than deadlocking.
-func TestVLT2ParallelReuseAfterClose(t *testing.T) {
-	tr := &Trace{Name: "close", Target: "ppc", Records: genRecords(1000, 51)}
-	ir, err := NewIndexedReaderBytes(encodeVLT2(tr, Writer2Options{BlockRecords: 64}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := ir.Parallel(2)
-	if _, err := pr.NextBlock(); err != nil {
-		t.Fatal(err)
-	}
-	pr.Close()
-	pr.Close()
 }

@@ -16,9 +16,9 @@ import (
 
 // Sequential VLT2 decoding: block-at-a-time from any io.Reader, front to
 // back, no index needed. The hot path is the blockDec loop, shared with the
-// indexed and parallel readers, which decodes records straight out of an
-// in-memory payload slice into the caller's batch buffer — no bufio
-// bookkeeping, no per-byte interface dispatch, no intermediate copy.
+// indexed reader, which decodes records straight out of an in-memory
+// payload slice into the caller's batch buffer — no bufio bookkeeping, no
+// per-byte interface dispatch, no intermediate copy.
 
 // blockHdr2 is one parsed data-block header.
 type blockHdr2 struct {
@@ -61,17 +61,13 @@ func (h *blockHdr2) validate() error {
 	if h.rawLen > MaxBlockBytes {
 		return fmt.Errorf("%w: block payload length %d exceeds %d", ErrCorrupt, h.rawLen, MaxBlockBytes)
 	}
-	if h.codec > CodecFixedFlate {
+	if h.codec > CodecFlate {
 		return fmt.Errorf("%w: unknown block codec %d", ErrCorrupt, uint8(h.codec))
 	}
-	if h.codec&codecFixedBit != 0 {
-		if h.rawLen != h.count*fixedRecSize2 {
-			return fmt.Errorf("%w: fixed block payload length %d != %d records × %d", ErrCorrupt, h.rawLen, h.count, fixedRecSize2)
-		}
-	} else if h.rawLen < h.count*minEncRecord2 || h.rawLen > h.count*maxEncRecord2 {
+	if h.rawLen < h.count*minEncRecord2 || h.rawLen > h.count*maxEncRecord2 {
 		return fmt.Errorf("%w: block payload length %d implausible for %d records", ErrCorrupt, h.rawLen, h.count)
 	}
-	if h.codec&codecFlateBit != 0 {
+	if h.codec == CodecFlate {
 		if h.encLen < 1 || h.encLen >= h.rawLen {
 			return fmt.Errorf("%w: flate block encoded length %d outside [1, %d)", ErrCorrupt, h.encLen, h.rawLen)
 		}
@@ -91,12 +87,10 @@ type blockDec struct {
 	prevPC   uint64
 	prevAddr uint64
 	firstPC  uint64
-	fixed    bool // CodecFixed payload
 }
 
 func (d *blockDec) reset(p []byte, h *blockHdr2) {
-	*d = blockDec{p: p, count: int(h.count), prevPC: h.firstPC, prevAddr: h.firstAddr, firstPC: h.firstPC,
-		fixed: h.codec&codecFixedBit != 0}
+	*d = blockDec{p: p, count: int(h.count), prevPC: h.firstPC, prevAddr: h.firstAddr, firstPC: h.firstPC}
 }
 
 // remaining reports how many records are still undecoded in the block.
@@ -201,9 +195,6 @@ const fastSlack2 = maxEncRecord2 + 9
 // or reporting the precise error. The checked loop also finishes each
 // block's tail. Both loops apply identical validity rules.
 func (d *blockDec) decodeInto(buf []Record) (int, error) {
-	if d.fixed {
-		return d.decodeFixed(buf)
-	}
 	p := d.p
 	off := d.off
 	k := 0
@@ -338,7 +329,13 @@ func (d *blockDec) decodeInto(buf []Record) (int, error) {
 			r.Value = val
 			r.Imm = imm
 			r.Targ = targ
-			storeRecTail(r, op, uint8(fld&31), uint8(fld>>fRa&31), uint8(fld>>fRb&31), uint8(class), size, b0>>7)
+			r.Op = isa.Op(op)
+			r.Rd = isa.Reg(fld & 31)
+			r.Ra = isa.Reg(fld >> fRa & 31)
+			r.Rb = isa.Reg(fld >> fRb & 31)
+			r.Class = isa.LoadClass(class)
+			r.Size = size
+			r.Taken = b0&0x80 != 0
 			k++
 			n++
 			off = o
@@ -497,68 +494,6 @@ func (d *blockDec) checkedValue(p []byte, off int) (uint64, int) {
 	return v, off + n
 }
 
-// decodeFixed decodes up to len(buf) records from a CodecFixed payload. The
-// header validation already pinned the payload to exactly count ×
-// fixedRecSize2 bytes, so every access below is in bounds by construction.
-// Records are validated on the wire first — field ranges, the zero pad byte,
-// and the canonical Addr/Targ rules shared with the varint encoding — then
-// copied in bulk (one memcpy on little-endian hosts, per-field stores
-// elsewhere).
-func (d *blockDec) decodeFixed(buf []Record) (int, error) {
-	p := d.p
-	k := min(len(buf), d.count-d.n)
-	base := d.off
-	for i := 0; i < k; i++ {
-		q := base + i*fixedRecSize2
-		// One word covers the byte fields: op | rd ra rb | class size | taken pad.
-		w := binary.LittleEndian.Uint64(p[q+32:])
-		op := uint8(w)
-		if int(op) >= isa.NumOps {
-			return 0, d.failFixed(i, "unknown opcode")
-		}
-		if w&0xe0e0e000 != 0 {
-			return 0, d.failFixed(i, "register out of range")
-		}
-		if uint8(w>>32) >= uint8(isa.NumLoadClasses) {
-			return 0, d.failFixed(i, "load class out of range")
-		}
-		if w>>48 > 1 { // taken must be 0 or 1 and the pad byte zero
-			return 0, d.failFixed(i, "taken flag or pad byte invalid")
-		}
-		shape := opShape[op]
-		if shape&shMem == 0 && binary.LittleEndian.Uint64(p[q+8:]) != 0 {
-			return 0, d.failFixed(i, "address on a non-memory record")
-		}
-		if shape&shBranch == 0 && binary.LittleEndian.Uint64(p[q+40:]) != 0 {
-			return 0, d.failFixed(i, "branch target on a non-branch record")
-		}
-	}
-	if k > 0 && d.n == 0 && binary.LittleEndian.Uint64(p[base:]) != d.firstPC {
-		return 0, d.failFixed(0, "first record disagrees with firstPC anchor")
-	}
-	if rb := recordBytes(buf[:k]); rb != nil {
-		copy(rb, p[base:base+k*fixedRecSize2])
-	} else {
-		for i := 0; i < k; i++ {
-			q := base + i*fixedRecSize2
-			r := &buf[i]
-			r.PC = binary.LittleEndian.Uint64(p[q:])
-			r.Addr = binary.LittleEndian.Uint64(p[q+8:])
-			r.Value = binary.LittleEndian.Uint64(p[q+16:])
-			r.Imm = int64(binary.LittleEndian.Uint64(p[q+24:]))
-			storeRecTail(r, p[q+32], p[q+33], p[q+34], p[q+35], p[q+36], p[q+37], p[q+38])
-			r.Targ = binary.LittleEndian.Uint64(p[q+40:])
-		}
-	}
-	d.off = base + k*fixedRecSize2
-	d.n += k
-	return k, nil
-}
-
-func (d *blockDec) failFixed(i int, msg string) error {
-	return fmt.Errorf("%w: record %d (payload offset %d): %s", ErrCorrupt, d.n+i, d.off+i*fixedRecSize2, msg)
-}
-
 // v2Metrics is the trace.v2.* counter set, resolved once per reader so the
 // per-block updates are single atomic adds (and no-ops on a nil registry).
 type v2Metrics struct {
@@ -566,7 +501,6 @@ type v2Metrics struct {
 	rawBytes *obs.Counter // trace.v2.bytes.raw: payload bytes after decompression
 	encBytes *obs.Counter // trace.v2.bytes.compressed: payload bytes on the wire
 	records  *obs.Counter // trace.v2.records: records decoded
-	busy     *obs.Gauge   // trace.v2.par.busy: concurrent block decodes (parallel reader)
 }
 
 func newV2Metrics(m *obs.Registry) v2Metrics {
@@ -575,7 +509,6 @@ func newV2Metrics(m *obs.Registry) v2Metrics {
 		rawBytes: m.Counter("trace.v2.bytes.raw"),
 		encBytes: m.Counter("trace.v2.bytes.compressed"),
 		records:  m.Counter("trace.v2.records"),
-		busy:     m.Gauge("trace.v2.par.busy"),
 	}
 }
 
@@ -603,7 +536,7 @@ func grow(b []byte, n int) []byte {
 // buffers and is valid until the next call.
 func (br *blockReader) decompress(h *blockHdr2, enc []byte) ([]byte, error) {
 	raw := enc
-	if h.codec&codecFlateBit != 0 {
+	if h.codec == CodecFlate {
 		if br.encRd == nil {
 			br.encRd = bytes.NewReader(nil)
 		}

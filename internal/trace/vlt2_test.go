@@ -102,9 +102,6 @@ func TestVLT2RoundTrip(t *testing.T) {
 	}{
 		{"raw", 10000, Writer2Options{}},
 		{"flate", 10000, Writer2Options{Codec: CodecFlate}},
-		{"fixed", 10000, Writer2Options{Codec: CodecFixed}},
-		{"fixed-flate", 10000, Writer2Options{Codec: CodecFixedFlate}},
-		{"fixed-tiny-blocks", 1000, Writer2Options{Codec: CodecFixed, BlockRecords: 7}},
 		{"tiny-blocks", 1000, Writer2Options{BlockRecords: 7}},
 		{"one-block", 100, Writer2Options{BlockRecords: 4096}},
 		{"single-record", 1, Writer2Options{}},
@@ -166,23 +163,20 @@ func TestVLT2NextMatchesNextBatch(t *testing.T) {
 // encoding.
 func TestVLT2FlateShrinks(t *testing.T) {
 	tr := &Trace{Name: "sz", Target: "ppc", Records: genRecords(50000, 3)}
-	var v1 bytes.Buffer
-	if err := Write(&v1, tr); err != nil {
-		t.Fatal(err)
-	}
+	v1 := encodeTrace(tr)
 	raw := encode2(t, tr, Writer2Options{})
 	fl := encode2(t, tr, Writer2Options{Codec: CodecFlate})
 	if len(fl) >= len(raw) {
 		t.Fatalf("flate encoding %d B not smaller than raw %d B", len(fl), len(raw))
 	}
-	if len(fl) >= v1.Len() {
-		t.Fatalf("flate encoding %d B not smaller than VLT1 %d B", len(fl), v1.Len())
+	if len(fl) >= len(v1) {
+		t.Fatalf("flate encoding %d B not smaller than VLT1 %d B", len(fl), len(v1))
 	}
 	t.Logf("sizes: vlt1=%d vlt2/raw=%d vlt2/flate=%d (%.1f%% of vlt1)",
-		v1.Len(), len(raw), len(fl), 100*float64(len(fl))/float64(v1.Len()))
+		len(v1), len(raw), len(fl), 100*float64(len(fl))/float64(len(v1)))
 }
 
-// --- benchmarks: VLT2 decode vs the VLT1 baseline on identical records ---
+// --- benchmarks: the VLT2 encode and batched decode paths ---
 
 func benchTraceV2(b *testing.B, n int) *Trace {
 	b.Helper()
@@ -215,27 +209,12 @@ func BenchmarkVLT2DecodeBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Records)), "ns/rec")
 }
 
-func BenchmarkVLT1DecodeBatch(b *testing.B) {
+func BenchmarkVLT2Encode(b *testing.B) {
 	tr := benchTraceV2(b, 1<<17)
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		b.Fatal(err)
-	}
-	enc := buf.Bytes()
-	out := make([]Record, 256)
-	b.SetBytes(int64(len(enc)))
-	b.ResetTimer()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := NewReader(bytes.NewReader(enc))
-		if err != nil {
+		if err := Write2(io.Discard, tr, Writer2Options{}); err != nil {
 			b.Fatal(err)
-		}
-		for {
-			if _, err := r.NextBatch(out); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Records)), "ns/rec")
