@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream bench-json bench-json-smoke check-stream check-perf check-annotate check-zoo check-obs serve check-serve check-dist check-vlt2 loc verify clean
+.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream bench-json check-stream check-annotate check-zoo check-obs serve check-serve check-dist check-vlt2 loc verify clean
 
 all: build
 
@@ -26,7 +26,7 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-check: build vet test race check-perf check-annotate check-zoo check-obs check-dist check-vlt2
+check: build vet test race check-annotate check-zoo check-obs check-dist check-vlt2
 
 # Race-detector pass over every package. -short skips the golden
 # double-render (TestGoldenSerialVsParallel), which the detector slows by an
@@ -65,43 +65,46 @@ bench:
 bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkAnnotate' -benchtime 2s -count 3 .
 
-# Streaming-layer benchmarks: the VLT2 encode and batched decode paths, and
-# the VLT1 Reader's record-at-a-time decode. The fused gen→annotate→sim cell
-# is lvpbench's pipeline.fused.batch.
+# Streaming-layer benchmarks: the VLT2 encode and batched decode paths (both
+# decoders over raw and flate blocks), and the VLT1 Reader's
+# record-at-a-time decode.
 bench-stream:
 	$(GO) test -run xxx -bench 'VLT2|StreamDecode' -benchtime 1s ./internal/trace/
 
-# Benchmark-trajectory grid (see PERFORMANCE.md): the full run refreshes the
-# checked-in BENCH_PR10.json baseline; the smoke run is the CI sizing that
-# uploads an informational artifact and logs >20% ratio drift against the
-# checked-in snapshot without gating (ratios divide two cells measured on
-# the same machine, so they survive host-speed differences that raw ns/rec
-# numbers don't).
+# BENCH snapshot (see PERFORMANCE.md): benchmark/run.sh's end-to-end run and
+# its traced per-layer run, written to OUT as one JSON object
+# {"host", "end_to_end", "per_layer"}. OUT is required and must not exist yet,
+# so a checked-in snapshot is never overwritten; a run that reports a wrong
+# output fails the target and writes nothing.
 bench-json:
-	$(GO) run ./cmd/lvpbench -out BENCH_PR10.json
-
-bench-json-smoke:
-	$(GO) run ./cmd/lvpbench -smoke -out bench-smoke.json -compare BENCH_PR10.json
+	@test -n "$(OUT)" || { echo "usage: make bench-json OUT=BENCH_<name>.json" >&2; exit 2; }
+	@test ! -e "$(OUT)" || { echo "$(OUT) already exists; pick a new name" >&2; exit 1; }
+	mkdir -p .bench_build
+	bash benchmark/run.sh > .bench_build/end_to_end.txt
+	bash benchmark/run.sh -trace 1 > .bench_build/per_layer.txt
+	printf '{"host": %s,\n "end_to_end": %s,\n "per_layer": %s}\n' \
+		"$$(sed -n 's/^host //p' .bench_build/end_to_end.txt)" \
+		"$$(tail -n 1 .bench_build/end_to_end.txt)" \
+		"$$(tail -n 1 .bench_build/per_layer.txt)" > "$(OUT)"
 
 # Streaming memory/identity gate, run standalone (uncached): the
 # allocation-regression tests (0 allocs/record on the VLT1 Reader, the VLT2
-# Writer2 and the LVP hot paths), the 10M-record peak-RSS bound of a
-# Writer2 → Reader2 stream through a pipe, the per-workload differential
-# between vm.Source → lvp.Pipe → Simulate and the suite's in-memory cells,
-# and the slab contract of both timing models (stats independent of how
-# the trace is cut into slabs; source errors returned, never a panic). All
-# of these also run as part of plain `make test` / `make check`.
-check-stream:
-	$(GO) test -count=1 -run 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateSlabContract|TestSimulateReturnsSourceError' ./internal/trace/ ./internal/lvp/ ./internal/exp/
+# Writer2 and the LVP hot paths; both VLT2 decoders' batch paths at 0 allocs
+# per block on raw blocks and a bounded count per block on flate), the
+# 10M-record peak-RSS bound of a Writer2 → Reader2 stream through a pipe, the
+# per-workload differential between vm.Source → lvp.Pipe → Simulate and the
+# suite's in-memory cells, the slab contract of both timing models (stats
+# independent of how the trace is cut into slabs; source errors, and an
+# annotation that does not fit its trace, returned, never a panic), the
+# NextBatch-vs-Next differentials of the VM, codec and Pipe sources, the
+# Pipe's records-before-error rule, the in-memory span source, the batched
+# annotation differential, and the CVU's address-boundary invalidation and
+# insert-refresh edge cases. All of these also run as part of plain
+# `make test` / `make check`.
+STREAM_TESTS = 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateSlabContract|TestSimulateReturnsSourceError|NextBatch|TestPipeDeliversRecordsBeforeError|TestSlabsOneSpan|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
 
-# Hot-path identity and allocation gates, run standalone (uncached): the
-# randomized CVU differential against the linear-scan reference (states,
-# stats, and eviction victims must be decision-identical), the batched
-# decode/annotate differentials, the Pipe's records-before-error rule, the
-# in-memory span source, and the 0-allocs/record gates on the steady-state
-# CVU and batch paths.
-check-perf:
-	$(GO) test -count=1 -run 'TestCVUDifferential|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh|TestCVUOpsAllocFree|NextBatch|TestPipeDeliversRecordsBeforeError|TestSlabsOneSpan|TestRecordBatch' ./internal/lvp/ ./internal/trace/ ./internal/vm/
+check-stream:
+	$(GO) test -count=1 -run $(STREAM_TESTS) ./internal/trace/ ./internal/lvp/ ./internal/exp/ ./internal/vm/
 
 # Annotation-slab gate, run standalone (uncached), then again under the race
 # detector (-short keeps three workloads in the suite differential): the

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"lvp/internal/axp21164"
@@ -246,12 +247,23 @@ func TestSimulateSlabContract(t *testing.T) {
 
 // TestSimulateReturnsSourceError: a source that fails after k records
 // (k = 0, 1, mid-trace, after the last record) makes every model return
-// that error with zero Stats — never a panic, never a partial result.
+// that error with zero Stats — never a panic, never a partial result. So
+// does an in-memory trace paired with an annotation shorter or longer than
+// it.
 func TestSimulateReturnsSourceError(t *testing.T) {
 	w := randomWorkload(t, 1)
 	for _, m := range slabModels {
 		tr, simple := w.tr[m.target.Name], w.ann[m.target.Name]
 		n := len(tr.Records)
+		for _, ann := range []trace.Annotation{simple[:n/2], append(slices.Clip(simple), trace.PredNone)} {
+			got, err := m.sim(tr.Slabs(ann))
+			if !errors.Is(err, trace.ErrAnnotationLength) {
+				t.Fatalf("%s: %d states for %d records: err %v, want %v", m.name, len(ann), n, err, trace.ErrAnnotationLength)
+			}
+			if !reflect.ValueOf(got).IsZero() {
+				t.Fatalf("%s: %d states for %d records: partial Stats %+v", m.name, len(ann), n, got)
+			}
+		}
 		for _, k := range []int{0, 1, n / 2, n} {
 			for _, ann := range []trace.Annotation{nil, simple} {
 				got, err := m.sim(newChopSource(int64(k), 300, tr, ann, k))

@@ -157,18 +157,22 @@ func TestAnnotateSlabAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkAnnotateSlab measures the slab walk; its record-stream baseline
-// is BenchmarkAnnotatorRecordBatch.
+// BenchmarkAnnotateSlab measures the slab walk under Simple (32-entry CVU)
+// and Constant (128-entry CVU): the gap is the CVU work the larger CAM adds.
+// Its record-stream baseline is BenchmarkAnnotatorRecordBatch.
 func BenchmarkAnnotateSlab(b *testing.B) {
 	tr := mixedTrace(1 << 16)
 	s := ExtractLoads(tr)
 	states := make([]trace.PredState, s.Len())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AnnotateSlab(s, Simple, nil, states); err != nil {
-			b.Fatal(err)
-		}
+	for _, cfg := range []Config{Simple, Constant} {
+		b.Run(cfg.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := AnnotateSlab(s, cfg, nil, states); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(tr.Records)))
+		})
 	}
-	b.SetBytes(int64(len(tr.Records)))
 }

@@ -226,3 +226,28 @@ func TestMeasureZooAccounting(t *testing.T) {
 		t.Fatalf("empty-trace ratios = %f/%f, want 0/0", z.Coverage(), z.Accuracy())
 	}
 }
+
+// BenchmarkZooSweep measures every registered family over one trace:
+// "rewalk" gathers each family's loads from the records again, "shared"
+// extracts the load slab once and fans every family out over it, the
+// decode-once path exp.ZooSweep takes.
+func BenchmarkZooSweep(b *testing.B) {
+	tr := mixedTrace(1 << 16)
+	b.Run("rewalk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, f := range Families() {
+				MeasureZoo(tr, f.New())
+			}
+		}
+		b.SetBytes(int64(len(tr.Records)))
+	})
+	b.Run("shared", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			loads := ExtractLoads(tr)
+			for _, f := range Families() {
+				MeasureZooLoads(loads, f.New())
+			}
+		}
+		b.SetBytes(int64(len(tr.Records)))
+	})
+}

@@ -1,6 +1,10 @@
 package trace
 
-import "io"
+import (
+	"errors"
+	"fmt"
+	"io"
+)
 
 // Batched streaming. A per-record pull pipeline pays several dynamic
 // dispatches per record. The batch layer amortizes them: record sources
@@ -38,13 +42,22 @@ type SlabSource interface {
 	NextSlab() ([]Record, []PredState, error)
 }
 
-// span is the in-memory SlabSource: the whole trace, then EOF.
+// ErrAnnotationLength reports an annotation whose length differs from its
+// trace's record count.
+var ErrAnnotationLength = errors.New("trace: annotation length differs from the trace")
+
+// span is the in-memory SlabSource: the whole trace, then EOF, or err on
+// every call when the annotation does not fit the trace.
 type span struct {
 	recs   []Record
 	states []PredState
+	err    error
 }
 
 func (s *span) NextSlab() ([]Record, []PredState, error) {
+	if s.err != nil {
+		return nil, nil, s.err
+	}
 	if len(s.recs) == 0 {
 		return nil, nil, io.EOF
 	}
@@ -55,7 +68,11 @@ func (s *span) NextSlab() ([]Record, []PredState, error) {
 
 // Slabs returns t's records paired with ann as a SlabSource that hands over
 // the whole trace as one zero-copy span. A nil ann models a machine without
-// LVP hardware.
+// LVP hardware; a non-nil ann whose length is not len(t.Records) makes every
+// NextSlab fail with ErrAnnotationLength.
 func (t *Trace) Slabs(ann Annotation) SlabSource {
+	if ann != nil && len(ann) != len(t.Records) {
+		return &span{err: fmt.Errorf("%w: %d states for %d records", ErrAnnotationLength, len(ann), len(t.Records))}
+	}
 	return &span{recs: t.Records, states: ann}
 }

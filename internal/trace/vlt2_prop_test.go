@@ -73,32 +73,40 @@ func TestVLT2SeekProperty(t *testing.T) {
 	}
 }
 
-// TestVLT2IndexedNextBatchAllocFree pins the indexed batch path — VLT2's
-// hot decode loop — at zero allocations per batch at steady state.
-func TestVLT2IndexedNextBatchAllocFree(t *testing.T) {
+// TestVLT2NextBatchAllocs pins both VLT2 decoders' batch paths at steady
+// state, counted per 4096-record block of 256-record batches: raw blocks
+// decode with zero allocations (the reused block buffers growing to a new
+// largest block stay well below one per block); flate blocks pay
+// compress/flate's per-block Huffman tables (about 19 allocations with
+// either reader) and nothing per record, bounded here at 32 per block.
+func TestVLT2NextBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
+	const batch, maxFlatePerBlock = 256, 32
 	tr := &Trace{Name: "alloc", Target: "ppc", Records: genRecords(200_000, 41)}
-	for _, e := range []struct {
-		name string
-		opts Writer2Options
-	}{
-		{"varint", Writer2Options{}},
-	} {
-		t.Run(e.name, func(t *testing.T) {
-			ir, err := NewIndexedReaderBytes(encodeVLT2(tr, e.opts))
+	for _, c := range batchDecodeCases(tr) {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := c.open()
 			if err != nil {
 				t.Fatal(err)
 			}
-			buf := make([]Record, 256)
-			avg := testing.AllocsPerRun(500, func() {
-				if _, err := ir.NextBatch(buf); err != nil && err != io.EOF {
-					t.Fatal(err)
+			buf := make([]Record, batch)
+			// One run decodes one whole block in batches: 40 blocks after
+			// the warm-up block, short of the trace's end.
+			perBlock := testing.AllocsPerRun(40, func() {
+				for range DefaultBlockRecords / batch {
+					if _, err := d.NextBatch(buf); err != nil {
+						t.Fatal(err)
+					}
 				}
 			})
-			if avg != 0 {
-				t.Fatalf("IndexedReader.NextBatch allocates %v allocs/batch, want 0", avg)
+			t.Logf("%v allocs/block", perBlock)
+			switch {
+			case c.codec == CodecRaw && perBlock != 0:
+				t.Fatalf("raw blocks: %v allocs/block, want 0", perBlock)
+			case perBlock > maxFlatePerBlock:
+				t.Fatalf("flate blocks: %v allocs/block, want at most %d", perBlock, maxFlatePerBlock)
 			}
 		})
 	}

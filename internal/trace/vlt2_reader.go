@@ -581,6 +581,7 @@ type Reader2 struct {
 	dec    blockDec
 	fetch  blockReader
 	hdrTmp blockHdr2
+	crcTmp [4]byte // a local would escape through io.ReadFull
 	rec    Record
 	m      v2Metrics
 	done   bool
@@ -679,11 +680,10 @@ func (r *Reader2) readBlockHeader() (more bool, err error) {
 	if h.firstAddr, err = binary.ReadUvarint(r.br); err != nil {
 		return false, fmt.Errorf("trace: vlt2 block %d firstAddr: %w", r.blocks, err)
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r.br, crc[:]); err != nil {
+	if _, err := io.ReadFull(r.br, r.crcTmp[:]); err != nil {
 		return false, fmt.Errorf("trace: vlt2 block %d crc: %w", r.blocks, err)
 	}
-	h.crc = binary.LittleEndian.Uint32(crc[:])
+	h.crc = binary.LittleEndian.Uint32(r.crcTmp[:])
 	if err := h.validate(); err != nil {
 		return false, fmt.Errorf("trace: vlt2 block %d: %w", r.blocks, err)
 	}

@@ -176,6 +176,26 @@ func TestVLT2FlateShrinks(t *testing.T) {
 		len(v1), len(raw), len(fl), 100*float64(len(fl))/float64(len(v1)))
 }
 
+// batchDecodeCase opens one VLT2 decoder over one block codec's encoding.
+type batchDecodeCase struct {
+	name  string // "<decoder>/<codec>"
+	codec BlockCodec
+	size  int // encoded bytes
+	open  func() (Decoder, error)
+}
+
+// batchDecodeCases is every VLT2 decoder over every block codec of tr.
+func batchDecodeCases(tr *Trace) []batchDecodeCase {
+	var cases []batchDecodeCase
+	for _, codec := range []BlockCodec{CodecRaw, CodecFlate} {
+		enc := encodeVLT2(tr, Writer2Options{Codec: codec})
+		cases = append(cases,
+			batchDecodeCase{"reader2/" + codec.String(), codec, len(enc), func() (Decoder, error) { return NewReader2(bytes.NewReader(enc)) }},
+			batchDecodeCase{"indexed/" + codec.String(), codec, len(enc), func() (Decoder, error) { return NewIndexedReaderBytes(enc) }})
+	}
+	return cases
+}
+
 // --- benchmarks: the VLT2 encode and batched decode paths ---
 
 func benchTraceV2(b *testing.B, n int) *Trace {
@@ -183,30 +203,31 @@ func benchTraceV2(b *testing.B, n int) *Trace {
 	return &Trace{Name: "bench", Target: "ppc", Records: genRecords(n, 99)}
 }
 
+// BenchmarkVLT2DecodeBatch drains the trace in 256-record batches with
+// each decoder over each block codec.
 func BenchmarkVLT2DecodeBatch(b *testing.B) {
 	tr := benchTraceV2(b, 1<<17)
-	var buf bytes.Buffer
-	if err := Write2(&buf, tr, Writer2Options{}); err != nil {
-		b.Fatal(err)
-	}
-	enc := buf.Bytes()
 	out := make([]Record, 256)
-	b.SetBytes(int64(len(enc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r2, err := NewReader2(bytes.NewReader(enc))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for {
-			if _, err := r2.NextBatch(out); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
+	for _, c := range batchDecodeCases(tr) {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(c.size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := c.open()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if _, err := d.NextBatch(out); err == io.EOF {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Records)), "ns/rec")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Records)), "ns/rec")
 }
 
 func BenchmarkVLT2Encode(b *testing.B) {

@@ -86,3 +86,41 @@ func TestSourceNextBatchStepLimit(t *testing.T) {
 		t.Fatal("step limit must surface as an error")
 	}
 }
+
+// BenchmarkSourceGen executes a real workload to EOF record by record
+// ("next") and in 256-record batches ("batch").
+func BenchmarkSourceGen(b *testing.B) {
+	p := batchProgram(b)
+	buf := make([]trace.Record, 256)
+	for _, c := range []struct {
+		name  string
+		drain func(*Source) error
+	}{
+		{"next", func(s *Source) error {
+			for {
+				if _, err := s.Next(); err != nil {
+					return err
+				}
+			}
+		}},
+		{"batch", func(s *Source) error {
+			for {
+				if _, err := s.NextBatch(buf); err != nil {
+					return err
+				}
+			}
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			recs := 0
+			for i := 0; i < b.N; i++ {
+				s := NewSource(p, 0)
+				if err := c.drain(s); err != io.EOF {
+					b.Fatal(err)
+				}
+				recs = s.Result().Steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(recs), "ns/rec")
+		})
+	}
+}

@@ -248,23 +248,29 @@ type Stats21164 = axp21164.Stats
 
 // Simulate620 runs a (PPC-target) trace through the PowerPC 620 model.
 // ann may be nil for a machine without LVP hardware; lvpName labels the run.
+// It panics if a non-nil ann does not have one state per record.
 func Simulate620(t *Trace, ann Annotation, lvpName string) Stats620 {
-	// An in-memory trace is a single span that cannot fail.
-	st, _ := ppc620.Simulate(t.Slabs(ann), ppc620.Config620(), lvpName, nil)
-	return st
+	return must(ppc620.Simulate(t.Slabs(ann), ppc620.Config620(), lvpName, nil))
 }
 
 // Simulate620Plus runs a trace through the enhanced 620+ model.
+// It panics if a non-nil ann does not have one state per record.
 func Simulate620Plus(t *Trace, ann Annotation, lvpName string) Stats620 {
-	// An in-memory trace is a single span that cannot fail.
-	st, _ := ppc620.Simulate(t.Slabs(ann), ppc620.Config620Plus(), lvpName, nil)
-	return st
+	return must(ppc620.Simulate(t.Slabs(ann), ppc620.Config620Plus(), lvpName, nil))
 }
 
 // Simulate21164 runs an (AXP-target) trace through the Alpha 21164 model.
+// It panics if a non-nil ann does not have one state per record.
 func Simulate21164(t *Trace, ann Annotation, lvpName string) Stats21164 {
-	// An in-memory trace is a single span that cannot fail.
-	st, _ := axp21164.Simulate(t.Slabs(ann), axp21164.Config21164(), lvpName, nil)
+	return must(axp21164.Simulate(t.Slabs(ann), axp21164.Config21164(), lvpName, nil))
+}
+
+// must unwraps an in-memory simulation, whose only possible error is an
+// annotation that does not fit its trace: a caller's bug.
+func must[S any](st S, err error) S {
+	if err != nil {
+		panic(err)
+	}
 	return st
 }
 

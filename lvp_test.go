@@ -1,6 +1,8 @@
 package lvp_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"lvp"
@@ -110,6 +112,42 @@ func TestFacade21164(t *testing.T) {
 	if fast.Cycles >= base.Cycles {
 		t.Errorf("Limit LVP should speed up compress on the 21164: %d vs %d",
 			fast.Cycles, base.Cycles)
+	}
+}
+
+// TestFacadeSimulateMismatchedAnnotation: the in-memory wrappers panic
+// with an error naming both lengths when the annotation does not fit the
+// trace, instead of returning zero Stats or indexing past the end.
+func TestFacadeSimulateMismatchedAnnotation(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		target lvp.Target
+		sim    func(*lvp.Trace, lvp.Annotation, string)
+	}{
+		{"620", lvp.PPC, func(tr *lvp.Trace, a lvp.Annotation, n string) { lvp.Simulate620(tr, a, n) }},
+		{"620+", lvp.PPC, func(tr *lvp.Trace, a lvp.Annotation, n string) { lvp.Simulate620Plus(tr, a, n) }},
+		{"21164", lvp.AXP, func(tr *lvp.Trace, a lvp.Annotation, n string) { lvp.Simulate21164(tr, a, n) }},
+	} {
+		tr, err := lvp.BuildTrace("grep", c.target, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ann, _, err := lvp.Annotate(tr, lvp.Simple)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []lvp.Annotation{ann[:len(ann)/2], append(ann, lvp.PredNone)} {
+			want := fmt.Sprintf("%d states for %d records", len(a), len(tr.Records))
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("%s: panic %v, want an error naming %q", c.name, err, want)
+					}
+				}()
+				c.sim(tr, a, "Simple")
+			}()
+		}
 	}
 }
 
