@@ -115,13 +115,18 @@ check-stream:
 # the slab walk and of a suite unit run, the CVU differential widened to
 # 8192 LVPT indices, to forced address-bucket collisions and to the key
 # shapes the full-key lookup depends on (strided addresses past capacity
-# under one index; one address under several indices), and vm.Run's
-# chunked collector against RunSink with its allocation bound.
-ANNOTATE_TESTS = 'Slab|ExtractLoads|TestCVUDifferential|FuzzCVUDifferential|TestCVUBucketCollisions|TestOneUnitRun|TestSimCacheByHardware|TestSharedRunLabel|TestUnitRunAllocs|TestRunMatchesRunSink|TestCollectLengths|TestRunAllocBound'
+# under one index; one address under several indices), vm.Run's chunked
+# collector against RunSink with its allocation bound, the suite as the one
+# place a model runs (the resource sweep, GVP study and MAF ablation build
+# each simulation once, counted and timed; an enlarged 620 is traced; the
+# sweep's 620+ row is the union of its four enlargements), and the dataflow
+# analysis refusing an annotation that does not fit its trace.
+ANNOTATE_TESTS = 'Slab|ExtractLoads|TestCVUDifferential|FuzzCVUDifferential|TestCVUBucketCollisions|TestOneUnitRun|TestSimCacheByHardware|TestSharedRunLabel|TestUnitRunAllocs|TestRunMatchesRunSink|TestCollectLengths|TestRunAllocBound|TestSimAccounting|TestEnlargedVariantTraced|TestResourceVariantsUnionIs620Plus|TestAnalyzeAnnotationLength|TestFacadeSimulateMismatchedAnnotation'
+ANNOTATE_PKGS = . ./internal/lvp/ ./internal/exp/ ./internal/vm/ ./internal/dfg/
 
 check-annotate:
-	$(GO) test -count=1 -run $(ANNOTATE_TESTS) ./internal/lvp/ ./internal/exp/ ./internal/vm/
-	$(GO) test -race -count=1 -short -run $(ANNOTATE_TESTS) ./internal/lvp/ ./internal/exp/ ./internal/vm/
+	$(GO) test -count=1 -run $(ANNOTATE_TESTS) $(ANNOTATE_PKGS)
+	$(GO) test -race -count=1 -short -run $(ANNOTATE_TESTS) $(ANNOTATE_PKGS)
 
 # Predictor-zoo gate, run standalone (uncached): the randomized two-level
 # differential against the map-based reference (predictions, confidence

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/exp"
 	"lvp/internal/serve"
 )
@@ -192,7 +193,7 @@ func TestClientRoundTrip(t *testing.T) {
 
 	// Cross-check the baseline cell against a direct engine run.
 	direct := exp.NewSuiteParallel(1, 2)
-	stats, err := direct.Sim21164("quick", nil)
+	stats, err := direct.Sim21164("quick", axp21164.Config21164(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

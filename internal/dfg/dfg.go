@@ -8,6 +8,8 @@
 package dfg
 
 import (
+	"fmt"
+
 	"lvp/internal/isa"
 	"lvp/internal/trace"
 )
@@ -79,8 +81,13 @@ func (r Result) LimitIPC() float64 {
 // annotated PredCorrect or PredConstant contribute zero latency (their
 // values were forwarded at dispatch); all other instructions use their
 // class latency. Memory dependences are honoured conservatively: a load
-// depends on the latest older store that overlaps its address.
-func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) Result {
+// depends on the latest older store that overlaps its address. A non-nil
+// ann must hold one state per record; otherwise Analyze returns
+// trace.ErrAnnotationLength.
+func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) (Result, error) {
+	if ann != nil && len(ann) != len(t.Records) {
+		return Result{}, fmt.Errorf("%w: %d states for %d records", trace.ErrAnnotationLength, len(ann), len(t.Records))
+	}
 	var readyG, readyF [isa.NumRegs]int
 	// lastStoreDone maps 8-byte-aligned addresses to the completion time
 	// of the last store covering them.
@@ -137,5 +144,5 @@ func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) Result {
 		}
 	}
 	res.CriticalPath = critical
-	return res
+	return res, nil
 }

@@ -1,11 +1,22 @@
 package dfg
 
 import (
+	"errors"
 	"testing"
 
 	"lvp/internal/isa"
 	"lvp/internal/trace"
 )
+
+// analyze is Analyze for a well-formed annotation.
+func analyze(t *testing.T, tr *trace.Trace, ann trace.Annotation, lat Latencies) Result {
+	t.Helper()
+	r, err := Analyze(tr, ann, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func TestSerialChainCriticalPath(t *testing.T) {
 	// 100 dependent adds: critical path = 100 cycles.
@@ -15,7 +26,7 @@ func TestSerialChainCriticalPath(t *testing.T) {
 			PC: uint64(0x1000 + 4*i), Op: isa.ADD, Rd: 5, Ra: 5, Rb: 5,
 		})
 	}
-	r := Analyze(tr, nil, Default620())
+	r := analyze(t, tr, nil, Default620())
 	if r.CriticalPath != 100 {
 		t.Errorf("critical path = %d, want 100", r.CriticalPath)
 	}
@@ -31,7 +42,7 @@ func TestIndependentOpsFlat(t *testing.T) {
 			PC: uint64(0x1000 + 4*i), Op: isa.ADD, Rd: isa.Reg(1 + i%20), Ra: 0, Rb: 0,
 		})
 	}
-	r := Analyze(tr, nil, Default620())
+	r := analyze(t, tr, nil, Default620())
 	if r.CriticalPath != 1 {
 		t.Errorf("independent ops critical path = %d, want 1", r.CriticalPath)
 	}
@@ -51,14 +62,14 @@ func loadChain(n int) *trace.Trace {
 
 func TestCollapsedLoadsShortenPath(t *testing.T) {
 	tr := loadChain(100)
-	base := Analyze(tr, nil, Default620())
+	base := analyze(t, tr, nil, Default620())
 	ann := trace.NewAnnotation(tr)
 	for i := range tr.Records {
 		if tr.Records[i].IsLoad() {
 			ann[i] = trace.PredCorrect
 		}
 	}
-	collapsed := Analyze(tr, ann, Default620())
+	collapsed := analyze(t, tr, ann, Default620())
 	// Chain per pair: load(2) + add(1) = 3 -> collapsed: add(1) only.
 	if base.CriticalPath != 300 {
 		t.Errorf("base critical path = %d, want 300", base.CriticalPath)
@@ -79,8 +90,8 @@ func TestIncorrectPredictionsNotCollapsed(t *testing.T) {
 			ann[i] = trace.PredIncorrect
 		}
 	}
-	r := Analyze(tr, ann, Default620())
-	base := Analyze(tr, nil, Default620())
+	r := analyze(t, tr, ann, Default620())
+	base := analyze(t, tr, nil, Default620())
 	if r.CriticalPath != base.CriticalPath {
 		t.Errorf("incorrect predictions must not shorten the path: %d vs %d",
 			r.CriticalPath, base.CriticalPath)
@@ -99,14 +110,14 @@ func TestMemoryDependenceHonoured(t *testing.T) {
 		{PC: 0x1008, Op: isa.LD, Rd: 5, Ra: 3, Addr: 0x100000, Value: 1, Size: 8, Class: isa.LoadIntData},
 	}}
 	lat := Default620()
-	r := Analyze(tr, nil, lat)
+	r := analyze(t, tr, nil, lat)
 	want := lat.Div + lat.Store + lat.Load
 	if r.CriticalPath != want {
 		t.Errorf("critical path = %d, want %d (div -> store -> load)", r.CriticalPath, want)
 	}
 	// Disjoint address: the load no longer chains behind the store.
 	tr.Records[2].Addr = 0x200000
-	r2 := Analyze(tr, nil, lat)
+	r2 := analyze(t, tr, nil, lat)
 	if r2.CriticalPath != lat.Div+lat.Store {
 		t.Errorf("disjoint critical path = %d, want %d", r2.CriticalPath, lat.Div+lat.Store)
 	}
@@ -116,5 +127,22 @@ func TestZeroResult(t *testing.T) {
 	var r Result
 	if r.LimitIPC() != 0 {
 		t.Error("empty result must report 0 IPC")
+	}
+}
+
+// TestAnalyzeAnnotationLength checks an annotation that does not hold one state
+// per record is refused with trace.ErrAnnotationLength, whether it is too
+// short (it used to index past its end) or too long (it used to be
+// accepted silently).
+func TestAnalyzeAnnotationLength(t *testing.T) {
+	tr := loadChain(10)
+	for _, n := range []int{0, len(tr.Records) / 2, len(tr.Records) - 1, len(tr.Records) + 1} {
+		ann := make(trace.Annotation, n)
+		for i := range ann {
+			ann[i] = trace.PredCorrect
+		}
+		if _, err := Analyze(tr, ann, Default620()); !errors.Is(err, trace.ErrAnnotationLength) {
+			t.Errorf("%d states for %d records: err %v, want %v", n, len(tr.Records), err, trace.ErrAnnotationLength)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"lvp/client"
+	"lvp/internal/axp21164"
 	"lvp/internal/exp"
 	"lvp/internal/obs"
 	"lvp/internal/serve"
@@ -165,7 +166,7 @@ func TestCoordinatorByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := exp.NewSuiteParallel(1, 2)
-	stats, err := direct.Sim21164("quick", nil)
+	stats, err := direct.Sim21164("quick", axp21164.Config21164(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@ package exp
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
+	"time"
 
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
@@ -259,10 +261,12 @@ func (s *Suite) PredictorStudy() (*PredictorResult, error) {
 		if err != nil {
 			return err
 		}
+		start := time.Now()
 		lv := lvp.MeasureAccuracy(loads, lvp.NewLastValue(1024))
 		tv := lvp.MeasureAccuracy(loads, lvp.NewTwoValue(1024))
 		st := lvp.MeasureAccuracy(loads, lvp.NewStride(1024))
 		cx := lvp.MeasureAccuracy(loads, lvp.NewContext(1024, 4096))
+		s.finishPhase("walk", start, slog.String("bench", b.Name), slog.String("study", "predictors"))
 		res.Rows[i] = PredictorRow{
 			Name:      b.Name,
 			LastValue: lv.Percent(),

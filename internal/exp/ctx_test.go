@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/lvp"
 	"lvp/internal/prog"
 )
@@ -30,7 +31,7 @@ func TestSuiteWithContextCancelled(t *testing.T) {
 		t.Fatalf("base view Trace after cancellation: %v", err)
 	}
 	cfg := lvp.Simple
-	if _, err := s.Sim21164("quick", &cfg); err != nil {
+	if _, err := s.Sim21164("quick", axp21164.Config21164(), &cfg); err != nil {
 		t.Fatalf("base view Sim21164 after cancellation: %v", err)
 	}
 }

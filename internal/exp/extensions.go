@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"io"
+	"log/slog"
+	"time"
 
 	"lvp/internal/bench"
 	"lvp/internal/isa"
@@ -48,7 +50,9 @@ func (s *Suite) GeneralValueLocality() (*GVLResult, error) {
 		if err != nil {
 			return err
 		}
+		start := time.Now()
 		all := locality.MeasureGeneral(t, locality.DefaultEntries, 1, 16)
+		s.finishPhase("walk", start, slog.String("bench", b.Name), slog.String("study", "gvl"))
 		row := GVLRow{
 			Name:    b.Name,
 			LoadsD1: loads[0].Overall.Percent(),
@@ -124,9 +128,11 @@ func (s *Suite) PathLVPStudy(histBits []int) (*PathResult, error) {
 			return err
 		}
 		row := PathRow{Name: b.Name, Acc: make([]float64, len(histBits))}
+		start := time.Now()
 		for i, r := range lvp.MeasurePathAccuracy(t, 4096, histBits...) {
 			row.Acc[i] = r.Percent()
 		}
+		s.finishPhase("walk", start, slog.String("bench", b.Name), slog.String("study", "pathlvp"))
 		res.Rows[bi] = row
 		return nil
 	})

@@ -6,7 +6,6 @@ import (
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
 	"lvp/internal/ppc620"
-	"lvp/internal/prog"
 	"lvp/internal/report"
 	"lvp/internal/stats"
 )
@@ -35,31 +34,20 @@ type GVPResult struct {
 func (s *Suite) GVPStudy() (*GVPResult, error) {
 	res := &GVPResult{Rows: make([]GVPRow, len(bench.All()))}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
-		t, err := s.Trace(b.Name, prog.PPC)
+		mc := ppc620.Config620()
+		base, err := s.Sim620(b.Name, mc, nil)
 		if err != nil {
 			return err
 		}
-		base, err := s.Sim620(b.Name, false, nil)
+		lvpSimple, err := s.Sim620(b.Name, mc, &lvp.Simple)
 		if err != nil {
 			return err
 		}
-		lvpSimple, err := s.Sim620(b.Name, false, &lvp.Simple)
+		gvpSimple, err := s.sim620(b.Name, mc, &lvp.Simple, predAll)
 		if err != nil {
 			return err
 		}
-		gvpAnn, _, err := lvp.AnnotateGeneral(t, lvp.Simple)
-		if err != nil {
-			return err
-		}
-		gvpSimple, err := ppc620.Simulate(t.Slabs(gvpAnn), ppc620.Config620(), "GVP-Simple", nil)
-		if err != nil {
-			return err
-		}
-		perfAnn, _, err := lvp.AnnotateGeneral(t, lvp.Perfect)
-		if err != nil {
-			return err
-		}
-		gvpPerfect, err := ppc620.Simulate(t.Slabs(perfAnn), ppc620.Config620(), "GVP-Perfect", nil)
+		gvpPerfect, err := s.sim620(b.Name, mc, &lvp.Perfect, predAll)
 		if err != nil {
 			return err
 		}

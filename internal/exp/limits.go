@@ -2,13 +2,18 @@ package exp
 
 import (
 	"io"
+	"log/slog"
+	"time"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/bench"
 	"lvp/internal/dfg"
 	"lvp/internal/lvp"
+	"lvp/internal/ppc620"
 	"lvp/internal/prog"
 	"lvp/internal/report"
 	"lvp/internal/stats"
+	"lvp/internal/trace"
 )
 
 // LimitRow is the dataflow-limit study for one benchmark: the best possible
@@ -49,14 +54,19 @@ func (s *Suite) DataflowLimits() (*LimitResult, error) {
 		if err != nil {
 			return err
 		}
-		base := dfg.Analyze(t, nil, lat)
-		simple := dfg.Analyze(t, annS, lat)
-		perfect := dfg.Analyze(t, annP, lat)
+		start := time.Now()
+		var cp [3]dfg.Result // no LVP, Simple, Perfect
+		for k, ann := range []trace.Annotation{nil, annS, annP} {
+			if cp[k], err = dfg.Analyze(t, ann, lat); err != nil {
+				return err
+			}
+		}
+		s.finishPhase("dfg", start, slog.String("bench", b.Name))
 		res.Rows[i] = LimitRow{
 			Name:           b.Name,
-			BaseIPC:        base.LimitIPC(),
-			SimpleSpeedup:  float64(base.CriticalPath) / float64(max(1, simple.CriticalPath)),
-			PerfectSpeedup: float64(base.CriticalPath) / float64(max(1, perfect.CriticalPath)),
+			BaseIPC:        cp[0].LimitIPC(),
+			SimpleSpeedup:  float64(cp[0].CriticalPath) / float64(max(1, cp[1].CriticalPath)),
+			PerfectSpeedup: float64(cp[0].CriticalPath) / float64(max(1, cp[2].CriticalPath)),
 		}
 		return nil
 	})
@@ -108,15 +118,15 @@ type MachinesResult struct {
 func (s *Suite) Machines() (*MachinesResult, error) {
 	res := &MachinesResult{Rows: make([]MachineRow, len(bench.All()))}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
-		s620, err := s.Sim620(b.Name, false, nil)
+		s620, err := s.Sim620(b.Name, ppc620.Config620(), nil)
 		if err != nil {
 			return err
 		}
-		sPlus, err := s.Sim620(b.Name, true, nil)
+		sPlus, err := s.Sim620(b.Name, ppc620.Config620Plus(), nil)
 		if err != nil {
 			return err
 		}
-		s164, err := s.Sim21164(b.Name, nil)
+		s164, err := s.Sim21164(b.Name, axp21164.Config21164(), nil)
 		if err != nil {
 			return err
 		}

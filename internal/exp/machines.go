@@ -4,6 +4,7 @@ import (
 	"io"
 	"sync"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
 	"lvp/internal/ppc620"
@@ -14,6 +15,10 @@ import (
 // PPCConfigs are the LVP configurations simulated on the 620/620+ (paper
 // Figure 6 lower panel / Table 6 order).
 var PPCConfigs = []lvp.Config{lvp.Simple, lvp.Constant, lvp.Limit, lvp.Perfect}
+
+// ppcMachines are the two PowerPC machines of Figures 7–9: the 620 and the
+// 620+, in that order.
+var ppcMachines = [2]ppc620.Config{ppc620.Config620(), ppc620.Config620Plus()}
 
 // AXPConfigs are the configurations simulated on the 21164; the paper omits
 // Constant there (§6.1).
@@ -40,23 +45,23 @@ func (s *Suite) Figure6() (*Fig6Result, error) {
 	res := &Fig6Result{Rows: make([]Fig6Row, len(bench.All()))}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
 		row := Fig6Row{Name: b.Name}
-		base620, err := s.Sim620(b.Name, false, nil)
+		base620, err := s.Sim620(b.Name, ppc620.Config620(), nil)
 		if err != nil {
 			return err
 		}
 		for i := range PPCConfigs {
-			st, err := s.Sim620(b.Name, false, &PPCConfigs[i])
+			st, err := s.Sim620(b.Name, ppc620.Config620(), &PPCConfigs[i])
 			if err != nil {
 				return err
 			}
 			row.PPC[i] = float64(base620.Cycles) / float64(st.Cycles)
 		}
-		base164, err := s.Sim21164(b.Name, nil)
+		base164, err := s.Sim21164(b.Name, axp21164.Config21164(), nil)
 		if err != nil {
 			return err
 		}
 		for i := range AXPConfigs {
-			st, err := s.Sim21164(b.Name, &AXPConfigs[i])
+			st, err := s.Sim21164(b.Name, axp21164.Config21164(), &AXPConfigs[i])
 			if err != nil {
 				return err
 			}
@@ -134,11 +139,11 @@ type Table6Result struct {
 func (s *Suite) Table6() (*Table6Result, error) {
 	res := &Table6Result{Rows: make([]Table6Row, len(bench.All()))}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
-		base620, err := s.Sim620(b.Name, false, nil)
+		base620, err := s.Sim620(b.Name, ppc620.Config620(), nil)
 		if err != nil {
 			return err
 		}
-		basePlus, err := s.Sim620(b.Name, true, nil)
+		basePlus, err := s.Sim620(b.Name, ppc620.Config620Plus(), nil)
 		if err != nil {
 			return err
 		}
@@ -148,7 +153,7 @@ func (s *Suite) Table6() (*Table6Result, error) {
 			PlusSpeedup: float64(base620.Cycles) / float64(basePlus.Cycles),
 		}
 		for i := range PPCConfigs {
-			st, err := s.Sim620(b.Name, true, &PPCConfigs[i])
+			st, err := s.Sim620(b.Name, ppc620.Config620Plus(), &PPCConfigs[i])
 			if err != nil {
 				return err
 			}
@@ -211,9 +216,9 @@ func (s *Suite) Figure7() (*Fig7Result, error) {
 	var mu sync.Mutex
 	var totals [2][4][6]int
 	err := s.forEachBench(func(b bench.Benchmark) error {
-		for mi, plus := range []bool{false, true} {
+		for mi, mc := range ppcMachines {
 			for ci := range PPCConfigs {
-				st, err := s.Sim620(b.Name, plus, &PPCConfigs[ci])
+				st, err := s.Sim620(b.Name, mc, &PPCConfigs[ci])
 				if err != nil {
 					return err
 				}
@@ -248,10 +253,9 @@ func (s *Suite) Figure7() (*Fig7Result, error) {
 
 // Render writes one table per machine.
 func (r *Fig7Result) Render(w io.Writer) {
-	names := []string{"PPC 620", "PPC 620+"}
-	for mi, name := range names {
+	for mi, mc := range ppcMachines {
 		t := report.Table{
-			Title:   "Figure 7 (" + name + "): Load Verification Latency Distribution (% of correctly-predicted loads)",
+			Title:   "Figure 7 (PPC " + mc.Name + "): Load Verification Latency Distribution (% of correctly-predicted loads)",
 			Columns: append([]string{"Config"}, ppc620.VerifyBuckets...),
 		}
 		for ci, cfg := range PPCConfigs {
@@ -281,13 +285,13 @@ func (s *Suite) Figure8() (*Fig8Result, error) {
 	var waitSum [2][5][ppc620.NumFU]int64 // config index 4 = baseline
 	var waitN [2][5][ppc620.NumFU]int64
 	err := s.forEachBench(func(b bench.Benchmark) error {
-		for mi, plus := range []bool{false, true} {
+		for mi, mc := range ppcMachines {
 			for ci := 0; ci <= len(PPCConfigs); ci++ {
 				var cfg *lvp.Config
 				if ci < len(PPCConfigs) {
 					cfg = &PPCConfigs[ci]
 				}
-				st, err := s.Sim620(b.Name, plus, cfg)
+				st, err := s.Sim620(b.Name, mc, cfg)
 				if err != nil {
 					return err
 				}
@@ -325,11 +329,10 @@ func (s *Suite) Figure8() (*Fig8Result, error) {
 
 // Render writes one table per machine.
 func (r *Fig8Result) Render(w io.Writer) {
-	names := []string{"PPC 620", "PPC 620+"}
 	fus := []ppc620.FU{ppc620.BRU, ppc620.FPU, ppc620.MCFX, ppc620.SCFX, ppc620.LSU}
-	for mi, name := range names {
+	for mi, mc := range ppcMachines {
 		t := report.Table{
-			Title:   "Figure 8 (" + name + "): Avg. RS dependency-wait, % of no-LVP baseline",
+			Title:   "Figure 8 (PPC " + mc.Name + "): Avg. RS dependency-wait, % of no-LVP baseline",
 			Columns: []string{"Config", "BRU", "FPU", "MCFX", "SCFX", "LSU"},
 		}
 		for ci, cfg := range PPCConfigs {
@@ -365,9 +368,9 @@ func (s *Suite) Figure9() (*Fig9Result, error) {
 	cfgs := []*lvp.Config{nil, &lvp.Simple, &lvp.Constant}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
 		row := Fig9Row{Name: b.Name}
-		for mi, plus := range []bool{false, true} {
+		for mi, mc := range ppcMachines {
 			for ci, cfg := range cfgs {
-				st, err := s.Sim620(b.Name, plus, cfg)
+				st, err := s.Sim620(b.Name, mc, cfg)
 				if err != nil {
 					return err
 				}
@@ -394,10 +397,9 @@ func (s *Suite) Figure9() (*Fig9Result, error) {
 
 // Render writes the chart per machine.
 func (r *Fig9Result) Render(w io.Writer) {
-	names := []string{"PPC 620", "PPC 620+"}
-	for mi, name := range names {
+	for mi, mc := range ppcMachines {
 		c := report.BarChart{
-			Title:  "Figure 9 (" + name + "): % of cycles with L1 bank conflicts",
+			Title:  "Figure 9 (PPC " + mc.Name + "): % of cycles with L1 bank conflicts",
 			Series: []string{"NoLVP", "Simple", "Constant"},
 			Unit:   "%",
 		}

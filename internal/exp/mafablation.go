@@ -6,7 +6,6 @@ import (
 	"lvp/internal/axp21164"
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
-	"lvp/internal/prog"
 	"lvp/internal/report"
 	"lvp/internal/stats"
 )
@@ -36,34 +35,26 @@ type MAFResult struct {
 // reported gain that choice contributes.
 func (s *Suite) MAFAblation() (*MAFResult, error) {
 	res := &MAFResult{Rows: make([]MAFRow, len(bench.All()))}
+	// The blocking runs are the paper's 21164 cells, shared with Figure 6
+	// and Table 6 through the suite cache.
+	blocking := axp21164.Config21164()
+	nonblocking := blocking
+	nonblocking.Name = "21164+MAF"
+	nonblocking.NonBlocking = true
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
-		t, err := s.Trace(b.Name, prog.AXP)
+		bBase, err := s.Sim21164(b.Name, blocking, nil)
 		if err != nil {
 			return err
 		}
-		ann, _, err := s.Annotation(b.Name, prog.AXP, lvp.Simple)
+		bLVP, err := s.Sim21164(b.Name, blocking, &lvp.Simple)
 		if err != nil {
 			return err
 		}
-		// The blocking runs are the paper's 21164 cells, shared with
-		// Figure 6 and Table 6 through the suite cache.
-		bBase, err := s.Sim21164(b.Name, nil)
+		nBase, err := s.Sim21164(b.Name, nonblocking, nil)
 		if err != nil {
 			return err
 		}
-		simple := lvp.Simple
-		bLVP, err := s.Sim21164(b.Name, &simple)
-		if err != nil {
-			return err
-		}
-		nonblocking := axp21164.Config21164()
-		nonblocking.Name = "21164+MAF"
-		nonblocking.NonBlocking = true
-		nBase, err := axp21164.Simulate(t.Slabs(nil), nonblocking, "", nil)
-		if err != nil {
-			return err
-		}
-		nLVP, err := axp21164.Simulate(t.Slabs(ann), nonblocking, "Simple", nil)
+		nLVP, err := s.Sim21164(b.Name, nonblocking, &lvp.Simple)
 		if err != nil {
 			return err
 		}

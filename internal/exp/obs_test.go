@@ -7,8 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/lvp"
 	"lvp/internal/obs"
+	"lvp/internal/ppc620"
 	"lvp/internal/prog"
 )
 
@@ -61,10 +63,10 @@ func TestSuiteMetricsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := lvp.Simple
-	if _, err := s.Sim620("quick", false, &cfg); err != nil {
+	if _, err := s.Sim620("quick", ppc620.Config620(), &cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Sim21164("quick", &cfg); err != nil {
+	if _, err := s.Sim21164("quick", axp21164.Config21164(), &cfg); err != nil {
 		t.Fatal(err)
 	}
 	s.FinalizeMetrics()
@@ -145,7 +147,7 @@ func TestNilMetricsSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := lvp.Simple
-	if _, err := s.Sim21164("quick", &cfg); err != nil {
+	if _, err := s.Sim21164("quick", axp21164.Config21164(), &cfg); err != nil {
 		t.Fatal(err)
 	}
 	if cs := s.CacheStats(); cs.Annotations.Builds() != 1 {

@@ -5,42 +5,36 @@ import (
 
 	"lvp/internal/bench"
 	"lvp/internal/ppc620"
-	"lvp/internal/prog"
 	"lvp/internal/report"
 	"lvp/internal/stats"
 )
 
-// resourceVariant is one single-axis enlargement of the base 620. A
-// variant without apply is a standard machine (the 620, or the 620+ when
-// plus), simulated through the suite's cache so it shares the no-LVP cells
-// the paper figures already built.
+// resourceVariant is one machine of the resource sweep: the base 620, one
+// single-axis enlargement of it, or the 620+, which enlarges every axis.
 type resourceVariant struct {
-	name  string
-	apply func(*ppc620.Config)
-	plus  bool
+	name string
+	mc   ppc620.Config
 }
 
 func resourceVariants() []resourceVariant {
+	base := ppc620.Config620()
+	rs, rename, completion, lsu := base, base, base, base
+	for f := range rs.RS {
+		rs.RS[f] *= 2
+	}
+	rename.GPRRename *= 2
+	rename.FPRRename *= 2
+	completion.Completion *= 2
+	lsu.Units[ppc620.LSU] = 2
+	lsu.MaxLoadDispatch, lsu.MaxStoreDispatch = 2, 2
+	lsu.RelaxedLS = true
 	return []resourceVariant{
-		{name: "base 620"},
-		{name: "2x reservation stations", apply: func(c *ppc620.Config) {
-			for f := range c.RS {
-				c.RS[f] *= 2
-			}
-		}},
-		{name: "2x rename buffers", apply: func(c *ppc620.Config) {
-			c.GPRRename *= 2
-			c.FPRRename *= 2
-		}},
-		{name: "2x completion buffer", apply: func(c *ppc620.Config) {
-			c.Completion *= 2
-		}},
-		{name: "2nd load/store unit", apply: func(c *ppc620.Config) {
-			c.Units[ppc620.LSU] = 2
-			c.MaxLoadDispatch, c.MaxStoreDispatch = 2, 2
-			c.RelaxedLS = true
-		}},
-		{name: "620+ (all of the above)", plus: true},
+		{"base 620", base},
+		{"2x reservation stations", rs},
+		{"2x rename buffers", rename},
+		{"2x completion buffer", completion},
+		{"2nd load/store unit", lsu},
+		{"620+ (all of the above)", ppc620.Config620Plus()},
 	}
 }
 
@@ -67,23 +61,11 @@ func (s *Suite) ResourceSweep() (*ResourceResult, error) {
 		speedups[vi] = make([]float64, len(bench.All()))
 	}
 	err := s.forEachBenchIdx(func(bi int, b bench.Benchmark) error {
-		t, err := s.Trace(b.Name, prog.PPC)
-		if err != nil {
-			return err
-		}
 		base := 0
 		for vi, v := range variants {
-			var st ppc620.Stats
-			if v.apply == nil {
-				if st, err = s.Sim620(b.Name, v.plus, nil); err != nil {
-					return err
-				}
-			} else {
-				cfg := ppc620.Config620()
-				v.apply(&cfg)
-				if st, err = ppc620.Simulate(t.Slabs(nil), cfg, "", nil); err != nil {
-					return err
-				}
+			st, err := s.Sim620(b.Name, v.mc, nil)
+			if err != nil {
+				return err
 			}
 			if vi == 0 {
 				base = st.Cycles

@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
+	"lvp/internal/ppc620"
 	"lvp/internal/prog"
 )
 
@@ -42,12 +44,12 @@ func TestSimStatsGolden(t *testing.T) {
 			if cfg != nil {
 				name = cfg.Name
 			}
-			st620, err := s.Sim620(b.Name, false, cfg)
+			st620, err := s.Sim620(b.Name, ppc620.Config620(), cfg)
 			add("620/"+b.Name+"/"+name, st620, err)
-			st164, err := s.Sim21164(b.Name, cfg)
+			st164, err := s.Sim21164(b.Name, axp21164.Config21164(), cfg)
 			add("21164/"+b.Name+"/"+name, st164, err)
 		}
-		stp, err := s.Sim620(b.Name, true, &lvp.Simple)
+		stp, err := s.Sim620(b.Name, ppc620.Config620Plus(), &lvp.Simple)
 		add("620+/"+b.Name+"/Simple", stp, err)
 		for _, cfg := range []lvp.Config{lvp.Simple, lvp.Constant, lvp.Limit, lvp.SimpleTagged, lvp.SimpleAssoc4} {
 			for _, tgt := range []prog.Target{prog.PPC, prog.AXP} {

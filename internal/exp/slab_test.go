@@ -8,9 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
 	"lvp/internal/obs"
+	"lvp/internal/ppc620"
 	"lvp/internal/prog"
 )
 
@@ -135,24 +137,25 @@ func TestOneUnitRunPerHardwareConfig(t *testing.T) {
 
 // TestSimCacheByHardwareIdentity checks the machine caches key by hardware
 // too: a renamed Simple reuses Simple's simulation on both models and
-// reports the requested name.
+// reports the requested name, while two 620s that share the name "620" but
+// not their hardware are two simulations.
 func TestSimCacheByHardwareIdentity(t *testing.T) {
 	s := NewSuite(1)
 	renamed := lvp.Simple
 	renamed.Name = "Simple/1024"
-	a, err := s.Sim620("quick", false, &lvp.Simple)
+	a, err := s.Sim620("quick", ppc620.Config620(), &lvp.Simple)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Sim620("quick", false, &renamed)
+	b, err := s.Sim620("quick", ppc620.Config620(), &renamed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := s.Sim21164("quick", &lvp.Simple)
+	c, err := s.Sim21164("quick", axp21164.Config21164(), &lvp.Simple)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := s.Sim21164("quick", &renamed)
+	d, err := s.Sim21164("quick", axp21164.Config21164(), &renamed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +168,21 @@ func TestSimCacheByHardwareIdentity(t *testing.T) {
 	cs := s.CacheStats()
 	if cs.Sims620.Builds() != 1 || cs.Sims21164.Builds() != 1 {
 		t.Fatalf("sim builds 620=%d 21164=%d, want 1 each", cs.Sims620.Builds(), cs.Sims21164.Builds())
+	}
+
+	// The 620+'s hardware under the 620's name.
+	wide := ppc620.Config620Plus()
+	wide.Name = a.Machine
+	e, err := s.Sim620("quick", wide, &lvp.Simple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.CacheStats().Sims620.Builds(); got != 2 {
+		t.Fatalf("620 sim builds = %d after a second 620 hardware, want 2", got)
+	}
+	if e.Machine != a.Machine || e.Cycles == a.Cycles {
+		t.Fatalf("620 %q: %d cycles, enlarged 620 %q: %d cycles; want the same name and different cycles",
+			a.Machine, a.Cycles, e.Machine, e.Cycles)
 	}
 }
 
@@ -195,11 +213,11 @@ func TestSharedRunLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.Sim620("quick", false, &cfg)
+	a, err := s.Sim620("quick", ppc620.Config620(), &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Sim21164("quick", &cfg)
+	b, err := s.Sim21164("quick", axp21164.Config21164(), &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"lvp/internal/bench"
+	"lvp/internal/ppc620"
 	"lvp/internal/report"
 	"lvp/internal/stats"
 )
@@ -29,7 +30,7 @@ type StallResult struct {
 func (s *Suite) Stalls() (*StallResult, error) {
 	res := &StallResult{Rows: make([]StallRow, len(bench.All()))}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
-		st, err := s.Sim620(b.Name, false, nil)
+		st, err := s.Sim620(b.Name, ppc620.Config620(), nil)
 		if err != nil {
 			return err
 		}

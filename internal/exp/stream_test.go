@@ -98,16 +98,12 @@ func runStreamDifferential(t *testing.T, parallel bool) {
 				t.Fatal("streamed annotation differs from the in-memory annotation")
 			}
 
-			for _, plus := range []bool{false, true} {
-				mc := ppc620.Config620()
-				if plus {
-					mc = ppc620.Config620Plus()
-				}
+			for _, mc := range ppcMachines {
 				got, err := ppc620.Simulate(streamPipe(t, b.Name, prog.PPC, cfg, mem), mc, cfg.Name, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := mem.Sim620(b.Name, plus, &cfg)
+				want, err := mem.Sim620(b.Name, mc, &cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +115,7 @@ func runStreamDifferential(t *testing.T, parallel bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := mem.Sim21164(b.Name, &cfg)
+			want, err := mem.Sim21164(b.Name, axp21164.Config21164(), &cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -67,17 +67,24 @@ func hwConfig(cfg lvp.Config) lvp.Config {
 	return cfg
 }
 
-type sim620Key struct {
-	name  string
-	plus  bool
-	cfg   lvp.Config
-	noLVP bool
-}
+// predSource is where a simulation's value predictions come from.
+type predSource uint8
 
-type sim164Key struct {
-	name  string
-	cfg   lvp.Config
-	noLVP bool
+const (
+	predNone  predSource = iota // no value-prediction hardware
+	predLoads                   // the LVP unit's per-load annotation
+	predAll                     // every register result (general value prediction)
+)
+
+// simKey memoizes simulations by the full machine configuration, name
+// included (it is what Stats.Machine reports), so two machines that differ
+// in any parameter never share a run. cfg is the LVP configuration's
+// hardware identity (hwConfig), zero under predNone.
+type simKey[M comparable] struct {
+	name string
+	mc   M
+	cfg  lvp.Config
+	pred predSource
 }
 
 // zooKey memoizes predictor-zoo cells by benchmark and family name (a
@@ -143,8 +150,8 @@ type suiteCaches struct {
 	locs   par.Cache[traceKey, []locality.Result]
 	runs   par.Cache[annKey, unitRun]
 	anns   par.Cache[annKey, trace.Annotation]
-	s620   par.Cache[sim620Key, ppc620.Stats]
-	s164   par.Cache[sim164Key, axp21164.Stats]
+	s620   par.Cache[simKey[ppc620.Config], ppc620.Stats]
+	s164   par.Cache[simKey[axp21164.Config], axp21164.Stats]
 	zoo    par.Cache[zooKey, ZooCell]
 }
 
@@ -365,59 +372,96 @@ func (s *Suite) AnnotationStats(name string, target prog.Target, cfg lvp.Config)
 	return r.st, err
 }
 
-// Sim620 simulates one benchmark on the 620 (plus=false) or 620+ with the
-// given LVP config; cfg == nil means no LVP hardware.
-func (s *Suite) Sim620(name string, plus bool, cfg *lvp.Config) (ppc620.Stats, error) {
-	key := sim620Key{name: name, plus: plus, noLVP: cfg == nil}
-	run := simConfig(cfg)
-	if cfg != nil {
-		key.cfg = hwConfig(*cfg)
-	}
-	ctx := s.context()
-	st, err := s.cacheState().s620.GetCtx(ctx, key, func() (ppc620.Stats, error) {
-		t, err := s.Trace(name, prog.PPC)
-		if err != nil {
-			return ppc620.Stats{}, err
-		}
-		var ann trace.Annotation
-		cfgName := lvpLabel(run)
-		if run != nil {
-			ann, _, err = s.Annotation(name, prog.PPC, *run)
-			if err != nil {
-				return ppc620.Stats{}, err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return ppc620.Stats{}, err
-		}
-		mc := ppc620.Config620()
-		if plus {
-			mc = ppc620.Config620Plus()
-		}
-		start := time.Now()
-		st, err := ppc620.Simulate(t.Slabs(ann), mc, cfgName, s.Tracer)
-		if err != nil {
-			return ppc620.Stats{}, err
-		}
-		s.record620Stats(st)
-		s.finishPhase("sim620", start,
-			slog.String("bench", name), slog.String("machine", mc.Name),
-			slog.String("config", cfgName))
-		return st, nil
-	})
+// Sim620 simulates one benchmark on a 620-class machine (Config620,
+// Config620Plus or any variant of them) with the given LVP config; cfg ==
+// nil means no LVP hardware.
+func (s *Suite) Sim620(name string, mc ppc620.Config, cfg *lvp.Config) (ppc620.Stats, error) {
+	st, err := s.sim620(name, mc, cfg, predLoads)
 	st.LVPConfig = lvpLabel(cfg)
 	return st, err
 }
 
-// simConfig is the configuration a shared simulation of cfg runs under:
-// cfg under its run label (runConfig), nil for no LVP hardware. The
-// requested name is stamped back on the cached result.
-func simConfig(cfg *lvp.Config) *lvp.Config {
-	if cfg == nil {
-		return nil
+// sim620 is Sim620 with the prediction source chosen: predAll runs the
+// general value predictor built from cfg (the gvp study).
+func (s *Suite) sim620(name string, mc ppc620.Config, cfg *lvp.Config, pred predSource) (ppc620.Stats, error) {
+	return simulate(s, &s.cacheState().s620, model620, name, mc, mc.Name, cfg, pred)
+}
+
+// Sim21164 simulates one benchmark on a 21164-class machine (Config21164
+// or a variant of it) with the given LVP config (nil = no LVP hardware).
+func (s *Suite) Sim21164(name string, mc axp21164.Config, cfg *lvp.Config) (axp21164.Stats, error) {
+	st, err := simulate(s, &s.cacheState().s164, model21164, name, mc, mc.Name, cfg, predLoads)
+	st.LVPConfig = lvpLabel(cfg)
+	return st, err
+}
+
+// simModel is one timing model as the suite runs it.
+type simModel[M comparable, S any] struct {
+	phase    string      // phase timer, progress counter and span name
+	target   prog.Target // the trace target the model consumes
+	simulate func(trace.SlabSource, M, string, *obs.Tracer) (S, error)
+	record   func(*Suite, S) // flushes one run's counters into Metrics
+}
+
+var (
+	model620   = simModel[ppc620.Config, ppc620.Stats]{"sim620", prog.PPC, ppc620.Simulate, (*Suite).record620Stats}
+	model21164 = simModel[axp21164.Config, axp21164.Stats]{"sim21164", prog.AXP, axp21164.Simulate, (*Suite).record164Stats}
+)
+
+// simulate is the one place a timing model runs: the cached simulation of
+// one benchmark on machine mc (named machine), with predictions from pred
+// under cfg (nil = no LVP hardware). The shared run is labelled by cfg's
+// hardware identity (runConfig); callers stamp the requested name back.
+func simulate[M comparable, S any](s *Suite, c *par.Cache[simKey[M], S], m simModel[M, S],
+	name string, mc M, machine string, cfg *lvp.Config, pred predSource) (S, error) {
+	key := simKey[M]{name: name, mc: mc}
+	var run lvp.Config
+	if cfg != nil {
+		key.cfg, key.pred, run = hwConfig(*cfg), pred, runConfig(*cfg)
 	}
-	run := runConfig(*cfg)
-	return &run
+	ctx := s.context()
+	return c.GetCtx(ctx, key, func() (S, error) {
+		var zero S
+		t, err := s.Trace(name, m.target)
+		if err != nil {
+			return zero, err
+		}
+		ann, label, err := s.predictions(t, m.target, name, run, key.pred)
+		if err != nil {
+			return zero, err
+		}
+		if err := ctx.Err(); err != nil {
+			return zero, err
+		}
+		start := time.Now()
+		st, err := m.simulate(t.Slabs(ann), mc, label, s.Tracer)
+		if err != nil {
+			return zero, err
+		}
+		m.record(s, st)
+		s.finishPhase(m.phase, start,
+			slog.String("bench", name), slog.String("machine", machine),
+			slog.String("config", label))
+		return st, nil
+	})
+}
+
+// predictions returns the annotation a simulation consumes and the label
+// it runs under. The load annotation is the suite's cached one; the
+// general (all-result) annotation is built here for its one simulation and
+// not kept, and its time is charged to the annotate phase.
+func (s *Suite) predictions(t *trace.Trace, target prog.Target, name string, run lvp.Config, pred predSource) (trace.Annotation, string, error) {
+	switch pred {
+	case predLoads:
+		ann, _, err := s.Annotation(name, target, run)
+		return ann, run.Name, err
+	case predAll:
+		start := time.Now()
+		ann, _, err := lvp.AnnotateGeneral(t, run)
+		s.Metrics.Timer("phase.annotate").Observe(time.Since(start))
+		return ann, "GVP-" + run.Name, err
+	}
+	return nil, lvpLabel(nil), nil
 }
 
 // lvpLabel is the LVPConfig label a simulation of cfg carries.
@@ -426,45 +470,6 @@ func lvpLabel(cfg *lvp.Config) string {
 		return "none"
 	}
 	return cfg.Name
-}
-
-// Sim21164 simulates one benchmark on the 21164 with the given LVP config
-// (nil = no LVP hardware).
-func (s *Suite) Sim21164(name string, cfg *lvp.Config) (axp21164.Stats, error) {
-	key := sim164Key{name: name, noLVP: cfg == nil}
-	run := simConfig(cfg)
-	if cfg != nil {
-		key.cfg = hwConfig(*cfg)
-	}
-	ctx := s.context()
-	st, err := s.cacheState().s164.GetCtx(ctx, key, func() (axp21164.Stats, error) {
-		t, err := s.Trace(name, prog.AXP)
-		if err != nil {
-			return axp21164.Stats{}, err
-		}
-		var ann trace.Annotation
-		cfgName := lvpLabel(run)
-		if run != nil {
-			ann, _, err = s.Annotation(name, prog.AXP, *run)
-			if err != nil {
-				return axp21164.Stats{}, err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return axp21164.Stats{}, err
-		}
-		start := time.Now()
-		st, err := axp21164.Simulate(t.Slabs(ann), axp21164.Config21164(), cfgName, s.Tracer)
-		if err != nil {
-			return axp21164.Stats{}, err
-		}
-		s.record164Stats(st)
-		s.finishPhase("sim21164", start,
-			slog.String("bench", name), slog.String("config", cfgName))
-		return st, nil
-	})
-	st.LVPConfig = lvpLabel(cfg)
-	return st, err
 }
 
 // forEachBench runs fn for every benchmark on the suite's worker pool and

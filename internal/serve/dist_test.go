@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/exp"
 )
 
@@ -52,7 +53,7 @@ func TestExecCellByteIdentity(t *testing.T) {
 	}
 
 	direct := exp.NewSuiteParallel(1, 2)
-	stats, err := direct.Sim21164("quick", nil)
+	stats, err := direct.Sim21164("quick", axp21164.Config21164(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,13 @@ import (
 	"sync"
 	"time"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/bench"
 	"lvp/internal/exp"
 	"lvp/internal/locality"
 	"lvp/internal/lvp"
 	"lvp/internal/obs"
+	"lvp/internal/ppc620"
 	"lvp/internal/prog"
 )
 
@@ -243,18 +245,12 @@ func computeCell(s *exp.Suite, c Cell) (json.RawMessage, error) {
 			cfgPtr = &cfg
 		}
 		switch c.Machine {
-		case Machine620, Machine620Plus:
-			st, err := s.Sim620(c.Bench, c.Machine == Machine620Plus, cfgPtr)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(st)
+		case Machine620:
+			return marshal(s.Sim620(c.Bench, ppc620.Config620(), cfgPtr))
+		case Machine620Plus:
+			return marshal(s.Sim620(c.Bench, ppc620.Config620Plus(), cfgPtr))
 		case Machine21164:
-			st, err := s.Sim21164(c.Bench, cfgPtr)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(st)
+			return marshal(s.Sim21164(c.Bench, axp21164.Config21164(), cfgPtr))
 		}
 		return nil, fmt.Errorf("serve: unknown machine %q", c.Machine)
 	case "locality":
@@ -268,13 +264,17 @@ func computeCell(s *exp.Suite, c Cell) (json.RawMessage, error) {
 		}
 		return json.Marshal(locality.Measure(t, locality.DefaultEntries, c.Depths...))
 	case "zoo":
-		cell, err := s.ZooCell(c.Bench, c.Predictor)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(cell)
+		return marshal(s.ZooCell(c.Bench, c.Predictor))
 	}
 	return nil, fmt.Errorf("serve: unknown cell kind %q", c.Kind)
+}
+
+// marshal is json.Marshal of a cell result, or the error that replaced it.
+func marshal[T any](v T, err error) (json.RawMessage, error) {
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(v)
 }
 
 // Job states.

@@ -13,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/exp"
 	"lvp/internal/locality"
 	"lvp/internal/lvp"
+	"lvp/internal/ppc620"
 )
 
 // shutdownNow drains a manager with a short deadline so tests always clean
@@ -130,13 +132,17 @@ func TestE2EByteIdentity(t *testing.T) {
 			}
 			switch cell.Machine {
 			case Machine21164:
-				stats, err := direct.Sim21164(cell.Bench, cfgPtr)
+				stats, err := direct.Sim21164(cell.Bench, axp21164.Config21164(), cfgPtr)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want, _ = json.Marshal(stats)
 			default:
-				stats, err := direct.Sim620(cell.Bench, cell.Machine == Machine620Plus, cfgPtr)
+				mc := ppc620.Config620()
+				if cell.Machine == Machine620Plus {
+					mc = ppc620.Config620Plus()
+				}
+				stats, err := direct.Sim620(cell.Bench, mc, cfgPtr)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,6 +15,7 @@ import (
 	"lvp/internal/exp"
 	"lvp/internal/lvp"
 	"lvp/internal/obs"
+	"lvp/internal/ppc620"
 )
 
 // smallSpec is a one-cell job cheap enough to run to completion in every
@@ -456,7 +457,7 @@ func TestTracingOnIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := direct.Sim620("quick", false, &cfg)
+	stats, err := direct.Sim620("quick", ppc620.Config620(), &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

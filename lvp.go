@@ -282,9 +282,10 @@ type DataflowResult = dfg.Result
 // AnalyzeDataflow computes the trace's dataflow (true-dependence) limit with
 // 620-class latencies. A non-nil annotation collapses correctly-predicted
 // loads to zero latency, isolating the paper's "collapsing true
-// dependencies" effect from machine structure.
+// dependencies" effect from machine structure. It panics if a non-nil ann
+// does not have one state per record.
 func AnalyzeDataflow(t *Trace, ann Annotation) DataflowResult {
-	return dfg.Analyze(t, ann, dfg.Default620())
+	return must(dfg.Analyze(t, ann, dfg.Default620()))
 }
 
 // --- observability (OBSERVABILITY.md) ---

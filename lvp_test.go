@@ -115,9 +115,10 @@ func TestFacade21164(t *testing.T) {
 	}
 }
 
-// TestFacadeSimulateMismatchedAnnotation: the in-memory wrappers panic
-// with an error naming both lengths when the annotation does not fit the
-// trace, instead of returning zero Stats or indexing past the end.
+// TestFacadeSimulateMismatchedAnnotation: the in-memory wrappers (the
+// three machines and the dataflow analysis) panic with an error naming
+// both lengths when the annotation does not fit the trace, instead of
+// returning a result or indexing past the end.
 func TestFacadeSimulateMismatchedAnnotation(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -127,6 +128,7 @@ func TestFacadeSimulateMismatchedAnnotation(t *testing.T) {
 		{"620", lvp.PPC, func(tr *lvp.Trace, a lvp.Annotation, n string) { lvp.Simulate620(tr, a, n) }},
 		{"620+", lvp.PPC, func(tr *lvp.Trace, a lvp.Annotation, n string) { lvp.Simulate620Plus(tr, a, n) }},
 		{"21164", lvp.AXP, func(tr *lvp.Trace, a lvp.Annotation, n string) { lvp.Simulate21164(tr, a, n) }},
+		{"dataflow", lvp.PPC, func(tr *lvp.Trace, a lvp.Annotation, _ string) { lvp.AnalyzeDataflow(tr, a) }},
 	} {
 		tr, err := lvp.BuildTrace("grep", c.target, 1)
 		if err != nil {
