@@ -160,11 +160,16 @@ check-obs:
 # fixtures, the hostile-input table (truncated blocks, corrupted checksums,
 # lying header lengths, overlapping or wrapping index entries, the retired
 # codec bytes 2 and 3 — ErrCorrupt, never panics), the checked-in fuzz
-# corpus seeds, the random-seek property test, and the 0-allocs/record
-# gates on the VLT2 batch paths.
+# corpus seeds, the random-seek property test, the 0-allocs/record gates on
+# the VLT2 batch paths, and the writer's byte golden (the sha256 of every
+# workload's raw and flate encoding). The writer's tests — the golden, the
+# helper goroutine's lifecycle and its sticky errors — run again under the
+# race detector, since Writer2 hands blocks to a helper goroutine, and so
+# does vltconv's error-path test (no goroutine left behind).
 check-vlt2:
 	$(GO) test -count=1 -run 'TestVLT2|FuzzVLT2|TestVLT1' ./internal/trace/
 	$(GO) test -count=1 -run 'TestFormatDifferential' ./internal/exp/
+	$(GO) test -race -count=1 -run 'TestVLT2Writer|TestWriter|TestConvertError' ./internal/trace/ ./cmd/vltconv/
 
 # Non-test Go lines per package and in total (ROADMAP aim 2): _test.go
 # files, testdata/, benchmark/ and .bench_build/ are excluded.

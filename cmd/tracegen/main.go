@@ -112,9 +112,11 @@ func streamTrace(w io.Writer, p *prog.Program, codec trace.BlockCodec) (trace.Su
 			break
 		}
 		if err != nil {
+			sw.Close() // stops the writer's helper goroutine
 			return trace.Summary{}, 0, err
 		}
 		if err := sw.WriteRecord(r); err != nil {
+			sw.Close()
 			return trace.Summary{}, 0, err
 		}
 		z.Add(r)

@@ -97,28 +97,37 @@ func convert(in, out string, opts trace.Writer2Options) (uint64, error) {
 		fo.Close()
 		return 0, err
 	}
+	err = copyRecords(enc, src)
+	// Close the writer even after an error: it stops the writer's helper
+	// goroutine, which must not outlive fo.
+	if cerr := enc.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fo.Close()
+		return 0, err
+	}
+	return enc.Count(), fo.Close()
+}
+
+// copyRecords writes every record of src to enc and returns the first read
+// or write error.
+func copyRecords(enc *trace.Writer2, src trace.Decoder) error {
 	buf := make([]trace.Record, 4096)
 	for {
 		k, err := src.NextBatch(buf)
 		for i := 0; i < k; i++ {
 			if werr := enc.WriteRecord(&buf[i]); werr != nil {
-				fo.Close()
-				return 0, werr
+				return werr
 			}
 		}
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			fo.Close()
-			return 0, err
+			return err
 		}
 	}
-	if err := enc.Close(); err != nil {
-		fo.Close()
-		return 0, err
-	}
-	return enc.Count(), fo.Close()
 }
 
 // verifyEqual streams both files in lockstep and reports the first

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"lvp/internal/trace"
 )
@@ -40,5 +43,97 @@ func TestConvertVLT1Fixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestConvertErrorStopsWriter pins convert's error paths: a truncated or
+// corrupt input, or an output that refuses writes, makes convert return an
+// error and leaves no goroutine behind — the output writer's helper is
+// stopped (Writer2.Close) before the output file is closed.
+func TestConvertErrorStopsWriter(t *testing.T) {
+	dir := t.TempDir()
+	vlt1, err := os.ReadFile(fixture("shapes.vlt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vlt2, err := os.ReadFile(fixture("shapes.vlt2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A many-block VLT2 copy with its last block's payload corrupted, so the
+	// checksum fails after earlier blocks were already converted.
+	blocky := filepath.Join(dir, "blocky.vlt2")
+	if _, err := convert(fixture("shapes.vlt"), blocky, trace.Writer2Options{BlockRecords: 2}); err != nil {
+		t.Fatal(err)
+	}
+	corrupt, err := os.ReadFile(blocky)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footerOff := binary.LittleEndian.Uint64(corrupt[len(corrupt)-16:]) // the trailer
+	corrupt[footerOff-1] ^= 0xff                                       // the last block's last byte
+	inputs := map[string][]byte{
+		"truncated.vlt2": vlt2[:len(vlt2)/2],
+		"truncated.vlt":  vlt1[:len(vlt1)/2], // fails mid-stream, after the writer starts
+		"corrupt.vlt2":   corrupt,
+	}
+	for name, data := range inputs {
+		t.Run(name, func(t *testing.T) {
+			in := filepath.Join(dir, name)
+			if err := os.WriteFile(in, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			if _, err := convert(in, filepath.Join(dir, "out.vlt2"), trace.Writer2Options{BlockRecords: 2}); err == nil {
+				t.Fatal("convert accepted a damaged input")
+			}
+			waitGoroutines(t, before)
+		})
+	}
+	t.Run("write error", func(t *testing.T) {
+		f, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+		if err != nil {
+			t.Skip("no /dev/full on this system")
+		}
+		f.Close()
+		// Enough records to overflow the writer's buffer, so the write
+		// error surfaces from WriteRecord rather than from Close.
+		d, closeIn, err := openTrace(fixture("shapes.vlt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.ReadAll(d)
+		closeIn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		big := &trace.Trace{Name: tr.Name, Target: tr.Target}
+		for len(big.Records) < 1<<15 {
+			big.Records = append(big.Records, tr.Records...)
+		}
+		in := filepath.Join(dir, "big.vlt2")
+		var buf bytes.Buffer
+		if err := trace.Write2(&buf, big, trace.Writer2Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(in, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		if _, err := convert(in, "/dev/full", trace.Writer2Options{}); err == nil {
+			t.Fatal("convert to /dev/full returned no error")
+		}
+		waitGoroutines(t, before)
+	})
+}
+
+// waitGoroutines fails t unless the goroutine count drops back to want
+// within a second (an exiting goroutine may linger for a moment).
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after convert, want %d", runtime.NumGoroutine(), want)
+		}
 	}
 }

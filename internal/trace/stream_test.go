@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -141,26 +142,57 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 }
 
 // TestWriterStickyError pins that an underlying write failure surfaces from
-// Writer2.WriteRecord (not silently swallowed by buffering) and stays sticky
-// for every later call including Close.
+// Writer2.WriteRecord (not silently swallowed by buffering or by the helper
+// goroutine) and stays sticky for every later call including both Closes.
+// The helper reports a block's error when it returns that block's buffer, so
+// WriteRecord must fail no later than the handoff of the block after the
+// failing one.
 func TestWriterStickyError(t *testing.T) {
+	const blockRecs, blocks, failing = 256, 8, 3
 	tr := genTrace(64)
-	sw, err := NewWriter2(&failAfterWriter{limit: 1 << 16}, tr.Name, tr.Target)
+	rec := func(i int) *Record { return &tr.Records[i%len(tr.Records)] }
+	opts := Writer2Options{BlockRecords: blockRecs}
+
+	// Block offsets of the same stream written without a failure.
+	good, err := NewWriter2Opts(io.Discard, tr.Name, tr.Target, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range blocks * blockRecs {
+		if err := good.WriteRecord(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := good.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A one-byte buffer passes each block's header and payload straight
+	// through, so the first write past the limit is block failing's.
+	e := good.idx[failing]
+	fw := &failAfterWriter{limit: int(e.off + e.size/2)}
+	sw, err := NewWriter2Opts(bufio.NewWriterSize(fw, 1), tr.Name, tr.Target, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var werr error
-	for i := 0; i < 1<<20 && werr == nil; i++ {
-		werr = sw.WriteRecord(&tr.Records[i%len(tr.Records)])
+	calls := 0
+	for ; calls < blocks*blockRecs && werr == nil; calls++ {
+		werr = sw.WriteRecord(rec(calls))
 	}
 	if !errors.Is(werr, errDiskFull) {
 		t.Fatalf("WriteRecord never surfaced the write error (got %v)", werr)
 	}
-	if err := sw.WriteRecord(&tr.Records[0]); !errors.Is(err, errDiskFull) {
+	if calls <= (failing+1)*blockRecs || calls > (failing+2)*blockRecs {
+		t.Fatalf("error surfaced on WriteRecord call %d, want after the handoff of block %d (call %d) and no later than the next (call %d)",
+			calls, failing, (failing+1)*blockRecs, (failing+2)*blockRecs)
+	}
+	if err := sw.WriteRecord(rec(0)); !errors.Is(err, errDiskFull) {
 		t.Fatalf("WriteRecord after failure = %v, want sticky error", err)
 	}
-	if err := sw.Close(); !errors.Is(err, errDiskFull) {
-		t.Fatalf("Close after failure = %v, want sticky error", err)
+	for i := range 2 {
+		if err := sw.Close(); !errors.Is(err, errDiskFull) {
+			t.Fatalf("Close #%d after failure = %v, want sticky error", i+1, err)
+		}
 	}
 }
 

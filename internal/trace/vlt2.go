@@ -288,28 +288,49 @@ type indexEnt2 struct {
 	count uint64 // records in the block
 }
 
-// Writer2 encodes a VLT2 stream record-at-a-time in constant memory (one
-// block buffered). It never needs to backpatch — the record count and block
-// index live in the footer — so any io.Writer works, seekable or not, with
-// or without a known count.
+// block2 is one block in flight between Writer2's record path and its
+// helper goroutine: the payload and delta anchors on the way out, the same
+// payload buffer and the helper's sticky error on the way back.
+type block2 struct {
+	payload   []byte
+	count     int
+	firstPC   uint64
+	firstAddr uint64
+	err       error
+}
+
+// Writer2 encodes a VLT2 stream record-at-a-time in constant memory (two
+// block payloads buffered). It never needs to backpatch — the record count
+// and block index live in the footer — so any io.Writer works, seekable or
+// not, with or without a known count.
+//
+// WriteRecord only encodes; each full block goes to one helper goroutine
+// that compresses, checksums, writes and indexes it while the next block
+// fills. The helper lives until Close, so Close must be called even after
+// an error, and the underlying writer must not be closed before it.
+// WriteRecord must not be called after Close.
 type Writer2 struct {
+	opts Writer2Options
+	n    uint64 // records written
+
+	// Current block.
+	cur      block2
+	haveAddr bool
+	prevPC   uint64
+	prevAddr uint64
+
+	// Handoff to writeBlocks: full blocks go out on blocks and their
+	// payload buffers come back on free, so two buffers alternate.
+	blocks chan block2
+	free   chan block2
+
+	// Owned by the helper until Close has drained it.
 	w      *bufio.Writer
-	opts   Writer2Options
 	off    uint64 // logical bytes emitted
-	n      uint64 // records written
 	idx    []indexEnt2
 	fw     *flate.Writer
 	cbuf   bytes.Buffer
 	hdrBuf []byte
-
-	// Current block.
-	payload   []byte
-	bcount    int
-	firstPC   uint64
-	firstAddr uint64
-	haveAddr  bool
-	prevPC    uint64
-	prevAddr  uint64
 
 	err  error // sticky
 	done bool
@@ -335,7 +356,7 @@ func NewWriter2Opts(w io.Writer, name, target string, opts Writer2Options) (*Wri
 	if !ok {
 		bw = bufio.NewWriterSize(w, 1<<16)
 	}
-	w2 := &Writer2{w: bw, opts: opts}
+	w2 := &Writer2{w: bw, opts: opts, blocks: make(chan block2), free: make(chan block2, 1)}
 	bw.WriteString(magic2)
 	bw.WriteByte(version2)
 	writeString(bw, name)
@@ -353,58 +374,82 @@ func NewWriter2Opts(w io.Writer, name, target string, opts Writer2Options) (*Wri
 		}
 		w2.fw = fw
 	}
+	w2.free <- block2{} // the second payload buffer
+	go w2.writeBlocks()
 	return w2, nil
 }
 
 // Count returns the number of records written so far.
 func (w *Writer2) Count() uint64 { return w.n }
 
-// WriteRecord appends one record to the current block, flushing the block
-// when it reaches the configured size. The first error is sticky.
+// WriteRecord appends one record to the current block, handing the block to
+// the helper when it reaches the configured size. The first error is
+// sticky; a write error surfaces no later than the handoff of the block
+// after the one that failed, or from Close.
 func (w *Writer2) WriteRecord(r *Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	if w.bcount == 0 {
-		w.firstPC = r.PC
+	if w.cur.count == 0 {
+		w.cur.firstPC = r.PC
 		w.prevPC = r.PC
-		w.firstAddr = 0
+		w.cur.firstAddr = 0
 		w.prevAddr = 0
 		w.haveAddr = false
 	}
 	if opShape[uint8(r.Op)&0x7f]&shMem != 0 && !w.haveAddr {
-		w.firstAddr = r.Addr
+		w.cur.firstAddr = r.Addr
 		w.prevAddr = r.Addr
 		w.haveAddr = true
 	}
-	w.payload, w.prevPC, w.prevAddr = appendRecord2(w.payload, r, w.prevPC, w.prevAddr)
-	w.bcount++
+	w.cur.payload, w.prevPC, w.prevAddr = appendRecord2(w.cur.payload, r, w.prevPC, w.prevAddr)
+	w.cur.count++
 	w.n++
-	if w.bcount >= w.opts.BlockRecords {
-		if err := w.flushBlock(); err != nil {
-			return err
-		}
+	if w.cur.count >= w.opts.BlockRecords {
+		return w.handoff()
 	}
 	return nil
 }
 
-// flushBlock emits the buffered block and resets the block state.
-func (w *Writer2) flushBlock() error {
-	if w.bcount == 0 {
-		return nil
+// handoff passes the current block to the helper and takes back the other
+// payload buffer, with the helper's error as of the block that used it.
+func (w *Writer2) handoff() error {
+	w.blocks <- w.cur
+	w.cur = <-w.free
+	w.cur.payload = w.cur.payload[:0]
+	w.cur.count = 0
+	w.err = w.cur.err
+	return w.err
+}
+
+// writeBlocks is the helper goroutine: it writes each block in order and
+// returns its buffer. After the first error it writes nothing more, only
+// passing the error back with every buffer; it exits once Close closes
+// blocks, closing free behind it.
+func (w *Writer2) writeBlocks() {
+	var err error
+	for b := range w.blocks {
+		if err == nil {
+			err = w.writeBlock(&b)
+		}
+		b.err = err
+		w.free <- b
 	}
-	raw := w.payload
+	close(w.free)
+}
+
+// writeBlock compresses, checksums, writes and indexes one block.
+func (w *Writer2) writeBlock(b *block2) error {
+	raw := b.payload
 	enc := raw
 	codec := CodecRaw
 	if w.fw != nil {
 		w.cbuf.Reset()
 		w.fw.Reset(&w.cbuf)
 		if _, err := w.fw.Write(raw); err != nil {
-			w.err = err
 			return err
 		}
 		if err := w.fw.Close(); err != nil {
-			w.err = err
 			return err
 		}
 		// Keep the block raw when DEFLATE failed to shrink it, so a
@@ -415,8 +460,8 @@ func (w *Writer2) flushBlock() error {
 		}
 	}
 	hdr := blockHdr2{
-		count: uint64(w.bcount), rawLen: uint64(len(raw)), codec: codec,
-		encLen: uint64(len(enc)), firstPC: w.firstPC, firstAddr: w.firstAddr,
+		count: uint64(b.count), rawLen: uint64(len(raw)), codec: codec,
+		encLen: uint64(len(enc)), firstPC: b.firstPC, firstAddr: b.firstAddr,
 	}
 	h := hdr.appendWire(w.hdrBuf[:0])
 	// The CRC covers the header fields and the uncompressed payload, so a
@@ -425,33 +470,38 @@ func (w *Writer2) flushBlock() error {
 	h = binary.LittleEndian.AppendUint32(h, crc32.Update(crc32.Checksum(h, castagnoli), castagnoli, raw))
 	w.hdrBuf = h
 	if _, err := w.w.Write(h); err != nil {
-		w.err = err
 		return err
 	}
 	if _, err := w.w.Write(enc); err != nil {
-		w.err = err
 		return err
 	}
 	size := uint64(len(h) + len(enc))
-	w.idx = append(w.idx, indexEnt2{off: w.off, size: size, count: uint64(w.bcount)})
+	w.idx = append(w.idx, indexEnt2{off: w.off, size: size, count: uint64(b.count)})
 	w.off += size
-	w.payload = w.payload[:0]
-	w.bcount = 0
 	return nil
 }
 
-// Close flushes the final block, writes the footer index and trailer, and
-// flushes buffered bytes. It does not close the underlying writer.
+// Close hands off the final block, waits for the helper to write it and
+// exit, then writes the footer index and trailer and flushes buffered
+// bytes. It does not close the underlying writer. Close must be called even
+// after an error, to stop the helper; it then returns that error, as does
+// every later call.
 func (w *Writer2) Close() error {
-	if w.err != nil {
+	if w.done {
 		return w.err
 	}
-	if w.done {
-		return nil
-	}
 	w.done = true
-	if err := w.flushBlock(); err != nil {
-		return err
+	if w.err == nil && w.cur.count > 0 {
+		w.handoff()
+	}
+	close(w.blocks)
+	for b := range w.free {
+		if w.err == nil {
+			w.err = b.err
+		}
+	}
+	if w.err != nil {
+		return w.err
 	}
 	footerOff := w.off
 	f := w.hdrBuf[:0]
@@ -486,6 +536,7 @@ func Write2(w io.Writer, t *Trace, opts Writer2Options) error {
 	}
 	for i := range t.Records {
 		if err := w2.WriteRecord(&t.Records[i]); err != nil {
+			w2.Close()
 			return err
 		}
 	}

@@ -132,6 +132,7 @@ func writer2AllocFree(t *testing.T, opts Writer2Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	for i := range 2 * DefaultBlockRecords {
 		if err := w.WriteRecord(&recs[i%len(recs)]); err != nil {
 			t.Fatal(err)

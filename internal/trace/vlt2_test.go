@@ -1,11 +1,14 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"lvp/internal/isa"
 )
@@ -182,6 +185,65 @@ type batchDecodeCase struct {
 	codec BlockCodec
 	size  int // encoded bytes
 	open  func() (Decoder, error)
+}
+
+// TestVLT2WriterHelperLifecycle pins that Close stops Writer2's helper
+// goroutine: afterwards the goroutine count is back to its value before the
+// writer was created, for an empty writer, one exactly one block long, one
+// of many blocks with a short final block, and one whose underlying Write
+// fails. A second Close returns what the first did.
+func TestVLT2WriterHelperLifecycle(t *testing.T) {
+	const blockRecs = 64
+	recs := genRecords(4096, 11)
+	cases := []struct {
+		name    string
+		records int
+		out     io.Writer
+		wantErr bool
+	}{
+		{"empty", 0, io.Discard, false},
+		{"one block", blockRecs, io.Discard, false},
+		{"many blocks", 40*blockRecs + 5, io.Discard, false},
+		{"write fails", 40 * blockRecs, &failAfterWriter{limit: 100}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, codec := range []BlockCodec{CodecRaw, CodecFlate} {
+				before := runtime.NumGoroutine()
+				// A one-byte buffer sends every block write on to c.out, so
+				// the failing case fails in the helper, not only in Close.
+				w, err := NewWriter2Opts(bufio.NewWriterSize(c.out, 1), "life", "ppc",
+					Writer2Options{BlockRecords: blockRecs, Codec: codec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < c.records; i++ {
+					if err := w.WriteRecord(&recs[i%len(recs)]); err != nil {
+						break
+					}
+				}
+				err = w.Close()
+				if (err != nil) != c.wantErr {
+					t.Fatalf("%v: Close = %v, want error %v", codec, err, c.wantErr)
+				}
+				if err2 := w.Close(); err2 != err {
+					t.Fatalf("%v: second Close = %v, want %v", codec, err2, err)
+				}
+				waitGoroutines(t, before)
+			}
+		})
+	}
+}
+
+// waitGoroutines fails t unless the goroutine count drops back to want
+// within a second (an exiting goroutine may linger for a moment).
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, want %d", runtime.NumGoroutine(), want)
+		}
+	}
 }
 
 // batchDecodeCases is every VLT2 decoder over every block codec of tr.
