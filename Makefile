@@ -45,14 +45,17 @@ race-full:
 # Short fuzz sessions over the trace codecs — the read-only VLT1 Reader's
 # whole-trace and record-at-a-time round-trip properties (re-encoded by the
 # tests' reference encoder), and the VLT2 block-codec round-trip (both
-# decode paths, both codecs) — and over the whole file pipeline: raw bytes →
+# decode paths, both codecs) — over the whole file pipeline: raw bytes →
 # trace.Open → lvp.Pipe → both timing models (never a panic; decode errors
-# come back from Simulate).
+# come back from Simulate) — and over the assembler: source text →
+# asm.Assemble → a step-bounded vm.Exec (errors allowed, never a panic or
+# an unbounded allocation).
 fuzz:
 	$(GO) test -fuzz='FuzzRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzStreamRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzVLT2RoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -run XXX -fuzz='FuzzSimulate$$' -fuzztime=30s ./internal/exp/
+	$(GO) test -run XXX -fuzz='FuzzAssemble$$' -fuzztime=30s ./internal/asm/
 
 # Experiment-engine benchmarks: compare ExpAllSerial vs ExpAllParallel for
 # the worker-pool speedup.
@@ -131,16 +134,20 @@ check-annotate:
 # Predictor-zoo gate, run standalone (uncached): the randomized two-level
 # differential against the map-based reference (predictions, confidence
 # state, and replacement victims must be decision-identical), the
+# value-history table differential (LVPT Predict/Contains/Update and its
+# counters, and HistoryTable.Access, against a slice-of-slices MRU model at
+# depths 1-16 with aliasing PCs) and its MaxDepth bound, the
 # tagged/set-associative LVPT property tests (alias freedom, LRU victim
 # order, 0-allocs gates), the stride edge cases, the checked-in zoosweep
 # golden table, serial-vs-parallel byte identity, the served-vs-direct
 # zoo-cell identity, and the one-walk load-stream statistics against the
 # walks they replaced on every workload (the fused path-LVPT pass vs one
-# walk per table, the slab predictor loop vs the record walk, the cached
-# suite locality vs a direct measurement) — the concurrent sweep tests
-# under the race detector.
+# walk per table, every family's zoo Exact count vs the record walk, the
+# predictors table read from the zoo sweep's cells with no walk of its own,
+# the cached suite locality vs a direct measurement) — the concurrent sweep
+# tests under the race detector.
 check-zoo:
-	$(GO) test -count=1 -run 'TwoLevel|Assoc|Tagged|Stride|Family|MeasureZoo|TestZoo|Walk' ./internal/lvp/ ./internal/exp/
+	$(GO) test -count=1 -run 'TwoLevel|Assoc|Tagged|Stride|Family|MeasureZoo|MeasureAccuracy|TestZoo|Walk|HistoryTable|PredictorStudy' ./internal/lvp/ ./internal/exp/ ./internal/locality/
 	$(GO) test -race -count=1 -run 'TestZoo' ./internal/exp/ ./internal/serve/
 
 # Serving-telemetry gate, run standalone (uncached): the disabled-path
@@ -183,8 +190,8 @@ serve:
 	$(GO) run ./cmd/lvpd -addr :8347
 
 # Serving-layer gate: the lvpd job manager, HTTP API, and client — including
-# the byte-identity, drain, backpressure, and cancellation tests — under the
-# race detector.
+# the byte-identity, drain, backpressure, and cancellation tests and the
+# locality-depth bound on both endpoints — under the race detector.
 check-serve:
 	$(GO) test -race -count=1 ./internal/serve/ ./client/
 

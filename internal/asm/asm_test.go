@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -305,4 +306,45 @@ main:
 	if p.Target.Name != "ppc" {
 		t.Errorf("target = %s", p.Target.Name)
 	}
+}
+
+// TestAssembleZerosBound checks .zeros sizes are bounded: a negative size,
+// or one that would push the data segment past the heap, is an assembly
+// error naming the bound instead of a runtime panic or an unrecoverable
+// out-of-memory.
+func TestAssembleZerosBound(t *testing.T) {
+	limit := prog.HeapBase - prog.DataBase
+	for _, src := range []string{
+		".zeros big 1099511627776\nmain:\n ret",
+		".zeros x -1\nmain:\n ret",
+		fmt.Sprintf(".zeros x %d\nmain:\n ret", limit+1),
+		fmt.Sprintf(".zeros a %d\n.zeros b %d\nmain:\n ret", limit/2, limit/2+8),
+	} {
+		_, err := Assemble("z.s", src, prog.AXP)
+		if err == nil || !strings.Contains(err.Error(), "HeapBase-DataBase") {
+			t.Errorf("src %q: err = %v, want one naming HeapBase-DataBase", src, err)
+		}
+	}
+	if _, err := Assemble("z.s", fmt.Sprintf(".zeros a %d\n.zeros b %d\nmain:\n ret", limit/4, limit/4), prog.AXP); err != nil {
+		t.Errorf("two quarter-segment reservations: %v", err)
+	}
+}
+
+// FuzzAssemble assembles arbitrary source for both targets and runs what
+// assembles under a step bound: assembly and execution may fail, but never
+// panic or exhaust memory.
+func FuzzAssemble(f *testing.F) {
+	f.Add(".zeros big 1099511627776\nmain:\n ret")
+	f.Add(".zeros x -1\nmain:\n ret")
+	f.Add(".words64 tab 7, 9\n.zeros buf 16\nmain:\n la s0, tab !daddr\n ld t0, 0(s0)\n out t0\n ret")
+	f.Add("main:\n li t0, 1\nloop:\n addi t0, t0, 1\n j loop")
+	f.Fuzz(func(t *testing.T, src string) {
+		for _, tg := range prog.Targets {
+			p, err := Assemble("fuzz.s", src, tg)
+			if err != nil {
+				continue
+			}
+			vm.Exec(p, 10_000)
+		}
+	})
 }

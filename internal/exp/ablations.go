@@ -3,11 +3,10 @@ package exp
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"sync"
-	"time"
 
 	"lvp/internal/bench"
+	"lvp/internal/locality"
 	"lvp/internal/lvp"
 	"lvp/internal/prog"
 	"lvp/internal/report"
@@ -249,30 +248,31 @@ type PredictorResult struct {
 }
 
 // PredictorStudy measures last-value vs stride vs order-2 context
-// prediction accuracy over the suite (PPC target, 1K-entry tables).
+// prediction accuracy over the suite (PPC target, 1K-entry tables). Each
+// predictor is made to always speak, so the columns are the suite's zoo
+// cells' Exact counts over all loads; in a full run the zoo sweep builds
+// the same cells.
 func (s *Suite) PredictorStudy() (*PredictorResult, error) {
 	res := &PredictorResult{Rows: make([]PredictorRow, len(bench.All()))}
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
-		loads, err := s.Loads(b.Name, prog.PPC)
-		if err != nil {
-			return err
+		var pct [4]float64
+		for k, fam := range []string{"last-value", "two-value", "stride", "context-2"} {
+			c, err := s.ZooCell(b.Name, fam)
+			if err != nil {
+				return err
+			}
+			pct[k] = locality.Ratio{Hits: int(c.Exact), Total: int(c.Loads)}.Percent()
 		}
 		loc, err := s.Locality(b.Name, prog.PPC)
 		if err != nil {
 			return err
 		}
-		start := time.Now()
-		lv := lvp.MeasureAccuracy(loads, lvp.NewLastValue(1024))
-		tv := lvp.MeasureAccuracy(loads, lvp.NewTwoValue(1024))
-		st := lvp.MeasureAccuracy(loads, lvp.NewStride(1024))
-		cx := lvp.MeasureAccuracy(loads, lvp.NewContext(1024, 4096))
-		s.finishPhase("walk", start, slog.String("bench", b.Name), slog.String("study", "predictors"))
 		res.Rows[i] = PredictorRow{
 			Name:      b.Name,
-			LastValue: lv.Percent(),
-			TwoValue:  tv.Percent(),
-			Stride:    st.Percent(),
-			Context:   cx.Percent(),
+			LastValue: pct[0],
+			TwoValue:  pct[1],
+			Stride:    pct[2],
+			Context:   pct[3],
 			Locality1: loc[0].Overall.Percent(),
 		}
 		return nil

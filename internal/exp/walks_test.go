@@ -13,9 +13,9 @@ import (
 )
 
 // The load-stream walks behind fig1, fig2, gvl, predictors and pathlvp are
-// each taken once per trace: one locality walk for both depths, the
-// predictors over the cached load slab, and all path-LVPT tables in one
-// pass. These tests pin each one-walk form to the per-statistic record
+// each taken once per trace: one locality walk for both depths, one zoo
+// walk per predictor family over the cached load slab (shared by the zoo
+// sweep and the predictors table), and all path-LVPT tables in one pass. These tests pin each one-walk form to the per-statistic record
 // walk it replaced, over every workload's PPC trace (-short keeps three).
 
 // walkBenches is the workload list the walk differentials cover.
@@ -26,8 +26,8 @@ func walkBenches() []bench.Benchmark {
 	return bench.All()
 }
 
-// recordWalkAccuracy is the record-stream predictor walk MeasureAccuracy
-// replaced: every load of the trace, predicted and then trained.
+// recordWalkAccuracy is the reference record-stream predictor walk: every
+// load of the trace, predicted (always speaking) and then trained.
 func recordWalkAccuracy(t *trace.Trace, p lvp.Predictor) locality.Ratio {
 	var r locality.Ratio
 	for i := range t.Records {
@@ -88,16 +88,11 @@ func TestFusedPathWalk(t *testing.T) {
 	}
 }
 
-// TestSlabPredictorWalk checks MeasureAccuracy over the suite's cached load
-// slab, and MeasurePredictor over the trace, equal the record walk for each
-// predictor the predictor study reports.
+// TestSlabPredictorWalk checks MeasureZooLoads over the suite's cached load
+// slab, and MeasureZoo over the trace, count as Exact exactly the loads the
+// record walk predicts right, for every registered family: the predictor
+// study's always-speaking column comes out of the zoo's one walk.
 func TestSlabPredictorWalk(t *testing.T) {
-	predictors := []func() lvp.Predictor{
-		func() lvp.Predictor { return lvp.NewLastValue(1024) },
-		func() lvp.Predictor { return lvp.NewTwoValue(1024) },
-		func() lvp.Predictor { return lvp.NewStride(1024) },
-		func() lvp.Predictor { return lvp.NewContext(1024, 4096) },
-	}
 	for _, b := range walkBenches() {
 		s := NewSuite(1)
 		tr, err := s.Trace(b.Name, prog.PPC)
@@ -108,13 +103,53 @@ func TestSlabPredictorWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mk := range predictors {
-			want := recordWalkAccuracy(tr, mk())
-			if got := lvp.MeasureAccuracy(loads, mk()); got != want {
-				t.Errorf("%s %s: slab %+v, record walk %+v", b.Name, mk().Name(), got, want)
+		for _, f := range lvp.Families() {
+			want := recordWalkAccuracy(tr, f.New())
+			for _, m := range []struct {
+				path string
+				zm   lvp.ZooMeasure
+			}{
+				{"slab", lvp.MeasureZooLoads(loads, f.New())},
+				{"trace", lvp.MeasureZoo(tr, f.New())},
+			} {
+				if got := (locality.Ratio{Hits: int(m.zm.Exact), Total: int(m.zm.Loads)}); got != want {
+					t.Errorf("%s %s: %s Exact/Loads %+v, record walk %+v", b.Name, f.Name, m.path, got, want)
+				}
 			}
-			if got := lvp.MeasurePredictor(tr, mk()); got != want {
-				t.Errorf("%s %s: MeasurePredictor %+v, record walk %+v", b.Name, mk().Name(), got, want)
+		}
+	}
+}
+
+// TestPredictorStudyReadsZooCells checks the predictors table is read from
+// the zoo sweep's cells: after ZooSweep, PredictorStudy builds no zoo cell
+// and walks no predictor of its own, and each column is its cell's
+// Exact/Loads.
+func TestPredictorStudyReadsZooCells(t *testing.T) {
+	s := NewSuite(1)
+	if _, err := s.ZooSweep(nil); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Metrics.Snapshot()
+	res, err := s.PredictorStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := s.Metrics.Snapshot()
+	if d := after.Counters["progress.zoo"] - before.Counters["progress.zoo"]; d != 0 {
+		t.Errorf("PredictorStudy built %d zoo cells after ZooSweep, want 0", d)
+	}
+	if d := after.Counters["progress.walk"] - before.Counters["progress.walk"]; d != 0 {
+		t.Errorf("PredictorStudy ran %d walks of its own, want 0", d)
+	}
+	for _, row := range res.Rows {
+		for fam, got := range map[string]float64{"last-value": row.LastValue,
+			"two-value": row.TwoValue, "stride": row.Stride, "context-2": row.Context} {
+			c, err := s.ZooCell(row.Name, fam)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := (locality.Ratio{Hits: int(c.Exact), Total: int(c.Loads)}).Percent(); got != want {
+				t.Errorf("%s %s: predictors column %v, zoo cell %v", row.Name, fam, got, want)
 			}
 		}
 	}

@@ -9,6 +9,9 @@
 package locality
 
 import (
+	"fmt"
+	"slices"
+
 	"lvp/internal/isa"
 	"lvp/internal/trace"
 )
@@ -16,7 +19,13 @@ import (
 // DefaultEntries is the history-table size used throughout the paper.
 const DefaultEntries = 1024
 
-// HistoryTable is the untagged, direct-mapped value-history table.
+// MaxDepth bounds the values a history-table entry may hold: 16 is the
+// paper's deepest history (Figure 1, the Limit configuration), and no
+// caller needs more.
+const MaxDepth = 16
+
+// HistoryTable is the untagged, direct-mapped value-history table: the
+// paper's §2 measurement apparatus and the §3.1 LVPT's storage.
 type HistoryTable struct {
 	depth   int
 	mask    uint64
@@ -25,10 +34,13 @@ type HistoryTable struct {
 }
 
 // NewHistoryTable returns a table with the given number of entries (a power
-// of two) and history depth per entry.
+// of two) and history depth per entry (at most MaxDepth).
 func NewHistoryTable(entries, depth int) *HistoryTable {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("locality: entries must be a positive power of two")
+	}
+	if depth > MaxDepth {
+		panic(fmt.Sprintf("locality: history depth %d exceeds MaxDepth (%d)", depth, MaxDepth))
 	}
 	if depth < 1 {
 		depth = 1
@@ -44,46 +56,66 @@ func NewHistoryTable(entries, depth int) *HistoryTable {
 // Depth reports the history depth per entry.
 func (h *HistoryTable) Depth() int { return h.depth }
 
-func (h *HistoryTable) index(pc uint64) int {
+// Index reports the entry the load at pc maps to: the low-order bits of
+// its instruction address, untagged.
+func (h *HistoryTable) Index(pc uint64) int {
 	return int((pc / isa.InstBytes) & h.mask)
+}
+
+// Len reports how many values entry i holds (0 for a cold entry).
+func (h *HistoryTable) Len(i int) int { return h.lengths[i] }
+
+// Head returns entry i's MRU value; a cold entry's is 0.
+func (h *HistoryTable) Head(i int) uint64 { return h.values[i*h.depth] }
+
+// SetHead overwrites entry i's MRU value in place and marks a cold entry
+// warm: a depth-one replacement without Insert's history search.
+func (h *HistoryTable) SetHead(i int, value uint64) {
+	h.values[i*h.depth] = value
+	if h.lengths[i] == 0 {
+		h.lengths[i] = 1
+	}
+}
+
+// Insert makes value the MRU value of the load at pc's entry. hit reports
+// it was already in the history (it moves to the front); on a miss it is
+// prepended, and evicted reports that the entry was full and its LRU value
+// was dropped.
+func (h *HistoryTable) Insert(pc, value uint64) (hit, evicted bool) {
+	i := h.Index(pc)
+	vals := h.values[i*h.depth : i*h.depth+h.depth]
+	n := h.lengths[i]
+	for j := 0; j < n; j++ {
+		if vals[j] == value {
+			copy(vals[1:j+1], vals[:j])
+			vals[0] = value
+			return true, false
+		}
+	}
+	if n < h.depth {
+		h.lengths[i] = n + 1
+		n++
+	} else {
+		evicted = true
+	}
+	copy(vals[1:n], vals[:n-1])
+	vals[0] = value
+	return false, evicted
 }
 
 // Access checks whether value matches any of the entry's history values for
 // the load at pc, then updates the history (move-to-front on hit, LRU
 // replacement on miss).
 func (h *HistoryTable) Access(pc, value uint64) bool {
-	i := h.index(pc)
-	vals := h.values[i*h.depth : i*h.depth+h.depth]
-	n := h.lengths[i]
-	for j := 0; j < n; j++ {
-		if vals[j] == value {
-			// Move to front (LRU update).
-			copy(vals[1:j+1], vals[:j])
-			vals[0] = value
-			return true
-		}
-	}
-	// Miss: insert at front, evicting the LRU value if full.
-	if n < h.depth {
-		h.lengths[i] = n + 1
-		n++
-	}
-	copy(vals[1:n], vals[:n-1])
-	vals[0] = value
-	return false
+	hit, _ := h.Insert(pc, value)
+	return hit
 }
 
-// Peek reports whether value would hit, without updating (useful for
-// oracle-style queries in tests).
+// Peek reports whether value is in the history of the load at pc, without
+// updating it: the LVPT's perfect-selection oracle (Contains).
 func (h *HistoryTable) Peek(pc, value uint64) bool {
-	i := h.index(pc)
-	vals := h.values[i*h.depth : i*h.depth+h.depth]
-	for j := 0; j < h.lengths[i]; j++ {
-		if vals[j] == value {
-			return true
-		}
-	}
-	return false
+	i := h.Index(pc)
+	return slices.Contains(h.values[i*h.depth:i*h.depth+h.lengths[i]], value)
 }
 
 // Ratio is a hit/total pair.

@@ -1,6 +1,7 @@
 package locality
 
 import (
+	"strings"
 	"testing"
 
 	"lvp/internal/isa"
@@ -139,4 +140,24 @@ func TestBadEntriesPanics(t *testing.T) {
 		}
 	}()
 	NewHistoryTable(1000, 1)
+}
+
+// TestHistoryTableMaxDepth checks a depth past MaxDepth panics with a message
+// naming the bound instead of wrapping entries*depth, and MaxDepth itself
+// builds.
+func TestHistoryTableMaxDepth(t *testing.T) {
+	if h := NewHistoryTable(1024, MaxDepth); h.Depth() != MaxDepth {
+		t.Errorf("depth %d table reports depth %d", MaxDepth, h.Depth())
+	}
+	for _, d := range []int{MaxDepth + 1, 1 << 60} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "MaxDepth") {
+					t.Errorf("NewHistoryTable(1024, %d) panic = %q, want one naming MaxDepth", d, msg)
+				}
+			}()
+			NewHistoryTable(1024, d)
+		}()
+	}
 }

@@ -16,7 +16,11 @@
 // annotated trace.
 package lvp
 
-import "fmt"
+import (
+	"fmt"
+
+	"lvp/internal/locality"
+)
 
 // Config describes one LVP Unit configuration (paper Table 2).
 type Config struct {
@@ -26,10 +30,10 @@ type Config struct {
 	// LVPTEntries is the number of direct-mapped LVPT entries (power of
 	// two). Ignored when Perfect.
 	LVPTEntries int
-	// HistoryDepth is the number of values kept per LVPT entry. A depth
-	// greater than one implies the paper's hypothetical perfect
-	// selection mechanism: the prediction is correct whenever the actual
-	// value appears anywhere in the history.
+	// HistoryDepth is the number of values kept per LVPT entry, 1 to
+	// locality.MaxDepth. A depth greater than one implies the paper's
+	// hypothetical perfect selection mechanism: the prediction is correct
+	// whenever the actual value appears anywhere in the history.
 	HistoryDepth int
 	// LCTEntries is the number of direct-mapped LCT entries (power of
 	// two). Ignored when Perfect.
@@ -119,8 +123,8 @@ func (c Config) Validate() error {
 	if c.LCTEntries <= 0 || c.LCTEntries&(c.LCTEntries-1) != 0 {
 		return fmt.Errorf("lvp: LCTEntries must be a positive power of two, got %d", c.LCTEntries)
 	}
-	if c.HistoryDepth < 1 {
-		return fmt.Errorf("lvp: HistoryDepth must be >= 1, got %d", c.HistoryDepth)
+	if c.HistoryDepth < 1 || c.HistoryDepth > locality.MaxDepth {
+		return fmt.Errorf("lvp: HistoryDepth must be in [1,%d] (locality.MaxDepth), got %d", locality.MaxDepth, c.HistoryDepth)
 	}
 	if c.LCTBits < 1 || c.LCTBits > 8 {
 		return fmt.Errorf("lvp: LCTBits must be in [1,8], got %d", c.LCTBits)

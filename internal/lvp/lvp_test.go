@@ -16,6 +16,8 @@ func TestConfigsValidate(t *testing.T) {
 	bad := []Config{
 		{Name: "x", LVPTEntries: 1000, HistoryDepth: 1, LCTEntries: 256, LCTBits: 2},
 		{Name: "x", LVPTEntries: 1024, HistoryDepth: 0, LCTEntries: 256, LCTBits: 2},
+		{Name: "x", LVPTEntries: 1024, HistoryDepth: 17, LCTEntries: 256, LCTBits: 2},
+		{Name: "x", LVPTEntries: 1024, HistoryDepth: 1 << 60, LCTEntries: 256, LCTBits: 2},
 		{Name: "x", LVPTEntries: 1024, HistoryDepth: 1, LCTEntries: 100, LCTBits: 2},
 		{Name: "x", LVPTEntries: 1024, HistoryDepth: 1, LCTEntries: 256, LCTBits: 0},
 		{Name: "x", LVPTEntries: 1024, HistoryDepth: 1, LCTEntries: 256, LCTBits: 2, CVUEntries: -1},
@@ -360,9 +362,17 @@ func TestContextPredictorLearnsCycle(t *testing.T) {
 
 func TestMeasureAccuracy(t *testing.T) {
 	tr := constLoadTrace(100, 0x100000, 42)
-	acc := MeasurePredictor(tr, NewLastValue(1024))
-	if acc.Total != 100 || acc.Hits != 99 {
-		t.Errorf("last-value accuracy = %d/%d, want 99/100", acc.Hits, acc.Total)
+	acc := MeasureZoo(tr, NewLastValue(1024))
+	if acc.Loads != 100 || acc.Exact != 99 {
+		t.Errorf("last-value exact = %d/%d, want 99/100", acc.Exact, acc.Loads)
+	}
+	// The cold first load declines: it counts as a guess of 0, not an
+	// attempt.
+	if acc.Attempts != 99 || acc.Hits != 99 {
+		t.Errorf("last-value attempts/hits = %d/%d, want 99/99", acc.Attempts, acc.Hits)
+	}
+	if z := MeasureZoo(constLoadTrace(100, 0x100000, 0), NewLastValue(1024)); z.Exact != 100 || z.Hits != 99 {
+		t.Errorf("all-zero loads: exact %d, hits %d; want 100 (the cold guess of 0 is right) and 99", z.Exact, z.Hits)
 	}
 	// A strided sequence: stride wins, last-value loses.
 	tr2 := &trace.Trace{}
@@ -372,10 +382,10 @@ func TestMeasureAccuracy(t *testing.T) {
 			Value: uint64(8 * i), Size: 8, Class: isa.LoadIntData,
 		})
 	}
-	lv := MeasurePredictor(tr2, NewLastValue(1024))
-	st := MeasurePredictor(tr2, NewStride(1024))
-	if st.Hits <= lv.Hits {
-		t.Errorf("stride (%d) must beat last-value (%d) on strided data", st.Hits, lv.Hits)
+	lv := MeasureZoo(tr2, NewLastValue(1024))
+	st := MeasureZoo(tr2, NewStride(1024))
+	if st.Exact <= lv.Exact {
+		t.Errorf("stride (%d) must beat last-value (%d) on strided data", st.Exact, lv.Exact)
 	}
 }
 

@@ -1,6 +1,6 @@
 package lvp
 
-import "lvp/internal/isa"
+import "lvp/internal/locality"
 
 // LVPTStats counts table events. The counters are plain ints — each LVPT
 // belongs to exactly one LVP Unit running on one goroutine — and are
@@ -49,37 +49,22 @@ type ValueTable interface {
 // LVPT is the Load Value Prediction Table (paper §3.1): direct-mapped,
 // untagged, indexed by the low-order bits of the load instruction address.
 // Because it is untagged, static loads that alias the same entry interfere —
-// constructively or destructively — exactly as in the paper.
+// constructively or destructively — exactly as in the paper. Its storage is
+// the §2 value-history table; the LVPT adds only the event counters.
 type LVPT struct {
-	depth   int
-	mask    uint64
-	values  []uint64
-	lengths []int
-	stats   LVPTStats
+	h     locality.HistoryTable
+	stats LVPTStats
 }
 
 // NewLVPT returns a table with the given entries (power of two) and history
-// depth.
+// depth (at most locality.MaxDepth).
 func NewLVPT(entries, depth int) *LVPT {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		panic("lvp: LVPT entries must be a positive power of two")
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	return &LVPT{
-		depth:   depth,
-		mask:    uint64(entries - 1),
-		values:  make([]uint64, entries*depth),
-		lengths: make([]int, entries),
-	}
+	return &LVPT{h: *locality.NewHistoryTable(entries, depth)}
 }
 
 // Index reports the LVPT entry index for a load at pc. The same index is the
 // one concatenated with the data address in CVU entries.
-func (t *LVPT) Index(pc uint64) int {
-	return int((pc / isa.InstBytes) & t.mask)
-}
+func (t *LVPT) Index(pc uint64) int { return t.h.Index(pc) }
 
 // Predict returns the predicted value for the load at pc. For history depth
 // one this is simply the entry's value. For deeper histories the paper
@@ -87,31 +72,24 @@ func (t *LVPT) Index(pc uint64) int {
 // Contains against the actual value; Predict then returns the MRU value.
 // ok is false when the entry has no history yet (no prediction possible).
 func (t *LVPT) Predict(pc uint64) (value uint64, ok bool) {
-	i := t.Index(pc)
+	i := t.h.Index(pc)
 	t.stats.Lookups++
-	if t.lengths[i] == 0 {
+	if t.h.Len(i) == 0 {
 		return 0, false
 	}
 	t.stats.Hits++
-	return t.values[i*t.depth], true
+	return t.h.Head(i), true
 }
 
 // Contains reports whether value appears anywhere in the entry's history —
 // the oracle query backing the paper's "perfect selection mechanism" for
 // history depths greater than one.
 func (t *LVPT) Contains(pc, value uint64) bool {
-	i := t.Index(pc)
 	t.stats.Lookups++
-	if t.lengths[i] > 0 {
+	if t.h.Len(t.h.Index(pc)) > 0 {
 		t.stats.Hits++
 	}
-	vals := t.values[i*t.depth : i*t.depth+t.depth]
-	for j := 0; j < t.lengths[i]; j++ {
-		if vals[j] == value {
-			return true
-		}
-	}
-	return false
+	return t.h.Peek(pc, value)
 }
 
 // Update records the actual loaded value (MRU insertion with LRU
@@ -120,26 +98,12 @@ func (t *LVPT) Contains(pc, value uint64) bool {
 // grew). The caller uses this to invalidate CVU entries referring to this
 // index, keeping the CVU's coherence guarantee exact.
 func (t *LVPT) Update(pc, value uint64) (changed bool) {
-	i := t.Index(pc)
 	t.stats.Updates++
-	vals := t.values[i*t.depth : i*t.depth+t.depth]
-	n := t.lengths[i]
-	for j := 0; j < n; j++ {
-		if vals[j] == value {
-			copy(vals[1:j+1], vals[:j])
-			vals[0] = value
-			return false
-		}
-	}
-	if n < t.depth {
-		t.lengths[i] = n + 1
-		n++
-	} else {
+	hit, evicted := t.h.Insert(pc, value)
+	if evicted {
 		t.stats.Replacements++
 	}
-	copy(vals[1:n], vals[:n-1])
-	vals[0] = value
-	return true
+	return !hit
 }
 
 // Stats returns the accumulated table counters.

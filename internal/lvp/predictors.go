@@ -1,14 +1,10 @@
 package lvp
 
-import (
-	"lvp/internal/isa"
-	"lvp/internal/locality"
-	"lvp/internal/trace"
-)
+import "lvp/internal/isa"
 
 // Predictor is the interface for the value predictors the paper's §7
 // ("future work") sketches beyond the last-value LVPT: stride detection and
-// context-based prediction. They plug into MeasureAccuracy and the
+// context-based prediction. They plug into MeasureZoo and the
 // custompredictor example.
 type Predictor interface {
 	// Name identifies the predictor in reports.
@@ -19,33 +15,10 @@ type Predictor interface {
 	Update(pc, actual uint64)
 }
 
-// LastValue is the baseline history-depth-1 LVPT as a Predictor.
-type LastValue struct {
-	t *LVPT
+// NewLastValue returns the baseline history-depth-1 LVPT as a Predictor.
+func NewLastValue(entries int) *TableValue {
+	return NewTableValue("last-value", NewLVPT(entries, 1))
 }
-
-// NewLastValue returns a last-value predictor with the given table size.
-func NewLastValue(entries int) *LastValue {
-	return &LastValue{t: NewLVPT(entries, 1)}
-}
-
-// Name implements Predictor.
-func (p *LastValue) Name() string { return "last-value" }
-
-// Lookup implements ConfidencePredictor: cold entries decline.
-func (p *LastValue) Lookup(pc uint64) (uint64, bool) { return p.t.Predict(pc) }
-
-// Predict implements Predictor.
-func (p *LastValue) Predict(pc uint64) uint64 {
-	v, _ := p.t.Predict(pc)
-	return v
-}
-
-// Update implements Predictor.
-func (p *LastValue) Update(pc, actual uint64) { p.t.Update(pc, actual) }
-
-// TableStats implements TableStatser.
-func (p *LastValue) TableStats() LVPTStats { return p.t.Stats() }
 
 // TableValue adapts any ValueTable organisation (untagged, tagged or
 // set-associative) into a last-value Predictor, so the zoo can ablate table
@@ -217,28 +190,6 @@ func (p *Context) Update(pc, actual uint64) {
 	i := p.index(pc)
 	p.last2[i] = p.last1[i]
 	p.last1[i] = actual
-}
-
-// MeasureAccuracy runs a predictor over every load of a pre-extracted slab
-// (its PC and value lanes) and reports the fraction predicted exactly. The
-// predictor always speaks: a ConfidencePredictor's declines are not
-// consulted (MeasureZooLoads separates those out).
-func MeasureAccuracy(loads LoadSlab, p Predictor) locality.Ratio {
-	r := locality.Ratio{Total: loads.Len()}
-	for i, pc := range loads.PCs {
-		value := loads.Values[i]
-		if p.Predict(pc) == value {
-			r.Hits++
-		}
-		p.Update(pc, value)
-	}
-	return r
-}
-
-// MeasurePredictor is MeasureAccuracy over a trace: it gathers the trace's
-// load PC and value lanes and runs the same loop.
-func MeasurePredictor(t *trace.Trace, p Predictor) locality.Ratio {
-	return MeasureAccuracy(valueLanes(t), p)
 }
 
 // TwoValue is a buildable depth-2 value predictor: each entry holds two

@@ -270,9 +270,10 @@ func (u *Unit) Load(pc, addr, actual uint64) trace.PredState {
 // pcs[i], addrs[i] and actuals[i] describe load i — writing each load's
 // four-state annotation into states[i]. It is decision-for-decision and
 // counter-for-counter equivalent to len(pcs) sequential Load calls; the
-// batched form exists so the hot annotation loop runs over the unit's flat
-// table arrays (LVPT values/lengths, LCT counters) instead of re-entering
-// the interface and method chain per load. len(addrs), len(actuals) and
+// batched form exists so the hot annotation loop reads the unit's tables
+// directly (the LVPT's history through its inlined index accessors, the
+// LCT counters) instead of re-entering the interface and method chain per
+// load. len(addrs), len(actuals) and
 // len(states) must be at least len(pcs).
 func (u *Unit) LoadBatch(pcs, addrs, actuals []uint64, states []trace.PredState) {
 	n := len(pcs)
@@ -291,7 +292,7 @@ func (u *Unit) LoadBatch(pcs, addrs, actuals []uint64, states []trace.PredState)
 	// channel the per-load path could emit on. Anything else (deep
 	// histories, tagged/assoc tables, attached tracers) falls back to the
 	// reference per-load path.
-	if t, ok := u.lvpt.(*LVPT); ok && t.depth == 1 &&
+	if t, ok := u.lvpt.(*LVPT); ok && t.h.Depth() == 1 &&
 		!u.tr.Enabled(obs.ChanLVPT) && !u.tr.Enabled(obs.ChanLCT) && !u.tr.Enabled(obs.ChanCVU) {
 		u.loadBatchDirect(t, pcs[:n], addrs, actuals, states)
 		return
@@ -301,25 +302,29 @@ func (u *Unit) LoadBatch(pcs, addrs, actuals []uint64, states []trace.PredState)
 	}
 }
 
-// loadBatchDirect is Load's logic unrolled over the depth-1 untagged LVPT's
-// flat arrays. Counter-update order differs from the per-load path only
-// within a single load (all counters are simple sums), and every decision —
-// classification, CVU lookup/insert/invalidate, state selection — is
-// identical; TestLoadBatchMatchesLoad pins that equivalence.
+// loadBatchDirect is Load's logic unrolled over the depth-1 untagged LVPT,
+// reading and writing its history table through the index accessors
+// (Len/Head/SetHead) instead of the general MRU search. Counter-update
+// order differs from the per-load path only within a single load (all
+// counters are simple sums), and every decision — classification, CVU
+// lookup/insert/invalidate, state selection — is identical;
+// TestLoadBatchMatchesLoad pins that equivalence.
 func (u *Unit) loadBatchDirect(t *LVPT, pcs, addrs, actuals []uint64, states []trace.PredState) {
+	h := &t.h
 	l := u.lct
 	st := &u.stats
 	st.Loads += len(pcs)
 	for i := range pcs {
 		pc, actual := pcs[i], actuals[i]
-		idx := t.Index(pc)
+		idx := h.Index(pc)
 		t.stats.Lookups++
-		if t.lengths[idx] != 0 {
+		warm := h.Len(idx) != 0
+		if warm {
 			t.stats.Hits++
 		}
-		// A cold entry's value slot is zero, exactly what Predict reports
-		// for it, so the comparison needs no warm/cold branch.
-		correct := t.values[idx] == actual
+		// A cold entry's head is zero, exactly what Predict reports for
+		// it, so the comparison needs no warm/cold branch.
+		correct := h.Head(idx) == actual
 		li := l.index(pc)
 		c := l.counters[li]
 		class := l.classTab[c]
@@ -373,13 +378,11 @@ func (u *Unit) loadBatchDirect(t *LVPT, pcs, addrs, actuals []uint64, states []t
 		// would miss — and a warm one changes only when displaced; either
 		// change invalidates the CVU entries vouching for this index.
 		t.stats.Updates++
-		if t.lengths[idx] == 0 {
-			t.lengths[idx] = 1
-			t.values[idx] = actual
-			st.CVUIndexInvalidations += u.cvu.InvalidateIndex(idx)
-		} else if t.values[idx] != actual {
-			t.stats.Replacements++
-			t.values[idx] = actual
+		if !warm || !correct {
+			if warm {
+				t.stats.Replacements++
+			}
+			h.SetHead(idx, actual)
 			st.CVUIndexInvalidations += u.cvu.InvalidateIndex(idx)
 		}
 

@@ -110,6 +110,12 @@ type ZooMeasure struct {
 	Loads    int64 `json:"loads"`
 	Attempts int64 `json:"attempts"`
 	Hits     int64 `json:"hits"`
+	// Exact counts the loads whose value equals the predictor's guess when
+	// it is made to speak: a decline guesses 0, the value every Lookup
+	// returns with ok false and every Predict returns for it. It is the
+	// always-speaking regime of the paper's §7 predictor comparison, and
+	// is not part of the served zoo-cell payload.
+	Exact int64 `json:"-"`
 	// TagMisses and AliasEvicts surface table interference for the
 	// tagged/set-associative families; both stay zero for families whose
 	// tables cannot observe aliasing.
@@ -136,7 +142,7 @@ func (m ZooMeasure) Accuracy() float64 {
 // MeasureZoo runs a predictor over every load in the trace. Predictors
 // implementing ConfidencePredictor are measured through Lookup, so declined
 // predictions count against coverage but not accuracy; plain Predictors are
-// treated as always speaking (MeasureAccuracy's regime).
+// treated as always speaking.
 func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
 	return MeasureZooLoads(valueLanes(t), p)
 }
@@ -171,16 +177,21 @@ func MeasureZooLoads(loads LoadSlab, p Predictor) ZooMeasure {
 	for i, pc := range loads.PCs {
 		value := loads.Values[i]
 		if hasConf {
-			if v, ok := cp.Lookup(pc); ok {
+			v, ok := cp.Lookup(pc)
+			if ok {
 				m.Attempts++
 				if v == value {
 					m.Hits++
 				}
 			}
+			if v == value {
+				m.Exact++
+			}
 		} else {
 			m.Attempts++
 			if p.Predict(pc) == value {
 				m.Hits++
+				m.Exact++
 			}
 		}
 		p.Update(pc, value)

@@ -27,11 +27,18 @@ func (b *Builder) Bytes(name string, data []byte) uint64 {
 	return addr
 }
 
-// Zeros reserves n zeroed bytes under the given symbol.
+// Zeros reserves n zeroed bytes under the given symbol. A negative n, or one
+// that would push the globals segment past the heap (HeapBase-DataBase
+// bytes), is a build error and reserves nothing.
 func (b *Builder) Zeros(name string, n int) uint64 {
 	b.align(8)
 	addr := DataBase + uint64(len(b.data))
 	b.defineSymbol(name, addr)
+	if room := int(HeapBase-DataBase) - len(b.data); n < 0 || n > room {
+		b.Errf("zeros %q: size %d outside [0, %d]: the data segment ends at HeapBase-DataBase (%d bytes)",
+			name, n, max(room, 0), HeapBase-DataBase)
+		return addr
+	}
 	b.data = append(b.data, make([]byte, n)...)
 	return addr
 }

@@ -14,6 +14,7 @@ import (
 
 	"lvp/internal/axp21164"
 	"lvp/internal/exp"
+	"lvp/internal/locality"
 )
 
 // Tests for the distributed-serving building blocks that live in serve: the
@@ -348,6 +349,7 @@ func TestCellValidate(t *testing.T) {
 		{Kind: "locality", Bench: "quick", Target: "mips", Depths: []int{1}},
 		{Kind: "locality", Bench: "quick", Target: "ppc"},
 		{Kind: "locality", Bench: "quick", Target: "ppc", Depths: []int{0}},
+		{Kind: "locality", Bench: "quick", Target: "ppc", Depths: []int{locality.MaxDepth + 1}},
 		{Kind: "zoo", Bench: "quick", Predictor: "no-such-family"},
 		{Kind: "???", Bench: "quick"},
 	}
@@ -355,5 +357,50 @@ func TestCellValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate(%s) = nil, want error", c)
 		}
+	}
+}
+
+// TestLocalityDepthBound is the regression test for a request-controlled
+// history depth: a depth past locality.MaxDepth once passed validation and
+// overflowed the history table's entries*depth on a pool goroutine, killing
+// the daemon. Both endpoints must answer 400 naming the bound, and the
+// server must keep serving.
+func TestLocalityDepthBound(t *testing.T) {
+	mgr := NewManager(Config{Workers: 2})
+	defer shutdownNow(t, mgr)
+	srv := httptest.NewServer(NewHandler(mgr))
+	defer srv.Close()
+	httpc := srv.Client()
+
+	readErr := func(resp *http.Response) string {
+		t.Helper()
+		defer resp.Body.Close()
+		var b bytes.Buffer
+		b.ReadFrom(resp.Body)
+		return b.String()
+	}
+	for _, d := range []int{locality.MaxDepth + 1, 1 << 60} {
+		spec := JobSpec{Benchmarks: []string{"quick"}, LocalityTargets: []string{"ppc"}, LocalityDepths: []int{d}}
+		body, _ := json.Marshal(spec)
+		resp, err := httpc.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := readErr(resp); resp.StatusCode != http.StatusBadRequest || !bytes.Contains([]byte(msg), []byte("MaxDepth")) {
+			t.Errorf("job with depth %d: status %d body %q, want 400 naming MaxDepth", d, resp.StatusCode, msg)
+		}
+		resp = execCell(t, httpc, srv.URL, CellRequest{
+			Cell: Cell{Kind: "locality", Bench: "quick", Target: "ppc", Depths: []int{d}},
+		})
+		if msg := readErr(resp); resp.StatusCode != http.StatusBadRequest || !bytes.Contains([]byte(msg), []byte("MaxDepth")) {
+			t.Errorf("cell with depth %d: status %d body %q, want 400 naming MaxDepth", d, resp.StatusCode, msg)
+		}
+	}
+	// The bound itself is served.
+	resp := execCell(t, httpc, srv.URL, CellRequest{
+		Cell: Cell{Kind: "locality", Bench: "quick", Target: "ppc", Depths: []int{1, locality.MaxDepth}},
+	})
+	if msg := readErr(resp); resp.StatusCode != http.StatusOK {
+		t.Errorf("cell with depths 1 and %d: status %d body %q, want 200", locality.MaxDepth, resp.StatusCode, msg)
 	}
 }

@@ -113,8 +113,8 @@ func (c Cell) Validate() error {
 			return fmt.Errorf("serve: locality cell needs at least one depth")
 		}
 		for _, d := range c.Depths {
-			if d < 1 {
-				return fmt.Errorf("serve: locality depth %d out of range (want >= 1)", d)
+			if err := validDepth(d); err != nil {
+				return err
 			}
 		}
 	case "zoo":
@@ -123,6 +123,14 @@ func (c Cell) Validate() error {
 		}
 	default:
 		return fmt.Errorf("serve: unknown cell kind %q", c.Kind)
+	}
+	return nil
+}
+
+// validDepth checks a locality history depth against [1, locality.MaxDepth].
+func validDepth(d int) error {
+	if d < 1 || d > locality.MaxDepth {
+		return fmt.Errorf("serve: locality depth %d out of range (want 1..%d, locality.MaxDepth)", d, locality.MaxDepth)
 	}
 	return nil
 }
@@ -168,8 +176,8 @@ func (s JobSpec) Validate() error {
 		}
 	}
 	for _, d := range s.LocalityDepths {
-		if d < 1 {
-			return fmt.Errorf("serve: locality depth %d out of range (want >= 1)", d)
+		if err := validDepth(d); err != nil {
+			return err
 		}
 	}
 	for _, p := range s.Predictors {
