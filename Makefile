@@ -43,11 +43,11 @@ race-full:
 	$(GO) test -race -timeout 30m ./...
 
 # Short fuzz sessions over the trace codecs — the read-only VLT1 Reader's
-# whole-trace and record-at-a-time round-trip properties (re-encoded by the
-# tests' reference encoder), and the VLT2 block-codec round-trip (both
-# decode paths, both codecs) — over the whole file pipeline: raw bytes →
-# trace.Open → lvp.Pipe → both timing models (never a panic; decode errors
-# come back from Simulate) — and over the assembler: source text →
+# whole-trace and one-record-per-batch round-trip properties (re-encoded by
+# the tests' reference encoder), and the VLT2 block-codec round-trip (the
+# indexed reader, both codecs) — over the whole file pipeline: raw bytes →
+# trace.OpenFile → lvp.Pipe → both timing models (never a panic; decode
+# errors come back from Simulate) — and over the assembler: source text →
 # asm.Assemble → a step-bounded vm.Exec (errors allowed, never a panic or
 # an unbounded allocation).
 fuzz:
@@ -68,9 +68,9 @@ bench:
 bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkAnnotate' -benchtime 2s -count 3 .
 
-# Streaming-layer benchmarks: the VLT2 encode and batched decode paths (both
-# decoders over raw and flate blocks), and the VLT1 Reader's
-# record-at-a-time decode.
+# Streaming-layer benchmarks: the VLT2 encode and batched decode paths (the
+# indexed reader over raw and flate blocks), and the VLT1 Reader's batched
+# decode.
 bench-stream:
 	$(GO) test -run xxx -bench 'VLT2|StreamDecode' -benchtime 1s ./internal/trace/
 
@@ -92,19 +92,20 @@ bench-json:
 
 # Streaming memory/identity gate, run standalone (uncached): the
 # allocation-regression tests (0 allocs/record on the VLT1 Reader, the VLT2
-# Writer2 and the LVP hot paths; both VLT2 decoders' batch paths at 0 allocs
+# Writer2 and the LVP hot paths; the VLT2 reader's batch path at 0 allocs
 # per block on raw blocks and a bounded count per block on flate), the
-# 10M-record peak-RSS bound of a Writer2 → Reader2 stream through a pipe, the
-# per-workload differential between vm.Source → lvp.Pipe → Simulate and the
-# suite's in-memory cells, the slab contract of both timing models (stats
-# independent of how the trace is cut into slabs; source errors, and an
-# annotation that does not fit its trace, returned, never a panic), the
-# NextBatch-vs-Next differentials of the VM, codec and Pipe sources, the
-# Pipe's records-before-error rule, the in-memory span source, the batched
-# annotation differential, and the CVU's address-boundary invalidation and
-# insert-refresh edge cases. All of these also run as part of plain
-# `make test` / `make check`.
-STREAM_TESTS = 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateSlabContract|TestSimulateReturnsSourceError|NextBatch|TestPipeDeliversRecordsBeforeError|TestSlabsOneSpan|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
+# 10M-record peak-RSS bound of a Writer2 file read back by the IndexedReader
+# through ReadAt, the per-workload differential between vm.Source →
+# lvp.Pipe → Simulate and the suite's in-memory cells, the slab contract of
+# both timing models (stats independent of how the trace is cut into slabs;
+# source errors, and an annotation that does not fit its trace, returned,
+# never a panic), the batch-size checks of the VM and VLT1 sources (buffers
+# of 1, 7 and 256 records against vm.Run and ReadAll, errors included), the
+# Pipe's refill-size differential and records-before-error rule, the
+# in-memory span source, the batched annotation differential, and the CVU's
+# address-boundary invalidation and insert-refresh edge cases. All of these
+# also run as part of plain `make test` / `make check`.
+STREAM_TESTS = 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateSlabContract|TestSimulateReturnsSourceError|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestPipeDeliversRecordsBeforeError|TestSlabsOneSpan|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
 
 check-stream:
 	$(GO) test -count=1 -run $(STREAM_TESTS) ./internal/trace/ ./internal/lvp/ ./internal/exp/ ./internal/vm/
@@ -119,12 +120,13 @@ check-stream:
 # 8192 LVPT indices, to forced address-bucket collisions and to the key
 # shapes the full-key lookup depends on (strided addresses past capacity
 # under one index; one address under several indices), vm.Run's chunked
-# collector against RunSink with its allocation bound, the suite as the one
+# collector against the Source's record stream with its allocation bound,
+# the suite as the one
 # place a model runs (the resource sweep, GVP study and MAF ablation build
 # each simulation once, counted and timed; an enlarged 620 is traced; the
 # sweep's 620+ row is the union of its four enlargements), and the dataflow
 # analysis refusing an annotation that does not fit its trace.
-ANNOTATE_TESTS = 'Slab|ExtractLoads|TestCVUDifferential|FuzzCVUDifferential|TestCVUBucketCollisions|TestOneUnitRun|TestSimCacheByHardware|TestSharedRunLabel|TestUnitRunAllocs|TestRunMatchesRunSink|TestCollectLengths|TestRunAllocBound|TestSimAccounting|TestEnlargedVariantTraced|TestResourceVariantsUnionIs620Plus|TestAnalyzeAnnotationLength|TestFacadeSimulateMismatchedAnnotation'
+ANNOTATE_TESTS = 'Slab|ExtractLoads|TestCVUDifferential|FuzzCVUDifferential|TestCVUBucketCollisions|TestOneUnitRun|TestSimCacheByHardware|TestSharedRunLabel|TestUnitRunAllocs|TestRunMatchesSource|TestCollectLengths|TestRunAllocBound|TestSimAccounting|TestEnlargedVariantTraced|TestResourceVariantsUnionIs620Plus|TestAnalyzeAnnotationLength|TestFacadeSimulateMismatchedAnnotation'
 ANNOTATE_PKGS = . ./internal/lvp/ ./internal/exp/ ./internal/vm/ ./internal/dfg/
 
 check-annotate:
@@ -163,18 +165,23 @@ check-obs:
 # Trace-format gate, run standalone (uncached): the format differential
 # (records, annotation bytes, and all three machine models' stats
 # byte-identical from every VLT2 encoding), the VLT1 leg (every workload's
-# VLT1 encoding decodes to the in-memory trace) and the checked-in VLT1
-# fixtures, the hostile-input table (truncated blocks, corrupted checksums,
-# lying header lengths, overlapping or wrapping index entries, the retired
-# codec bytes 2 and 3 — ErrCorrupt, never panics), the checked-in fuzz
-# corpus seeds, the random-seek property test, the 0-allocs/record gates on
-# the VLT2 batch paths, and the writer's byte golden (the sha256 of every
-# workload's raw and flate encoding). The writer's tests — the golden, the
-# helper goroutine's lifecycle and its sticky errors — run again under the
-# race detector, since Writer2 hands blocks to a helper goroutine, and so
-# does vltconv's error-path test (no goroutine left behind).
+# VLT1 encoding decodes to the in-memory trace), the checked-in VLT1
+# fixtures and the VLT1 Reader's rejection of out-of-range opcode, register
+# and load-class bytes, the hostile-input table (truncated blocks,
+# corrupted checksums, lying header lengths, overlapping or wrapping index
+# entries, the retired codec bytes 2 and 3 — ErrCorrupt, never panics), the
+# checked-in fuzz corpus seeds, the round trip in batches of 1, 7 and 256
+# records, the random-seek property test, the 0-allocs/record gates on the
+# VLT2 batch path, and the writer's byte golden (the sha256 of every
+# workload's raw and flate encoding); then the trace commands: tracegen's
+# output byte-identical to Write2 of vm.Run, vltconv's fixture conversion
+# and -verify's rejections, and lvpdump's VLT1/VLT2 dump identity. The
+# writer's tests — the golden, the helper goroutine's lifecycle and its
+# sticky errors — run again under the race detector, since Writer2 hands
+# blocks to a helper goroutine, and so does vltconv's error-path test (no
+# goroutine left behind).
 check-vlt2:
-	$(GO) test -count=1 -run 'TestVLT2|FuzzVLT2|TestVLT1' ./internal/trace/
+	$(GO) test -count=1 -run 'TestVLT2|FuzzVLT2|TestVLT1|TestStreamTrace|TestConvert|TestVerify|TestDumpTrace' ./internal/trace/ ./cmd/tracegen/ ./cmd/lvpdump/ ./cmd/vltconv/
 	$(GO) test -count=1 -run 'TestFormatDifferential' ./internal/exp/
 	$(GO) test -race -count=1 -run 'TestVLT2Writer|TestWriter|TestConvertError' ./internal/trace/ ./cmd/vltconv/
 

@@ -132,6 +132,7 @@ func dumpTrace(path string, seek uint64, n int64) error {
 		defer c.Close() // releases a VLT2 mapping before the file closes
 	}
 	fmt.Printf("; trace %s/%s, %d records\n", sr.Name(), sr.Target(), sr.Count())
+	buf := make([]trace.Record, 512)
 	if ir, ok := sr.(*trace.IndexedReader); ok {
 		if err := ir.SeekRecord(seek); err != nil {
 			return err
@@ -142,7 +143,6 @@ func dumpTrace(path string, seek uint64, n int64) error {
 		if seek > sr.Count() {
 			return fmt.Errorf("trace: seek to record %d beyond count %d", seek, sr.Count())
 		}
-		var buf [512]trace.Record
 		for skipped := uint64(0); skipped < seek; {
 			k, err := sr.NextBatch(buf[:min(uint64(len(buf)), seek-skipped)])
 			skipped += uint64(k)
@@ -151,24 +151,32 @@ func dumpTrace(path string, seek uint64, n int64) error {
 			}
 		}
 	}
-	for i := int64(0); n < 0 || i < n; i++ {
-		r, err := sr.Next()
+	for i := int64(0); n < 0 || i < n; {
+		want := int64(len(buf))
+		if n >= 0 {
+			want = min(want, n-i)
+		}
+		k, err := sr.NextBatch(buf[:want])
+		for j := range k {
+			r := &buf[j]
+			fmt.Printf("%10d  %06x  %-28s", uint64(i)+seek, r.PC, r.Inst().String())
+			switch {
+			case r.IsLoad():
+				fmt.Printf("  addr=%#x val=%#x", r.Addr, r.Value)
+			case r.IsStore():
+				fmt.Printf("  addr=%#x val=%#x", r.Addr, r.Value)
+			case r.IsBranch():
+				fmt.Printf("  taken=%t targ=%06x", r.Taken, r.Targ)
+			}
+			fmt.Println()
+			i++
+		}
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%10d  %06x  %-28s", uint64(i)+seek, r.PC, r.Inst().String())
-		switch {
-		case r.IsLoad():
-			fmt.Printf("  addr=%#x val=%#x", r.Addr, r.Value)
-		case r.IsStore():
-			fmt.Printf("  addr=%#x val=%#x", r.Addr, r.Value)
-		case r.IsBranch():
-			fmt.Printf("  taken=%t targ=%06x", r.Taken, r.Targ)
-		}
-		fmt.Println()
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ func traceFiles(t *testing.T) (vlt1, vlt2 string, n uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := trace.Open(bytes.NewReader(data))
+	d, err := trace.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,20 +106,23 @@ func streamTrace(w io.Writer, p *prog.Program, codec trace.BlockCodec) (trace.Su
 		return trace.Summary{}, 0, err
 	}
 	z := trace.NewSummarizer(p.Name, p.Target.Name)
+	buf := make([]trace.Record, 1024)
 	for {
-		r, err := src.Next()
+		n, err := src.NextBatch(buf)
+		for i := range n {
+			if werr := sw.WriteRecord(&buf[i]); werr != nil {
+				sw.Close() // stops the writer's helper goroutine
+				return trace.Summary{}, 0, werr
+			}
+			z.Add(&buf[i])
+		}
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			sw.Close() // stops the writer's helper goroutine
-			return trace.Summary{}, 0, err
-		}
-		if err := sw.WriteRecord(r); err != nil {
 			sw.Close()
 			return trace.Summary{}, 0, err
 		}
-		z.Add(r)
 	}
 	if err := sw.Close(); err != nil {
 		return trace.Summary{}, 0, err

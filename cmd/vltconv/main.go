@@ -143,27 +143,44 @@ func verifyEqual(a, b string) error {
 		return err
 	}
 	defer doneB()
+	bufA, bufB := make([]trace.Record, 4096), make([]trace.Record, 4096)
 	var n uint64
 	for {
-		ra, ea := da.Next()
-		rb, eb := db.Next()
-		if ea == io.EOF || eb == io.EOF {
-			if ea != eb {
-				return fmt.Errorf("verify: record counts differ at %d (%v vs %v)", n, ea, eb)
+		ka, ea := fill(da, bufA)
+		kb, eb := fill(db, bufB)
+		for i := range min(ka, kb) {
+			if bufA[i] != bufB[i] {
+				return fmt.Errorf("verify: record %d differs:\n  %s: %+v\n  %s: %+v", n+uint64(i), a, bufA[i], b, bufB[i])
 			}
-			return nil
 		}
-		if ea != nil {
+		n += uint64(min(ka, kb))
+		if ea != nil && ea != io.EOF {
 			return ea
 		}
-		if eb != nil {
+		if eb != nil && eb != io.EOF {
 			return eb
 		}
-		if *ra != *rb {
-			return fmt.Errorf("verify: record %d differs:\n  %s: %+v\n  %s: %+v", n, a, *ra, b, *rb)
+		if ka != kb {
+			return fmt.Errorf("verify: record counts differ: one file ends at record %d", n)
 		}
-		n++
+		if ea == io.EOF {
+			return nil
+		}
 	}
+}
+
+// fill reads from d until buf is full or the stream ends, and returns the
+// record count and the terminal error (io.EOF at the end of the stream).
+func fill(d trace.Decoder, buf []trace.Record) (int, error) {
+	n := 0
+	for n < len(buf) {
+		k, err := d.NextBatch(buf[n:])
+		n += k
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 func fileSize(path string) int64 {

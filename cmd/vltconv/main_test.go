@@ -137,3 +137,81 @@ func waitGoroutines(t *testing.T, want int) {
 		}
 	}
 }
+
+// TestVerifyRejects pins -verify's rejections: a file whose records differ
+// from the other's (in the first batch and past it), a file that is a
+// one-record prefix of the other, either way round, and an input that fails
+// to open or fails to decode past the first batch all make verifyEqual
+// return an error.
+func TestVerifyRejects(t *testing.T) {
+	dir := t.TempDir()
+	d, closeIn, err := openTrace(fixture("shapes.vlt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := trace.ReadAll(d)
+	closeIn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough records that a mismatch near the end lies well past the first
+	// batch of any reader.
+	tr := &trace.Trace{Name: base.Name, Target: base.Target}
+	for len(tr.Records) < 10000 {
+		tr.Records = append(tr.Records, base.Records...)
+	}
+	write := func(name string, t2 *trace.Trace) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := trace.Write2(&buf, t2, trace.Writer2Options{BlockRecords: 64}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// mutate returns a copy of tr with record i's value changed.
+	mutate := func(i int) *trace.Trace {
+		m := &trace.Trace{Name: tr.Name, Target: tr.Target, Records: append([]trace.Record(nil), tr.Records...)}
+		m.Records[i].Value ^= 1
+		return m
+	}
+	full := write("full.vlt2", tr)
+	if err := verifyEqual(full, full); err != nil {
+		t.Fatalf("verify rejected identical files: %v", err)
+	}
+	prefix := write("prefix.vlt2", &trace.Trace{Name: tr.Name, Target: tr.Target, Records: tr.Records[:len(tr.Records)-1]})
+	raw, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := filepath.Join(dir, "truncated.vlt2")
+	if err := os.WriteFile(truncated, raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The last block's last payload byte flipped: the file opens, and
+	// decoding fails after many batches have compared equal.
+	corrupt := filepath.Join(dir, "corrupt.vlt2")
+	footerOff := binary.LittleEndian.Uint64(raw[len(raw)-16:]) // the trailer
+	raw[footerOff-1] ^= 0xff
+	if err := os.WriteFile(corrupt, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, a, b string }{
+		{"first-record-differs", full, write("diff0.vlt2", mutate(0))},
+		{"late-record-differs", full, write("difflate.vlt2", mutate(len(tr.Records)-2))},
+		{"b-is-prefix", full, prefix},
+		{"a-is-prefix", prefix, full},
+		{"unopenable", full, truncated},
+		{"corrupt-last-block", full, corrupt},
+		{"corrupt-last-block-first", corrupt, full},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := verifyEqual(tc.a, tc.b); err == nil {
+				t.Fatal("verify accepted files whose records differ")
+			}
+		})
+	}
+}

@@ -33,16 +33,10 @@ func vlt2Enc(opts trace.Writer2Options) func(tr *trace.Trace) ([]byte, error) {
 	}
 }
 
-// decodeVia materializes enc through the named decode path.
-func decodeVia(t *testing.T, enc []byte, indexed bool) *trace.Trace {
+// decodeVLT2 materializes enc through the VLT2 decoder.
+func decodeVLT2(t *testing.T, enc []byte) *trace.Trace {
 	t.Helper()
-	var d trace.Decoder
-	var err error
-	if indexed {
-		d, err = trace.NewIndexedReaderBytes(enc)
-	} else {
-		d, err = trace.Open(bytes.NewReader(enc))
-	}
+	d, err := trace.NewIndexedReaderBytes(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,20 +112,15 @@ func TestFormatDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// Both decode paths, sequential and indexed, must
-					// materialize the identical trace.
-					var gotPPC *trace.Trace
-					for _, indexed := range []bool{false, true} {
-						gotPPC = decodeVia(t, encPPC, indexed)
-						if gotPPC.Name != wantPPC.Name || gotPPC.Target != wantPPC.Target {
-							t.Fatalf("metadata differs: got %q/%q want %q/%q",
-								gotPPC.Name, gotPPC.Target, wantPPC.Name, wantPPC.Target)
-						}
-						if !reflect.DeepEqual(gotPPC.Records, wantPPC.Records) {
-							t.Fatalf("decoded records differ (indexed=%v)", indexed)
-						}
+					gotPPC := decodeVLT2(t, encPPC)
+					if gotPPC.Name != wantPPC.Name || gotPPC.Target != wantPPC.Target {
+						t.Fatalf("metadata differs: got %q/%q want %q/%q",
+							gotPPC.Name, gotPPC.Target, wantPPC.Name, wantPPC.Target)
 					}
-					gotAXP := decodeVia(t, encAXP, true)
+					if !reflect.DeepEqual(gotPPC.Records, wantPPC.Records) {
+						t.Fatal("decoded records differ")
+					}
+					gotAXP := decodeVLT2(t, encAXP)
 					if !reflect.DeepEqual(gotAXP.Records, wantAXP.Records) {
 						t.Fatal("decoded AXP records differ")
 					}

@@ -315,9 +315,34 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	return seeds
 }
 
-// FuzzSimulate drives raw bytes through the whole file pipeline: trace.Open
-// → lvp.NewPipe(Simple) → each timing model's Simulate, and trace.ReadAll →
-// Trace.Slabs(nil) for the no-LVP path. Nothing may panic; a decode error
+// openImage writes data to a file in t's temp dir and returns a function
+// that opens it through trace.OpenFile; every decoder and file it opens is
+// released when t ends.
+func openImage(t *testing.T, data []byte) func() (trace.Decoder, error) {
+	path := filepath.Join(t.TempDir(), "trace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return func() (trace.Decoder, error) {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		d, err := trace.OpenFile(f)
+		if err != nil {
+			return nil, err
+		}
+		if c, ok := d.(io.Closer); ok {
+			t.Cleanup(func() { c.Close() })
+		}
+		return d, nil
+	}
+}
+
+// FuzzSimulate drives raw bytes through the whole file pipeline: a file
+// opened by trace.OpenFile → lvp.NewPipe(Simple) → each timing model's
+// Simulate, and trace.ReadAll → Trace.Slabs(nil) for the no-LVP path. Nothing may panic; a decode error
 // must come back from Simulate exactly when ReadAll reports one; and a
 // cleanly decoded trace must simulate identically streamed and in memory.
 func FuzzSimulate(f *testing.F) {
@@ -325,7 +350,8 @@ func FuzzSimulate(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := trace.Open(bytes.NewReader(data))
+		open := openImage(t, data)
+		d, err := open()
 		if err != nil {
 			return
 		}
@@ -337,7 +363,7 @@ func FuzzSimulate(f *testing.F) {
 			}
 		}
 		for _, m := range slabModels {
-			d, err := trace.Open(bytes.NewReader(data))
+			d, err := open()
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}

@@ -65,7 +65,7 @@ func (c chunkSource) NextBatch(buf []trace.Record) (int, error) {
 
 // TestPipeNextBatchMatchesNext is the annotation-layer batch differential:
 // for every paper configuration, a Pipe refilled through NextBatch — from
-// the in-memory slice source and from the batch-decoding VLT2 Reader2, at
+// the in-memory slice source and from the VLT2 IndexedReader, at
 // refill sizes 1, 7 and the full buffer — must produce exactly the records,
 // states and unit statistics of the record-at-a-time reference.
 func TestPipeNextBatchMatchesNext(t *testing.T) {
@@ -78,7 +78,7 @@ func TestPipeNextBatchMatchesNext(t *testing.T) {
 		t.Run(cfg.Name, func(t *testing.T) {
 			wantAnn, wantStats := recordRef(t, cfg, tr.Records)
 			for _, k := range []int{1, 7, pipeBatch} {
-				rd, err := trace.NewReader2(bytes.NewReader(enc.Bytes()))
+				rd, err := trace.NewIndexedReaderBytes(enc.Bytes())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,8 +110,6 @@ type errSource struct {
 	err  error
 	done bool
 }
-
-func (s *errSource) Next() (*trace.Record, error) { panic("batch only") }
 
 func (s *errSource) NextBatch(buf []trace.Record) (int, error) {
 	if s.done {

@@ -6,24 +6,23 @@ import (
 	"io"
 )
 
-// Batched streaming. A per-record pull pipeline pays several dynamic
-// dispatches per record. The batch layer amortizes them: record sources
-// that can produce records in bulk implement NextBatch, and the annotated
-// stream into the timing models moves whole slabs (SlabSource).
+// Batched streaming. Every record source (the VM, the in-memory slice
+// source, the VLT1 Reader and the VLT2 IndexedReader) delivers records in
+// bulk through NextBatch, so a pipeline pays its dynamic dispatches per
+// batch rather than per record, and the annotated stream into the timing
+// models moves whole slabs (SlabSource).
 //
 // Batches never change what flows through the pipeline — only how many
-// records move per call. The NextBatch-vs-Next differentials in
-// batch_test.go and the slab-contract property tests of the timing models
-// pin that equivalence.
+// records move per call. The batch-size checks in the tests (buffers of 1,
+// 7 and 256 records against ReadAll or vm.Run) and the slab-contract
+// property tests of the timing models pin that equivalence.
 
-// BatchSource is a Source that can also deliver records in bulk. NextBatch
-// fills buf with as many records as are available, up to len(buf), and
-// returns the count; unlike Next's reused pointer, the filled records are
-// the caller's to keep. It returns n > 0 with a nil error while records
-// remain, and (0, io.EOF) once the stream is exhausted. A decode or
-// execution error may follow n > 0 already-valid records.
+// BatchSource is the one record pull interface. NextBatch fills buf with as
+// many records as are available, up to len(buf), and returns the count; the
+// filled records are the caller's to keep. It returns n > 0 with a nil error
+// while records remain, and (0, io.EOF) once the stream is exhausted. A
+// decode or execution error may follow n > 0 already-valid records.
 type BatchSource interface {
-	Source
 	NextBatch(buf []Record) (int, error)
 }
 

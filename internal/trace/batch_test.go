@@ -7,29 +7,13 @@ import (
 	"testing"
 )
 
-// drainNext decodes an entire stream record-at-a-time, copying each record,
-// and returns the records plus the terminal error (nil for a clean EOF).
-func drainNext(r *Reader) ([]Record, error) {
-	var recs []Record
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, *rec)
-	}
-}
-
-// drainBatch decodes an entire stream via NextBatch with the given buffer
-// size and returns the records plus the terminal error (nil for clean EOF).
-func drainBatch(r *Reader, bufSize int) ([]Record, error) {
+// drainBatch drains src via NextBatch with the given buffer size and
+// returns the records plus the terminal error (nil for clean EOF).
+func drainBatch(src BatchSource, bufSize int) ([]Record, error) {
 	var recs []Record
 	buf := make([]Record, bufSize)
 	for {
-		n, err := r.NextBatch(buf)
+		n, err := src.NextBatch(buf)
 		recs = append(recs, buf[:n]...)
 		if err == io.EOF {
 			return recs, nil
@@ -40,23 +24,24 @@ func drainBatch(r *Reader, bufSize int) ([]Record, error) {
 	}
 }
 
-// TestReaderNextBatchMatchesNext is the VLT1 Reader's batch differential:
-// NextBatch must decode exactly the record sequence Next does, for buffer
-// sizes spanning the degenerate (1), the awkward (odd) and the typical
-// (pump-sized and larger).
+// TestReaderNextBatchMatchesNext pins the batched decode against the
+// record-at-a-time one (NextBatch with a one-record buffer): for every
+// buffer size, some dividing the record count and some not, the Reader
+// delivers the identical record sequence.
 func TestReaderNextBatchMatchesNext(t *testing.T) {
 	enc := encodeTrace(genTrace(5003))
-	want, err := func() ([]Record, error) {
-		r, err := NewReader(bytes.NewReader(enc))
-		if err != nil {
-			return nil, err
-		}
-		return drainNext(r)
-	}()
+	r, err := NewReader(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bufSize := range []int{1, 3, 7, 64, 256, 4096} {
+	want, err := drainBatch(r, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 5003 {
+		t.Fatalf("record-at-a-time decode: %d records, want 5003", len(want))
+	}
+	for _, bufSize := range []int{3, 7, 64, 256, 4096} {
 		r, err := NewReader(bytes.NewReader(enc))
 		if err != nil {
 			t.Fatal(err)
@@ -71,11 +56,11 @@ func TestReaderNextBatchMatchesNext(t *testing.T) {
 	}
 }
 
-// TestReaderNextBatchErrorsMatchNext truncates and corrupts encoded streams
-// at every byte offset: the batched reader must deliver exactly the records
-// the record-at-a-time reader delivers and then fail with the identical
-// error message.
-func TestReaderNextBatchErrorsMatchNext(t *testing.T) {
+// TestReaderBatchErrorsAgree truncates and corrupts encoded streams at
+// every seventh byte offset: whatever the buffer size (1, 7 or 256
+// records), the Reader must deliver the same records and then fail with the
+// identical error message.
+func TestReaderBatchErrorsAgree(t *testing.T) {
 	enc := encodeTrace(genTrace(64))
 	for off := 10; off < len(enc); off += 7 {
 		// Truncation at off.
@@ -87,33 +72,36 @@ func TestReaderNextBatchErrorsMatchNext(t *testing.T) {
 	}
 }
 
-// runBatchErrDiff decodes enc through both paths and requires identical
-// record prefixes and identical terminal errors. Header-level failures make
-// NewReader itself fail; those are trivially identical.
+// runBatchErrDiff decodes enc in batches of 1, 7 and 256 records and
+// requires identical record prefixes and identical terminal errors.
+// Header-level failures make NewReader itself fail.
 func runBatchErrDiff(t *testing.T, enc []byte) {
 	t.Helper()
-	r1, err1 := NewReader(bytes.NewReader(enc))
-	r2, err2 := NewReader(bytes.NewReader(enc))
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("NewReader divergence: %v vs %v", err1, err2)
-	}
-	if err1 != nil {
+	if _, err := NewReader(bytes.NewReader(enc)); err != nil {
 		return
 	}
-	want, wantErr := drainNext(r1)
-	got, gotErr := drainBatch(r2, 256)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded %d records via batch, %d via Next", len(got), len(want))
-	}
-	wantMsg, gotMsg := "", ""
-	if wantErr != nil {
-		wantMsg = wantErr.Error()
-	}
-	if gotErr != nil {
-		gotMsg = gotErr.Error()
-	}
-	if wantMsg != gotMsg {
-		t.Fatalf("error divergence:\n next  %q\n batch %q", wantMsg, gotMsg)
+	var want []Record
+	var wantMsg string
+	for i, bufSize := range []int{1, 7, 256} {
+		r, err := NewReader(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := drainBatch(r, bufSize)
+		gotMsg := ""
+		if gotErr != nil {
+			gotMsg = gotErr.Error()
+		}
+		if i == 0 {
+			want, wantMsg = got, gotMsg
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded %d records in batches of %d, %d in batches of 1", len(got), bufSize, len(want))
+		}
+		if gotMsg != wantMsg {
+			t.Fatalf("error divergence:\n batches of 1   %q\n batches of %d %q", wantMsg, bufSize, gotMsg)
+		}
 	}
 }
 

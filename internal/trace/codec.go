@@ -24,8 +24,8 @@ import (
 // not know the count up front reserved a padded ten-byte uvarint instead and
 // backpatched it. Both decode identically.
 //
-// VLT1 is read-only: the Reader in stream.go decodes it (Open and OpenFile
-// detect it on its magic), and every trace this package writes is VLT2.
+// VLT1 is read-only: the Reader in stream.go decodes it (OpenFile detects it
+// on its magic), and every trace this package writes is VLT2.
 
 const magic = "VLT1"
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lvp/internal/isa"
@@ -124,6 +125,44 @@ func TestReadRejectsMalformed(t *testing.T) {
 			data := tc.mutate(bytes.Clone(valid))
 			if _, err := readVLT1(data); err == nil {
 				t.Fatalf("decoder accepted malformed input (%s)", tc.name)
+			}
+		})
+	}
+}
+
+// TestVLT1RejectsOutOfRangeFields pins that the VLT1 Reader rejects a
+// record whose opcode, register or load-class byte is out of range, naming
+// the record, instead of clamping the byte to some valid value (as the VLT2
+// decoder does).
+func TestVLT1RejectsOutOfRangeFields(t *testing.T) {
+	good := Record{PC: 4, Op: isa.ADD, Rd: 1, Ra: 2, Rb: 3, Value: 5}
+	tr := &Trace{Name: "x", Target: "y", Records: []Record{good, good}}
+	tr.Records[1].PC = 8
+	// Record 1's six header bytes (flags, op, rd, ra, rb, class) start where
+	// a one-record encoding ends: both counts are one-byte uvarints.
+	rec1 := len(encodeTrace(&Trace{Name: "x", Target: "y", Records: tr.Records[:1]}))
+	for _, tc := range []struct {
+		name  string
+		field int // header byte index within the record
+		val   byte
+	}{
+		{"opcode", 1, 0xFA},
+		{"opcode just past the last", 1, byte(isa.NumOps)},
+		{"rd", 2, 200},
+		{"ra", 3, isa.NumRegs},
+		{"rb", 4, 0xFF},
+		{"load class", 5, 0xEE},
+		{"load class just past the last", 5, byte(isa.NumLoadClasses)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := encodeTrace(tr)
+			data[rec1+tc.field] = tc.val
+			got, err := readVLT1(data)
+			if err == nil {
+				t.Fatalf("decoder accepted byte %#x as the %s: record 1 = %+v", tc.val, tc.name, got.Records[1])
+			}
+			if !strings.Contains(err.Error(), "record 1") {
+				t.Fatalf("error %q does not name record 1", err)
 			}
 		})
 	}

@@ -7,11 +7,10 @@ import (
 	"os"
 )
 
-// Decoder is the format-independent streaming read seam: both the VLT1
-// Reader and the VLT2 readers satisfy it, so every consumer of trace files
-// works on either format. Count is the header/index record count when the
-// format carries one up front (VLT1 always, indexed VLT2 always) and 0 when
-// it is not yet known (sequential VLT2 before its footer).
+// Decoder is the format-independent read seam: both the VLT1 Reader and the
+// VLT2 IndexedReader satisfy it, so every consumer of trace files works on
+// either format. Count is the record count from the VLT1 header or the VLT2
+// footer index, known before the first record is read.
 type Decoder interface {
 	Name() string
 	Target() string
@@ -20,29 +19,8 @@ type Decoder interface {
 	BatchSource
 }
 
-// Open auto-detects the stream's format on its magic bytes and returns the
-// matching sequential Decoder. Any io.Reader works — pipes included; use
-// OpenFile to get seeking on VLT2 files.
-func Open(r io.Reader) (Decoder, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	m, err := br.Peek(4)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	switch string(m) {
-	case magic:
-		return NewReader(br)
-	case magic2:
-		return NewReader2(br)
-	}
-	return nil, ErrBadMagic
-}
-
-// OpenFile auto-detects f's format and returns the strongest Decoder the
-// format supports: an IndexedReader for VLT2 (O(log blocks) seeking,
+// OpenFile is the one trace opener. It detects f's format on its magic
+// bytes and returns an IndexedReader for VLT2 (O(log blocks) seeking,
 // zero-copy block access) or a streaming Reader for VLT1. The file must stay
 // open while the Decoder is in use; if the Decoder implements io.Closer (the
 // indexed reader does, to release its mapping), close it before closing f.

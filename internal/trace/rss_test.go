@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -45,11 +45,13 @@ func vmHWMKB(t *testing.T) int64 {
 }
 
 // TestStreamRSS is the bounded-memory gate of the streaming codec: a
-// synthetic 10M-record trace is encoded by Writer2 into a pipe and decoded
-// by the sequential Reader2 on the other end, and the process peak
+// synthetic 10M-record trace is encoded by Writer2 into a file and decoded
+// by the IndexedReader through an io.SectionReader, and the process peak
 // RSS must stay far below what materializing the trace would cost. A
-// regression that buffers the stream anywhere (writer, pipe, reader, or an
-// accumulator that grows per record) trips the bound.
+// regression that buffers the stream anywhere (writer, reader, or an
+// accumulator that grows per record) trips the bound. The SectionReader
+// takes the reader's ReadAt path: an *os.File would be memory-mapped, and
+// the mapped file's pages would count in VmHWM.
 func TestStreamRSS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10M-record stream; skipped in -short")
@@ -58,47 +60,51 @@ func TestStreamRSS(t *testing.T) {
 		t.Skip("VmHWM is read from /proc; linux only")
 	}
 
-	seed := genTrace(64).Records
-	pr, pw := io.Pipe()
-	werr := make(chan error, 1)
-	go func() {
-		defer pw.Close()
-		werr <- func() error {
-			sw, err := NewWriter2(pw, "rss", "ppc")
-			if err != nil {
-				return err
-			}
-			rec := Record{}
-			for i := 0; i < streamRSSRecords; i++ {
-				rec = seed[i%len(seed)]
-				rec.PC = uint64(0x1000 + 4*i)
-				if err := sw.WriteRecord(&rec); err != nil {
-					return err
-				}
-			}
-			return sw.Close()
-		}()
-	}()
-
-	sr, err := NewReader2(bufio.NewReaderSize(pr, 1<<16))
+	f, err := os.Create(filepath.Join(t.TempDir(), "rss.vlt2"))
 	if err != nil {
-		t.Fatalf("NewReader2: %v", err)
+		t.Fatal(err)
 	}
-	z := NewSummarizer(sr.Name(), sr.Target())
+	defer f.Close()
+	seed := genTrace(64).Records
+	sw, err := NewWriter2(f, "rss", "ppc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < streamRSSRecords; i++ {
+		rec := seed[i%len(seed)]
+		rec.PC = uint64(0x1000 + 4*i)
+		if err := sw.WriteRecord(&rec); err != nil {
+			sw.Close()
+			t.Fatalf("writer: %v", err)
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatalf("writer: %v", err)
+	}
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ir, err := NewIndexedReader(io.NewSectionReader(f, 0, size), size)
+	if err != nil {
+		t.Fatalf("NewIndexedReader: %v", err)
+	}
+	z := NewSummarizer(ir.Name(), ir.Target())
+	buf := make([]Record, 1024)
 	n := 0
 	for {
-		rec, err := sr.Next()
+		k, err := ir.NextBatch(buf)
+		for i := range k {
+			z.Add(&buf[i])
+		}
+		n += k
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			t.Fatalf("Next (record %d): %v", n, err)
+			t.Fatalf("NextBatch (after record %d): %v", n, err)
 		}
-		z.Add(rec)
-		n++
-	}
-	if err := <-werr; err != nil {
-		t.Fatalf("writer: %v", err)
 	}
 	if n != streamRSSRecords {
 		t.Fatalf("decoded %d records, want %d", n, streamRSSRecords)
@@ -113,6 +119,6 @@ func TestStreamRSS(t *testing.T) {
 			"the pipeline is buffering somewhere",
 			hwmKB/1024, streamRSSRecords, streamRSSBoundMB)
 	}
-	t.Logf("streamed %d records, peak RSS %d MB (bound %d MB)",
-		n, hwmKB/1024, streamRSSBoundMB)
+	t.Logf("streamed %d records (%d MB file), peak RSS %d MB (bound %d MB)",
+		n, size>>20, hwmKB/1024, streamRSSBoundMB)
 }

@@ -5,33 +5,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"lvp/internal/isa"
 )
 
-// Streaming record-at-a-time access: the Source seam every record producer
-// implements, and the VLT1 Reader. Reader.Next is allocation-free after
-// construction — it decodes into an internal reused Record — so callers
-// that retain records across Next calls must copy them.
-
-// Source yields the records of a dynamic instruction trace in program
-// order. Next returns io.EOF after the final record. The returned pointer
-// is only valid until the next call to Next.
-type Source interface {
-	Next() (*Record, error)
-}
+// The in-memory slice source and the VLT1 Reader. Both deliver records
+// through NextBatch (see BatchSource): the filled records are the caller's to
+// keep.
 
 // sliceSource streams an in-memory trace.
 type sliceSource struct {
 	t *Trace
 	i int
-}
-
-func (s *sliceSource) Next() (*Record, error) {
-	if s.i >= len(s.t.Records) {
-		return nil, io.EOF
-	}
-	r := &s.t.Records[s.i]
-	s.i++
-	return r, nil
 }
 
 func (s *sliceSource) NextBatch(buf []Record) (int, error) {
@@ -46,9 +31,9 @@ func (s *sliceSource) NextBatch(buf []Record) (int, error) {
 // Stream returns a BatchSource yielding t's records in order.
 func (t *Trace) Stream() BatchSource { return &sliceSource{t: t} }
 
-// Reader decodes a VLT1 stream record-at-a-time. The header (name, target,
-// count) is read at construction; Next then yields each record without
-// per-record allocation.
+// Reader decodes a VLT1 stream. The header (name, target, count) is read at
+// construction; NextBatch then decodes records straight into the caller's
+// buffer without per-record allocation.
 type Reader struct {
 	br     *bufio.Reader
 	name   string
@@ -56,7 +41,6 @@ type Reader struct {
 	count  uint64
 	read   uint64
 	prevPC uint64
-	rec    Record
 	hdr    [6]byte
 }
 
@@ -104,88 +88,96 @@ func (r *Reader) Count() uint64 { return r.count }
 // Decoded returns the number of records decoded so far.
 func (r *Reader) Decoded() uint64 { return r.read }
 
-// Next decodes the next record into the Reader's internal record and
-// returns it; io.EOF after the final record. The pointer is invalidated by
-// the following Next call. Unknown flag bits, flag/opcode inconsistencies
-// and truncation all fail with an error naming the record index.
-func (r *Reader) Next() (*Record, error) {
-	if r.read >= r.count {
-		return nil, io.EOF
-	}
+// decode decodes the next record into rec. Unknown flag bits, out-of-range
+// opcode, register and load-class bytes, flag/opcode inconsistencies and
+// truncation all fail with an error naming the record index.
+func (r *Reader) decode(rec *Record) error {
 	i := r.read
-	rec := &r.rec
 	*rec = Record{}
 	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: record %d header: %w", i, err)
+		return fmt.Errorf("trace: record %d header: %w", i, err)
 	}
 	flags := r.hdr[0]
 	if flags&^(flagMem|flagTaken|flagTarg|flagVal) != 0 {
-		return nil, fmt.Errorf("trace: record %d: unknown flag bits %#02x", i, flags)
+		return fmt.Errorf("trace: record %d: unknown flag bits %#02x", i, flags)
 	}
-	rec.Op = isaOp(r.hdr[1])
-	rec.Rd, rec.Ra, rec.Rb = isaReg(r.hdr[2]), isaReg(r.hdr[3]), isaReg(r.hdr[4])
-	rec.Class = isaLoadClass(r.hdr[5])
+	if int(r.hdr[1]) >= isa.NumOps {
+		return fmt.Errorf("trace: record %d: unknown opcode %d", i, r.hdr[1])
+	}
+	for _, reg := range r.hdr[2:5] {
+		if reg >= isa.NumRegs {
+			return fmt.Errorf("trace: record %d: register %d out of range", i, reg)
+		}
+	}
+	if isa.LoadClass(r.hdr[5]) >= isa.NumLoadClasses {
+		return fmt.Errorf("trace: record %d: load class %d out of range", i, r.hdr[5])
+	}
+	rec.Op = isa.Op(r.hdr[1])
+	rec.Rd, rec.Ra, rec.Rb = isa.Reg(r.hdr[2]), isa.Reg(r.hdr[3]), isa.Reg(r.hdr[4])
+	rec.Class = isa.LoadClass(r.hdr[5])
 	// The flag byte is redundant with the opcode; reject records where
 	// they disagree so every decoded trace is canonical (and re-encodes
 	// to the same semantic records).
 	if mem := rec.IsLoad() || rec.IsStore(); (flags&flagMem != 0) != mem {
-		return nil, fmt.Errorf("trace: record %d: mem flag inconsistent with opcode %v", i, rec.Op)
+		return fmt.Errorf("trace: record %d: mem flag inconsistent with opcode %v", i, rec.Op)
 	}
 	if (flags&flagTarg != 0) != rec.IsBranch() {
-		return nil, fmt.Errorf("trace: record %d: branch-target flag inconsistent with opcode %v", i, rec.Op)
+		return fmt.Errorf("trace: record %d: branch-target flag inconsistent with opcode %v", i, rec.Op)
 	}
 	if flags&flagVal != 0 && flags&flagMem != 0 {
-		return nil, fmt.Errorf("trace: record %d: value flag on a memory record", i)
+		return fmt.Errorf("trace: record %d: value flag on a memory record", i)
 	}
 	dpc, err := binary.ReadVarint(r.br)
 	if err != nil {
-		return nil, fmt.Errorf("trace: record %d pc: %w", i, err)
+		return fmt.Errorf("trace: record %d pc: %w", i, err)
 	}
 	rec.PC = r.prevPC + uint64(dpc)
 	r.prevPC = rec.PC
 	if rec.Imm, err = binary.ReadVarint(r.br); err != nil {
-		return nil, fmt.Errorf("trace: record %d imm: %w", i, err)
+		return fmt.Errorf("trace: record %d imm: %w", i, err)
 	}
 	rec.Taken = flags&flagTaken != 0
 	if flags&flagMem != 0 {
 		sz, err := r.br.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("trace: record %d size: %w", i, err)
+			return fmt.Errorf("trace: record %d size: %w", i, err)
 		}
 		rec.Size = sz
 		if rec.Addr, err = binary.ReadUvarint(r.br); err != nil {
-			return nil, fmt.Errorf("trace: record %d addr: %w", i, err)
+			return fmt.Errorf("trace: record %d addr: %w", i, err)
 		}
 		if rec.Value, err = binary.ReadUvarint(r.br); err != nil {
-			return nil, fmt.Errorf("trace: record %d value: %w", i, err)
+			return fmt.Errorf("trace: record %d value: %w", i, err)
 		}
 	}
 	if flags&flagVal != 0 {
 		if rec.Value, err = binary.ReadUvarint(r.br); err != nil {
-			return nil, fmt.Errorf("trace: record %d result value: %w", i, err)
+			return fmt.Errorf("trace: record %d result value: %w", i, err)
 		}
 	}
 	if flags&flagTarg != 0 {
 		if rec.Targ, err = binary.ReadUvarint(r.br); err != nil {
-			return nil, fmt.Errorf("trace: record %d target: %w", i, err)
+			return fmt.Errorf("trace: record %d target: %w", i, err)
 		}
 	}
 	r.read++
-	return rec, nil
+	return nil
 }
 
-// NextBatch decodes up to len(buf) records through Next: the BatchSource
-// form of the Reader.
+// NextBatch decodes up to len(buf) records into buf; (0, io.EOF) once the
+// header's count has been decoded. A decode error follows the n records
+// already decoded.
 func (r *Reader) NextBatch(buf []Record) (int, error) {
 	for n := range buf {
-		rec, err := r.Next()
-		if err == io.EOF && n > 0 {
+		if r.read >= r.count {
+			if n == 0 {
+				return 0, io.EOF
+			}
 			return n, nil
 		}
-		if err != nil {
+		if err := r.decode(&buf[n]); err != nil {
 			return n, err
 		}
-		buf[n] = *rec
 	}
 	return len(buf), nil
 }

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,30 +61,25 @@ func genTrace(n int) *Trace {
 	return t
 }
 
-// decodeStream drains a Reader into a Trace record-at-a-time, so tests
-// compare the streaming path against the whole-trace ReadAll explicitly.
-func decodeStream(tb testing.TB, data []byte) (*Reader, *Trace) {
+// decodeStream drains a Reader into a Trace in batches of bufSize records,
+// so tests compare the batched path against the whole-trace ReadAll
+// explicitly.
+func decodeStream(tb testing.TB, data []byte, bufSize int) (*Reader, *Trace) {
 	tb.Helper()
 	sr, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		tb.Fatalf("NewReader: %v", err)
 	}
-	t := &Trace{Name: sr.Name(), Target: sr.Target()}
-	for {
-		rec, err := sr.Next()
-		if err == io.EOF {
-			return sr, t
-		}
-		if err != nil {
-			tb.Fatalf("Next (record %d): %v", len(t.Records), err)
-		}
-		t.Records = append(t.Records, *rec)
+	recs, err := drainBatch(sr, bufSize)
+	if err != nil {
+		tb.Fatalf("NextBatch (after record %d): %v", len(recs), err)
 	}
+	return sr, &Trace{Name: sr.Name(), Target: sr.Target(), Records: recs}
 }
 
-// TestReaderMatchesRead pins the decode layer's invariant: the
-// record-at-a-time Reader yields exactly the records the whole-trace
-// ReadAll(Open) materializes, for both count encodings.
+// TestReaderMatchesRead pins the decode layer's invariant: the Reader
+// drained in batches of 1, 7 and 256 records yields exactly the records the
+// whole-trace ReadAll materializes, for both count encodings.
 func TestReaderMatchesRead(t *testing.T) {
 	want := genTrace(1000)
 	for _, enc := range []struct {
@@ -93,31 +90,30 @@ func TestReaderMatchesRead(t *testing.T) {
 		{"padded count", encodePadded(want)},
 	} {
 		t.Run(enc.name, func(t *testing.T) {
-			d, err := Open(bytes.NewReader(enc.data))
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			ref, err := ReadAll(d)
+			ref, err := readVLT1(enc.data)
 			if err != nil {
 				t.Fatalf("ReadAll: %v", err)
 			}
-			sr, got := decodeStream(t, enc.data)
-			if got.Name != ref.Name || got.Target != ref.Target {
-				t.Fatalf("header: got %q/%q, want %q/%q", got.Name, got.Target, ref.Name, ref.Target)
-			}
-			if !reflect.DeepEqual(got.Records, ref.Records) {
-				t.Fatal("streaming decode differs from ReadAll")
-			}
-			if !reflect.DeepEqual(got.Records, want.Records) {
+			if !reflect.DeepEqual(ref.Records, want.Records) {
 				t.Fatal("decode differs from the source records")
 			}
-			if sr.Decoded() != sr.Count() || sr.Decoded() != uint64(len(want.Records)) {
-				t.Fatalf("Decoded()=%d Count()=%d, want %d", sr.Decoded(), sr.Count(), len(want.Records))
-			}
-			// EOF is sticky.
-			for i := 0; i < 3; i++ {
-				if _, err := sr.Next(); err != io.EOF {
-					t.Fatalf("Next after EOF: %v", err)
+			for _, bufSize := range []int{1, 7, 256} {
+				sr, got := decodeStream(t, enc.data, bufSize)
+				if got.Name != ref.Name || got.Target != ref.Target {
+					t.Fatalf("header: got %q/%q, want %q/%q", got.Name, got.Target, ref.Name, ref.Target)
+				}
+				if !reflect.DeepEqual(got.Records, ref.Records) {
+					t.Fatalf("batches of %d: decode differs from ReadAll", bufSize)
+				}
+				if sr.Decoded() != sr.Count() || sr.Decoded() != uint64(len(want.Records)) {
+					t.Fatalf("Decoded()=%d Count()=%d, want %d", sr.Decoded(), sr.Count(), len(want.Records))
+				}
+				// EOF is sticky.
+				buf := make([]Record, bufSize)
+				for i := 0; i < 3; i++ {
+					if n, err := sr.NextBatch(buf); n != 0 || err != io.EOF {
+						t.Fatalf("NextBatch after EOF: (%d, %v)", n, err)
+					}
 				}
 			}
 		})
@@ -222,9 +218,17 @@ func TestHeaderStringCap(t *testing.T) {
 		}
 	})
 	t.Run("read path too", func(t *testing.T) {
-		_, err := Open(bytes.NewReader(oversize(MaxHeaderString + 1)))
-		if !errors.Is(err, ErrStringTooLong) {
-			t.Fatalf("Open = %v, want ErrStringTooLong", err)
+		path := filepath.Join(t.TempDir(), "long.vlt")
+		if err := os.WriteFile(path, oversize(MaxHeaderString+1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := OpenFile(f); !errors.Is(err, ErrStringTooLong) {
+			t.Fatalf("OpenFile = %v, want ErrStringTooLong", err)
 		}
 	})
 	t.Run("exactly at cap accepted", func(t *testing.T) {
@@ -254,9 +258,9 @@ func writeUvarintBuf(buf *bytes.Buffer, v uint64) {
 }
 
 // FuzzStreamRoundTrip is the streaming-layer twin of FuzzRoundTrip: the
-// record-at-a-time Reader must never panic on arbitrary bytes, and any
-// stream it fully decodes must re-encode (via the reference encoder) to a
-// stream that decodes to the same records.
+// Reader pulled one record per NextBatch must never panic on arbitrary
+// bytes, and any stream it fully decodes must re-encode (via the reference
+// encoder) to a stream that decodes to the same records.
 func FuzzStreamRoundTrip(f *testing.F) {
 	valid := encodeTrace(fuzzSeedTrace())
 	f.Add(valid)
@@ -275,19 +279,12 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var recs []Record
-		for {
-			rec, err := sr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return // malformed record rejected; that is the contract
-			}
-			recs = append(recs, *rec)
+		recs, err := drainBatch(sr, 1)
+		if err != nil {
+			return // malformed record rejected; that is the contract
 		}
 		// Fully decoded: encode it again and decode the result.
-		sr2, got := decodeStream(t, encodeTrace(&Trace{Name: sr.Name(), Target: sr.Target(), Records: recs}))
+		sr2, got := decodeStream(t, encodeTrace(&Trace{Name: sr.Name(), Target: sr.Target(), Records: recs}), 1)
 		if sr2.Name() != sr.Name() || sr2.Target() != sr.Target() {
 			t.Fatalf("header drift: %q/%q -> %q/%q", sr.Name(), sr.Target(), sr2.Name(), sr2.Target())
 		}
@@ -302,46 +299,18 @@ func FuzzStreamRoundTrip(f *testing.F) {
 	})
 }
 
-// TestReaderNextAllocFree is the decode-side allocation-regression gate:
-// after construction, Reader.Next must not allocate per record. A
-// regression here silently re-introduces GC pressure proportional to trace
-// length, which is exactly what the streaming layer exists to avoid.
-func TestReaderNextAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	const n = 8192
-	data := encodeTrace(genTrace(n))
-	sr, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 16; i++ { // warm up
-		if _, err := sr.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(4096, func() {
-		if _, err := sr.Next(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("Reader.Next allocates %.2f objects/record, want 0", avg)
-	}
-}
-
-// TestWriterWriteRecordAllocFree is the encode-side twin, on the flate
-// codec: Writer2.WriteRecord must not allocate per record, block flushes
-// and DEFLATE included.
+// TestWriterWriteRecordAllocFree is the encode-side twin of
+// TestReaderNextBatchAllocFree, on the flate codec: Writer2.WriteRecord must
+// not allocate per record, block flushes and DEFLATE included.
 func TestWriterWriteRecordAllocFree(t *testing.T) {
 	writer2AllocFree(t, Writer2Options{Codec: CodecFlate})
 }
 
-// BenchmarkStreamDecode measures the VLT1 Reader's record-at-a-time decode
-// path.
+// BenchmarkStreamDecode measures the VLT1 Reader's decode path in
+// 256-record batches.
 func BenchmarkStreamDecode(b *testing.B) {
 	data := encodeTrace(genTrace(1 << 16))
+	buf := make([]Record, 256)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -351,7 +320,7 @@ func BenchmarkStreamDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		for {
-			if _, err := sr.Next(); err == io.EOF {
+			if _, err := sr.NextBatch(buf); err == io.EOF {
 				break
 			} else if err != nil {
 				b.Fatal(err)

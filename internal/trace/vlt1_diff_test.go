@@ -13,7 +13,7 @@ import (
 
 // TestVLT1Differential is the VLT1 leg of the format differential: every
 // suite workload on both targets, encoded by the VLT1 reference encoder,
-// decodes through Open to exactly the in-memory trace. (The VLT2 encodings'
+// decodes through NewReader to exactly the in-memory trace. (The VLT2 encodings'
 // annotation and timing-model legs are internal/exp's TestFormatDifferential.)
 func TestVLT1Differential(t *testing.T) {
 	benches := bench.All()
@@ -32,7 +32,7 @@ func TestVLT1Differential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := trace.Open(bytes.NewReader(trace.EncodeVLT1(want)))
+				d, err := trace.NewReader(bytes.NewReader(trace.EncodeVLT1(want)))
 				if err != nil {
 					t.Fatal(err)
 				}

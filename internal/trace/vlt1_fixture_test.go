@@ -58,7 +58,7 @@ func sameTrace(t *testing.T, how string, got, want *Trace) {
 }
 
 // TestVLT1Fixtures pins that VLT1 files written by the retired writers
-// still read: both fixtures decode through Open (any io.Reader) and through
+// still read: both fixtures decode through NewReader (any io.Reader) and through
 // OpenFile (a file) to exactly the VLT2 copy's header and records, and the
 // fixture trace covers every record shape the VLT1 flags distinguish.
 func TestVLT1Fixtures(t *testing.T) {
@@ -91,22 +91,22 @@ func TestVLT1Fixtures(t *testing.T) {
 
 	for _, fx := range vlt1Fixtures {
 		t.Run(fx.name, func(t *testing.T) {
-			d, err := Open(bytes.NewReader(readFixture(t, fx.file)))
+			r, err := NewReader(bytes.NewReader(readFixture(t, fx.file)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadAll(d)
+			got, err := ReadAll(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameTrace(t, "Open", got, want)
+			sameTrace(t, "NewReader", got, want)
 
 			f, err := os.Open(fixturePath(fx.file))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			d, err = OpenFile(f)
+			d, err := OpenFile(f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,8 +121,9 @@ func TestVLT1Fixtures(t *testing.T) {
 			if d.Count() != uint64(len(want.Records)) || d.Decoded() != d.Count() {
 				t.Fatalf("Count()=%d Decoded()=%d, want %d", d.Count(), d.Decoded(), len(want.Records))
 			}
-			if _, err := d.Next(); err != io.EOF {
-				t.Fatalf("Next after the last record: %v, want io.EOF", err)
+			var buf [1]Record
+			if n, err := d.NextBatch(buf[:]); n != 0 || err != io.EOF {
+				t.Fatalf("NextBatch after the last record: (%d, %v), want (0, io.EOF)", n, err)
 			}
 		})
 	}

@@ -65,9 +65,8 @@ import (
 // on-wire size (header + payload) and record count, so a reader holding an
 // io.ReaderAt can seek to record N in O(log blocks) (vlt2_index.go). The
 // trailer's fixed width lets it find the footer from the end of the file.
-// Sequential readers need none of that: blocks are self-describing, so a
-// pipe decodes front to back (vlt2_reader.go), cross-checking the footer as
-// it passes it.
+// Blocks are self-describing as well (each header carries its lengths,
+// anchors and CRC), but this package reads VLT2 only through the index.
 
 const (
 	magic2        = "VLT2"
@@ -140,7 +139,7 @@ const (
 	maxEncRecord2 = 54
 )
 
-// Errors shared by the VLT2 readers. Decode failures wrap ErrCorrupt (and
+// Errors of the VLT2 reader. Decode failures wrap ErrCorrupt (and
 // ErrChecksum for CRC mismatches) so callers can distinguish malformed input
 // from I/O errors.
 var (

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -60,32 +59,12 @@ func forgeCodec(enc []byte, codec byte) []byte {
 	return out
 }
 
-// decodeAllVLT2 drains a decoder without a testing.T, for use inside the
-// fuzz body where decode errors are data, not failures.
-func decodeAllVLT2(d Decoder) ([]Record, error) {
-	var recs []Record
-	buf := make([]Record, 300)
-	for {
-		n, err := d.NextBatch(buf)
-		recs = append(recs, buf[:n]...)
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, err
-		}
-	}
-}
-
-// FuzzVLT2RoundTrip feeds arbitrary bytes to both VLT2 decode paths. The
+// FuzzVLT2RoundTrip feeds arbitrary bytes to the VLT2 decoder. The
 // invariants:
 //
-//  1. neither the sequential nor the indexed decoder ever panics — hostile
-//     input must come back as a clean error;
-//  2. when the indexed reader accepts an input, the sequential reader
-//     accepts it too and both decode the identical record sequence (the
-//     indexed reader validates strictly more: the footer index);
-//  3. any accepted input is canonical: re-encoding the decoded records and
+//  1. the indexed reader never panics — hostile input must come back as a
+//     clean error;
+//  2. any accepted input is canonical: re-encoding the decoded records and
 //     decoding again reproduces them exactly.
 func FuzzVLT2RoundTrip(f *testing.F) {
 	seed := &Trace{Name: "seed", Target: "ppc", Records: genRecords(300, 7)}
@@ -106,43 +85,26 @@ func FuzzVLT2RoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ir, err := NewIndexedReaderBytes(data)
-		var irecs []Record
-		indexedOK := false
-		if err == nil {
-			if irecs, err = decodeAllVLT2(ir); err == nil {
-				indexedOK = true
-			}
-		}
-		sr, err := NewReader2(bytes.NewReader(data))
 		if err != nil {
-			if indexedOK {
-				t.Fatalf("indexed accepted but sequential open failed: %v", err)
-			}
 			return
 		}
-		srecs, err := decodeAllVLT2(sr)
+		recs, err := drainBatch(ir, 300)
 		if err != nil {
-			if indexedOK {
-				t.Fatalf("indexed accepted but sequential decode failed: %v", err)
-			}
 			return
-		}
-		if indexedOK && !reflect.DeepEqual(irecs, srecs) {
-			t.Fatal("indexed and sequential decode disagree on accepted input")
 		}
 		// Canonicality: accepted input must survive a re-encode round trip
 		// under each payload codec.
-		tr := &Trace{Name: sr.Name(), Target: sr.Target(), Records: srecs}
+		tr := &Trace{Name: ir.Name(), Target: ir.Target(), Records: recs}
 		for _, opts := range fuzzCodecs[:2] {
-			re, err := NewReader2(bytes.NewReader(encodeVLT2(tr, opts)))
+			re, err := NewIndexedReaderBytes(encodeVLT2(tr, opts))
 			if err != nil {
 				t.Fatalf("re-encode (%v) rejected: %v", opts, err)
 			}
-			rerecs, err := decodeAllVLT2(re)
+			rerecs, err := drainBatch(re, 300)
 			if err != nil {
 				t.Fatalf("re-encode (%v) decode failed: %v", opts, err)
 			}
-			if !reflect.DeepEqual(rerecs, srecs) {
+			if !reflect.DeepEqual(rerecs, recs) {
 				t.Fatalf("re-encode (%v) changed the records", opts)
 			}
 		}
@@ -190,23 +152,18 @@ func corpusSeed(t *testing.T, name string) []byte {
 
 // TestVLT2Hostile corrupts a valid multi-block file in every structurally
 // interesting way and requires a clean error — never a panic, never silent
-// wrong data — from the decode paths that can see the damage. The indexed
-// reader must reject every case; seqFails marks the cases the sequential
-// reader (which never reads the footer index) must also reject.
+// wrong data — from the indexed reader, in every case.
 func TestVLT2Hostile(t *testing.T) {
 	// The valid-fixed corpus entry is a well-formed file of the retired
-	// fixed-width codec: both readers must reject it as corrupt.
+	// fixed-width codec: the reader must reject it as corrupt.
 	t.Run("corpus-valid-fixed", func(t *testing.T) {
 		data := corpusSeed(t, "valid-fixed")
 		d, err := NewIndexedReaderBytes(data)
 		if err == nil {
-			_, err = decodeAllVLT2(d)
+			_, err = drainBatch(d, 300)
 		}
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("indexed reader: %v, want ErrCorrupt", err)
-		}
-		if _, err = decodeAllVLT2(mustReader2(t, data)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("sequential reader: %v, want ErrCorrupt", err)
 		}
 	})
 
@@ -263,59 +220,39 @@ func TestVLT2Hostile(t *testing.T) {
 			}
 
 			cases := []struct {
-				name     string
-				data     []byte
-				seqFails bool
-				want     error // sentinel the error must unwrap to, if non-nil
+				name string
+				data []byte
+				want error // sentinel the error must unwrap to, if non-nil
 			}{
-				{"truncated-mid-block", enc[:idx[1].off+idx[1].size/2], true, nil},
-				{"truncated-trailer", enc[:len(enc)-3], false, nil},
-				{"payload-flip", flip(idx[0].off + uint64(hdr0) + (idx[0].size-uint64(hdr0))/2), true, ErrCorrupt},
-				{"header-anchor-flip", flip(idx[1].off + uint64(hdr1) - 5), true, ErrCorrupt},
-				{"footer-off-zero", overwriteFooterOff(enc, 0), false, ErrCorrupt},
-				{"footer-off-into-block", overwriteFooterOff(enc, idx[0].off), false, nil},
-				{"index-overlap", rebuiltFooter(enc, ir, overlap, total), false, ErrCorrupt},
-				{"index-gap", rebuiltFooter(enc, ir, gap, total), false, ErrCorrupt},
-				{"index-lying-size", rebuiltFooter(enc, ir, lyingSize, total), false, ErrCorrupt},
-				{"footer-lying-total", rebuiltFooter(enc, ir, idx, total+1), false, ErrCorrupt},
-				{"footer-size-overflow", rebuiltFooter(enc, ir, wrap, total), true, ErrCorrupt},
-				{"codec-byte-2", forgeCodec(enc, 2), true, ErrCorrupt},
-				{"codec-byte-3", forgeCodec(enc, 3), true, ErrCorrupt},
+				{"truncated-mid-block", enc[:idx[1].off+idx[1].size/2], nil},
+				{"truncated-trailer", enc[:len(enc)-3], nil},
+				{"payload-flip", flip(idx[0].off + uint64(hdr0) + (idx[0].size-uint64(hdr0))/2), ErrCorrupt},
+				{"header-anchor-flip", flip(idx[1].off + uint64(hdr1) - 5), ErrCorrupt},
+				{"footer-off-zero", overwriteFooterOff(enc, 0), ErrCorrupt},
+				{"footer-off-into-block", overwriteFooterOff(enc, idx[0].off), nil},
+				{"index-overlap", rebuiltFooter(enc, ir, overlap, total), ErrCorrupt},
+				{"index-gap", rebuiltFooter(enc, ir, gap, total), ErrCorrupt},
+				{"index-lying-size", rebuiltFooter(enc, ir, lyingSize, total), ErrCorrupt},
+				{"footer-lying-total", rebuiltFooter(enc, ir, idx, total+1), ErrCorrupt},
+				{"footer-size-overflow", rebuiltFooter(enc, ir, wrap, total), ErrCorrupt},
+				{"codec-byte-2", forgeCodec(enc, 2), ErrCorrupt},
+				{"codec-byte-3", forgeCodec(enc, 3), ErrCorrupt},
 			}
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
 					d, err := NewIndexedReaderBytes(tc.data)
 					if err == nil {
-						if _, err = decodeAllVLT2(d); err == nil {
+						if _, err = drainBatch(d, 300); err == nil {
 							t.Fatal("indexed reader accepted hostile input")
 						}
 					}
 					if tc.want != nil && !errors.Is(err, tc.want) {
 						t.Fatalf("indexed reader error %v does not unwrap to %v", err, tc.want)
 					}
-					if !tc.seqFails {
-						return
-					}
-					if _, err = decodeAllVLT2(mustReader2(t, tc.data)); err == nil {
-						t.Fatal("sequential reader accepted hostile input")
-					} else if tc.want != nil && !errors.Is(err, tc.want) {
-						t.Fatalf("sequential error %v does not unwrap to %v", err, tc.want)
-					}
 				})
 			}
 		})
 	}
-}
-
-// mustReader2 opens data with the sequential reader; every hostile input
-// keeps a valid file header, so opening must succeed.
-func mustReader2(t *testing.T, data []byte) *Reader2 {
-	t.Helper()
-	d, err := NewReader2(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
 }
 
 func appendUint32LE(dst []byte, v uint32) []byte {

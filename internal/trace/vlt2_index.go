@@ -18,9 +18,9 @@ import (
 // can be memory-mapped the reader works directly on the mapping: raw block
 // payloads decode with no copy at all.
 
-// IndexedReader decodes a VLT2 file through its footer index. It satisfies
-// Decoder (sequential reads from the current position) and adds SeekRecord.
-// Not safe for concurrent use.
+// IndexedReader is the VLT2 decoder: it reads a file through its footer
+// index. It satisfies Decoder (batched reads from the current position) and
+// adds SeekRecord. Not safe for concurrent use.
 type IndexedReader struct {
 	ra     io.ReaderAt
 	data   []byte       // whole-file view (mmap or caller-provided); nil → ReadAt path
@@ -38,7 +38,6 @@ type IndexedReader struct {
 	fetch    blockReader
 	blockBuf []byte // ReadAt scratch for one block
 	read     uint64
-	rec      Record
 	m        v2Metrics
 	err      error // sticky decode error
 }
@@ -386,21 +385,6 @@ func (ir *IndexedReader) SeekRecord(n uint64) error {
 		skip -= uint64(k)
 	}
 	return nil
-}
-
-// Next decodes the next record; io.EOF after the final record. The pointer
-// is invalidated by the following Next or NextBatch call.
-func (ir *IndexedReader) Next() (*Record, error) {
-	var one [1]Record
-	n, err := ir.NextBatch(one[:])
-	if n == 0 {
-		if err == nil {
-			err = io.EOF
-		}
-		return nil, err
-	}
-	ir.rec = one[0]
-	return &ir.rec, err
 }
 
 // NextBatch decodes up to len(buf) records from the current position.

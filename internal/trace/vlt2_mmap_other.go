@@ -4,7 +4,7 @@ package trace
 
 import "os"
 
-// mmapFile is the no-mmap fallback: indexed readers use ReadAt instead.
+// mmapFile is the no-mmap fallback: the indexed reader uses ReadAt instead.
 func mmapFile(*os.File, int64) ([]byte, func() error, bool) {
 	return nil, nil, false
 }

@@ -73,12 +73,11 @@ func TestVLT2SeekProperty(t *testing.T) {
 	}
 }
 
-// TestVLT2NextBatchAllocs pins both VLT2 decoders' batch paths at steady
+// TestVLT2NextBatchAllocs pins the VLT2 decoder's batch path at steady
 // state, counted per 4096-record block of 256-record batches: raw blocks
 // decode with zero allocations (the reused block buffers growing to a new
 // largest block stay well below one per block); flate blocks pay
-// compress/flate's per-block Huffman tables (about 19 allocations with
-// either reader) and nothing per record, bounded here at 32 per block.
+// compress/flate's per-block Huffman tables (about 19 allocations) and nothing per record, bounded here at 32 per block.
 func TestVLT2NextBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -87,7 +86,7 @@ func TestVLT2NextBatchAllocs(t *testing.T) {
 	tr := &Trace{Name: "alloc", Target: "ppc", Records: genRecords(200_000, 41)}
 	for _, c := range batchDecodeCases(tr) {
 		t.Run(c.name, func(t *testing.T) {
-			d, err := c.open()
+			d, err := NewIndexedReaderBytes(c.enc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -79,24 +79,9 @@ func encode2(t *testing.T, tr *Trace, opts Writer2Options) []byte {
 	return buf.Bytes()
 }
 
-func drain(t *testing.T, d Decoder) []Record {
-	t.Helper()
-	var recs []Record
-	buf := make([]Record, 300) // deliberately not a divisor of block size
-	for {
-		n, err := d.NextBatch(buf)
-		recs = append(recs, buf[:n]...)
-		if err == io.EOF {
-			return recs
-		}
-		if err != nil {
-			t.Fatalf("NextBatch after %d records: %v", len(recs), err)
-		}
-	}
-}
-
 // TestVLT2RoundTrip pins encode→decode identity over both codecs, block
-// sizes that do and do not divide the record count, and the empty trace.
+// sizes that do and do not divide the record count, and the empty trace,
+// each decoded in batches of 1, 7 and 256 records.
 func TestVLT2RoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -113,51 +98,53 @@ func TestVLT2RoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			want := &Trace{Name: "rt", Target: "ppc", Records: genRecords(tc.n, 42)}
 			enc := encode2(t, want, tc.opts)
-			r2, err := NewReader2(bytes.NewReader(enc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r2.Name() != want.Name || r2.Target() != want.Target {
-				t.Fatalf("header %q/%q, want %q/%q", r2.Name(), r2.Target(), want.Name, want.Target)
-			}
-			got := drain(t, r2)
-			if len(got) != len(want.Records) {
-				t.Fatalf("decoded %d records, want %d", len(got), len(want.Records))
-			}
-			for i := range got {
-				if got[i] != want.Records[i] {
-					t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, got[i], want.Records[i])
+			for _, bufSize := range []int{1, 7, 256} {
+				ir, err := NewIndexedReaderBytes(enc)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if r2.Count() != uint64(tc.n) {
-				t.Fatalf("Count after drain = %d, want %d", r2.Count(), tc.n)
+				if ir.Name() != want.Name || ir.Target() != want.Target {
+					t.Fatalf("header %q/%q, want %q/%q", ir.Name(), ir.Target(), want.Name, want.Target)
+				}
+				if ir.Count() != uint64(tc.n) {
+					t.Fatalf("Count = %d, want %d", ir.Count(), tc.n)
+				}
+				got, err := drainBatch(ir, bufSize)
+				if err != nil {
+					t.Fatalf("batches of %d: %v", bufSize, err)
+				}
+				if len(got) != len(want.Records) {
+					t.Fatalf("batches of %d: decoded %d records, want %d", bufSize, len(got), len(want.Records))
+				}
+				for i := range got {
+					if got[i] != want.Records[i] {
+						t.Fatalf("batches of %d: record %d drift:\n got %+v\nwant %+v", bufSize, i, got[i], want.Records[i])
+					}
+				}
 			}
 		})
 	}
 }
 
-// TestVLT2NextMatchesNextBatch pins the per-record path against the batched
-// path on the same input.
+// TestVLT2NextMatchesNextBatch pins the per-record path (NextBatch with a
+// one-record buffer) against one batch that spans several blocks, on a
+// trace whose block size does not divide its record count: both deliver
+// the written records.
 func TestVLT2NextMatchesNextBatch(t *testing.T) {
 	tr := &Trace{Name: "nm", Target: "axp", Records: genRecords(3000, 7)}
 	enc := encode2(t, tr, Writer2Options{BlockRecords: 512})
-	r2, err := NewReader2(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Record
-	for {
-		r, err := r2.Next()
-		if err == io.EOF {
-			break
-		}
+	for _, bufSize := range []int{1, 2048} {
+		ir, err := NewIndexedReaderBytes(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, *r)
-	}
-	if !reflect.DeepEqual(got, tr.Records) {
-		t.Fatal("Next sequence differs from the written records")
+		got, err := drainBatch(ir, bufSize)
+		if err != nil {
+			t.Fatalf("batches of %d: %v", bufSize, err)
+		}
+		if !reflect.DeepEqual(got, tr.Records) {
+			t.Fatalf("batches of %d: sequence differs from the written records", bufSize)
+		}
 	}
 }
 
@@ -179,12 +166,11 @@ func TestVLT2FlateShrinks(t *testing.T) {
 		len(v1), len(raw), len(fl), 100*float64(len(fl))/float64(len(v1)))
 }
 
-// batchDecodeCase opens one VLT2 decoder over one block codec's encoding.
+// batchDecodeCase is one block codec's encoding of a trace.
 type batchDecodeCase struct {
-	name  string // "<decoder>/<codec>"
+	name  string // "indexed/<codec>"
 	codec BlockCodec
-	size  int // encoded bytes
-	open  func() (Decoder, error)
+	enc   []byte
 }
 
 // TestVLT2WriterHelperLifecycle pins that Close stops Writer2's helper
@@ -246,14 +232,11 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
-// batchDecodeCases is every VLT2 decoder over every block codec of tr.
+// batchDecodeCases is tr encoded with every block codec.
 func batchDecodeCases(tr *Trace) []batchDecodeCase {
 	var cases []batchDecodeCase
 	for _, codec := range []BlockCodec{CodecRaw, CodecFlate} {
-		enc := encodeVLT2(tr, Writer2Options{Codec: codec})
-		cases = append(cases,
-			batchDecodeCase{"reader2/" + codec.String(), codec, len(enc), func() (Decoder, error) { return NewReader2(bytes.NewReader(enc)) }},
-			batchDecodeCase{"indexed/" + codec.String(), codec, len(enc), func() (Decoder, error) { return NewIndexedReaderBytes(enc) }})
+		cases = append(cases, batchDecodeCase{"indexed/" + codec.String(), codec, encodeVLT2(tr, Writer2Options{Codec: codec})})
 	}
 	return cases
 }
@@ -265,17 +248,17 @@ func benchTraceV2(b *testing.B, n int) *Trace {
 	return &Trace{Name: "bench", Target: "ppc", Records: genRecords(n, 99)}
 }
 
-// BenchmarkVLT2DecodeBatch drains the trace in 256-record batches with
-// each decoder over each block codec.
+// BenchmarkVLT2DecodeBatch drains the trace in 256-record batches with the
+// indexed reader over each block codec.
 func BenchmarkVLT2DecodeBatch(b *testing.B) {
 	tr := benchTraceV2(b, 1<<17)
 	out := make([]Record, 256)
 	for _, c := range batchDecodeCases(tr) {
 		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(c.size))
+			b.SetBytes(int64(len(c.enc)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				d, err := c.open()
+				d, err := NewIndexedReaderBytes(c.enc)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -25,27 +25,16 @@ func batchProgram(t testing.TB) *prog.Program {
 	return p
 }
 
-// TestSourceNextBatchMatchesNext: executing a program through NextBatch
-// must yield exactly the record sequence, final Result, and EOF behavior of
-// the record-at-a-time Next, for batch sizes from degenerate to larger than
-// the whole trace.
-func TestSourceNextBatchMatchesNext(t *testing.T) {
+// TestSourceBatchSizes: executing a program through NextBatch must yield
+// exactly Run's records and Result, and a sticky EOF, for batch sizes from
+// degenerate to larger than the whole trace.
+func TestSourceBatchSizes(t *testing.T) {
 	p := batchProgram(t)
-	ref := NewSource(p, 0)
-	var want []trace.Record
-	for {
-		r, err := ref.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, *r)
+	want, wantRes, err := Run(p, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantRes := ref.Result()
-
-	for _, bufSize := range []int{1, 3, 256, 1 << 20} {
+	for _, bufSize := range []int{1, 7, 256, 1 << 20} {
 		s := NewSource(p, 0)
 		buf := make([]trace.Record, bufSize)
 		var got []trace.Record
@@ -59,13 +48,12 @@ func TestSourceNextBatchMatchesNext(t *testing.T) {
 				t.Fatalf("bufSize %d: %v", bufSize, err)
 			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("bufSize %d: batched execution diverged from Next", bufSize)
+		if !reflect.DeepEqual(got, want.Records) {
+			t.Fatalf("bufSize %d: batched execution diverged from Run", bufSize)
 		}
 		if !reflect.DeepEqual(s.Result(), wantRes) {
 			t.Fatalf("bufSize %d: Result diverged: %+v vs %+v", bufSize, s.Result(), wantRes)
 		}
-		// EOF must be sticky in both forms.
 		if n, err := s.NextBatch(buf); n != 0 || err != io.EOF {
 			t.Fatalf("bufSize %d: post-EOF NextBatch = (%d, %v)", bufSize, n, err)
 		}
@@ -87,40 +75,21 @@ func TestSourceNextBatchStepLimit(t *testing.T) {
 	}
 }
 
-// BenchmarkSourceGen executes a real workload to EOF record by record
-// ("next") and in 256-record batches ("batch").
+// BenchmarkSourceGen executes a real workload to EOF in 256-record batches.
 func BenchmarkSourceGen(b *testing.B) {
 	p := batchProgram(b)
 	buf := make([]trace.Record, 256)
-	for _, c := range []struct {
-		name  string
-		drain func(*Source) error
-	}{
-		{"next", func(s *Source) error {
-			for {
-				if _, err := s.Next(); err != nil {
-					return err
-				}
+	recs := 0
+	for i := 0; i < b.N; i++ {
+		s := NewSource(p, 0)
+		for {
+			if _, err := s.NextBatch(buf); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
 			}
-		}},
-		{"batch", func(s *Source) error {
-			for {
-				if _, err := s.NextBatch(buf); err != nil {
-					return err
-				}
-			}
-		}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			recs := 0
-			for i := 0; i < b.N; i++ {
-				s := NewSource(p, 0)
-				if err := c.drain(s); err != io.EOF {
-					b.Fatal(err)
-				}
-				recs = s.Result().Steps
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(recs), "ns/rec")
-		})
+		}
+		recs = s.Result().Steps
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(recs), "ns/rec")
 }

@@ -36,29 +36,34 @@ func loopProgram(iters int) *prog.Program {
 	return &prog.Program{Name: "loop", Target: prog.PPC, Code: code, Entry: prog.CodeBase}
 }
 
-type sliceSink struct{ recs []trace.Record }
-
-func (s *sliceSink) Emit(r trace.Record) { s.recs = append(s.recs, r) }
-
-// TestRunMatchesRunSink checks the chunked collector at and around chunk
-// boundaries: Run's records equal RunSink's record stream, its Result is
-// the same, and Records is allocated at exactly its final length.
-func TestRunMatchesRunSink(t *testing.T) {
+// TestRunMatchesSource checks the chunked collector at and around chunk
+// boundaries: Run's records equal the Source's record stream pulled one
+// record per NextBatch, its Result is the same, and Records is allocated at
+// exactly its final length.
+func TestRunMatchesSource(t *testing.T) {
 	for _, n := range []int{1, runChunk - 1, runChunk, runChunk + 1, 3 * runChunk} {
 		p := nopProgram(n)
 		tr, res, err := Run(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sink sliceSink
-		want, err := RunSink(p, 0, &sink)
-		if err != nil {
-			t.Fatal(err)
+		src := NewSource(p, 0)
+		var recs []trace.Record
+		var one [1]trace.Record
+		for {
+			k, err := src.NextBatch(one[:])
+			recs = append(recs, one[:k]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		if len(tr.Records) != n || !reflect.DeepEqual(tr.Records, sink.recs) {
-			t.Fatalf("n=%d: Run yielded %d records, differing from RunSink's %d", n, len(tr.Records), len(sink.recs))
+		if len(tr.Records) != n || !reflect.DeepEqual(tr.Records, recs) {
+			t.Fatalf("n=%d: Run yielded %d records, differing from the Source's %d", n, len(tr.Records), len(recs))
 		}
-		if !reflect.DeepEqual(res, want) {
+		if want := src.Result(); !reflect.DeepEqual(res, want) {
 			t.Fatalf("n=%d: Result %+v, want %+v", n, res, want)
 		}
 		if cap(tr.Records) != len(tr.Records) {

@@ -22,17 +22,6 @@ var ErrStepLimit = errors.New("vm: step limit exceeded")
 // DefaultMaxSteps bounds execution when the caller does not.
 const DefaultMaxSteps = 50_000_000
 
-// Sink receives each retired instruction. The hot path calls Emit once per
-// instruction, so implementations should be cheap.
-type Sink interface {
-	Emit(trace.Record)
-}
-
-// discard counts instructions without storing them.
-type discard struct{ n int }
-
-func (d *discard) Emit(trace.Record) { d.n++ }
-
 // Result is what a completed run produces besides the trace.
 type Result struct {
 	Steps  int      // retired instruction count
@@ -90,29 +79,22 @@ func collect(next func([]trace.Record) (int, error)) ([]trace.Record, error) {
 
 // Exec executes p without retaining a trace (functional testing).
 func Exec(p *prog.Program, maxSteps int) (*Result, error) {
-	return RunSink(p, maxSteps, &discard{})
-}
-
-// RunSink executes p, streaming each retired instruction into sink.
-func RunSink(p *prog.Program, maxSteps int, sink Sink) (*Result, error) {
 	src := NewSource(p, maxSteps)
+	buf := make([]trace.Record, 256)
 	for {
-		r, err := src.Next()
-		if err == io.EOF {
+		if _, err := src.NextBatch(buf); err == io.EOF {
 			return src.Result(), nil
-		}
-		if err != nil {
+		} else if err != nil {
 			return nil, err
 		}
-		sink.Emit(*r)
 	}
 }
 
-// Source is the pull-based form of the functional simulator: each Next call
-// executes one instruction and yields its retired record, so the record
+// Source is the pull-based form of the functional simulator: each NextBatch
+// call executes instructions and yields their retired records, so the record
 // stream can flow straight into the streaming annotation and timing layers
-// without the program's full trace ever being materialized. The returned
-// record is reused between calls; Next allocates nothing on the hot path.
+// without the program's full trace ever being materialized. NextBatch
+// allocates nothing on the hot path.
 type Source struct {
 	p        *prog.Program
 	m        *Memory
@@ -123,7 +105,6 @@ type Source struct {
 	maxSteps int
 	output   []uint64
 	halted   bool
-	rec      trace.Record
 }
 
 // NewSource returns a Source at p's entry point; maxSteps <= 0 selects
@@ -137,30 +118,17 @@ func NewSource(p *prog.Program, maxSteps int) *Source {
 	return &Source{p: p, m: m, pc: p.Entry, maxSteps: maxSteps}
 }
 
-// Result returns the run result; call it after Next has returned io.EOF.
+// Result returns the run result; call it after NextBatch has returned
+// io.EOF.
 func (s *Source) Result() *Result {
 	return &Result{Steps: s.steps, Output: s.output, Pages: s.m.Pages()}
 }
 
-// Next executes one instruction and returns its record, or io.EOF after the
-// HALT record has been yielded. The pointer is invalidated by the following
-// Next call.
-func (s *Source) Next() (*trace.Record, error) {
-	if s.halted {
-		return nil, io.EOF
-	}
-	if err := s.step(&s.rec); err != nil {
-		return nil, err
-	}
-	return &s.rec, nil
-}
-
 // NextBatch executes up to len(buf) instructions, filling buf with their
-// records in retirement order: the batched form of Next (see
-// trace.BatchSource). It returns the number of records produced; the
-// records are the caller's to keep. After the HALT record has been
-// delivered it returns (0, io.EOF). An execution error may follow n > 0
-// already-valid records.
+// records in retirement order (see trace.BatchSource). It returns the number
+// of records produced; the records are the caller's to keep. After the HALT
+// record has been delivered it returns (0, io.EOF). An execution error may
+// follow n > 0 already-valid records.
 func (s *Source) NextBatch(buf []trace.Record) (int, error) {
 	n := 0
 	for n < len(buf) {
