@@ -45,7 +45,8 @@ race-full:
 # Short fuzz sessions over the trace codecs — the read-only VLT1 Reader's
 # whole-trace and one-record-per-batch round-trip properties (re-encoded by
 # the tests' reference encoder), and the VLT2 block-codec round-trip (the
-# indexed reader, both codecs) — over the whole file pipeline: raw bytes →
+# indexed reader, both codecs), the compact in-memory trace's lossless
+# round trip (FromRecords then every reader) — over the whole file pipeline: raw bytes →
 # trace.OpenFile → lvp.Pipe → both timing models (never a panic; decode
 # errors come back from Simulate) — and over the assembler: source text →
 # asm.Assemble → a step-bounded vm.Exec (errors allowed, never a panic or
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz='FuzzRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzStreamRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzVLT2RoundTrip$$' -fuzztime=30s ./internal/trace/
+	$(GO) test -run XXX -fuzz='FuzzTraceCompact$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -run XXX -fuzz='FuzzSimulate$$' -fuzztime=30s ./internal/exp/
 	$(GO) test -run XXX -fuzz='FuzzAssemble$$' -fuzztime=30s ./internal/asm/
 
@@ -102,10 +104,15 @@ bench-json:
 # never a panic), the batch-size checks of the VM and VLT1 sources (buffers
 # of 1, 7 and 256 records against vm.Run and ReadAll, errors included), the
 # Pipe's refill-size differential and records-before-error rule, the
-# in-memory span source, the batched annotation differential, and the CVU's
-# address-boundary invalidation and insert-refresh edge cases. All of these
-# also run as part of plain `make test` / `make check`.
-STREAM_TESTS = 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateSlabContract|TestSimulateReturnsSourceError|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestPipeDeliversRecordsBeforeError|TestSlabsOneSpan|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
+# compact in-memory trace (the FuzzTraceCompact seeds: arbitrary records,
+# hostile ones included, come back exactly through every reader; the
+# memory-op lane layout; the builder's exact-length lanes across its chunk
+# boundaries; its slabs concatenating to the records with no allocation
+# after the first; the scale-1 suite's traces at most 20 B/record), the
+# batched annotation differential, and the CVU's address-boundary
+# invalidation and insert-refresh edge cases. All of these also run as part
+# of plain `make test` / `make check`.
+STREAM_TESTS = 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateSlabContract|TestSimulateReturnsSourceError|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestPipeDeliversRecordsBeforeError|TestSlabsOneSpan|FuzzTraceCompact|TestMemOpsLanes|TestBuilderLanes|TestTraceResidentBytes|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
 
 check-stream:
 	$(GO) test -count=1 -run $(STREAM_TESTS) ./internal/trace/ ./internal/lvp/ ./internal/exp/ ./internal/vm/
@@ -119,14 +126,15 @@ check-stream:
 # the slab walk and of a suite unit run, the CVU differential widened to
 # 8192 LVPT indices, to forced address-bucket collisions and to the key
 # shapes the full-key lookup depends on (strided addresses past capacity
-# under one index; one address under several indices), vm.Run's chunked
-# collector against the Source's record stream with its allocation bound,
-# the suite as the one
+# under one index; one address under several indices), vm.Run's compact
+# trace against the Source's record stream on every workload and target,
+# with its allocation bound (at most 2.5x the compact trace), the suite as
+# the one
 # place a model runs (the resource sweep, GVP study and MAF ablation build
 # each simulation once, counted and timed; an enlarged 620 is traced; the
 # sweep's 620+ row is the union of its four enlargements), and the dataflow
 # analysis refusing an annotation that does not fit its trace.
-ANNOTATE_TESTS = 'Slab|ExtractLoads|TestCVUDifferential|FuzzCVUDifferential|TestCVUBucketCollisions|TestOneUnitRun|TestSimCacheByHardware|TestSharedRunLabel|TestUnitRunAllocs|TestRunMatchesSource|TestCollectLengths|TestRunAllocBound|TestSimAccounting|TestEnlargedVariantTraced|TestResourceVariantsUnionIs620Plus|TestAnalyzeAnnotationLength|TestFacadeSimulateMismatchedAnnotation'
+ANNOTATE_TESTS = 'Slab|TestCVUDifferential|FuzzCVUDifferential|TestCVUBucketCollisions|TestOneUnitRun|TestSimCacheByHardware|TestSharedRunLabel|TestUnitRunAllocs|TestRunMatchesSource|TestRunAllocBound|TestSimAccounting|TestEnlargedVariantTraced|TestResourceVariantsUnionIs620Plus|TestAnalyzeAnnotationLength|TestFacadeSimulateMismatchedAnnotation'
 ANNOTATE_PKGS = . ./internal/lvp/ ./internal/exp/ ./internal/vm/ ./internal/dfg/
 
 check-annotate:

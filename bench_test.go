@@ -202,7 +202,7 @@ func BenchmarkTraceGeneration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		instrs = len(tr.Records)
+		instrs = tr.Len()
 	}
 	b.ReportMetric(float64(instrs), "instrs/op")
 }
@@ -218,7 +218,7 @@ func BenchmarkAnnotateSimple(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(tr.Records)), "instrs/op")
+	b.ReportMetric(float64(tr.Len()), "instrs/op")
 }
 
 // --- observability overhead (OBSERVABILITY.md) ---
@@ -241,7 +241,7 @@ func BenchmarkAnnotateNilTracer(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(tr.Records)), "instrs/op")
+	b.ReportMetric(float64(tr.Len()), "instrs/op")
 }
 
 // BenchmarkAnnotateDisabledChannels runs with a live tracer whose LVP
@@ -259,7 +259,7 @@ func BenchmarkAnnotateDisabledChannels(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(tr.Records)), "instrs/op")
+	b.ReportMetric(float64(tr.Len()), "instrs/op")
 }
 
 // BenchmarkAnnotateTracedEnabled is the worst case: every LVP channel
@@ -277,7 +277,7 @@ func BenchmarkAnnotateTracedEnabled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(len(tr.Records)), "instrs/op")
+	b.ReportMetric(float64(tr.Len()), "instrs/op")
 }
 
 func BenchmarkSimulate620(b *testing.B) {
@@ -296,7 +296,7 @@ func BenchmarkSimulate620(b *testing.B) {
 			b.Fatal("no cycles")
 		}
 	}
-	b.ReportMetric(float64(len(tr.Records)), "instrs/op")
+	b.ReportMetric(float64(tr.Len()), "instrs/op")
 }
 
 func BenchmarkSimulate21164(b *testing.B) {

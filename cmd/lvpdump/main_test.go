@@ -38,7 +38,7 @@ func traceFiles(t *testing.T) (vlt1, vlt2 string, n uint64) {
 	if err := os.WriteFile(vlt2, enc.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return vlt1, vlt2, uint64(len(tr.Records))
+	return vlt1, vlt2, uint64(tr.Len())
 }
 
 // dump runs dumpTrace with stdout captured.

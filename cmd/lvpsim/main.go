@@ -197,8 +197,11 @@ func main() {
 	// Always report run totals, so long runs end with a measurement even
 	// without -progress or -metrics.
 	traces, locs, anns, sims := cellCounts(s)
-	fmt.Fprintf(os.Stderr, "lvpsim: %d experiments, %d cells (%d traces, %d locality, %d annotations, %d simulations) in %v\n",
-		ran, traces+locs+anns+sims, traces, locs, anns, sims, time.Since(start).Round(time.Millisecond))
+	recs := s.Metrics.Counter("trace.records").Value()
+	resident := s.Metrics.Gauge("trace.resident_bytes").Value()
+	fmt.Fprintf(os.Stderr, "lvpsim: %d experiments, %d cells (%d traces, %d locality, %d annotations, %d simulations) in %v; traces hold %d records in %.1f MB (%.1f B/record)\n",
+		ran, traces+locs+anns+sims, traces, locs, anns, sims, time.Since(start).Round(time.Millisecond),
+		recs, float64(resident)/(1<<20), float64(resident)/float64(max(1, recs)))
 
 	if *metrics != "" {
 		s.FinalizeMetrics()

@@ -107,10 +107,11 @@ func TestConvertErrorStopsWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		big := &trace.Trace{Name: tr.Name, Target: tr.Target}
-		for len(big.Records) < 1<<15 {
-			big.Records = append(big.Records, tr.Records...)
+		var recs []trace.Record
+		for len(recs) < 1<<15 {
+			recs = append(recs, tr.Expand()...)
 		}
+		big := trace.FromRecords(tr.Name, tr.Target, recs)
 		in := filepath.Join(dir, "big.vlt2")
 		var buf bytes.Buffer
 		if err := trace.Write2(&buf, big, trace.Writer2Options{}); err != nil {
@@ -156,10 +157,11 @@ func TestVerifyRejects(t *testing.T) {
 	}
 	// Enough records that a mismatch near the end lies well past the first
 	// batch of any reader.
-	tr := &trace.Trace{Name: base.Name, Target: base.Target}
-	for len(tr.Records) < 10000 {
-		tr.Records = append(tr.Records, base.Records...)
+	var recs []trace.Record
+	for len(recs) < 10000 {
+		recs = append(recs, base.Expand()...)
 	}
+	tr := trace.FromRecords(base.Name, base.Target, recs)
 	write := func(name string, t2 *trace.Trace) string {
 		t.Helper()
 		var buf bytes.Buffer
@@ -174,15 +176,15 @@ func TestVerifyRejects(t *testing.T) {
 	}
 	// mutate returns a copy of tr with record i's value changed.
 	mutate := func(i int) *trace.Trace {
-		m := &trace.Trace{Name: tr.Name, Target: tr.Target, Records: append([]trace.Record(nil), tr.Records...)}
-		m.Records[i].Value ^= 1
-		return m
+		m := append([]trace.Record(nil), recs...)
+		m[i].Value ^= 1
+		return trace.FromRecords(tr.Name, tr.Target, m)
 	}
 	full := write("full.vlt2", tr)
 	if err := verifyEqual(full, full); err != nil {
 		t.Fatalf("verify rejected identical files: %v", err)
 	}
-	prefix := write("prefix.vlt2", &trace.Trace{Name: tr.Name, Target: tr.Target, Records: tr.Records[:len(tr.Records)-1]})
+	prefix := write("prefix.vlt2", trace.FromRecords(tr.Name, tr.Target, recs[:len(recs)-1]))
 	raw, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +203,7 @@ func TestVerifyRejects(t *testing.T) {
 	}
 	for _, tc := range []struct{ name, a, b string }{
 		{"first-record-differs", full, write("diff0.vlt2", mutate(0))},
-		{"late-record-differs", full, write("difflate.vlt2", mutate(len(tr.Records)-2))},
+		{"late-record-differs", full, write("difflate.vlt2", mutate(tr.Len()-2))},
 		{"b-is-prefix", full, prefix},
 		{"a-is-prefix", prefix, full},
 		{"unopenable", full, truncated},

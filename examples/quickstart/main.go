@@ -16,7 +16,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("trace: %s/%s, %d instructions\n", tr.Name, tr.Target, len(tr.Records))
+	fmt.Printf("trace: %s/%s, %d instructions\n", tr.Name, tr.Target, tr.Len())
+
+	// The trace stores each static instruction once; records expand on
+	// demand, a reused batch at a time.
+	branches := 0
+	for _, recs := range tr.Batches() {
+		for _, r := range recs {
+			if r.IsBranch() {
+				branches++
+			}
+		}
+	}
+	fmt.Printf("branches: %d, loads: %d\n", branches, tr.Mem().Len())
 
 	// 2. Measure load value locality at history depths 1 and 16
 	// (paper Figure 1).

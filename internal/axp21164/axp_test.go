@@ -15,7 +15,7 @@ func mkTrace(recs []trace.Record) *trace.Trace {
 		}
 		pc = recs[i].PC + isa.InstBytes
 	}
-	return &trace.Trace{Name: "t", Target: "axp", Records: recs}
+	return trace.FromRecords("t", "axp", recs)
 }
 
 // simTrace simulates an in-memory trace: one span, which cannot fail.
@@ -80,8 +80,8 @@ func loadUseTrace(n int) *trace.Trace {
 
 func annLoads(tr *trace.Trace, st trace.PredState) trace.Annotation {
 	ann := trace.NewAnnotation(tr)
-	for i := range tr.Records {
-		if tr.Records[i].IsLoad() {
+	for i, r := range tr.Expand() {
+		if r.IsLoad() {
 			ann[i] = st
 		}
 	}
@@ -190,7 +190,7 @@ func TestBranchPenalty(t *testing.T) {
 				trace.Record{PC: 0x1004, Op: isa.BEQ, Ra: 5, Rb: 5, Taken: taken, Targ: 0x1000},
 			)
 		}
-		return &trace.Trace{Records: recs}
+		return trace.FromRecords("", "", recs)
 	}
 	good := simTrace(mk(false), nil, Config21164(), "")
 	bad := simTrace(mk(true), nil, Config21164(), "")

@@ -85,62 +85,64 @@ func (r Result) LimitIPC() float64 {
 // ann must hold one state per record; otherwise Analyze returns
 // trace.ErrAnnotationLength.
 func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) (Result, error) {
-	if ann != nil && len(ann) != len(t.Records) {
-		return Result{}, fmt.Errorf("%w: %d states for %d records", trace.ErrAnnotationLength, len(ann), len(t.Records))
+	if ann != nil && len(ann) != t.Len() {
+		return Result{}, fmt.Errorf("%w: %d states for %d records", trace.ErrAnnotationLength, len(ann), t.Len())
 	}
 	var readyG, readyF [isa.NumRegs]int
 	// lastStoreDone maps 8-byte-aligned addresses to the completion time
 	// of the last store covering them.
 	lastStoreDone := make(map[uint64]int)
-	res := Result{Instructions: len(t.Records)}
+	res := Result{Instructions: t.Len()}
 	critical := 0
 
-	for i := range t.Records {
-		r := &t.Records[i]
-		in := r.Inst()
-		start := 0
-		var srcs [4]isa.RegRef
-		for _, ref := range isa.Sources(in, srcs[:0]) {
-			var rc int
-			if ref.FP {
-				rc = readyF[ref.Reg]
-			} else if ref.Reg != isa.R0 {
-				rc = readyG[ref.Reg]
-			}
-			if rc > start {
-				start = rc
-			}
-		}
-		latency := lat.of(r.Op)
-		if r.IsLoad() {
-			// Memory dependence on the most recent overlapping store.
-			for a := r.Addr &^ 7; a < r.Addr+uint64(r.Size); a += 8 {
-				if d := lastStoreDone[a]; d > start {
-					start = d
+	for base, recs := range t.Batches() {
+		for k := range recs {
+			i, r := base+k, &recs[k]
+			in := r.Inst()
+			start := 0
+			var srcs [4]isa.RegRef
+			for _, ref := range isa.Sources(in, srcs[:0]) {
+				var rc int
+				if ref.FP {
+					rc = readyF[ref.Reg]
+				} else if ref.Reg != isa.R0 {
+					rc = readyG[ref.Reg]
+				}
+				if rc > start {
+					start = rc
 				}
 			}
-			if ann != nil && (ann[i] == trace.PredCorrect || ann[i] == trace.PredConstant) {
-				latency = 0 // collapsed true dependence
-				res.CollapsedLoads++
-			}
-		}
-		done := start + latency
-		if r.IsStore() {
-			for a := r.Addr &^ 7; a < r.Addr+uint64(r.Size); a += 8 {
-				if done > lastStoreDone[a] {
-					lastStoreDone[a] = done
+			latency := lat.of(r.Op)
+			if r.IsLoad() {
+				// Memory dependence on the most recent overlapping store.
+				for a := r.Addr &^ 7; a < r.Addr+uint64(r.Size); a += 8 {
+					if d := lastStoreDone[a]; d > start {
+						start = d
+					}
+				}
+				if ann != nil && (ann[i] == trace.PredCorrect || ann[i] == trace.PredConstant) {
+					latency = 0 // collapsed true dependence
+					res.CollapsedLoads++
 				}
 			}
-		}
-		if ref, ok := isa.Dest(in); ok {
-			if ref.FP {
-				readyF[ref.Reg] = done
-			} else {
-				readyG[ref.Reg] = done
+			done := start + latency
+			if r.IsStore() {
+				for a := r.Addr &^ 7; a < r.Addr+uint64(r.Size); a += 8 {
+					if done > lastStoreDone[a] {
+						lastStoreDone[a] = done
+					}
+				}
 			}
-		}
-		if done > critical {
-			critical = done
+			if ref, ok := isa.Dest(in); ok {
+				if ref.FP {
+					readyF[ref.Reg] = done
+				} else {
+					readyG[ref.Reg] = done
+				}
+			}
+			if done > critical {
+				critical = done
+			}
 		}
 	}
 	res.CriticalPath = critical

@@ -20,13 +20,13 @@ func analyze(t *testing.T, tr *trace.Trace, ann trace.Annotation, lat Latencies)
 
 func TestSerialChainCriticalPath(t *testing.T) {
 	// 100 dependent adds: critical path = 100 cycles.
-	tr := &trace.Trace{}
+	var recs []trace.Record
 	for i := 0; i < 100; i++ {
-		tr.Records = append(tr.Records, trace.Record{
+		recs = append(recs, trace.Record{
 			PC: uint64(0x1000 + 4*i), Op: isa.ADD, Rd: 5, Ra: 5, Rb: 5,
 		})
 	}
-	r := analyze(t, tr, nil, Default620())
+	r := analyze(t, trace.FromRecords("", "", recs), nil, Default620())
 	if r.CriticalPath != 100 {
 		t.Errorf("critical path = %d, want 100", r.CriticalPath)
 	}
@@ -36,36 +36,36 @@ func TestSerialChainCriticalPath(t *testing.T) {
 }
 
 func TestIndependentOpsFlat(t *testing.T) {
-	tr := &trace.Trace{}
+	var recs []trace.Record
 	for i := 0; i < 100; i++ {
-		tr.Records = append(tr.Records, trace.Record{
+		recs = append(recs, trace.Record{
 			PC: uint64(0x1000 + 4*i), Op: isa.ADD, Rd: isa.Reg(1 + i%20), Ra: 0, Rb: 0,
 		})
 	}
-	r := analyze(t, tr, nil, Default620())
+	r := analyze(t, trace.FromRecords("", "", recs), nil, Default620())
 	if r.CriticalPath != 1 {
 		t.Errorf("independent ops critical path = %d, want 1", r.CriticalPath)
 	}
 }
 
 func loadChain(n int) *trace.Trace {
-	tr := &trace.Trace{}
+	var recs []trace.Record
 	for i := 0; i < n; i++ {
-		tr.Records = append(tr.Records,
+		recs = append(recs,
 			trace.Record{PC: 0x1000, Op: isa.LD, Rd: 5, Ra: 5,
 				Addr: 0x100000, Value: 0x100000, Size: 8, Class: isa.LoadIntData},
 			trace.Record{PC: 0x1004, Op: isa.ADD, Rd: 5, Ra: 5, Rb: 0},
 		)
 	}
-	return tr
+	return trace.FromRecords("", "", recs)
 }
 
 func TestCollapsedLoadsShortenPath(t *testing.T) {
 	tr := loadChain(100)
 	base := analyze(t, tr, nil, Default620())
 	ann := trace.NewAnnotation(tr)
-	for i := range tr.Records {
-		if tr.Records[i].IsLoad() {
+	for i, r := range tr.Expand() {
+		if r.IsLoad() {
 			ann[i] = trace.PredCorrect
 		}
 	}
@@ -85,8 +85,8 @@ func TestCollapsedLoadsShortenPath(t *testing.T) {
 func TestIncorrectPredictionsNotCollapsed(t *testing.T) {
 	tr := loadChain(50)
 	ann := trace.NewAnnotation(tr)
-	for i := range tr.Records {
-		if tr.Records[i].IsLoad() {
+	for i, r := range tr.Expand() {
+		if r.IsLoad() {
 			ann[i] = trace.PredIncorrect
 		}
 	}
@@ -104,20 +104,20 @@ func TestIncorrectPredictionsNotCollapsed(t *testing.T) {
 func TestMemoryDependenceHonoured(t *testing.T) {
 	// store (fed by a divide) -> load of the same address: the load's
 	// completion must wait for the store even with no register deps.
-	tr := &trace.Trace{Records: []trace.Record{
+	recs := []trace.Record{
 		{PC: 0x1000, Op: isa.DIV, Rd: 7, Ra: 1, Rb: 2},
 		{PC: 0x1004, Op: isa.SD, Rb: 7, Ra: 1, Addr: 0x100000, Value: 1, Size: 8},
 		{PC: 0x1008, Op: isa.LD, Rd: 5, Ra: 3, Addr: 0x100000, Value: 1, Size: 8, Class: isa.LoadIntData},
-	}}
+	}
 	lat := Default620()
-	r := analyze(t, tr, nil, lat)
+	r := analyze(t, trace.FromRecords("", "", recs), nil, lat)
 	want := lat.Div + lat.Store + lat.Load
 	if r.CriticalPath != want {
 		t.Errorf("critical path = %d, want %d (div -> store -> load)", r.CriticalPath, want)
 	}
 	// Disjoint address: the load no longer chains behind the store.
-	tr.Records[2].Addr = 0x200000
-	r2 := analyze(t, tr, nil, lat)
+	recs[2].Addr = 0x200000
+	r2 := analyze(t, trace.FromRecords("", "", recs), nil, lat)
 	if r2.CriticalPath != lat.Div+lat.Store {
 		t.Errorf("disjoint critical path = %d, want %d", r2.CriticalPath, lat.Div+lat.Store)
 	}
@@ -136,13 +136,13 @@ func TestZeroResult(t *testing.T) {
 // accepted silently).
 func TestAnalyzeAnnotationLength(t *testing.T) {
 	tr := loadChain(10)
-	for _, n := range []int{0, len(tr.Records) / 2, len(tr.Records) - 1, len(tr.Records) + 1} {
+	for _, n := range []int{0, tr.Len() / 2, tr.Len() - 1, tr.Len() + 1} {
 		ann := make(trace.Annotation, n)
 		for i := range ann {
 			ann[i] = trace.PredCorrect
 		}
 		if _, err := Analyze(tr, ann, Default620()); !errors.Is(err, trace.ErrAnnotationLength) {
-			t.Errorf("%d states for %d records: err %v, want %v", n, len(tr.Records), err, trace.ErrAnnotationLength)
+			t.Errorf("%d states for %d records: err %v, want %v", n, tr.Len(), err, trace.ErrAnnotationLength)
 		}
 	}
 }

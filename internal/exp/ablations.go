@@ -106,24 +106,26 @@ func (s *Suite) LVPTSweep(sizes []int) (*LVPTSweepResult, error) {
 	}
 	res := &LVPTSweepResult{Sizes: sizes, Coverage: make([]float64, len(sizes))}
 	for i, size := range sizes {
-		cfg := lvptSweepConfig(size)
-		// Per-benchmark slots keep the GeoMean reduction order (and thus
-		// its floating-point rounding) independent of completion order.
-		covs := make([]float64, len(bench.All()))
-		err := s.forEachBenchIdx(func(bi int, b bench.Benchmark) error {
-			st, err := s.AnnotationStats(b.Name, prog.PPC, cfg)
-			if err != nil {
-				return err
-			}
-			covs[bi] = st.Coverage()
-			return nil
-		})
+		sts, err := s.suiteStats(lvptSweepConfig(size))
 		if err != nil {
 			return nil, err
 		}
-		res.Coverage[i] = stats.GeoMean(covs)
+		res.Coverage[i] = stats.GeoMean(column(sts, lvp.Stats.Coverage))
 	}
 	return res, nil
+}
+
+// suiteStats returns the unit statistics of cfg on every benchmark's PPC
+// trace. Per-benchmark slots keep the sweeps' reduction order (and thus
+// their floating-point rounding) independent of completion order.
+func (s *Suite) suiteStats(cfg lvp.Config) ([]lvp.Stats, error) {
+	sts := make([]lvp.Stats, len(bench.All()))
+	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
+		var err error
+		sts[i], err = s.AnnotationStats(b.Name, prog.PPC, cfg)
+		return err
+	})
+	return sts, err
 }
 
 // Render writes the sweep.
@@ -153,23 +155,12 @@ func (s *Suite) LCTBitsSweep(bits []int) (*LCTBitsResult, error) {
 	res := &LCTBitsResult{Bits: bits,
 		Accuracy: make([]float64, len(bits)), Coverage: make([]float64, len(bits))}
 	for i, b := range bits {
-		cfg := lctSweepConfig(b)
-		n := len(bench.All())
-		accs, covs := make([]float64, n), make([]float64, n)
-		err := s.forEachBenchIdx(func(bi int, bm bench.Benchmark) error {
-			st, err := s.AnnotationStats(bm.Name, prog.PPC, cfg)
-			if err != nil {
-				return err
-			}
-			accs[bi] = st.Accuracy()
-			covs[bi] = st.Coverage()
-			return nil
-		})
+		sts, err := s.suiteStats(lctSweepConfig(b))
 		if err != nil {
 			return nil, err
 		}
-		res.Accuracy[i] = stats.GeoMean(accs)
-		res.Coverage[i] = stats.GeoMean(covs)
+		res.Accuracy[i] = stats.GeoMean(column(sts, lvp.Stats.Accuracy))
+		res.Coverage[i] = stats.GeoMean(column(sts, lvp.Stats.Coverage))
 	}
 	return res, nil
 }
@@ -199,20 +190,11 @@ func (s *Suite) CVUSweep(sizes []int) (*CVUSweepResult, error) {
 	}
 	res := &CVUSweepResult{Sizes: sizes, ConstRate: make([]float64, len(sizes))}
 	for i, size := range sizes {
-		cfg := cvuSweepConfig(size)
-		rates := make([]float64, len(bench.All()))
-		err := s.forEachBenchIdx(func(bi int, b bench.Benchmark) error {
-			st, err := s.AnnotationStats(b.Name, prog.PPC, cfg)
-			if err != nil {
-				return err
-			}
-			rates[bi] = st.ConstantRate()
-			return nil
-		})
+		sts, err := s.suiteStats(cvuSweepConfig(size))
 		if err != nil {
 			return nil, err
 		}
-		res.ConstRate[i] = stats.Mean(rates)
+		res.ConstRate[i] = stats.Mean(column(sts, lvp.Stats.ConstantRate))
 	}
 	return res, nil
 }
@@ -280,17 +262,14 @@ func (s *Suite) PredictorStudy() (*PredictorResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var a, tv, bb, c, d []float64
-	for _, r := range res.Rows {
-		a = append(a, r.LastValue)
-		tv = append(tv, r.TwoValue)
-		bb = append(bb, r.Stride)
-		c = append(c, r.Context)
-		d = append(d, r.Locality1)
-	}
 	// Arithmetic means: tomcatv's legitimate 0% would zero a GM.
-	res.GM = [5]float64{stats.Mean(a), stats.Mean(tv), stats.Mean(bb),
-		stats.Mean(c), stats.Mean(d)}
+	res.GM = [5]float64{
+		stats.Mean(column(res.Rows, func(r PredictorRow) float64 { return r.LastValue })),
+		stats.Mean(column(res.Rows, func(r PredictorRow) float64 { return r.TwoValue })),
+		stats.Mean(column(res.Rows, func(r PredictorRow) float64 { return r.Stride })),
+		stats.Mean(column(res.Rows, func(r PredictorRow) float64 { return r.Context })),
+		stats.Mean(column(res.Rows, func(r PredictorRow) float64 { return r.Locality1 })),
+	}
 	return res, nil
 }
 

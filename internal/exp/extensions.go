@@ -68,13 +68,9 @@ func (s *Suite) GeneralValueLocality() (*GVLResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var a, b, c []float64
-	for _, r := range res.Rows {
-		a = append(a, r.LoadsD1)
-		b = append(b, r.AllD1)
-		c = append(c, r.AllD16)
-	}
-	res.MeanLoads, res.MeanAllD1, res.MeanAllD16 = stats.Mean(a), stats.Mean(b), stats.Mean(c)
+	res.MeanLoads = stats.Mean(column(res.Rows, func(r GVLRow) float64 { return r.LoadsD1 }))
+	res.MeanAllD1 = stats.Mean(column(res.Rows, func(r GVLRow) float64 { return r.AllD1 }))
+	res.MeanAllD16 = stats.Mean(column(res.Rows, func(r GVLRow) float64 { return r.AllD16 }))
 	return res, nil
 }
 
@@ -140,11 +136,7 @@ func (s *Suite) PathLVPStudy(histBits []int) (*PathResult, error) {
 		return nil, err
 	}
 	for i := range histBits {
-		var xs []float64
-		for _, r := range res.Rows {
-			xs = append(xs, r.Acc[i])
-		}
-		res.Mean[i] = stats.Mean(xs)
+		res.Mean[i] = stats.Mean(column(res.Rows, func(r PathRow) float64 { return r.Acc[i] }))
 	}
 	return res, nil
 }

@@ -117,11 +117,11 @@ func TestFormatDifferential(t *testing.T) {
 						t.Fatalf("metadata differs: got %q/%q want %q/%q",
 							gotPPC.Name, gotPPC.Target, wantPPC.Name, wantPPC.Target)
 					}
-					if !reflect.DeepEqual(gotPPC.Records, wantPPC.Records) {
+					if !reflect.DeepEqual(gotPPC.Expand(), wantPPC.Expand()) {
 						t.Fatal("decoded records differ")
 					}
 					gotAXP := decodeVLT2(t, encAXP)
-					if !reflect.DeepEqual(gotAXP.Records, wantAXP.Records) {
+					if !reflect.DeepEqual(gotAXP.Expand(), wantAXP.Expand()) {
 						t.Fatal("decoded AXP records differ")
 					}
 

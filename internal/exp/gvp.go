@@ -62,13 +62,11 @@ func (s *Suite) GVPStudy() (*GVPResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var a, b, c []float64
-	for _, r := range res.Rows {
-		a = append(a, r.LVPSimple)
-		b = append(b, r.GVPSimple)
-		c = append(c, r.GVPPerfect)
+	res.GM = [3]float64{
+		stats.GeoMean(column(res.Rows, func(r GVPRow) float64 { return r.LVPSimple })),
+		stats.GeoMean(column(res.Rows, func(r GVPRow) float64 { return r.GVPSimple })),
+		stats.GeoMean(column(res.Rows, func(r GVPRow) float64 { return r.GVPPerfect })),
 	}
-	res.GM = [3]float64{stats.GeoMean(a), stats.GeoMean(b), stats.GeoMean(c)}
 	return res, nil
 }
 

@@ -73,12 +73,8 @@ func (s *Suite) DataflowLimits() (*LimitResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var a, b []float64
-	for _, r := range res.Rows {
-		a = append(a, r.SimpleSpeedup)
-		b = append(b, r.PerfectSpeedup)
-	}
-	res.GMSimple, res.GMPerfect = stats.GeoMean(a), stats.GeoMean(b)
+	res.GMSimple = stats.GeoMean(column(res.Rows, func(r LimitRow) float64 { return r.SimpleSpeedup }))
+	res.GMPerfect = stats.GeoMean(column(res.Rows, func(r LimitRow) float64 { return r.PerfectSpeedup }))
 	return res, nil
 }
 

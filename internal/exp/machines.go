@@ -74,18 +74,10 @@ func (s *Suite) Figure6() (*Fig6Result, error) {
 		return nil, err
 	}
 	for i := range PPCConfigs {
-		var xs []float64
-		for _, r := range res.Rows {
-			xs = append(xs, r.PPC[i])
-		}
-		res.GMPPC[i] = stats.GeoMean(xs)
+		res.GMPPC[i] = stats.GeoMean(column(res.Rows, func(r Fig6Row) float64 { return r.PPC[i] }))
 	}
 	for i := range AXPConfigs {
-		var xs []float64
-		for _, r := range res.Rows {
-			xs = append(xs, r.AXP[i])
-		}
-		res.GMAXP[i] = stats.GeoMean(xs)
+		res.GMAXP[i] = stats.GeoMean(column(res.Rows, func(r Fig6Row) float64 { return r.AXP[i] }))
 	}
 	return res, nil
 }
@@ -165,17 +157,9 @@ func (s *Suite) Table6() (*Table6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var plus []float64
-	for _, r := range res.Rows {
-		plus = append(plus, r.PlusSpeedup)
-	}
-	res.GMPlus = stats.GeoMean(plus)
+	res.GMPlus = stats.GeoMean(column(res.Rows, func(r Table6Row) float64 { return r.PlusSpeedup }))
 	for i := range PPCConfigs {
-		var xs []float64
-		for _, r := range res.Rows {
-			xs = append(xs, r.LVP[i])
-		}
-		res.GMLVP[i] = stats.GeoMean(xs)
+		res.GMLVP[i] = stats.GeoMean(column(res.Rows, func(r Table6Row) float64 { return r.LVP[i] }))
 	}
 	return res, nil
 }
@@ -385,11 +369,7 @@ func (s *Suite) Figure9() (*Fig9Result, error) {
 	}
 	for mi := 0; mi < 2; mi++ {
 		for ci := 0; ci < 3; ci++ {
-			var xs []float64
-			for _, r := range res.Rows {
-				xs = append(xs, r.Rate[mi][ci])
-			}
-			res.Mean[mi][ci] = stats.Mean(xs)
+			res.Mean[mi][ci] = stats.Mean(column(res.Rows, func(r Fig9Row) float64 { return r.Rate[mi][ci] }))
 		}
 	}
 	return res, nil

@@ -70,12 +70,8 @@ func (s *Suite) MAFAblation() (*MAFResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var a, b []float64
-	for _, r := range res.Rows {
-		a = append(a, r.SpeedupBlocking)
-		b = append(b, r.SpeedupNonBlocking)
-	}
-	res.GMBlocking, res.GMNonBlocking = stats.GeoMean(a), stats.GeoMean(b)
+	res.GMBlocking = stats.GeoMean(column(res.Rows, func(r MAFRow) float64 { return r.SpeedupBlocking }))
+	res.GMNonBlocking = stats.GeoMean(column(res.Rows, func(r MAFRow) float64 { return r.SpeedupNonBlocking }))
 	return res, nil
 }
 

@@ -68,7 +68,7 @@ type chopSource struct {
 func newChopSource(seed int64, maxLen int, tr *trace.Trace, ann trace.Annotation, failAt int) *chopSource {
 	return &chopSource{
 		rnd: rand.New(rand.NewSource(seed)), maxLen: maxLen,
-		recs: tr.Records, ann: ann, failAt: failAt,
+		recs: tr.Expand(), ann: ann, failAt: failAt,
 		buf: make([]trace.Record, maxLen), states: make([]trace.PredState, maxLen),
 	}
 }
@@ -94,6 +94,18 @@ func (s *chopSource) NextSlab() ([]trace.Record, []trace.PredState, error) {
 	}
 	s.i += n
 	return recs, states, nil
+}
+
+// recSource streams the records of an in-memory trace as a BatchSource.
+type recSource struct{ recs []trace.Record }
+
+func (s *recSource) NextBatch(buf []trace.Record) (int, error) {
+	if len(s.recs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(buf, s.recs)
+	s.recs = s.recs[n:]
+	return n, nil
 }
 
 // randomProgram builds a small terminating program for target: a counted
@@ -225,7 +237,7 @@ func TestSimulateSlabContract(t *testing.T) {
 					"slabs of 1-300": newChopSource(2, 300, tr, ann, -1),
 				}
 				if ann != nil {
-					pipe, err := lvp.NewPipe(tr.Stream(), lvp.Simple, nil)
+					pipe, err := lvp.NewPipe(&recSource{tr.Expand()}, lvp.Simple, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -254,7 +266,7 @@ func TestSimulateReturnsSourceError(t *testing.T) {
 	w := randomWorkload(t, 1)
 	for _, m := range slabModels {
 		tr, simple := w.tr[m.target.Name], w.ann[m.target.Name]
-		n := len(tr.Records)
+		n := tr.Len()
 		for _, ann := range []trace.Annotation{simple[:n/2], append(slices.Clip(simple), trace.PredNone)} {
 			got, err := m.sim(tr.Slabs(ann))
 			if !errors.Is(err, trace.ErrAnnotationLength) {
@@ -300,7 +312,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tr.Records = tr.Records[:min(len(tr.Records), 400)]
+	tr = trace.FromRecords(tr.Name, tr.Target, tr.Expand()[:min(tr.Len(), 400)])
 	for _, opts := range []trace.Writer2Options{{}, {Codec: trace.CodecFlate}} {
 		var b bytes.Buffer
 		if err := trace.Write2(&b, tr, opts); err != nil {

@@ -19,10 +19,10 @@ import (
 // TestSlabAnnotationDifferential pins the suite's slab-backed annotation to
 // the record-stream reference: for every workload, both targets and every
 // unit configuration, Annotation's per-record states and Stats, and
-// AnnotationStats, equal lvp.AnnotateTraced over the materialized trace
-// (Annotator.RecordBatch). Configurations that share hardware share one
-// unit run, so this also proves the name stamped on a shared run. -short
-// keeps three workloads.
+// AnnotationStats, equal lvp.AnnotateTraced over the trace's records
+// (Annotator.RecordBatch over Trace.Batches). Configurations that share
+// hardware share one unit run, so this also proves the name stamped on a
+// shared run. -short keeps three workloads.
 func TestSlabAnnotationDifferential(t *testing.T) {
 	benches := bench.All()
 	if testing.Short() {
@@ -257,10 +257,11 @@ func TestUnitRunAllocs(t *testing.T) {
 	}
 	s := NewSuite(1)
 	const name = "compress"
-	slab, err := s.Loads(name, prog.PPC)
+	tr, err := s.Trace(name, prog.PPC)
 	if err != nil {
 		t.Fatal(err)
 	}
+	slab := tr.Mem()
 	const slack = 16 << 10
 	if slab.Records-slab.Len() < 4*slack {
 		t.Fatalf("%s: %d records, %d loads: too few non-loads to tell per-record from per-load bytes",

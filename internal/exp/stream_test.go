@@ -91,7 +91,7 @@ func runStreamDifferential(t *testing.T, parallel bool) {
 				t.Fatal(err)
 			}
 			recs, ann := drainSlabs(t, streamPipe(t, b.Name, prog.PPC, cfg, mem))
-			if !reflect.DeepEqual(recs, wantTr.Records) {
+			if !reflect.DeepEqual(recs, wantTr.Expand()) {
 				t.Fatal("streamed records differ from the materialized trace")
 			}
 			if !reflect.DeepEqual(ann, wantAnn) {

@@ -146,7 +146,6 @@ type Suite struct {
 // of its WithContext views.
 type suiteCaches struct {
 	traces par.Cache[traceKey, *trace.Trace]
-	loads  par.Cache[traceKey, lvp.LoadSlab]
 	locs   par.Cache[traceKey, []locality.Result]
 	runs   par.Cache[annKey, unitRun]
 	anns   par.Cache[annKey, trace.Annotation]
@@ -236,30 +235,12 @@ func (s *Suite) Trace(name string, target prog.Target) (*trace.Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: running %s/%s: %w", name, target.Name, err)
 		}
+		s.Metrics.Counter("trace.records").Add(int64(t.Len()))
+		s.Metrics.Gauge("trace.resident_bytes").Add(t.ResidentBytes())
 		s.finishPhase("trace", start,
 			slog.String("bench", name), slog.String("target", target.Name),
-			slog.Int("records", len(t.Records)))
+			slog.Int("records", t.Len()))
 		return t, nil
-	})
-}
-
-// Loads returns the memory-op slab of one benchmark's trace on one target
-// (lvp.ExtractLoads). It is extracted once per trace and shared: every unit
-// run annotates from it, and the predictor-zoo sweep fans every family out
-// over its load lanes, instead of each re-filtering the record stream. The
-// extraction is the annotation layer's input, so its time is charged to the
-// annotate phase timer (without counting a unit run in progress.annotate).
-func (s *Suite) Loads(name string, target prog.Target) (lvp.LoadSlab, error) {
-	ctx := s.context()
-	return s.cacheState().loads.GetCtx(ctx, traceKey{name, target.Name, s.Scale}, func() (lvp.LoadSlab, error) {
-		t, err := s.Trace(name, target)
-		if err != nil {
-			return lvp.LoadSlab{}, err
-		}
-		start := time.Now()
-		slab := lvp.ExtractLoads(t)
-		s.Metrics.Timer("phase.annotate").Observe(time.Since(start))
-		return slab, nil
 	})
 }
 
@@ -309,12 +290,12 @@ func (s *Suite) finishPhase(phase string, start time.Time, attrs ...slog.Attr) {
 
 // runUnit returns the cached LVP unit run for one benchmark/target/config.
 // The unit runs exactly once per hardware identity across all concurrent
-// consumers, over the trace's cached memory-op slab, under the identity's
-// label (runConfig) rather than the requester's name.
+// consumers, over the trace's memory-op lanes, under the identity's label
+// (runConfig) rather than the requester's name.
 func (s *Suite) runUnit(name string, target prog.Target, cfg lvp.Config) (unitRun, error) {
 	ctx := s.context()
 	return s.cacheState().runs.GetCtx(ctx, annKey{name, target.Name, s.Scale, hwConfig(cfg)}, func() (unitRun, error) {
-		slab, err := s.Loads(name, target)
+		t, err := s.Trace(name, target)
 		if err != nil {
 			return unitRun{}, err
 		}
@@ -323,6 +304,7 @@ func (s *Suite) runUnit(name string, target prog.Target, cfg lvp.Config) (unitRu
 		}
 		cfg := runConfig(cfg)
 		start := time.Now()
+		slab := t.Mem()
 		states := make([]trace.PredState, slab.Len())
 		st, err := lvp.AnnotateSlab(slab, cfg, s.Tracer, states)
 		if err != nil {
@@ -347,12 +329,12 @@ func (s *Suite) Annotation(name string, target prog.Target, cfg lvp.Config) (tra
 	}
 	key := annKey{name, target.Name, s.Scale, hwConfig(cfg)}
 	ann, err := s.cacheState().anns.GetCtx(s.context(), key, func() (trace.Annotation, error) {
-		slab, err := s.Loads(name, target)
+		t, err := s.Trace(name, target)
 		if err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		ann := slab.Scatter(r.states)
+		ann := t.Mem().Scatter(r.states)
 		s.Metrics.Timer("phase.annotate").Observe(time.Since(start))
 		return ann, nil
 	})
@@ -502,4 +484,14 @@ func (s *Suite) forEachIdx(n int, fn func(i int) error) error {
 		meter = s.Metrics.Gauge("pool.busy")
 	}
 	return par.ForEachMeterCtx(s.context(), s.workers(), n, meter, fn)
+}
+
+// column gathers f of every row in reporting order, the input of a
+// cross-benchmark reduction (invariant 3 above).
+func column[R any](rows []R, f func(R) float64) []float64 {
+	xs := make([]float64, len(rows))
+	for i, r := range rows {
+		xs[i] = f(r)
+	}
+	return xs
 }

@@ -84,14 +84,10 @@ func (s *Suite) Table3() (*Table3Result, error) {
 // because benchmarks with no predictable loads at all — e.g. tomcatv —
 // contribute legitimate zeros that would annihilate a geometric mean.)
 func table3Mean(rows []Table3Row) (su, sp, lu, lp float64) {
-	var a, b, c, d []float64
-	for _, r := range rows {
-		a = append(a, r.SimpleUnpred)
-		b = append(b, r.SimplePred)
-		c = append(c, r.LimitUnpred)
-		d = append(d, r.LimitPred)
-	}
-	return stats.Mean(a), stats.Mean(b), stats.Mean(c), stats.Mean(d)
+	return stats.Mean(column(rows, func(r Table3Row) float64 { return r.SimpleUnpred })),
+		stats.Mean(column(rows, func(r Table3Row) float64 { return r.SimplePred })),
+		stats.Mean(column(rows, func(r Table3Row) float64 { return r.LimitUnpred })),
+		stats.Mean(column(rows, func(r Table3Row) float64 { return r.LimitPred }))
 }
 
 // Render writes both target tables with GM rows.

@@ -30,8 +30,9 @@ func walkBenches() []bench.Benchmark {
 // load of the trace, predicted (always speaking) and then trained.
 func recordWalkAccuracy(t *trace.Trace, p lvp.Predictor) locality.Ratio {
 	var r locality.Ratio
-	for i := range t.Records {
-		rec := &t.Records[i]
+	recs := t.Expand()
+	for i := range recs {
+		rec := &recs[i]
 		if !rec.IsLoad() {
 			continue
 		}
@@ -49,8 +50,9 @@ func recordWalkAccuracy(t *trace.Trace, p lvp.Predictor) locality.Ratio {
 func singlePathWalk(t *trace.Trace, entries, histBits int) locality.Ratio {
 	p := lvp.NewPathLVP(entries, histBits)
 	var r locality.Ratio
-	for i := range t.Records {
-		rec := &t.Records[i]
+	recs := t.Expand()
+	for i := range recs {
+		rec := &recs[i]
 		if isa.IsCondBranch(rec.Op) {
 			p.Branch(rec.Taken)
 			continue
@@ -88,9 +90,8 @@ func TestFusedPathWalk(t *testing.T) {
 	}
 }
 
-// TestSlabPredictorWalk checks MeasureZooLoads over the suite's cached load
-// slab, and MeasureZoo over the trace, count as Exact exactly the loads the
-// record walk predicts right, for every registered family: the predictor
+// TestSlabPredictorWalk checks MeasureZoo over the trace's load lanes counts
+// as Exact exactly the loads the record walk predicts right, for every registered family: the predictor
 // study's always-speaking column comes out of the zoo's one walk.
 func TestSlabPredictorWalk(t *testing.T) {
 	for _, b := range walkBenches() {
@@ -99,22 +100,11 @@ func TestSlabPredictorWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loads, err := s.Loads(b.Name, prog.PPC)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, f := range lvp.Families() {
 			want := recordWalkAccuracy(tr, f.New())
-			for _, m := range []struct {
-				path string
-				zm   lvp.ZooMeasure
-			}{
-				{"slab", lvp.MeasureZooLoads(loads, f.New())},
-				{"trace", lvp.MeasureZoo(tr, f.New())},
-			} {
-				if got := (locality.Ratio{Hits: int(m.zm.Exact), Total: int(m.zm.Loads)}); got != want {
-					t.Errorf("%s %s: %s Exact/Loads %+v, record walk %+v", b.Name, f.Name, m.path, got, want)
-				}
+			zm := lvp.MeasureZoo(tr, f.New())
+			if got := (locality.Ratio{Hits: int(zm.Exact), Total: int(zm.Loads)}); got != want {
+				t.Errorf("%s %s: load-lane Exact/Loads %+v, record walk %+v", b.Name, f.Name, got, want)
 			}
 		}
 	}

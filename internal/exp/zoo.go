@@ -37,10 +37,9 @@ func (s *Suite) ZooCell(benchName, family string) (ZooCell, error) {
 	}
 	ctx := s.context()
 	return s.cacheState().zoo.GetCtx(ctx, zooKey{benchName, family, s.Scale}, func() (ZooCell, error) {
-		// Decode once, fan out: every family's cell for this benchmark
-		// measures over the same cached load slab instead of re-walking
-		// the full record stream.
-		loads, err := s.Loads(benchName, prog.PPC)
+		// Every family's cell for this benchmark measures over the
+		// trace's shared load lanes.
+		t, err := s.Trace(benchName, prog.PPC)
 		if err != nil {
 			return ZooCell{}, err
 		}
@@ -48,7 +47,7 @@ func (s *Suite) ZooCell(benchName, family string) (ZooCell, error) {
 			return ZooCell{}, err
 		}
 		start := time.Now()
-		m := lvp.MeasureZooLoads(loads, f.New())
+		m := lvp.MeasureZoo(t, f.New())
 		s.recordZooStats(m)
 		s.finishPhase("zoo", start,
 			slog.String("bench", benchName), slog.String("family", family))

@@ -30,17 +30,18 @@ func MeasureGeneral(t *trace.Trace, entries int, depths ...int) []GeneralResult 
 		tables[i] = NewHistoryTable(entries, d)
 		results[i].Depth = d
 	}
-	for i := range t.Records {
-		r := &t.Records[i]
-		in := r.Inst()
-		if !isa.WritesGPR(in) && !isa.WritesFPR(in) {
-			continue
-		}
-		cls := isa.ClassOf(r.Op)
-		for k, tab := range tables {
-			hit := tab.Access(r.PC, r.Value)
-			results[k].Overall.add(hit)
-			results[k].ByClass[cls].add(hit)
+	for _, recs := range t.Batches() {
+		for i := range recs {
+			r := &recs[i]
+			if in := r.Inst(); !isa.WritesGPR(in) && !isa.WritesFPR(in) {
+				continue
+			}
+			cls := isa.ClassOf(r.Op)
+			for k, tab := range tables {
+				hit := tab.Access(r.PC, r.Value)
+				results[k].Overall.add(hit)
+				results[k].ByClass[cls].add(hit)
+			}
 		}
 	}
 	return results

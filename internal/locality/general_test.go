@@ -8,7 +8,7 @@ import (
 )
 
 func TestMeasureGeneralCoversAllWriters(t *testing.T) {
-	tr := &trace.Trace{Records: []trace.Record{
+	tr := trace.FromRecords("", "", []trace.Record{
 		{PC: 0x1000, Op: isa.ADD, Rd: 5, Value: 7},
 		{PC: 0x1000, Op: isa.ADD, Rd: 5, Value: 7}, // hit
 		{PC: 0x1004, Op: isa.LD, Rd: 6, Value: 9, Addr: 0x100, Size: 8, Class: isa.LoadIntData},
@@ -16,7 +16,7 @@ func TestMeasureGeneralCoversAllWriters(t *testing.T) {
 		{PC: 0x1008, Op: isa.SD, Rb: 6, Addr: 0x100, Size: 8},                                   // not a writer
 		{PC: 0x100C, Op: isa.BEQ},                                                               // not a writer
 		{PC: 0x1010, Op: isa.FADD, Rd: 2, Value: 0x3FF0000000000000},
-	}}
+	})
 	res := MeasureGeneral(tr, 64, 1)
 	r := res[0]
 	if r.Overall.Total != 5 {
@@ -37,12 +37,13 @@ func TestMeasureGeneralCoversAllWriters(t *testing.T) {
 }
 
 func TestMeasureGeneralDepthsMonotone(t *testing.T) {
-	tr := &trace.Trace{}
+	var recs []trace.Record
 	for i := 0; i < 300; i++ {
-		tr.Records = append(tr.Records, trace.Record{
+		recs = append(recs, trace.Record{
 			PC: 0x1000, Op: isa.ADD, Rd: 5, Value: uint64(i % 4),
 		})
 	}
+	tr := trace.FromRecords("", "", recs)
 	res := MeasureGeneral(tr, 64, 1, 16)
 	if res[1].Overall.Hits < res[0].Overall.Hits {
 		t.Error("deeper history cannot hit less")

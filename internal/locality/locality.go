@@ -152,8 +152,10 @@ type Result struct {
 // pass over the trace.
 func Measure(t *trace.Trace, entries int, depths ...int) []Result {
 	m := NewMeter(entries, depths...)
-	for i := range t.Records {
-		m.Add(&t.Records[i])
+	for _, recs := range t.Batches() {
+		for i := range recs {
+			m.Add(&recs[i])
+		}
 	}
 	return m.Results()
 }

@@ -77,7 +77,7 @@ func TestUntaggedInterference(t *testing.T) {
 }
 
 func TestMeasureOverallAndByClass(t *testing.T) {
-	tr := &trace.Trace{Records: []trace.Record{
+	tr := trace.FromRecords("", "", []trace.Record{
 		loadRec(0x1000, 5, isa.LoadIntData),
 		loadRec(0x1000, 5, isa.LoadIntData), // hit
 		loadRec(0x1000, 5, isa.LoadIntData), // hit
@@ -85,7 +85,7 @@ func TestMeasureOverallAndByClass(t *testing.T) {
 		loadRec(0x2000, 1, isa.LoadInstAddr), // hit
 		loadRec(0x3000, 9, isa.LoadFPData),
 		{PC: 0x4000, Op: isa.ADD}, // not a load: ignored
-	}}
+	})
 	res := Measure(tr, 1024, 1)
 	if len(res) != 1 {
 		t.Fatalf("want 1 result, got %d", len(res))
@@ -111,7 +111,7 @@ func TestMeasureMultipleDepthsMonotone(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		recs = append(recs, loadRec(0x1000, uint64(i%2+10), isa.LoadIntData))
 	}
-	tr := &trace.Trace{Records: recs}
+	tr := trace.FromRecords("", "", recs)
 	res := Measure(tr, 1024, 1, 2, 16)
 	if res[0].Overall.Hits != 0 {
 		t.Errorf("depth-1 hits = %d, want 0 for alternating values", res[0].Overall.Hits)

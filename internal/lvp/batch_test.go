@@ -76,13 +76,13 @@ func TestPipeNextBatchMatchesNext(t *testing.T) {
 	}
 	for _, cfg := range Configs {
 		t.Run(cfg.Name, func(t *testing.T) {
-			wantAnn, wantStats := recordRef(t, cfg, tr.Records)
+			wantAnn, wantStats := recordRef(t, cfg, tr.Expand())
 			for _, k := range []int{1, 7, pipeBatch} {
 				rd, err := trace.NewIndexedReaderBytes(enc.Bytes())
 				if err != nil {
 					t.Fatal(err)
 				}
-				for name, src := range map[string]trace.BatchSource{"slice": tr.Stream(), "reader": rd} {
+				for name, src := range map[string]trace.BatchSource{"slice": &recSource{tr.Expand()}, "reader": rd} {
 					p, err := NewPipe(chunkSource{src, k}, cfg, nil)
 					if err != nil {
 						t.Fatal(err)
@@ -91,7 +91,7 @@ func TestPipeNextBatchMatchesNext(t *testing.T) {
 					if err != nil {
 						t.Fatalf("refill %d (%s src): %v", k, name, err)
 					}
-					if !reflect.DeepEqual(recs, tr.Records) || !reflect.DeepEqual(ann, wantAnn) {
+					if !reflect.DeepEqual(recs, tr.Expand()) || !reflect.DeepEqual(ann, wantAnn) {
 						t.Fatalf("refill %d (%s src): pipe diverged from the per-record reference", k, name)
 					}
 					if p.Stats() != wantStats {
@@ -101,6 +101,18 @@ func TestPipeNextBatchMatchesNext(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recSource streams the records of an in-memory trace as a BatchSource.
+type recSource struct{ recs []trace.Record }
+
+func (s *recSource) NextBatch(buf []trace.Record) (int, error) {
+	if len(s.recs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(buf, s.recs)
+	s.recs = s.recs[n:]
+	return n, nil
 }
 
 // errSource yields its records in one batch together with a non-EOF error,
@@ -124,7 +136,7 @@ func (s *errSource) NextBatch(buf []trace.Record) (int, error) {
 // the error on every later call.
 func TestPipeDeliversRecordsBeforeError(t *testing.T) {
 	boom := errors.New("boom")
-	recs := mixedTrace(5).Records
+	recs := mixedTrace(5).Expand()
 	p, err := NewPipe(&errSource{recs: recs, err: boom}, Simple, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -146,16 +158,17 @@ func TestPipeDeliversRecordsBeforeError(t *testing.T) {
 func TestRecordBatchMatchesRecord(t *testing.T) {
 	tr := mixedTrace(2048)
 	for _, cfg := range Configs {
-		wantAnn, wantStats := recordRef(t, cfg, tr.Records)
-		for _, k := range []int{1, 13, len(tr.Records)} {
+		recs := tr.Expand()
+		wantAnn, wantStats := recordRef(t, cfg, recs)
+		for _, k := range []int{1, 13, len(recs)} {
 			a, err := NewAnnotator(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			states := make(trace.Annotation, len(tr.Records))
-			for i := 0; i < len(tr.Records); i += k {
-				j := min(i+k, len(tr.Records))
-				a.RecordBatch(tr.Records[i:j], states[i:j])
+			states := make(trace.Annotation, len(recs))
+			for i := 0; i < len(recs); i += k {
+				j := min(i+k, len(recs))
+				a.RecordBatch(recs[i:j], states[i:j])
 			}
 			for i := range states {
 				if states[i] != wantAnn[i] {
@@ -178,7 +191,7 @@ func TestPipeNextBatchAllocFree(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	tr := mixedTrace(1 << 20)
-	p, err := NewPipe(tr.Stream(), Simple, nil)
+	p, err := NewPipe(&recSource{tr.Expand()}, Simple, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,16 +213,16 @@ func TestPipeNextBatchAllocFree(t *testing.T) {
 
 // BenchmarkAnnotatorRecordBatch measures the batched annotation hot path.
 func BenchmarkAnnotatorRecordBatch(b *testing.B) {
-	tr := mixedTrace(1 << 16)
+	recs := mixedTrace(1 << 16).Expand()
 	a, err := NewAnnotator(Simple, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	states := make([]trace.PredState, len(tr.Records))
+	states := make([]trace.PredState, len(recs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.RecordBatch(tr.Records, states)
+		a.RecordBatch(recs, states)
 	}
-	b.SetBytes(int64(len(tr.Records)))
+	b.SetBytes(int64(len(recs)))
 }

@@ -24,63 +24,64 @@ func AnnotateGeneral(t *trace.Trace, cfg Config) (trace.Annotation, Stats, error
 	}
 	st := Stats{Config: cfg.Name + "/GVP"}
 	ann := trace.NewAnnotation(t)
-	if cfg.Perfect {
-		for i := range t.Records {
-			r := &t.Records[i]
-			in := r.Inst()
-			if isa.WritesGPR(in) || isa.WritesFPR(in) {
-				ann[i] = trace.PredCorrect
-				st.Loads++
-				st.States[trace.PredCorrect]++
-			}
-		}
-		return ann, st, nil
+	var lvpt ValueTable
+	var lct *LCT
+	if !cfg.Perfect {
+		lvpt, lct = newValueTable(cfg), NewLCT(cfg.LCTEntries, cfg.LCTBits)
 	}
-	lvpt := newValueTable(cfg)
-	lct := NewLCT(cfg.LCTEntries, cfg.LCTBits)
-	for i := range t.Records {
-		r := &t.Records[i]
-		in := r.Inst()
-		if !isa.WritesGPR(in) && !isa.WritesFPR(in) {
-			continue
-		}
-		st.Loads++
-		var correct bool
-		if cfg.HistoryDepth > 1 {
-			correct = lvpt.Contains(r.PC, r.Value)
-		} else {
-			pred, _ := lvpt.Predict(r.PC)
-			correct = pred == r.Value
-		}
-		var state trace.PredState
-		switch lct.Classify(r.PC) {
-		case ClassNoPredict:
-			state = trace.PredNone
-		default: // predict and constant both predict; verification is
-			// always against the computed result (no CVU here).
-			if correct {
-				state = trace.PredCorrect
-			} else {
-				state = trace.PredIncorrect
+	for base, recs := range t.Batches() {
+		for k := range recs {
+			r := &recs[k]
+			if in := r.Inst(); !isa.WritesGPR(in) && !isa.WritesFPR(in) {
+				continue
 			}
-		}
-		lct.Update(r.PC, correct)
-		lvpt.Update(r.PC, r.Value)
-		ann[i] = state
-		st.States[state]++
-		if correct {
-			st.PredictableTotal++
-			if state != trace.PredNone {
-				st.PredictableIdentified++
+			st.Loads++
+			state := trace.PredCorrect
+			if !cfg.Perfect {
+				state = predictGeneral(lvpt, lct, cfg.HistoryDepth, r, &st)
 			}
-		} else {
-			st.UnpredictableTotal++
-			if state == trace.PredNone {
-				st.UnpredictableIdentified++
-			}
+			ann[base+k] = state
+			st.States[state]++
 		}
 	}
-	st.LVPT = lvpt.Stats()
-	st.LCT = lct.Stats()
+	if !cfg.Perfect {
+		st.LVPT, st.LCT = lvpt.Stats(), lct.Stats()
+	}
 	return ann, st, nil
+}
+
+// predictGeneral predicts, verifies and trains on one register-writing
+// record, counts the outcome into st's identification totals and returns
+// its state.
+func predictGeneral(lvpt ValueTable, lct *LCT, depth int, r *trace.Record, st *Stats) trace.PredState {
+	var correct bool
+	if depth > 1 {
+		correct = lvpt.Contains(r.PC, r.Value)
+	} else {
+		pred, _ := lvpt.Predict(r.PC)
+		correct = pred == r.Value
+	}
+	state := trace.PredNone
+	if lct.Classify(r.PC) != ClassNoPredict {
+		// Predict and constant both predict; verification is always
+		// against the computed result (no CVU here).
+		state = trace.PredIncorrect
+		if correct {
+			state = trace.PredCorrect
+		}
+	}
+	lct.Update(r.PC, correct)
+	lvpt.Update(r.PC, r.Value)
+	if correct {
+		st.PredictableTotal++
+		if state != trace.PredNone {
+			st.PredictableIdentified++
+		}
+	} else {
+		st.UnpredictableTotal++
+		if state == trace.PredNone {
+			st.UnpredictableIdentified++
+		}
+	}
+	return state
 }

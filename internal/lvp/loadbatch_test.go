@@ -24,7 +24,7 @@ func TestLoadBatchMatchesLoad(t *testing.T) {
 		{PC: 0x9000, Op: isa.LD, Rd: 3, Addr: 0x8000, Value: 0, Size: 8, Class: isa.LoadIntData},
 		{PC: 0x9000, Op: isa.LD, Rd: 3, Addr: 0x8000, Value: 7, Size: 8, Class: isa.LoadIntData},
 	}
-	recs := append(cold, mixedTrace(4096).Records...)
+	recs := append(cold, mixedTrace(4096).Expand()...)
 
 	cfgs := append(append([]Config{}, Configs...), AblationConfigs...)
 	for _, cfg := range cfgs {

@@ -209,14 +209,14 @@ func TestCVUZeroCapacity(t *testing.T) {
 // constLoadTrace builds a trace of n identical loads at one PC plus optional
 // interleaved stores.
 func constLoadTrace(n int, addr, value uint64) *trace.Trace {
-	tr := &trace.Trace{Name: "t", Target: "axp"}
+	var recs []trace.Record
 	for range n {
-		tr.Records = append(tr.Records, trace.Record{
+		recs = append(recs, trace.Record{
 			PC: 0x1000, Op: isa.LD, Addr: addr, Value: value, Size: 8,
 			Class: isa.LoadIntData,
 		})
 	}
-	return tr
+	return trace.FromRecords("t", "axp", recs)
 }
 
 func TestAnnotateConstantLoadBecomesConstant(t *testing.T) {
@@ -242,13 +242,14 @@ func TestAnnotateConstantLoadBecomesConstant(t *testing.T) {
 }
 
 func TestAnnotateStoreDemotesConstant(t *testing.T) {
-	tr := constLoadTrace(20, 0x100000, 99)
+	recs := constLoadTrace(20, 0x100000, 99).Expand()
 	// A store to the same address invalidates the CVU entry; the next
 	// load must not be constant-verified (it re-verifies via memory).
-	tr.Records = append(tr.Records, trace.Record{
+	recs = append(recs, trace.Record{
 		PC: 0x2000, Op: isa.SD, Addr: 0x100000, Value: 99, Size: 8,
 	})
-	tr.Records = append(tr.Records, constLoadTrace(1, 0x100000, 99).Records...)
+	recs = append(recs, constLoadTrace(1, 0x100000, 99).Expand()...)
+	tr := trace.FromRecords("t", "axp", recs)
 	ann, stats, err := Annotate(tr, Simple)
 	if err != nil {
 		t.Fatal(err)
@@ -263,13 +264,14 @@ func TestAnnotateStoreDemotesConstant(t *testing.T) {
 }
 
 func TestAnnotateChangingValueNeverConstant(t *testing.T) {
-	tr := &trace.Trace{Name: "t", Target: "axp"}
+	var recs []trace.Record
 	for i := range 200 {
-		tr.Records = append(tr.Records, trace.Record{
+		recs = append(recs, trace.Record{
 			PC: 0x1000, Op: isa.LD, Addr: 0x100000, Value: uint64(i), Size: 8,
 			Class: isa.LoadIntData,
 		})
 	}
+	tr := trace.FromRecords("t", "axp", recs)
 	ann, stats, err := Annotate(tr, Simple)
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +291,9 @@ func TestAnnotateChangingValueNeverConstant(t *testing.T) {
 }
 
 func TestAnnotatePerfect(t *testing.T) {
-	tr := constLoadTrace(10, 0x100000, 5)
-	tr.Records[3].Value = 77 // even changed values predict correctly
+	recs := constLoadTrace(10, 0x100000, 5).Expand()
+	recs[3].Value = 77 // even changed values predict correctly
+	tr := trace.FromRecords("t", "axp", recs)
 	ann, stats, err := Annotate(tr, Perfect)
 	if err != nil {
 		t.Fatal(err)
@@ -307,13 +310,14 @@ func TestAnnotatePerfect(t *testing.T) {
 
 func TestAnnotateLimitOracleBeatsSimple(t *testing.T) {
 	// Alternating values defeat depth 1 but not the depth-16 oracle.
-	tr := &trace.Trace{Name: "t", Target: "axp"}
+	var recs []trace.Record
 	for i := range 400 {
-		tr.Records = append(tr.Records, trace.Record{
+		recs = append(recs, trace.Record{
 			PC: 0x1000, Op: isa.LD, Addr: 0x100000, Value: uint64(i % 3), Size: 8,
 			Class: isa.LoadIntData,
 		})
 	}
+	tr := trace.FromRecords("t", "axp", recs)
 	_, simple, err := Annotate(tr, Simple)
 	if err != nil {
 		t.Fatal(err)
@@ -375,13 +379,14 @@ func TestMeasureAccuracy(t *testing.T) {
 		t.Errorf("all-zero loads: exact %d, hits %d; want 100 (the cold guess of 0 is right) and 99", z.Exact, z.Hits)
 	}
 	// A strided sequence: stride wins, last-value loses.
-	tr2 := &trace.Trace{}
+	var recs []trace.Record
 	for i := range 100 {
-		tr2.Records = append(tr2.Records, trace.Record{
+		recs = append(recs, trace.Record{
 			PC: 0x1000, Op: isa.LD, Addr: uint64(0x100000 + 8*i),
 			Value: uint64(8 * i), Size: 8, Class: isa.LoadIntData,
 		})
 	}
+	tr2 := trace.FromRecords("", "", recs)
 	lv := MeasureZoo(tr2, NewLastValue(1024))
 	st := MeasureZoo(tr2, NewStride(1024))
 	if st.Exact <= lv.Exact {
@@ -450,14 +455,15 @@ func TestTwoValueKeepsBothValues(t *testing.T) {
 }
 
 func TestAnnotateGeneralCoversAllWriters(t *testing.T) {
-	tr := &trace.Trace{Records: []trace.Record{
+	recs := []trace.Record{
 		{PC: 0x1000, Op: isa.ADD, Rd: 5, Value: 7},
 		{PC: 0x1004, Op: isa.SD, Rb: 5, Addr: 0x100, Size: 8, Value: 7},
 		{PC: 0x1008, Op: isa.BEQ},
-	}}
-	for i := 0; i < 30; i++ {
-		tr.Records = append(tr.Records, trace.Record{PC: 0x1000, Op: isa.ADD, Rd: 5, Value: 7})
 	}
+	for i := 0; i < 30; i++ {
+		recs = append(recs, trace.Record{PC: 0x1000, Op: isa.ADD, Rd: 5, Value: 7})
+	}
+	tr := trace.FromRecords("", "", recs)
 	ann, st, err := AnnotateGeneral(tr, Simple)
 	if err != nil {
 		t.Fatal(err)
@@ -477,10 +483,10 @@ func TestAnnotateGeneralCoversAllWriters(t *testing.T) {
 }
 
 func TestAnnotateGeneralPerfect(t *testing.T) {
-	tr := &trace.Trace{Records: []trace.Record{
+	tr := trace.FromRecords("", "", []trace.Record{
 		{PC: 0x1000, Op: isa.ADD, Rd: 5, Value: 1},
 		{PC: 0x1004, Op: isa.ADD, Rd: 5, Value: 2},
-	}}
+	})
 	ann, _, err := AnnotateGeneral(tr, Perfect)
 	if err != nil {
 		t.Fatal(err)

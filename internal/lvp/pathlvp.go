@@ -66,23 +66,25 @@ func MeasurePathAccuracy(t *trace.Trace, entries int, histBits ...int) []localit
 		tables[k] = NewPathLVP(entries, hb)
 	}
 	rs := make([]locality.Ratio, len(histBits))
-	for i := range t.Records {
-		rec := &t.Records[i]
-		if isa.IsCondBranch(rec.Op) {
-			for _, p := range tables {
-				p.Branch(rec.Taken)
+	for _, recs := range t.Batches() {
+		for i := range recs {
+			rec := &recs[i]
+			if isa.IsCondBranch(rec.Op) {
+				for _, p := range tables {
+					p.Branch(rec.Taken)
+				}
+				continue
 			}
-			continue
-		}
-		if !rec.IsLoad() {
-			continue
-		}
-		for k, p := range tables {
-			rs[k].Total++
-			if p.Predict(rec.PC) == rec.Value {
-				rs[k].Hits++
+			if !rec.IsLoad() {
+				continue
 			}
-			p.Update(rec.PC, rec.Value)
+			for k, p := range tables {
+				rs[k].Total++
+				if p.Predict(rec.PC) == rec.Value {
+					rs[k].Hits++
+				}
+				p.Update(rec.PC, rec.Value)
+			}
 		}
 	}
 	return rs

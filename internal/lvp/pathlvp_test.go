@@ -11,18 +11,19 @@ func TestPathLVPDisambiguatesByPath(t *testing.T) {
 	// One static load whose value depends on the direction of the
 	// preceding branch: plain last-value gets ~50%, 1 history bit nails
 	// it (the paper §7 refinement).
-	tr := &trace.Trace{}
+	var recs []trace.Record
 	for i := 0; i < 400; i++ {
 		taken := i%2 == 0
 		v := uint64(111)
 		if taken {
 			v = 222
 		}
-		tr.Records = append(tr.Records,
+		recs = append(recs,
 			trace.Record{PC: 0x1000, Op: isa.BEQ, Taken: taken, Targ: 0x2000},
 			trace.Record{PC: 0x1004, Op: isa.LD, Addr: 0x8000, Value: v, Size: 8, Class: isa.LoadIntData},
 		)
 	}
+	tr := trace.FromRecords("", "", recs)
 	rs := MeasurePathAccuracy(tr, 1024, 0, 2)
 	plain, path := rs[0], rs[1]
 	if plain.Percent() > 10 {

@@ -106,7 +106,7 @@ func TestLCTCounterBounded(t *testing.T) {
 // address describes a machine that cannot exist.)
 func randomTrace(seed int64, n int) *trace.Trace {
 	rnd := rand.New(rand.NewSource(seed))
-	tr := &trace.Trace{Name: "rnd", Target: "axp"}
+	var recs []trace.Record
 	mem := map[uint64]uint64{}
 	ops := []isa.Op{isa.ADD, isa.LD, isa.LD, isa.SD, isa.BEQ, isa.FLD, isa.FSD}
 	for i := 0; i < n; i++ {
@@ -127,9 +127,9 @@ func randomTrace(seed int64, n int) *trace.Trace {
 				r.Class = isa.LoadClass(1 + rnd.Intn(4))
 			}
 		}
-		tr.Records = append(tr.Records, r)
+		recs = append(recs, r)
 	}
-	return tr
+	return trace.FromRecords("rnd", "axp", recs)
 }
 
 func TestAnnotateInvariantsOnRandomTraces(t *testing.T) {
@@ -141,7 +141,7 @@ func TestAnnotateInvariantsOnRandomTraces(t *testing.T) {
 				t.Fatalf("seed %d cfg %s: %v", seed, cfg.Name, err)
 			}
 			loads := 0
-			for i, r := range tr.Records {
+			for i, r := range tr.Expand() {
 				if r.IsLoad() {
 					loads++
 					continue

@@ -22,8 +22,8 @@ func slabStore(addr uint64, size uint8) trace.Record {
 // identical states and identical Stats.
 func checkSlabMatchesRecordBatch(t *testing.T, recs []trace.Record) {
 	t.Helper()
-	tr := &trace.Trace{Name: "slab", Target: "ppc", Records: recs}
-	slab := ExtractLoads(tr)
+	tr := trace.FromRecords("slab", "ppc", recs)
+	slab := tr.Mem()
 	cfgs := append(append([]Config{}, Configs...), AblationConfigs...)
 	for _, cfg := range cfgs {
 		ref, err := NewAnnotator(cfg, nil)
@@ -87,46 +87,10 @@ func TestSlabMatchesRecordBatch(t *testing.T) {
 		{"trailing stores", trailing},
 		{"loads only", loadsOnly},
 		{"loads after the last store", trailingLoads},
-		{"mixed", mixedTrace(4096).Records},
+		{"mixed", mixedTrace(4096).Expand()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { checkSlabMatchesRecordBatch(t, tc.recs) })
-	}
-}
-
-// TestExtractLoadsLanes pins the slab layout on a small hand-built trace:
-// load lanes in trace order with their record indices, store lanes with
-// their position in the load stream.
-func TestExtractLoadsLanes(t *testing.T) {
-	recs := []trace.Record{
-		slabStore(0x10, 8),        // before any load
-		slabLoad(0x100, 0x20, 1),  // load 0, record 1
-		{PC: 0x104, Op: isa.ADD},  // neither
-		slabLoad(0x108, 0x28, 2),  // load 1, record 3
-		slabStore(0x30, 4),        // after two loads
-		slabStore(0x38, 2),        // back-to-back
-		slabLoad(0x110, 0x40, 3),  // load 2, record 6
-		{PC: 0x114, Op: isa.HALT}, // neither
-		slabStore(0x48, 1),        // trailing
-	}
-	s := ExtractLoads(&trace.Trace{Records: recs})
-	want := LoadSlab{
-		Records:    len(recs),
-		PCs:        []uint64{0x100, 0x108, 0x110},
-		Addrs:      []uint64{0x20, 0x28, 0x40},
-		Values:     []uint64{1, 2, 3},
-		Recs:       []int32{1, 3, 6},
-		StoreAddrs: []uint64{0x10, 0x30, 0x38, 0x48},
-		StoreSizes: []uint8{8, 4, 2, 1},
-		StoreAt:    []int32{0, 2, 2, 3},
-	}
-	if !reflect.DeepEqual(s, want) {
-		t.Fatalf("slab = %+v\nwant   %+v", s, want)
-	}
-	ann := s.Scatter([]trace.PredState{trace.PredCorrect, trace.PredIncorrect, trace.PredConstant})
-	wantAnn := trace.Annotation{0, trace.PredCorrect, 0, trace.PredIncorrect, 0, 0, trace.PredConstant, 0, 0}
-	if !reflect.DeepEqual(ann, wantAnn) {
-		t.Fatalf("Scatter = %v, want %v", ann, wantAnn)
 	}
 }
 
@@ -138,7 +102,7 @@ func TestAnnotateSlabAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	allocs := func(s LoadSlab) float64 {
+	allocs := func(s trace.MemOps) float64 {
 		states := make([]trace.PredState, s.Len())
 		return testing.AllocsPerRun(5, func() {
 			if _, err := AnnotateSlab(s, Simple, nil, states); err != nil {
@@ -146,8 +110,8 @@ func TestAnnotateSlabAllocs(t *testing.T) {
 			}
 		})
 	}
-	small := allocs(ExtractLoads(mixedTrace(1 << 12)))
-	big := allocs(ExtractLoads(mixedTrace(1 << 18)))
+	small := allocs(mixedTrace(1 << 12).Mem())
+	big := allocs(mixedTrace(1 << 18).Mem())
 	t.Logf("slab walk: %v allocs", big)
 	if big != small {
 		t.Fatalf("slab walk: %v allocs at 64x the loads vs %v, want the same", big, small)
@@ -162,7 +126,7 @@ func TestAnnotateSlabAllocs(t *testing.T) {
 // Its record-stream baseline is BenchmarkAnnotatorRecordBatch.
 func BenchmarkAnnotateSlab(b *testing.B) {
 	tr := mixedTrace(1 << 16)
-	s := ExtractLoads(tr)
+	s := tr.Mem()
 	states := make([]trace.PredState, s.Len())
 	for _, cfg := range []Config{Simple, Constant} {
 		b.Run(cfg.Name, func(b *testing.B) {
@@ -172,7 +136,7 @@ func BenchmarkAnnotateSlab(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.SetBytes(int64(len(tr.Records)))
+			b.SetBytes(int64(tr.Len()))
 		})
 	}
 }

@@ -13,37 +13,37 @@ import (
 // (mispredictions and LCT demotion), stores that invalidate CVU entries,
 // and non-memory records that must pass through as PredNone.
 func mixedTrace(n int) *trace.Trace {
-	t := &trace.Trace{Name: "mixed", Target: "ppc"}
+	var recs []trace.Record
 	for i := 0; i < n; i++ {
 		pc := uint64(0x1000 + 4*(i%16))
 		switch i % 8 {
 		case 0, 1, 2:
 			// Constant load: same pc/addr/value every time.
-			t.Records = append(t.Records, trace.Record{
+			recs = append(recs, trace.Record{
 				PC: pc, Op: isa.LD, Rd: 3, Ra: 1, Imm: 8,
 				Addr: 0x2000 + 8*uint64(i%3), Value: 0xabcd, Size: 8,
 				Class: isa.LoadIntData,
 			})
 		case 3:
 			// Alternating-value load: never predictable for long.
-			t.Records = append(t.Records, trace.Record{
+			recs = append(recs, trace.Record{
 				PC: 0x1100, Op: isa.LD, Rd: 4, Ra: 1, Imm: 16,
 				Addr: 0x3000, Value: uint64(i % 2), Size: 8,
 				Class: isa.LoadDataAddr,
 			})
 		case 4:
 			// Store over the constant loads' addresses: CVU invalidation.
-			t.Records = append(t.Records, trace.Record{
+			recs = append(recs, trace.Record{
 				PC: pc, Op: isa.SD, Ra: 1, Rb: 3, Imm: 8,
 				Addr: 0x2000 + 8*uint64(i%3), Value: 0xabcd, Size: 8,
 			})
 		default:
-			t.Records = append(t.Records, trace.Record{
+			recs = append(recs, trace.Record{
 				PC: pc, Op: isa.ADD, Rd: 5, Ra: 3, Rb: 4, Value: uint64(i),
 			})
 		}
 	}
-	return t
+	return trace.FromRecords("mixed", "ppc", recs)
 }
 
 // TestAnnotatorMatchesAnnotate pins the single-code-path contract of the
@@ -64,10 +64,11 @@ func TestAnnotatorMatchesAnnotate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewAnnotator: %v", err)
 			}
-			gotAnn := make(trace.Annotation, len(tr.Records))
-			for i := 0; i < len(tr.Records); i += 3 {
-				j := min(i+3, len(tr.Records))
-				a.RecordBatch(tr.Records[i:j], gotAnn[i:j])
+			recs := tr.Expand()
+			gotAnn := make(trace.Annotation, len(recs))
+			for i := 0; i < len(recs); i += 3 {
+				j := min(i+3, len(recs))
+				a.RecordBatch(recs[i:j], gotAnn[i:j])
 			}
 			if !reflect.DeepEqual(gotAnn, wantAnn) {
 				t.Fatal("Annotator states differ from Annotate")
@@ -76,7 +77,7 @@ func TestAnnotatorMatchesAnnotate(t *testing.T) {
 				t.Fatalf("Annotator stats differ:\n got %+v\nwant %+v", a.Stats(), wantStats)
 			}
 
-			p, err := NewPipe(tr.Stream(), cfg, nil)
+			p, err := NewPipe(&recSource{tr.Expand()}, cfg, nil)
 			if err != nil {
 				t.Fatalf("NewPipe: %v", err)
 			}

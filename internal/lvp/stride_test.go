@@ -175,14 +175,14 @@ func TestFamilyRegistry(t *testing.T) {
 // strideTrace builds a trace of one load walking an arithmetic sequence —
 // fully stride-predictable after warm-up.
 func strideTrace(n int, pc, start, stride uint64) *trace.Trace {
-	tr := &trace.Trace{}
+	var recs []trace.Record
 	for i := 0; i < n; i++ {
-		tr.Records = append(tr.Records, trace.Record{
+		recs = append(recs, trace.Record{
 			PC: pc, Op: isa.LD, Addr: 0x8000, Value: start + uint64(i)*stride,
 			Size: 8, Class: isa.LoadIntData,
 		})
 	}
-	return tr
+	return trace.FromRecords("", "", recs)
 }
 
 // TestMeasureZooAccounting pins the coverage/accuracy split MeasureZoo
@@ -221,33 +221,20 @@ func TestMeasureZooAccounting(t *testing.T) {
 	}
 
 	// Empty trace: both ratios are defined as zero.
-	z := MeasureZoo(&trace.Trace{}, NewStride(16))
+	z := MeasureZoo(trace.FromRecords("", "", nil), NewStride(16))
 	if z.Coverage() != 0 || z.Accuracy() != 0 {
 		t.Fatalf("empty-trace ratios = %f/%f, want 0/0", z.Coverage(), z.Accuracy())
 	}
 }
 
-// BenchmarkZooSweep measures every registered family over one trace:
-// "rewalk" gathers each family's loads from the records again, "shared"
-// extracts the load slab once and fans every family out over it, the
-// decode-once path exp.ZooSweep takes.
+// BenchmarkZooSweep measures every registered family over one trace's load
+// lanes, the path exp.ZooSweep takes.
 func BenchmarkZooSweep(b *testing.B) {
 	tr := mixedTrace(1 << 16)
-	b.Run("rewalk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, f := range Families() {
-				MeasureZoo(tr, f.New())
-			}
+	for i := 0; i < b.N; i++ {
+		for _, f := range Families() {
+			MeasureZoo(tr, f.New())
 		}
-		b.SetBytes(int64(len(tr.Records)))
-	})
-	b.Run("shared", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			loads := ExtractLoads(tr)
-			for _, f := range Families() {
-				MeasureZooLoads(loads, f.New())
-			}
-		}
-		b.SetBytes(int64(len(tr.Records)))
-	})
+	}
+	b.SetBytes(int64(tr.Len()))
 }

@@ -413,13 +413,16 @@ func Annotate(t *trace.Trace, cfg Config) (trace.Annotation, Stats, error) {
 // (lvpt, lct and cvu channels); tr == nil is exactly Annotate. Tracing never
 // changes the annotation or the statistics, only what is emitted. It is the
 // materialized form of the streaming Annotator: the per-record path is the
-// same code either way.
+// same code either way, and the record-walk reference for the suite's walk
+// of the memory-op lanes (Annotator.Slab).
 func AnnotateTraced(t *trace.Trace, cfg Config, tr *obs.Tracer) (trace.Annotation, Stats, error) {
 	a, err := NewAnnotator(cfg, tr)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("annotating %s: %w", t.Name, err)
 	}
 	ann := trace.NewAnnotation(t)
-	a.RecordBatch(t.Records, ann)
+	for base, recs := range t.Batches() {
+		a.RecordBatch(recs, ann[base:base+len(recs)])
+	}
 	return ann, a.Stats(), nil
 }

@@ -139,38 +139,13 @@ func (m ZooMeasure) Accuracy() float64 {
 	return float64(m.Hits) / float64(m.Attempts)
 }
 
-// MeasureZoo runs a predictor over every load in the trace. Predictors
+// MeasureZoo runs a predictor over every load in the trace, reading only its
+// load lanes (Trace.Mem), which every family of a sweep shares. Predictors
 // implementing ConfidencePredictor are measured through Lookup, so declined
 // predictions count against coverage but not accuracy; plain Predictors are
 // treated as always speaking.
 func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
-	return MeasureZooLoads(valueLanes(t), p)
-}
-
-// valueLanes gathers only the PC and value lanes of the trace's loads: the
-// predictor measurements read nothing else, so a one-off measurement skips
-// the rest of the ExtractLoads slab.
-func valueLanes(t *trace.Trace) LoadSlab {
-	n := 0
-	for i := range t.Records {
-		if t.Records[i].IsLoad() {
-			n++
-		}
-	}
-	loads := LoadSlab{PCs: make([]uint64, 0, n), Values: make([]uint64, 0, n)}
-	for i := range t.Records {
-		if r := &t.Records[i]; r.IsLoad() {
-			loads.PCs = append(loads.PCs, r.PC)
-			loads.Values = append(loads.Values, r.Value)
-		}
-	}
-	return loads
-}
-
-// MeasureZooLoads is MeasureZoo over a pre-extracted load slab — the
-// decode-once fan-out path: one ExtractLoads per trace serves every family
-// in a sweep.
-func MeasureZooLoads(loads LoadSlab, p Predictor) ZooMeasure {
+	loads := t.Mem()
 	var m ZooMeasure
 	cp, hasConf := p.(ConfidencePredictor)
 	m.Loads = int64(loads.Len())

@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 )
 
@@ -64,7 +65,10 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (V, error) {
 // error — its own ctx was cancelled or timed out — the result is NOT cached:
 // the key is removed so a later caller rebuilds it, rather than a transient
 // cancellation poisoning the memo table forever. All other errors stay
-// cached, preserving the pure-deterministic-build contract.
+// cached, preserving the pure-deterministic-build contract. A build that
+// panics is evicted too: every caller waiting on it returns an error naming
+// the panic, the next Get rebuilds, and the panic continues in the caller
+// that ran the build.
 func (c *Cache[K, V]) GetCtx(ctx context.Context, key K, build func() (V, error)) (V, error) {
 	c.mu.Lock()
 	if c.m == nil {
@@ -87,19 +91,32 @@ func (c *Cache[K, V]) GetCtx(ctx context.Context, key K, build func() (V, error)
 	c.m[key] = f
 	c.mu.Unlock()
 
+	defer func() {
+		if r := recover(); r != nil {
+			f.err = fmt.Errorf("par: build panicked: %v", r)
+			c.evict(key, f)
+			close(f.done)
+			panic(r)
+		}
+	}()
 	f.v, f.err = build()
 	if f.err != nil && (errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded)) {
 		// Evict before waking waiters: anyone already blocked on this
 		// flight shares the cancellation, but the next Get for the key
 		// starts a fresh build.
-		c.mu.Lock()
-		if c.m[key] == f {
-			delete(c.m, key)
-		}
-		c.mu.Unlock()
+		c.evict(key, f)
 	}
 	close(f.done)
 	return f.v, f.err
+}
+
+// evict removes key's flight f, unless a later build already replaced it.
+func (c *Cache[K, V]) evict(key K, f *flight[V]) {
+	c.mu.Lock()
+	if c.m[key] == f {
+		delete(c.m, key)
+	}
+	c.mu.Unlock()
 }
 
 // Len reports the number of cached (or in-flight) keys.

@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -135,5 +136,52 @@ func TestCacheGetCtxNonContextErrorStaysCached(t *testing.T) {
 	}
 	if n := builds.Load(); n != 1 {
 		t.Fatalf("failing build ran %d times, want 1", n)
+	}
+}
+
+// TestCacheGetPanicReleasesWaiters: a build that panics must not strand the
+// callers waiting on its key. The builder's own call re-panics (recovered
+// here), a concurrent waiter returns an error naming the panic instead of
+// blocking forever, and the next Get rebuilds the key.
+func TestCacheGetPanicReleasesWaiters(t *testing.T) {
+	var c Cache[string, int]
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Get("k", func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waited := make(chan error, 1)
+	go func() {
+		_, err := c.Get("k", func() (int, error) { return 0, errors.New("waiter must not build") })
+		waited <- err
+	}()
+	// Let the waiter find the in-flight build before it panics.
+	for c.Stats().Hits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if r := <-panicked; r != "boom" {
+		t.Fatalf("builder recovered %v, want the build's panic", r)
+	}
+	select {
+	case err := <-waited:
+		if err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("waiter err = %v, want one naming the panic", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter still blocked on a build that panicked")
+	}
+	if c.Len() != 0 {
+		t.Fatalf("panicked build stayed cached (%d entries)", c.Len())
+	}
+	v, err := c.Get("k", func() (int, error) { return 42, nil })
+	if err != nil || v != 42 {
+		t.Fatalf("rebuild = %d, %v; want 42, nil", v, err)
 	}
 }

@@ -16,7 +16,7 @@ func mkTrace(recs []trace.Record) *trace.Trace {
 		}
 		pc = recs[i].PC + isa.InstBytes
 	}
-	return &trace.Trace{Name: "t", Target: "ppc", Records: recs}
+	return trace.FromRecords("t", "ppc", recs)
 }
 
 // simTrace simulates an in-memory trace: one span, which cannot fail.
@@ -166,7 +166,7 @@ func TestBranchMispredictsCostCycles(t *testing.T) {
 				trace.Record{PC: 0x1004, Op: isa.BEQ, Ra: 5, Rb: 5, Taken: taken, Targ: 0x1000},
 			)
 		}
-		return &trace.Trace{Name: "b", Records: recs}
+		return trace.FromRecords("b", "", recs)
 	}
 	predictable := simTrace(mk(false), nil, Config620(), "")
 	alternating := simTrace(mk(true), nil, Config620(), "")

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -402,5 +403,46 @@ func TestLocalityDepthBound(t *testing.T) {
 	})
 	if msg := readErr(resp); resp.StatusCode != http.StatusOK {
 		t.Errorf("cell with depths 1 and %d: status %d body %q, want 200", locality.MaxDepth, resp.StatusCode, msg)
+	}
+}
+
+// TestCellPanicFailsOnlyItsJob forces a panic inside one cell's compute
+// through the CellRunner hook: that job fails with the panic in its status,
+// serve.cell.panics counts it, and the daemon goes on to serve a second job
+// over the same HTTP server.
+func TestCellPanicFailsOnlyItsJob(t *testing.T) {
+	direct := exp.NewSuiteParallel(1, 2)
+	mgr := NewManager(Config{
+		Workers: 2,
+		CellRunner: func(ctx context.Context, cell Cell, scale int) (json.RawMessage, error) {
+			if cell.Bench == "grep" {
+				panic("injected cell fault")
+			}
+			return computeCell(direct.WithContext(ctx), cell)
+		},
+	})
+	defer shutdownNow(t, mgr)
+	srv := httptest.NewServer(NewHandler(mgr))
+	defer srv.Close()
+
+	run := func(bench string) JobStatus {
+		t.Helper()
+		spec := JobSpec{Benchmarks: []string{bench}, Machines: []string{Machine21164}, Configs: []string{ConfigNone}}
+		st, resp := submit(t, srv.Client(), srv.URL, spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status = %d", resp.StatusCode)
+		}
+		streamEvents(t, srv.Client(), srv.URL, st.ID)
+		st, _ = getStatus(t, srv.Client(), srv.URL, st.ID)
+		return st
+	}
+	if st := run("grep"); st.State != StateFailed || !strings.Contains(st.Error, "injected cell fault") {
+		t.Fatalf("panicking job: state %q, error %q; want failed with the panic", st.State, st.Error)
+	}
+	if n := mgr.Metrics().Counter("serve.cell.panics").Value(); n != 1 {
+		t.Fatalf("serve.cell.panics = %d, want 1", n)
+	}
+	if st := run("quick"); st.State != StateDone {
+		t.Fatalf("job after the panic: state %q, error %q; want done", st.State, st.Error)
 	}
 }

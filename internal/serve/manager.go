@@ -430,8 +430,16 @@ func (m *Manager) runJob(job *Job) {
 // (when configured), then the configured runner — the local suite by
 // default, the distributed dispatcher in coordinator mode. Successful
 // results are written back to the store, so repeat cells from any job (or
-// any tenant) become cache hits.
-func (m *Manager) runCell(ctx context.Context, cell Cell, scale int) (json.RawMessage, error) {
+// any tenant) become cache hits. A panic inside the cell's computation fails
+// that cell alone: it comes back as the cell's error, counted in
+// serve.cell.panics, and the process keeps serving.
+func (m *Manager) runCell(ctx context.Context, cell Cell, scale int) (res json.RawMessage, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.metrics.Counter("serve.cell.panics").Inc()
+			res, err = nil, fmt.Errorf("serve: cell %s panicked: %v", cell, r)
+		}
+	}()
 	if scale <= 0 {
 		scale = 1
 	}
@@ -440,7 +448,7 @@ func (m *Manager) runCell(ctx context.Context, cell Cell, scale int) (json.RawMe
 			return res, nil
 		}
 	}
-	res, err := m.computeOrDispatch(ctx, cell, scale)
+	res, err = m.computeOrDispatch(ctx, cell, scale)
 	if err == nil && m.cfg.Store != nil {
 		m.cfg.Store.Put(cell, scale, res)
 	}

@@ -1,16 +1,12 @@
 package trace
 
-import (
-	"errors"
-	"fmt"
-	"io"
-)
+import "errors"
 
-// Batched streaming. Every record source (the VM, the in-memory slice
-// source, the VLT1 Reader and the VLT2 IndexedReader) delivers records in
-// bulk through NextBatch, so a pipeline pays its dynamic dispatches per
-// batch rather than per record, and the annotated stream into the timing
-// models moves whole slabs (SlabSource).
+// Batched streaming. Every record source (the VM, the VLT1 Reader and the
+// VLT2 IndexedReader) delivers records in bulk through NextBatch, so a
+// pipeline pays its dynamic dispatches per batch rather than per record, and
+// the annotated stream into the timing models moves whole slabs
+// (SlabSource).
 //
 // Batches never change what flows through the pipeline — only how many
 // records move per call. The batch-size checks in the tests (buffers of 1,
@@ -35,8 +31,8 @@ type BatchSource interface {
 // returned only after every record before it has been delivered, and is
 // then returned again by every later call.
 //
-// Two types implement it: Trace.Slabs (the in-memory trace as one zero-copy
-// span) and lvp.Pipe (a record source annotated in refills).
+// Two types implement it: Trace.Slabs (the compact in-memory trace expanded
+// slab by slab) and lvp.Pipe (a record source annotated in refills).
 type SlabSource interface {
 	NextSlab() ([]Record, []PredState, error)
 }
@@ -44,34 +40,3 @@ type SlabSource interface {
 // ErrAnnotationLength reports an annotation whose length differs from its
 // trace's record count.
 var ErrAnnotationLength = errors.New("trace: annotation length differs from the trace")
-
-// span is the in-memory SlabSource: the whole trace, then EOF, or err on
-// every call when the annotation does not fit the trace.
-type span struct {
-	recs   []Record
-	states []PredState
-	err    error
-}
-
-func (s *span) NextSlab() ([]Record, []PredState, error) {
-	if s.err != nil {
-		return nil, nil, s.err
-	}
-	if len(s.recs) == 0 {
-		return nil, nil, io.EOF
-	}
-	recs, states := s.recs, s.states
-	s.recs, s.states = nil, nil
-	return recs, states, nil
-}
-
-// Slabs returns t's records paired with ann as a SlabSource that hands over
-// the whole trace as one zero-copy span. A nil ann models a machine without
-// LVP hardware; a non-nil ann whose length is not len(t.Records) makes every
-// NextSlab fail with ErrAnnotationLength.
-func (t *Trace) Slabs(ann Annotation) SlabSource {
-	if ann != nil && len(ann) != len(t.Records) {
-		return &span{err: fmt.Errorf("%w: %d states for %d records", ErrAnnotationLength, len(ann), len(t.Records))}
-	}
-	return &span{recs: t.Records, states: ann}
-}

@@ -105,29 +105,55 @@ func runBatchErrDiff(t *testing.T, enc []byte) {
 	}
 }
 
-// TestSlabsOneSpan pins the in-memory SlabSource: the whole trace as one
-// zero-copy span carrying the annotation (nil without LVP hardware), then
-// io.EOF on every later call; an empty trace is EOF at once.
+// TestSlabsOneSpan pins the in-memory SlabSource: the slabs concatenate to
+// the trace's records, each carrying its slice of the annotation (nil
+// without LVP hardware); then io.EOF on every later call, and an empty trace
+// is EOF at once. After the first slab, NextSlab allocates nothing.
 func TestSlabsOneSpan(t *testing.T) {
-	tr := genTrace(300)
-	ann := NewAnnotation(tr)
-	for _, a := range []Annotation{nil, ann} {
-		src := tr.Slabs(a)
-		recs, states, err := src.NextSlab()
-		if err != nil || len(recs) != len(tr.Records) || &recs[0] != &tr.Records[0] {
-			t.Fatalf("first slab: %d records, err %v; want the whole trace in place", len(recs), err)
+	for _, n := range []int{1, batchRecords - 1, batchRecords, 3*batchRecords + 7} {
+		tr := genTrace(n)
+		want := tr.Expand()
+		ann := NewAnnotation(tr)
+		for i := range ann {
+			ann[i] = PredState(i % int(NumPredStates))
 		}
-		if (states == nil) != (a == nil) || len(states) != len(a) {
-			t.Fatalf("states %d (nil %v), want the annotation (nil %v)", len(states), states == nil, a == nil)
-		}
-		for i := 0; i < 2; i++ {
-			if recs, states, err := src.NextSlab(); err != io.EOF || recs != nil || states != nil {
-				t.Fatalf("after the span: %d records, %d states, err %v; want io.EOF", len(recs), len(states), err)
+		for _, a := range []Annotation{nil, ann} {
+			src := tr.Slabs(a)
+			var recs []Record
+			var states Annotation
+			for {
+				r, st, err := src.NextSlab()
+				if err == io.EOF {
+					break
+				}
+				if err != nil || len(r) == 0 || (st == nil) != (a == nil) || (a != nil && len(st) != len(r)) {
+					t.Fatalf("n=%d: slab of %d records, %d states, err %v", n, len(r), len(st), err)
+				}
+				recs, states = append(recs, r...), append(states, st...)
+			}
+			if !reflect.DeepEqual(recs, want) || (a != nil && !reflect.DeepEqual(states, a)) {
+				t.Fatalf("n=%d: slabs do not concatenate to the trace and its annotation", n)
+			}
+			for i := 0; i < 2; i++ {
+				if recs, states, err := src.NextSlab(); err != io.EOF || recs != nil || states != nil {
+					t.Fatalf("after the last slab: %d records, %d states, err %v; want io.EOF", len(recs), len(states), err)
+				}
 			}
 		}
 	}
-	if _, _, err := (&Trace{}).Slabs(nil).NextSlab(); err != io.EOF {
+	if _, _, err := FromRecords("", "", nil).Slabs(nil).NextSlab(); err != io.EOF {
 		t.Fatalf("empty trace: err %v, want io.EOF", err)
+	}
+	if raceEnabled {
+		return
+	}
+	tr := genTrace(8 * batchRecords)
+	src := tr.Slabs(NewAnnotation(tr))
+	if _, _, err := src.NextSlab(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { src.NextSlab() }); allocs != 0 {
+		t.Fatalf("NextSlab after the first slab: %v allocs, want 0", allocs)
 	}
 }
 

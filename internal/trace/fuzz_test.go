@@ -14,17 +14,13 @@ import (
 // plain ops with and without result values, and PC deltas in both
 // directions.
 func fuzzSeedTrace() *Trace {
-	return &Trace{
-		Name:   "seed",
-		Target: "ppc",
-		Records: []Record{
-			{PC: 0x1000, Op: isa.ADDI, Rd: 3, Ra: 0, Imm: 42, Value: 42},
-			{PC: 0x1004, Op: isa.LD, Rd: 4, Ra: 3, Imm: 8, Addr: 0x2008, Value: 0xdeadbeef, Size: 8, Class: isa.LoadIntData},
-			{PC: 0x1008, Op: isa.SD, Rd: 0, Ra: 3, Rb: 4, Imm: 16, Addr: 0x2010, Value: 0xdeadbeef, Size: 8},
-			{PC: 0x100c, Op: isa.BEQ, Ra: 4, Imm: -12, Taken: true, Targ: 0x1000},
-			{PC: 0x1000, Op: isa.ADD, Rd: 5, Ra: 3, Rb: 4, Value: 0},
-		},
-	}
+	return FromRecords("seed", "ppc", []Record{
+		{PC: 0x1000, Op: isa.ADDI, Rd: 3, Ra: 0, Imm: 42, Value: 42},
+		{PC: 0x1004, Op: isa.LD, Rd: 4, Ra: 3, Imm: 8, Addr: 0x2008, Value: 0xdeadbeef, Size: 8, Class: isa.LoadIntData},
+		{PC: 0x1008, Op: isa.SD, Rd: 0, Ra: 3, Rb: 4, Imm: 16, Addr: 0x2010, Value: 0xdeadbeef, Size: 8},
+		{PC: 0x100c, Op: isa.BEQ, Ra: 4, Imm: -12, Taken: true, Targ: 0x1000},
+		{PC: 0x1000, Op: isa.ADD, Rd: 5, Ra: 3, Rb: 4, Value: 0},
+	})
 }
 
 // FuzzRoundTrip feeds arbitrary bytes to the VLT1 decoder. The invariants:
@@ -60,12 +56,13 @@ func FuzzRoundTrip(f *testing.F) {
 		if tr.Name != tr2.Name || tr.Target != tr2.Target {
 			t.Fatalf("header drift: %q/%q -> %q/%q", tr.Name, tr.Target, tr2.Name, tr2.Target)
 		}
-		if len(tr.Records) != len(tr2.Records) {
-			t.Fatalf("record count drift: %d -> %d", len(tr.Records), len(tr2.Records))
+		if tr.Len() != tr2.Len() {
+			t.Fatalf("record count drift: %d -> %d", tr.Len(), tr2.Len())
 		}
-		for i := range tr.Records {
-			if !reflect.DeepEqual(tr.Records[i], tr2.Records[i]) {
-				t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, tr2.Records[i], tr.Records[i])
+		want, got := tr.Expand(), tr2.Expand()
+		for i := range want {
+			if !reflect.DeepEqual(want[i], got[i]) {
+				t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, got[i], want[i])
 			}
 		}
 	})
@@ -83,8 +80,8 @@ func TestRoundTripSeed(t *testing.T) {
 	if got.Name != want.Name || got.Target != want.Target {
 		t.Fatalf("header: got %q/%q", got.Name, got.Target)
 	}
-	if !reflect.DeepEqual(got.Records, want.Records) {
-		t.Fatalf("records differ:\n got %+v\nwant %+v", got.Records, want.Records)
+	if !reflect.DeepEqual(got.Expand(), want.Expand()) {
+		t.Fatalf("records differ:\n got %+v\nwant %+v", got.Expand(), want.Expand())
 	}
 }
 
@@ -114,7 +111,7 @@ func TestReadRejectsMalformed(t *testing.T) {
 			return buf.Bytes()
 		}},
 		{"mem flag on non-mem op", func([]byte) []byte {
-			tr := &Trace{Name: "x", Target: "y", Records: []Record{{PC: 4, Op: isa.ADD}}}
+			tr := FromRecords("x", "y", []Record{{PC: 4, Op: isa.ADD}})
 			b := encodeTrace(tr)
 			b[4+2+2+1] |= flagMem // flip the ADD record's flag byte
 			return b
@@ -136,11 +133,12 @@ func TestReadRejectsMalformed(t *testing.T) {
 // decoder does).
 func TestVLT1RejectsOutOfRangeFields(t *testing.T) {
 	good := Record{PC: 4, Op: isa.ADD, Rd: 1, Ra: 2, Rb: 3, Value: 5}
-	tr := &Trace{Name: "x", Target: "y", Records: []Record{good, good}}
-	tr.Records[1].PC = 8
+	next := good
+	next.PC = 8
+	tr := FromRecords("x", "y", []Record{good, next})
 	// Record 1's six header bytes (flags, op, rd, ra, rb, class) start where
 	// a one-record encoding ends: both counts are one-byte uvarints.
-	rec1 := len(encodeTrace(&Trace{Name: "x", Target: "y", Records: tr.Records[:1]}))
+	rec1 := len(encodeTrace(FromRecords("x", "y", []Record{good})))
 	for _, tc := range []struct {
 		name  string
 		field int // header byte index within the record
@@ -159,7 +157,7 @@ func TestVLT1RejectsOutOfRangeFields(t *testing.T) {
 			data[rec1+tc.field] = tc.val
 			got, err := readVLT1(data)
 			if err == nil {
-				t.Fatalf("decoder accepted byte %#x as the %s: record 1 = %+v", tc.val, tc.name, got.Records[1])
+				t.Fatalf("decoder accepted byte %#x as the %s: record 1 = %+v", tc.val, tc.name, got.Expand()[1])
 			}
 			if !strings.Contains(err.Error(), "record 1") {
 				t.Fatalf("error %q does not name record 1", err)

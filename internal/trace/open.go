@@ -47,18 +47,8 @@ func OpenFile(f *os.File) (Decoder, error) {
 
 // ReadAll drains d into an in-memory Trace.
 func ReadAll(d Decoder) (*Trace, error) {
-	t := &Trace{Name: d.Name(), Target: d.Target()}
-	const allocChunk = 1 << 16
-	t.Records = make([]Record, 0, min(d.Count(), allocChunk))
-	buf := make([]Record, 1024)
-	for {
-		n, err := d.NextBatch(buf)
-		t.Records = append(t.Records, buf[:n]...)
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
+	if d.Count() > MaxRecords {
+		return nil, fmt.Errorf("trace: %d records, more than an in-memory trace holds (%d)", d.Count(), MaxRecords)
 	}
+	return Collect(d.Name(), d.Target(), d)
 }

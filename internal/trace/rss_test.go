@@ -65,7 +65,7 @@ func TestStreamRSS(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	seed := genTrace(64).Records
+	seed := genTrace(64).Expand()
 	sw, err := NewWriter2(f, "rss", "ppc")
 	if err != nil {
 		t.Fatal(err)

@@ -9,27 +9,8 @@ import (
 	"lvp/internal/isa"
 )
 
-// The in-memory slice source and the VLT1 Reader. Both deliver records
-// through NextBatch (see BatchSource): the filled records are the caller's to
-// keep.
-
-// sliceSource streams an in-memory trace.
-type sliceSource struct {
-	t *Trace
-	i int
-}
-
-func (s *sliceSource) NextBatch(buf []Record) (int, error) {
-	if s.i >= len(s.t.Records) {
-		return 0, io.EOF
-	}
-	n := copy(buf, s.t.Records[s.i:])
-	s.i += n
-	return n, nil
-}
-
-// Stream returns a BatchSource yielding t's records in order.
-func (t *Trace) Stream() BatchSource { return &sliceSource{t: t} }
+// The VLT1 Reader. It delivers records through NextBatch (see BatchSource):
+// the filled records are the caller's to keep.
 
 // Reader decodes a VLT1 stream. The header (name, target, count) is read at
 // construction; NextBatch then decodes records straight into the caller's

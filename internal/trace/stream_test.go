@@ -21,8 +21,7 @@ import (
 // produced (no Size on non-memory records, no Targ on non-branches), so
 // decode(encode(r)) == r for every record.
 func genTrace(n int) *Trace {
-	t := &Trace{Name: "gen", Target: "ppc"}
-	t.Records = make([]Record, 0, n)
+	recs := make([]Record, 0, n)
 	x := uint64(0x9e3779b97f4a7c15)
 	rnd := func() uint64 {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -55,10 +54,10 @@ func genTrace(n int) *Trace {
 		case 4:
 			r = Record{PC: pc, Op: isa.ADD, Rd: 5, Ra: 3, Rb: 4, Value: rnd() & 0xffff}
 		}
-		t.Records = append(t.Records, r)
+		recs = append(recs, r)
 		pc += 4
 	}
-	return t
+	return FromRecords("gen", "ppc", recs)
 }
 
 // decodeStream drains a Reader into a Trace in batches of bufSize records,
@@ -74,7 +73,7 @@ func decodeStream(tb testing.TB, data []byte, bufSize int) (*Reader, *Trace) {
 	if err != nil {
 		tb.Fatalf("NextBatch (after record %d): %v", len(recs), err)
 	}
-	return sr, &Trace{Name: sr.Name(), Target: sr.Target(), Records: recs}
+	return sr, FromRecords(sr.Name(), sr.Target(), recs)
 }
 
 // TestReaderMatchesRead pins the decode layer's invariant: the Reader
@@ -94,7 +93,7 @@ func TestReaderMatchesRead(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadAll: %v", err)
 			}
-			if !reflect.DeepEqual(ref.Records, want.Records) {
+			if !reflect.DeepEqual(ref.Expand(), want.Expand()) {
 				t.Fatal("decode differs from the source records")
 			}
 			for _, bufSize := range []int{1, 7, 256} {
@@ -102,11 +101,11 @@ func TestReaderMatchesRead(t *testing.T) {
 				if got.Name != ref.Name || got.Target != ref.Target {
 					t.Fatalf("header: got %q/%q, want %q/%q", got.Name, got.Target, ref.Name, ref.Target)
 				}
-				if !reflect.DeepEqual(got.Records, ref.Records) {
+				if !reflect.DeepEqual(got.Expand(), ref.Expand()) {
 					t.Fatalf("batches of %d: decode differs from ReadAll", bufSize)
 				}
-				if sr.Decoded() != sr.Count() || sr.Decoded() != uint64(len(want.Records)) {
-					t.Fatalf("Decoded()=%d Count()=%d, want %d", sr.Decoded(), sr.Count(), len(want.Records))
+				if sr.Decoded() != sr.Count() || sr.Decoded() != uint64(want.Len()) {
+					t.Fatalf("Decoded()=%d Count()=%d, want %d", sr.Decoded(), sr.Count(), want.Len())
 				}
 				// EOF is sticky.
 				buf := make([]Record, bufSize)
@@ -145,12 +144,12 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 // failing one.
 func TestWriterStickyError(t *testing.T) {
 	const blockRecs, blocks, failing = 256, 8, 3
-	tr := genTrace(64)
-	rec := func(i int) *Record { return &tr.Records[i%len(tr.Records)] }
+	recs := genTrace(64).Expand()
+	rec := func(i int) *Record { return &recs[i%len(recs)] }
 	opts := Writer2Options{BlockRecords: blockRecs}
 
 	// Block offsets of the same stream written without a failure.
-	good, err := NewWriter2Opts(io.Discard, tr.Name, tr.Target, opts)
+	good, err := NewWriter2Opts(io.Discard, "gen", "ppc", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +165,7 @@ func TestWriterStickyError(t *testing.T) {
 	// through, so the first write past the limit is block failing's.
 	e := good.idx[failing]
 	fw := &failAfterWriter{limit: int(e.off + e.size/2)}
-	sw, err := NewWriter2Opts(bufio.NewWriterSize(fw, 1), tr.Name, tr.Target, opts)
+	sw, err := NewWriter2Opts(bufio.NewWriterSize(fw, 1), "gen", "ppc", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,16 +283,17 @@ func FuzzStreamRoundTrip(f *testing.F) {
 			return // malformed record rejected; that is the contract
 		}
 		// Fully decoded: encode it again and decode the result.
-		sr2, got := decodeStream(t, encodeTrace(&Trace{Name: sr.Name(), Target: sr.Target(), Records: recs}), 1)
+		sr2, got := decodeStream(t, encodeTrace(FromRecords(sr.Name(), sr.Target(), recs)), 1)
 		if sr2.Name() != sr.Name() || sr2.Target() != sr.Target() {
 			t.Fatalf("header drift: %q/%q -> %q/%q", sr.Name(), sr.Target(), sr2.Name(), sr2.Target())
 		}
-		if len(got.Records) != len(recs) {
-			t.Fatalf("record count drift: %d -> %d", len(recs), len(got.Records))
+		if got.Len() != len(recs) {
+			t.Fatalf("record count drift: %d -> %d", len(recs), got.Len())
 		}
+		gotRecs := got.Expand()
 		for i := range recs {
-			if !reflect.DeepEqual(recs[i], got.Records[i]) {
-				t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, got.Records[i], recs[i])
+			if !reflect.DeepEqual(recs[i], gotRecs[i]) {
+				t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, gotRecs[i], recs[i])
 			}
 		}
 	})

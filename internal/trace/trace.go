@@ -40,13 +40,6 @@ func (r Record) IsStore() bool { return isa.IsStore(r.Op) }
 // IsBranch reports whether the record is a control-transfer instruction.
 func (r Record) IsBranch() bool { return isa.IsBranch(r.Op) }
 
-// Trace is an in-memory dynamic instruction trace.
-type Trace struct {
-	Name    string // benchmark name, e.g. "grep"
-	Target  string // codegen target, e.g. "ppc" or "axp"
-	Records []Record
-}
-
 // Summary aggregates the counts the paper's Table 1 reports per benchmark.
 type Summary struct {
 	Name         string
@@ -63,8 +56,10 @@ type Summary struct {
 // Summarize scans the trace once and returns its Summary.
 func (t *Trace) Summarize() Summary {
 	z := NewSummarizer(t.Name, t.Target)
-	for i := range t.Records {
-		z.Add(&t.Records[i])
+	for _, recs := range t.Batches() {
+		for i := range recs {
+			z.Add(&recs[i])
+		}
 	}
 	return z.Summary()
 }
@@ -159,5 +154,5 @@ type Annotation []PredState
 
 // NewAnnotation allocates an all-PredNone annotation sized for t.
 func NewAnnotation(t *Trace) Annotation {
-	return make(Annotation, len(t.Records))
+	return make(Annotation, t.Len())
 }

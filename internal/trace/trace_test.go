@@ -10,20 +10,16 @@ import (
 )
 
 func sampleTrace() *Trace {
-	return &Trace{
-		Name:   "sample",
-		Target: "axp",
-		Records: []Record{
-			{PC: 0x1000, Op: isa.LI, Rd: 4, Imm: 42},
-			{PC: 0x1004, Op: isa.LD, Rd: 5, Ra: 4, Imm: 8, Addr: 0x100008, Value: 0xDEAD, Size: 8, Class: isa.LoadIntData},
-			{PC: 0x1008, Op: isa.SD, Rb: 5, Ra: 4, Imm: 16, Addr: 0x100010, Value: 0xDEAD, Size: 8},
-			{PC: 0x100C, Op: isa.BEQ, Ra: 5, Rb: 0, Imm: 0x1000, Taken: true, Targ: 0x1000},
-			{PC: 0x1000, Op: isa.LI, Rd: 4, Imm: 42},
-			{PC: 0x1004, Op: isa.FLD, Rd: 1, Ra: 4, Imm: 8, Addr: 0x100008, Value: 0x3FF0000000000000, Size: 8, Class: isa.LoadFPData},
-			{PC: 0x1008, Op: isa.JAL, Rd: 31, Imm: 0x2000, Taken: true, Targ: 0x2000},
-			{PC: 0x2000, Op: isa.HALT},
-		},
-	}
+	return FromRecords("sample", "axp", []Record{
+		{PC: 0x1000, Op: isa.LI, Rd: 4, Imm: 42},
+		{PC: 0x1004, Op: isa.LD, Rd: 5, Ra: 4, Imm: 8, Addr: 0x100008, Value: 0xDEAD, Size: 8, Class: isa.LoadIntData},
+		{PC: 0x1008, Op: isa.SD, Rb: 5, Ra: 4, Imm: 16, Addr: 0x100010, Value: 0xDEAD, Size: 8},
+		{PC: 0x100C, Op: isa.BEQ, Ra: 5, Rb: 0, Imm: 0x1000, Taken: true, Targ: 0x1000},
+		{PC: 0x1000, Op: isa.LI, Rd: 4, Imm: 42},
+		{PC: 0x1004, Op: isa.FLD, Rd: 1, Ra: 4, Imm: 8, Addr: 0x100008, Value: 0x3FF0000000000000, Size: 8, Class: isa.LoadFPData},
+		{PC: 0x1008, Op: isa.JAL, Rd: 31, Imm: 0x2000, Taken: true, Targ: 0x2000},
+		{PC: 0x2000, Op: isa.HALT},
+	})
 }
 
 func TestSummarize(t *testing.T) {
@@ -51,8 +47,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got.Name != tr.Name || got.Target != tr.Target {
 		t.Errorf("header = %q/%q, want %q/%q", got.Name, got.Target, tr.Name, tr.Target)
 	}
-	if !reflect.DeepEqual(got.Records, tr.Records) {
-		t.Errorf("records differ:\n got %+v\nwant %+v", got.Records, tr.Records)
+	if !reflect.DeepEqual(got.Expand(), tr.Expand()) {
+		t.Errorf("records differ:\n got %+v\nwant %+v", got.Expand(), tr.Expand())
 	}
 }
 
@@ -70,10 +66,10 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	gen := func() *Trace {
 		n := rnd.Intn(200)
-		tr := &Trace{Name: "q", Target: "ppc", Records: make([]Record, n)}
+		recs := make([]Record, n)
 		pc := uint64(0x1000)
 		ops := []isa.Op{isa.ADD, isa.LW, isa.SD, isa.BEQ, isa.JAL, isa.FLD, isa.LI, isa.FDIV}
-		for i := range tr.Records {
+		for i := range recs {
 			op := ops[rnd.Intn(len(ops))]
 			r := Record{
 				PC: pc, Op: op,
@@ -92,10 +88,10 @@ func TestCodecRoundTripProperty(t *testing.T) {
 				r.Taken = rnd.Intn(2) == 0
 				r.Targ = pc + uint64(rnd.Intn(4096))
 			}
-			tr.Records[i] = r
+			recs[i] = r
 			pc += 4
 		}
-		return tr
+		return FromRecords("q", "ppc", recs)
 	}
 	for range 50 {
 		tr := gen()
@@ -103,7 +99,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("read: %v", err)
 		}
-		if !reflect.DeepEqual(got.Records, tr.Records) {
+		if !reflect.DeepEqual(got.Expand(), tr.Expand()) {
 			t.Fatal("random trace did not round-trip")
 		}
 	}
@@ -124,8 +120,8 @@ func TestPredStateStrings(t *testing.T) {
 func TestNewAnnotationSized(t *testing.T) {
 	tr := sampleTrace()
 	a := NewAnnotation(tr)
-	if len(a) != len(tr.Records) {
-		t.Fatalf("annotation len %d, want %d", len(a), len(tr.Records))
+	if len(a) != tr.Len() {
+		t.Fatalf("annotation len %d, want %d", len(a), tr.Len())
 	}
 	for _, p := range a {
 		if p != PredNone {
@@ -151,17 +147,17 @@ func TestRecordInstRoundTrip(t *testing.T) {
 func TestCodecPersistsResultValues(t *testing.T) {
 	// Non-memory records carry result values (general value prediction);
 	// the codec must round-trip them via the flagVal path.
-	tr := &Trace{Name: "v", Target: "axp", Records: []Record{
+	tr := FromRecords("v", "axp", []Record{
 		{PC: 0x1000, Op: isa.ADD, Rd: 5, Ra: 1, Rb: 2, Value: 0xCAFE},
 		{PC: 0x1004, Op: isa.FADD, Rd: 2, Ra: 1, Rb: 3, Value: 0x3FF0000000000000},
 		{PC: 0x1008, Op: isa.SUB, Rd: 6, Ra: 5, Rb: 5, Value: 0}, // zero omitted, still round-trips
-	}}
+	})
 	got, err := readVLT1(encodeTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Records, tr.Records) {
-		t.Errorf("result values did not round-trip:\n got %+v\nwant %+v", got.Records, tr.Records)
+	if !reflect.DeepEqual(got.Expand(), tr.Expand()) {
+		t.Errorf("result values did not round-trip:\n got %+v\nwant %+v", got.Expand(), tr.Expand())
 	}
 }
 

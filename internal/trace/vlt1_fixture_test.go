@@ -52,8 +52,8 @@ func sameTrace(t *testing.T, how string, got, want *Trace) {
 	if got.Name != want.Name || got.Target != want.Target {
 		t.Fatalf("%s: header %q/%q, want %q/%q", how, got.Name, got.Target, want.Name, want.Target)
 	}
-	if !reflect.DeepEqual(got.Records, want.Records) {
-		t.Fatalf("%s: records differ:\n got %+v\nwant %+v", how, got.Records, want.Records)
+	if !reflect.DeepEqual(got.Expand(), want.Expand()) {
+		t.Fatalf("%s: records differ:\n got %+v\nwant %+v", how, got.Expand(), want.Expand())
 	}
 }
 
@@ -65,7 +65,7 @@ func TestVLT1Fixtures(t *testing.T) {
 	want := fixtureWant(t)
 	var loads [isa.NumLoadClasses]bool
 	var stores, taken, notTaken, values, imms bool
-	for _, r := range want.Records {
+	for _, r := range want.Expand() {
 		switch {
 		case r.IsLoad():
 			loads[r.Class] = true
@@ -118,8 +118,8 @@ func TestVLT1Fixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameTrace(t, "OpenFile", got, want)
-			if d.Count() != uint64(len(want.Records)) || d.Decoded() != d.Count() {
-				t.Fatalf("Count()=%d Decoded()=%d, want %d", d.Count(), d.Decoded(), len(want.Records))
+			if d.Count() != uint64(want.Len()) || d.Decoded() != d.Count() {
+				t.Fatalf("Count()=%d Decoded()=%d, want %d", d.Count(), d.Decoded(), want.Len())
 			}
 			var buf [1]Record
 			if n, err := d.NextBatch(buf[:]); n != 0 || err != io.EOF {
@@ -153,7 +153,7 @@ func TestPaddedEncodingLayout(t *testing.T) {
 	headerLen := len(magic) +
 		uvarintLen(uint64(len(want.Name))) + len(want.Name) +
 		uvarintLen(uint64(len(want.Target))) + len(want.Target)
-	minCount := uvarintLen(uint64(len(want.Records)))
+	minCount := uvarintLen(uint64(want.Len()))
 	const paddedCount = 10
 	if !bytes.Equal(minimal[:headerLen], padded[:headerLen]) {
 		t.Fatal("headers before the count field differ")

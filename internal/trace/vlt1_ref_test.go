@@ -16,7 +16,7 @@ func encodeVLT1(t *Trace, padded bool) []byte {
 	b = append(b, t.Name...)
 	b = binary.AppendUvarint(b, uint64(len(t.Target)))
 	b = append(b, t.Target...)
-	n := uint64(len(t.Records))
+	n := uint64(t.Len())
 	if padded {
 		for range binary.MaxVarintLen64 - 1 {
 			b = append(b, byte(n)|0x80)
@@ -27,8 +27,9 @@ func encodeVLT1(t *Trace, padded bool) []byte {
 		b = binary.AppendUvarint(b, n)
 	}
 	var prevPC uint64
-	for i := range t.Records {
-		r := &t.Records[i]
+	recs := t.Expand()
+	for i := range recs {
+		r := &recs[i]
 		var flags byte
 		if r.IsLoad() || r.IsStore() {
 			flags |= flagMem

@@ -533,10 +533,12 @@ func Write2(w io.Writer, t *Trace, opts Writer2Options) error {
 	if err != nil {
 		return err
 	}
-	for i := range t.Records {
-		if err := w2.WriteRecord(&t.Records[i]); err != nil {
-			w2.Close()
-			return err
+	for _, recs := range t.Batches() {
+		for i := range recs {
+			if err := w2.WriteRecord(&recs[i]); err != nil {
+				w2.Close()
+				return err
+			}
 		}
 	}
 	return w2.Close()

@@ -67,7 +67,7 @@ func forgeCodec(enc []byte, codec byte) []byte {
 //  2. any accepted input is canonical: re-encoding the decoded records and
 //     decoding again reproduces them exactly.
 func FuzzVLT2RoundTrip(f *testing.F) {
-	seed := &Trace{Name: "seed", Target: "ppc", Records: genRecords(300, 7)}
+	seed := FromRecords("seed", "ppc", genRecords(300, 7))
 	for _, opts := range fuzzCodecs {
 		f.Add(encodeVLT2(seed, opts))
 	}
@@ -94,7 +94,7 @@ func FuzzVLT2RoundTrip(f *testing.F) {
 		}
 		// Canonicality: accepted input must survive a re-encode round trip
 		// under each payload codec.
-		tr := &Trace{Name: ir.Name(), Target: ir.Target(), Records: recs}
+		tr := FromRecords(ir.Name(), ir.Target(), recs)
 		for _, opts := range fuzzCodecs[:2] {
 			re, err := NewIndexedReaderBytes(encodeVLT2(tr, opts))
 			if err != nil {
@@ -167,7 +167,7 @@ func TestVLT2Hostile(t *testing.T) {
 		}
 	})
 
-	tr := &Trace{Name: "hostile", Target: "ppc", Records: genRecords(500, 11)}
+	tr := FromRecords("hostile", "ppc", genRecords(500, 11))
 	for _, base := range []struct {
 		name string
 		opts Writer2Options

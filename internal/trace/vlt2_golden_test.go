@@ -47,7 +47,7 @@ func TestVLT2WriterGolden(t *testing.T) {
 				digest(fmt.Sprintf("%s %s %v", b.Name, tg.Name, c), tr, trace.Writer2Options{Codec: c})
 			}
 			if b.Name == "grep" && tg == prog.PPC {
-				short := &trace.Trace{Name: tr.Name, Target: tr.Target, Records: tr.Records[:1000]}
+				short := trace.FromRecords(tr.Name, tr.Target, tr.Expand()[:1000])
 				digest("grep ppc flate blocks=7 first=1000", short, trace.Writer2Options{Codec: trace.CodecFlate, BlockRecords: 7})
 			}
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -63,7 +64,7 @@ func NewIndexedReader(ra io.ReaderAt, size int64) (*IndexedReader, error) {
 // NewIndexedReaderBytes opens an in-memory VLT2 image zero-copy: block
 // payloads decode directly from data.
 func NewIndexedReaderBytes(data []byte) (*IndexedReader, error) {
-	ir := &IndexedReader{data: data, m: newV2Metrics(nil)}
+	ir := &IndexedReader{ra: bytes.NewReader(data), data: data, m: newV2Metrics(nil)}
 	if err := ir.open(int64(len(data))); err != nil {
 		return nil, err
 	}
@@ -95,7 +96,7 @@ func (ir *IndexedReader) open(size int64) error {
 		return fmt.Errorf("%w: file too small (%d bytes)", ErrCorrupt, size)
 	}
 	// Header: magic, version, name, target.
-	hr := bufio.NewReaderSize(io.NewSectionReader(ir.ra2(), 0, size), 4096)
+	hr := bufio.NewReaderSize(io.NewSectionReader(ir.ra, 0, size), 4096)
 	var m [5]byte
 	if _, err := io.ReadFull(hr, m[:]); err != nil {
 		return fmt.Errorf("trace: reading magic: %w", err)
@@ -222,27 +223,6 @@ func (ir *IndexedReader) open(size int64) error {
 // hdrMin2 is the smallest possible data-block wire size: kind, four 1-byte
 // uvarints, codec byte, CRC, and a minimal 5-byte single-record payload.
 const hdrMin2 = 1 + 4 + 1 + 4 + minEncRecord2
-
-// ra2 returns an io.ReaderAt view even when only data is held.
-func (ir *IndexedReader) ra2() io.ReaderAt {
-	if ir.ra != nil {
-		return ir.ra
-	}
-	return bytesReaderAt(ir.data)
-}
-
-type bytesReaderAt []byte
-
-func (b bytesReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || off > int64(len(b)) {
-		return 0, io.EOF
-	}
-	n := copy(p, b[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
 
 // SetMetrics routes the reader's trace.v2.* counters into m (nil disables).
 func (ir *IndexedReader) SetMetrics(m *obs.Registry) { ir.m = newV2Metrics(m) }

@@ -24,7 +24,7 @@ var propEncodings = []struct {
 // O(1) seek must be observationally equivalent to decode-and-discard.
 func TestVLT2SeekProperty(t *testing.T) {
 	want := genRecords(5000, 23)
-	tr := &Trace{Name: "seek", Target: "ppc", Records: want}
+	tr := FromRecords("seek", "ppc", want)
 	for _, e := range propEncodings {
 		t.Run(e.name, func(t *testing.T) {
 			enc := encodeVLT2(tr, e.opts)
@@ -83,7 +83,7 @@ func TestVLT2NextBatchAllocs(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const batch, maxFlatePerBlock = 256, 32
-	tr := &Trace{Name: "alloc", Target: "ppc", Records: genRecords(200_000, 41)}
+	tr := FromRecords("alloc", "ppc", genRecords(200_000, 41))
 	for _, c := range batchDecodeCases(tr) {
 		t.Run(c.name, func(t *testing.T) {
 			d, err := NewIndexedReaderBytes(c.enc)

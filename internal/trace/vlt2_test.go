@@ -96,7 +96,7 @@ func TestVLT2RoundTrip(t *testing.T) {
 		{"empty", 0, Writer2Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := &Trace{Name: "rt", Target: "ppc", Records: genRecords(tc.n, 42)}
+			want := FromRecords("rt", "ppc", genRecords(tc.n, 42))
 			enc := encode2(t, want, tc.opts)
 			for _, bufSize := range []int{1, 7, 256} {
 				ir, err := NewIndexedReaderBytes(enc)
@@ -113,12 +113,13 @@ func TestVLT2RoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("batches of %d: %v", bufSize, err)
 				}
-				if len(got) != len(want.Records) {
-					t.Fatalf("batches of %d: decoded %d records, want %d", bufSize, len(got), len(want.Records))
+				if len(got) != want.Len() {
+					t.Fatalf("batches of %d: decoded %d records, want %d", bufSize, len(got), want.Len())
 				}
+				wantRecs := want.Expand()
 				for i := range got {
-					if got[i] != want.Records[i] {
-						t.Fatalf("batches of %d: record %d drift:\n got %+v\nwant %+v", bufSize, i, got[i], want.Records[i])
+					if got[i] != wantRecs[i] {
+						t.Fatalf("batches of %d: record %d drift:\n got %+v\nwant %+v", bufSize, i, got[i], wantRecs[i])
 					}
 				}
 			}
@@ -131,7 +132,7 @@ func TestVLT2RoundTrip(t *testing.T) {
 // trace whose block size does not divide its record count: both deliver
 // the written records.
 func TestVLT2NextMatchesNextBatch(t *testing.T) {
-	tr := &Trace{Name: "nm", Target: "axp", Records: genRecords(3000, 7)}
+	tr := FromRecords("nm", "axp", genRecords(3000, 7))
 	enc := encode2(t, tr, Writer2Options{BlockRecords: 512})
 	for _, bufSize := range []int{1, 2048} {
 		ir, err := NewIndexedReaderBytes(enc)
@@ -142,7 +143,7 @@ func TestVLT2NextMatchesNextBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batches of %d: %v", bufSize, err)
 		}
-		if !reflect.DeepEqual(got, tr.Records) {
+		if !reflect.DeepEqual(got, tr.Expand()) {
 			t.Fatalf("batches of %d: sequence differs from the written records", bufSize)
 		}
 	}
@@ -152,7 +153,7 @@ func TestVLT2NextMatchesNextBatch(t *testing.T) {
 // a realistic trace must be smaller than both its raw VLT2 and its VLT1
 // encoding.
 func TestVLT2FlateShrinks(t *testing.T) {
-	tr := &Trace{Name: "sz", Target: "ppc", Records: genRecords(50000, 3)}
+	tr := FromRecords("sz", "ppc", genRecords(50000, 3))
 	v1 := encodeTrace(tr)
 	raw := encode2(t, tr, Writer2Options{})
 	fl := encode2(t, tr, Writer2Options{Codec: CodecFlate})
@@ -245,7 +246,7 @@ func batchDecodeCases(tr *Trace) []batchDecodeCase {
 
 func benchTraceV2(b *testing.B, n int) *Trace {
 	b.Helper()
-	return &Trace{Name: "bench", Target: "ppc", Records: genRecords(n, 99)}
+	return FromRecords("bench", "ppc", genRecords(n, 99))
 }
 
 // BenchmarkVLT2DecodeBatch drains the trace in 256-record batches with the
@@ -270,7 +271,7 @@ func BenchmarkVLT2DecodeBatch(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Records)), "ns/rec")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/rec")
 		})
 	}
 }
@@ -283,5 +284,5 @@ func BenchmarkVLT2Encode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Records)), "ns/rec")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/rec")
 }

@@ -48,7 +48,7 @@ func TestSourceBatchSizes(t *testing.T) {
 				t.Fatalf("bufSize %d: %v", bufSize, err)
 			}
 		}
-		if !reflect.DeepEqual(got, want.Records) {
+		if !reflect.DeepEqual(got, want.Expand()) {
 			t.Fatalf("bufSize %d: batched execution diverged from Run", bufSize)
 		}
 		if !reflect.DeepEqual(s.Result(), wantRes) {

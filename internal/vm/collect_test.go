@@ -6,8 +6,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"unsafe"
 
+	"lvp/internal/bench"
 	"lvp/internal/isa"
 	"lvp/internal/prog"
 	"lvp/internal/trace"
@@ -36,81 +36,59 @@ func loopProgram(iters int) *prog.Program {
 	return &prog.Program{Name: "loop", Target: prog.PPC, Code: code, Entry: prog.CodeBase}
 }
 
-// TestRunMatchesSource checks the chunked collector at and around chunk
-// boundaries: Run's records equal the Source's record stream pulled one
-// record per NextBatch, its Result is the same, and Records is allocated at
-// exactly its final length.
+// TestRunMatchesSource checks that Run's compact trace expands to exactly
+// the Source's record stream, with the same Result: on NOP programs around
+// the trace builder's chunk boundaries (pulled one record per NextBatch),
+// and on every workload of the suite on both targets at scale 1.
 func TestRunMatchesSource(t *testing.T) {
-	for _, n := range []int{1, runChunk - 1, runChunk, runChunk + 1, 3 * runChunk} {
-		p := nopProgram(n)
+	check := func(name string, p *prog.Program, batch int) {
 		tr, res, err := Run(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := NewSource(p, 0)
-		var recs []trace.Record
-		var one [1]trace.Record
-		for {
-			k, err := src.NextBatch(one[:])
-			recs = append(recs, one[:k]...)
-			if err == io.EOF {
-				break
+		buf := make([]trace.Record, batch)
+		n := 0
+		for _, recs := range tr.Batches() {
+			for len(recs) > 0 {
+				k, err := src.NextBatch(buf[:min(batch, len(recs))])
+				if err != nil {
+					t.Fatalf("%s: Source failed after %d records: %v", name, n, err)
+				}
+				for i := range buf[:k] {
+					if buf[i] != recs[i] {
+						t.Fatalf("%s: record %d: Run %+v, Source %+v", name, n+i, recs[i], buf[i])
+					}
+				}
+				recs, n = recs[k:], n+k
 			}
+		}
+		if k, err := src.NextBatch(buf); k != 0 || err != io.EOF {
+			t.Fatalf("%s: Source has records past Run's %d (%d, %v)", name, n, k, err)
+		}
+		if want := src.Result(); !reflect.DeepEqual(res, want) {
+			t.Fatalf("%s: Result %+v, want %+v", name, res, want)
+		}
+	}
+	const chunk = 1 << 16
+	for _, n := range []int{1, chunk - 1, chunk, chunk + 1, 3 * chunk} {
+		check(fmt.Sprintf("nop%d", n), nopProgram(n), 1)
+	}
+	for _, b := range bench.All() {
+		for _, target := range []prog.Target{prog.PPC, prog.AXP} {
+			p, err := b.Build(target, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if len(tr.Records) != n || !reflect.DeepEqual(tr.Records, recs) {
-			t.Fatalf("n=%d: Run yielded %d records, differing from the Source's %d", n, len(tr.Records), len(recs))
-		}
-		if want := src.Result(); !reflect.DeepEqual(res, want) {
-			t.Fatalf("n=%d: Result %+v, want %+v", n, res, want)
-		}
-		if cap(tr.Records) != len(tr.Records) {
-			t.Fatalf("n=%d: cap(Records) = %d, want len %d", n, cap(tr.Records), len(tr.Records))
+			check(b.Name+"/"+target.Name, p, 256)
 		}
 	}
 }
 
-// TestCollectLengths drives collect from a synthetic batch source,
-// including the empty stream no program can produce, with batches that do
-// not divide the chunk, and an error mid-stream.
-func TestCollectLengths(t *testing.T) {
-	for _, n := range []int{0, 1, runChunk - 1, runChunk, runChunk + 1, 3 * runChunk} {
-		i := 0
-		next := func(buf []trace.Record) (int, error) {
-			if i == n {
-				return 0, io.EOF
-			}
-			k := min(len(buf), n-i, 1000)
-			for j := range buf[:k] {
-				buf[j] = trace.Record{PC: uint64(i + j)}
-			}
-			i += k
-			return k, nil
-		}
-		recs, err := collect(next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != n || cap(recs) != n {
-			t.Fatalf("n=%d: len %d cap %d", n, len(recs), cap(recs))
-		}
-		for j := range recs {
-			if recs[j].PC != uint64(j) {
-				t.Fatalf("n=%d: record %d has PC %d", n, j, recs[j].PC)
-			}
-		}
-	}
-	boom := fmt.Errorf("boom")
-	if _, err := collect(func([]trace.Record) (int, error) { return 1, boom }); err != boom {
-		t.Fatalf("error = %v, want %v", err, boom)
-	}
-}
-
-// TestRunAllocBound pins Run's allocation on a trace of 1M+ records: the
-// chunks plus the exact-length result, at most 2.5x the final records'
-// bytes (append-doubling allocated about 5x).
+// TestRunAllocBound pins Run's allocation on a trace of 1M+ records at most
+// 2.5x the compact trace's final bytes: the builder's chunked lanes plus the
+// exact-length lanes they are copied into (append-growth would allocate
+// about 5x).
 func TestRunAllocBound(t *testing.T) {
 	p := loopProgram(600_000)
 	var before, after runtime.MemStats
@@ -121,15 +99,14 @@ func TestRunAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(tr.Records)
-	if n < 1_000_000 {
+	if n := tr.Len(); n < 1_000_000 {
 		t.Fatalf("trace has %d records, want 1M+", n)
 	}
-	final := float64(n) * float64(unsafe.Sizeof(trace.Record{}))
+	final := float64(tr.ResidentBytes())
 	got := float64(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("Run allocated %.2fx the final records' bytes", got/final)
+	t.Logf("Run allocated %.2fx the compact trace's %.1f MB", got/final, final/(1<<20))
 	if got > 2.5*final {
-		t.Fatalf("Run allocated %.1f MB for %.1f MB of records (%.2fx), want <= 2.5x",
+		t.Fatalf("Run allocated %.1f MB for a %.1f MB trace (%.2fx), want <= 2.5x",
 			got/(1<<20), final/(1<<20), got/final)
 	}
 }

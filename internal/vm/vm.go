@@ -29,52 +29,16 @@ type Result struct {
 	Pages  int      // memory footprint in 4 KiB pages
 }
 
-// Run executes p to completion and returns its full trace and result.
+// Run executes p to completion and returns its full trace, compacted as it
+// runs (trace.Collect), and its result. A run longer than a trace can hold
+// (trace.MaxRecords) fails with ErrStepLimit.
 func Run(p *prog.Program, maxSteps int) (*trace.Trace, *Result, error) {
-	src := NewSource(p, maxSteps)
-	recs, err := collect(src.NextBatch)
+	src := NewSource(p, min(maxSteps, trace.MaxRecords))
+	t, err := trace.Collect(p.Name, p.Target.Name, src)
 	if err != nil {
 		return nil, nil, err
 	}
-	t := &trace.Trace{Name: p.Name, Target: p.Target.Name, Records: recs}
 	return t, src.Result(), nil
-}
-
-// runChunk is the record count of each buffer Run fills while the trace's
-// final length is still unknown.
-const runChunk = 1 << 15
-
-// collect drains a batch source (see trace.BatchSource) into fixed-size
-// chunks, then copies them into one slice of exactly the final length. No
-// buffer is ever regrown, so the run allocates the records about twice —
-// chunks plus result — where append-doubling would allocate and copy them
-// several times over.
-func collect(next func([]trace.Record) (int, error)) ([]trace.Record, error) {
-	var full [][]trace.Record
-	cur := make([]trace.Record, runChunk)
-	n := 0
-	for {
-		if n == len(cur) {
-			full = append(full, cur)
-			cur = make([]trace.Record, runChunk)
-			n = 0
-		}
-		k, err := next(cur[n:])
-		n += k
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	recs := make([]trace.Record, len(full)*runChunk+n)
-	off := 0
-	for _, c := range full {
-		off += copy(recs[off:], c)
-	}
-	copy(recs[off:], cur[:n])
-	return recs, nil
 }
 
 // Exec executes p without retaining a trace (functional testing).

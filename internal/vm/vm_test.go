@@ -271,8 +271,9 @@ func TestTraceRecordsMemoryOps(t *testing.T) {
 		b.Load(isa.LD, prog.T2, prog.T0, 8, isa.LoadIntData)
 	})
 	var load, store *trace.Record
-	for i := range tr.Records {
-		r := &tr.Records[i]
+	recs := tr.Expand()
+	for i := range recs {
+		r := &recs[i]
 		if r.IsLoad() && r.Class == isa.LoadIntData && r.Value == 0xABCD {
 			load = r
 		}

@@ -11,9 +11,9 @@
 //   - cycle-level machine models of the PowerPC 620, 620+ and Alpha AXP
 //     21164 with LVP integration (Simulate620, Simulate620Plus,
 //     Simulate21164), paper §4. These pass the in-memory trace to each
-//     model's single Simulate entry point as one span; the same entry
-//     point also runs a streamed, annotated trace in bounded memory (see
-//     README, "Streaming mode");
+//     model's single Simulate entry point as fixed-size slabs; the same
+//     entry point also runs a streamed, annotated trace in bounded memory
+//     (see README, "Streaming mode");
 //   - experiment drivers regenerating every table and figure of the
 //     paper's evaluation (NewSuite and the exp.Suite methods), paper §6.
 //
@@ -73,7 +73,11 @@ func BenchmarkNames() []string { return bench.Names() }
 
 // --- traces ---
 
-// Trace is a dynamic instruction trace.
+// Trace is a dynamic instruction trace, stored compactly: each distinct
+// static instruction once, plus per-record lanes of dynamic facts. Len is
+// the record count; Batches walks the records in reused batches
+// (for base, recs := range t.Batches()), Mem returns the load and store
+// lanes, and Expand materializes every record (48 B each).
 type Trace = trace.Trace
 
 // Record is one dynamic instruction.

@@ -16,8 +16,8 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Name != "grep" || tr.Target != "ppc" || len(tr.Records) == 0 {
-		t.Fatalf("bad trace: %s/%s, %d records", tr.Name, tr.Target, len(tr.Records))
+	if tr.Name != "grep" || tr.Target != "ppc" || tr.Len() == 0 {
+		t.Fatalf("bad trace: %s/%s, %d records", tr.Name, tr.Target, tr.Len())
 	}
 	loc := lvp.MeasureLocality(tr, 1, 16)
 	if len(loc) != 2 || loc[0].Depth != 1 || loc[1].Depth != 16 {
@@ -30,7 +30,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ann) != len(tr.Records) {
+	if len(ann) != tr.Len() {
 		t.Fatal("annotation length mismatch")
 	}
 	if st.Loads == 0 || st.Coverage() <= 0 {
@@ -139,7 +139,7 @@ func TestFacadeSimulateMismatchedAnnotation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, a := range []lvp.Annotation{ann[:len(ann)/2], append(ann, lvp.PredNone)} {
-			want := fmt.Sprintf("%d states for %d records", len(a), len(tr.Records))
+			want := fmt.Sprintf("%d states for %d records", len(a), tr.Len())
 			func() {
 				defer func() {
 					err, _ := recover().(error)
