@@ -46,9 +46,10 @@ race-full:
 # whole-trace and one-record-per-batch round-trip properties (re-encoded by
 # the tests' reference encoder), and the VLT2 block-codec round-trip (the
 # indexed reader, both codecs), the compact in-memory trace's lossless
-# round trip (FromRecords then every reader) — over the whole file pipeline: raw bytes →
-# trace.OpenFile → lvp.Pipe → both timing models (never a panic; decode
-# errors come back from Simulate) — and over the assembler: source text →
+# round trip (FromRecords then every reader) — over the whole file pipeline:
+# raw bytes → trace.OpenFile → trace.ReadAll → lvp.Annotate(Simple) → both
+# timing models, with the annotation and without (never a panic; decode
+# errors come back from ReadAll) — and over the assembler: source text →
 # asm.Assemble → a step-bounded vm.Exec (errors allowed, never a panic or
 # an unbounded allocation).
 fuzz:
@@ -97,22 +98,21 @@ bench-json:
 # Writer2 and the LVP hot paths; the VLT2 reader's batch path at 0 allocs
 # per block on raw blocks and a bounded count per block on flate), the
 # 10M-record peak-RSS bound of a Writer2 file read back by the IndexedReader
-# through ReadAt, the per-workload differential between vm.Source →
-# lvp.Pipe → Simulate and the suite's in-memory cells, the slab contract of
-# both timing models (stats independent of how the trace is cut into slabs;
-# source errors, and an annotation that does not fit its trace, returned,
+# through ReadAt, the timing models' invariants over random programs and
+# suite workloads (one committed instruction per record, one load state per
+# load, at least ⌈instructions / width⌉ cycles, deterministic Stats) and
+# their refusal of an annotation that does not fit its trace (an error,
 # never a panic), the batch-size checks of the VM and VLT1 sources (buffers
 # of 1, 7 and 256 records against vm.Run and ReadAll, errors included), the
-# Pipe's refill-size differential and records-before-error rule, the
 # compact in-memory trace (the FuzzTraceCompact seeds: arbitrary records,
 # hostile ones included, come back exactly through every reader; the
 # memory-op lane layout; the builder's exact-length lanes across its chunk
-# boundaries; its slabs concatenating to the records with no allocation
-# after the first; the scale-1 suite's traces at most 20 B/record), the
-# batched annotation differential, and the CVU's address-boundary
-# invalidation and insert-refresh edge cases. All of these also run as part
-# of plain `make test` / `make check`.
-STREAM_TESTS = 'AllocFree|TestStreamRSS|TestStreamDifferential|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateSlabContract|TestSimulateReturnsSourceError|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestPipeDeliversRecordsBeforeError|TestSlabsOneSpan|FuzzTraceCompact|TestMemOpsLanes|TestBuilderLanes|TestTraceResidentBytes|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
+# boundaries; its batches concatenating to the records with one allocation
+# per walk; the scale-1 suite's traces at most 20 B/record), the batched
+# annotation differential, and the CVU's address-boundary invalidation and
+# insert-refresh edge cases. All of these also run as part of plain
+# `make test` / `make check`.
+STREAM_TESTS = 'AllocFree|TestStreamRSS|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateInvariants|TestSimulateRejectsAnnotationLength|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestBatchesOneSpan|FuzzTraceCompact|TestMemOpsLanes|TestBuilderLanes|TestTraceResidentBytes|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
 
 check-stream:
 	$(GO) test -count=1 -run $(STREAM_TESTS) ./internal/trace/ ./internal/lvp/ ./internal/exp/ ./internal/vm/

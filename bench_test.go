@@ -291,7 +291,7 @@ func BenchmarkSimulate620(b *testing.B) {
 	}
 	b.ResetTimer()
 	for b.Loop() {
-		st, err := ppc620.Simulate(tr.Slabs(ann), ppc620.Config620(), "Simple", nil)
+		st, err := ppc620.Simulate(tr, ann, ppc620.Config620(), "Simple", nil)
 		if err != nil || st.Cycles == 0 {
 			b.Fatal("no cycles")
 		}

@@ -82,7 +82,7 @@ func main() {
 		for _, r := range locality.Measure(tr, locality.DefaultEntries, 1, 16) {
 			fmt.Printf("value locality, depth %2d: %5.1f%%\n", r.Depth, r.Overall.Percent())
 		}
-		base, err := ppc620.Simulate(tr.Slabs(nil), ppc620.Config620(), "", nil)
+		base, err := ppc620.Simulate(tr, nil, ppc620.Config620(), "", nil)
 		if err != nil {
 			fatal(err)
 		}
@@ -91,7 +91,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			sim, err := ppc620.Simulate(tr.Slabs(ann), ppc620.Config620(), cfg.Name, nil)
+			sim, err := ppc620.Simulate(tr, ann, ppc620.Config620(), cfg.Name, nil)
 			if err != nil {
 				fatal(err)
 			}

@@ -16,7 +16,6 @@ package axp21164
 
 import (
 	"fmt"
-	"io"
 	"log/slog"
 
 	"lvp/internal/bpred"
@@ -130,16 +129,17 @@ func execLatency(op isa.Op) int {
 	}
 }
 
-// Simulate runs an annotated record stream through the in-order model and
+// Simulate runs trace t, annotated by ann, through the in-order model and
 // returns its statistics; lvpName labels the run. The machine is a strict
-// forward pass over the source's slabs, so an in-memory trace (Trace.Slabs)
-// is walked in place and a streamed one (lvp.Pipe) runs in bounded memory.
-// Nil slab states model a machine without LVP hardware. obsTr, when
-// non-nil, receives value-misprediction squashes and cancelled predictions
-// on the sim channel and L1 misses on the cache channel. An error from the
-// source (e.g. a trace decode failure) aborts the run and is returned with
-// zero Stats.
-func Simulate(src trace.SlabSource, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
+// forward pass over t's batches. A nil ann models a machine without LVP
+// hardware; a non-nil ann must hold one state per record, or Simulate
+// returns trace.ErrAnnotationLength with zero Stats. obsTr, when non-nil,
+// receives value-misprediction squashes and cancelled predictions on the
+// sim channel and L1 misses on the cache channel.
+func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
+	if err := t.CheckAnnotation(ann); err != nil {
+		return Stats{}, err
+	}
 	hier := &cache.Hierarchy{
 		L1:        cache.MustNew(cfg.L1),
 		L2:        cache.MustNew(cfg.L2),
@@ -162,19 +162,12 @@ func Simulate(src trace.SlabSource, cfg Config, lvpName string, obsTr *obs.Trace
 		intUsed, fpUsed, memUsed, totalUsed = 0, 0, 0, 0
 	}
 
-	for {
-		recs, preds, err := src.NextSlab()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Stats{}, err
-		}
+	for base, recs := range t.Batches() {
 		for bi := range recs {
 			r := &recs[bi]
 			pred := trace.PredNone
-			if preds != nil {
-				pred = preds[bi]
+			if ann != nil {
+				pred = ann[base+bi]
 			}
 			st.Instructions++
 			info := axpInfoOf(r.Op)

@@ -18,9 +18,9 @@ func mkTrace(recs []trace.Record) *trace.Trace {
 	return trace.FromRecords("t", "axp", recs)
 }
 
-// simTrace simulates an in-memory trace: one span, which cannot fail.
+// simTrace simulates a trace whose annotation fits it, which cannot fail.
 func simTrace(tr *trace.Trace, ann trace.Annotation, cfg Config, lvpName string) Stats {
-	st, err := Simulate(tr.Slabs(ann), cfg, lvpName, nil)
+	st, err := Simulate(tr, ann, cfg, lvpName, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -8,8 +8,6 @@
 package dfg
 
 import (
-	"fmt"
-
 	"lvp/internal/isa"
 	"lvp/internal/trace"
 )
@@ -85,8 +83,8 @@ func (r Result) LimitIPC() float64 {
 // ann must hold one state per record; otherwise Analyze returns
 // trace.ErrAnnotationLength.
 func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) (Result, error) {
-	if ann != nil && len(ann) != t.Len() {
-		return Result{}, fmt.Errorf("%w: %d states for %d records", trace.ErrAnnotationLength, len(ann), t.Len())
+	if err := t.CheckAnnotation(ann); err != nil {
+		return Result{}, err
 	}
 	var readyG, readyF [isa.NumRegs]int
 	// lastStoreDone maps 8-byte-aligned addresses to the completion time

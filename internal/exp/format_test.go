@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lvp/internal/axp21164"
+	"lvp/internal/bench"
 	"lvp/internal/lvp"
 	"lvp/internal/ppc620"
 	"lvp/internal/prog"
@@ -47,24 +48,35 @@ func decodeVLT2(t *testing.T, enc []byte) *trace.Trace {
 	return got
 }
 
-// simSpan620 runs an in-memory trace through the 620 model as one span.
-func simSpan620(t *testing.T, tr *trace.Trace, ann trace.Annotation, mc ppc620.Config, name string) ppc620.Stats {
+// sim620 runs an in-memory trace through the 620 model.
+func sim620(t *testing.T, tr *trace.Trace, ann trace.Annotation, mc ppc620.Config, name string) ppc620.Stats {
 	t.Helper()
-	st, err := ppc620.Simulate(tr.Slabs(ann), mc, name, nil)
+	st, err := ppc620.Simulate(tr, ann, mc, name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-// simSpan21164 runs an in-memory trace through the 21164 model as one span.
-func simSpan21164(t *testing.T, tr *trace.Trace, ann trace.Annotation, name string) axp21164.Stats {
+// sim21164 runs an in-memory trace through the 21164 model.
+func sim21164(t *testing.T, tr *trace.Trace, ann trace.Annotation, name string) axp21164.Stats {
 	t.Helper()
-	st, err := axp21164.Simulate(tr.Slabs(ann), axp21164.Config21164(), name, nil)
+	st, err := axp21164.Simulate(tr, ann, axp21164.Config21164(), name, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// formatDiffBenches is the workload set for TestFormatDifferential: every
+// benchmark normally, a fixed subset under -short (the race gate runs
+// -short, and the full cross-product is too slow under the detector).
+func formatDiffBenches() []bench.Benchmark {
+	all := bench.All()
+	if testing.Short() {
+		return all[:4]
+	}
+	return all
 }
 
 // TestFormatDifferential is the trace-format differential gate: for every
@@ -77,7 +89,7 @@ func simSpan21164(t *testing.T, tr *trace.Trace, ann trace.Annotation, name stri
 func TestFormatDifferential(t *testing.T) {
 	mem := NewSuiteParallel(1, 1)
 	cfg := lvp.Simple
-	for _, b := range streamDiffBenches() {
+	for _, b := range formatDiffBenches() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
@@ -97,9 +109,9 @@ func TestFormatDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want620 := simSpan620(t, wantPPC, wantAnn, ppc620.Config620(), cfg.Name)
-			want620p := simSpan620(t, wantPPC, wantAnn, ppc620.Config620Plus(), cfg.Name)
-			want164 := simSpan21164(t, wantAXP, annAXP, cfg.Name)
+			want620 := sim620(t, wantPPC, wantAnn, ppc620.Config620(), cfg.Name)
+			want620p := sim620(t, wantPPC, wantAnn, ppc620.Config620Plus(), cfg.Name)
+			want164 := sim21164(t, wantAXP, annAXP, cfg.Name)
 
 			for _, f := range formatEncodings {
 				f := f
@@ -137,17 +149,17 @@ func TestFormatDifferential(t *testing.T) {
 
 					// All three machine models, fed from the decoded
 					// traces, must report identical stats.
-					if got := simSpan620(t, gotPPC, gotAnn, ppc620.Config620(), cfg.Name); !reflect.DeepEqual(got, want620) {
+					if got := sim620(t, gotPPC, gotAnn, ppc620.Config620(), cfg.Name); !reflect.DeepEqual(got, want620) {
 						t.Fatalf("620 stats differ:\n mem  %+v\n file %+v", want620, got)
 					}
-					if got := simSpan620(t, gotPPC, gotAnn, ppc620.Config620Plus(), cfg.Name); !reflect.DeepEqual(got, want620p) {
+					if got := sim620(t, gotPPC, gotAnn, ppc620.Config620Plus(), cfg.Name); !reflect.DeepEqual(got, want620p) {
 						t.Fatalf("620+ stats differ:\n mem  %+v\n file %+v", want620p, got)
 					}
 					gotAnnAXP, _, err := lvp.Annotate(gotAXP, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := simSpan21164(t, gotAXP, gotAnnAXP, cfg.Name); !reflect.DeepEqual(got, want164) {
+					if got := sim21164(t, gotAXP, gotAnnAXP, cfg.Name); !reflect.DeepEqual(got, want164) {
 						t.Fatalf("21164 stats differ:\n mem  %+v\n file %+v", want164, got)
 					}
 				})

@@ -21,91 +21,47 @@ import (
 	"lvp/internal/vm"
 )
 
-// The timing models' one entry point, Simulate, reads a trace.SlabSource.
-// These tests pin the slab contract from the consumer side: a model's Stats
-// depend only on the record and state sequence, never on how it is cut into
-// slabs, and a source error always comes back from Simulate.
+// The timing models' one entry point, Simulate, reads a compact trace and
+// its annotation. These tests pin that entry point from the caller's side:
+// the invariants every run keeps, the refusal of an annotation that does not
+// fit its trace, and (FuzzSimulate) arbitrary file bytes never panicking.
 
-// slabModel is one timing model behind a uniform signature: the simulated
-// stats (as a value comparable with reflect.DeepEqual) and the error.
-type slabModel struct {
+// timingModel is one timing model behind a uniform signature.
+type timingModel struct {
 	name   string
 	target prog.Target
-	sim    func(src trace.SlabSource) (any, error)
+	// width bounds the instructions retired per cycle: CompleteWidth on
+	// the 620, IssueWidth on the 21164.
+	width int
+	// countsUnannotated: without an annotation the model still counts
+	// every load, as PredNone (the 21164); otherwise it counts none.
+	countsUnannotated bool
+	sim               func(t *trace.Trace, ann trace.Annotation) (simResult, error)
 }
 
-var slabModels = []slabModel{
-	{"620", prog.PPC, func(src trace.SlabSource) (any, error) {
-		return ppc620.Simulate(src, ppc620.Config620(), "Simple", nil)
-	}},
-	{"620+", prog.PPC, func(src trace.SlabSource) (any, error) {
-		return ppc620.Simulate(src, ppc620.Config620Plus(), "Simple", nil)
-	}},
-	{"21164", prog.AXP, func(src trace.SlabSource) (any, error) {
-		return axp21164.Simulate(src, axp21164.Config21164(), "Simple", nil)
-	}},
+// simResult is a model's Stats plus the fields the invariants read.
+type simResult struct {
+	stats         any // the model's Stats, comparable with reflect.DeepEqual
+	cycles, insts int
+	loadStates    [trace.NumPredStates]int
 }
 
-// errSourceFailed is the error a chopSource returns after its records.
-var errSourceFailed = errors.New("source failed")
-
-// chopSource serves a fixed record stream in slabs of 1 to maxLen records,
-// copied into buffers it reuses, so a model that held on to a slab past the
-// next NextSlab call would read overwritten records. Nil ann serves nil
-// states. With failAt >= 0 the stream ends after failAt records with
-// errSourceFailed instead of io.EOF.
-type chopSource struct {
-	rnd    *rand.Rand
-	maxLen int
-	recs   []trace.Record
-	ann    trace.Annotation
-	failAt int
-	i      int
-	buf    []trace.Record
-	states []trace.PredState
-}
-
-func newChopSource(seed int64, maxLen int, tr *trace.Trace, ann trace.Annotation, failAt int) *chopSource {
-	return &chopSource{
-		rnd: rand.New(rand.NewSource(seed)), maxLen: maxLen,
-		recs: tr.Expand(), ann: ann, failAt: failAt,
-		buf: make([]trace.Record, maxLen), states: make([]trace.PredState, maxLen),
+func run620(mc ppc620.Config) func(*trace.Trace, trace.Annotation) (simResult, error) {
+	return func(t *trace.Trace, ann trace.Annotation) (simResult, error) {
+		st, err := ppc620.Simulate(t, ann, mc, "test", nil)
+		return simResult{st, st.Cycles, st.Instructions, st.LoadStates}, err
 	}
 }
 
-func (s *chopSource) NextSlab() ([]trace.Record, []trace.PredState, error) {
-	end := len(s.recs)
-	if s.failAt >= 0 {
-		end = s.failAt
-	}
-	if s.i >= end {
-		if s.failAt >= 0 {
-			return nil, nil, errSourceFailed
-		}
-		return nil, nil, io.EOF
-	}
-	n := min(1+s.rnd.Intn(s.maxLen), end-s.i)
-	recs := s.buf[:n]
-	copy(recs, s.recs[s.i:])
-	var states []trace.PredState
-	if s.ann != nil {
-		states = s.states[:n]
-		copy(states, s.ann[s.i:])
-	}
-	s.i += n
-	return recs, states, nil
+func run21164(t *trace.Trace, ann trace.Annotation) (simResult, error) {
+	st, err := axp21164.Simulate(t, ann, axp21164.Config21164(), "test", nil)
+	return simResult{st, st.Cycles, st.Instructions, st.LoadStates}, err
 }
 
-// recSource streams the records of an in-memory trace as a BatchSource.
-type recSource struct{ recs []trace.Record }
-
-func (s *recSource) NextBatch(buf []trace.Record) (int, error) {
-	if len(s.recs) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(buf, s.recs)
-	s.recs = s.recs[n:]
-	return n, nil
+var timingModels = []timingModel{
+	{"620", prog.PPC, ppc620.Config620().CompleteWidth, false, run620(ppc620.Config620())},
+	{"620+", prog.PPC, ppc620.Config620Plus().CompleteWidth, false, run620(ppc620.Config620Plus())},
+	{"21164", prog.AXP, axp21164.Config21164().IssueWidth, true, run21164},
 }
 
 // randomProgram builds a small terminating program for target: a counted
@@ -162,130 +118,112 @@ func randomProgram(seed int64, target prog.Target) (*prog.Program, error) {
 	return b.Build()
 }
 
-// slabWorkload is one trace per target plus its Simple annotation.
-type slabWorkload struct {
-	name string
-	tr   map[string]*trace.Trace
-	ann  map[string]trace.Annotation
+// randomTrace runs randomProgram(seed) for target on the VM.
+func randomTrace(tb testing.TB, seed int64, target prog.Target) *trace.Trace {
+	tb.Helper()
+	p, err := randomProgram(seed, target)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr, _, err := vm.Run(p, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
 }
 
-// slabWorkloads returns a few suite workloads and random VM programs.
-func slabWorkloads(t *testing.T) []slabWorkload {
+// annotate is lvp.Annotate for a test that cannot continue without it.
+func annotate(t *testing.T, tr *trace.Trace, cfg lvp.Config) trace.Annotation {
 	t.Helper()
+	ann, _, err := lvp.Annotate(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ann
+}
+
+// TestSimulateInvariants runs the 620, the 620+ and the 21164 over three
+// suite workloads and randomProgram seeds 1–8, each on its target, without
+// an annotation and under Simple and Perfect, and checks what every run
+// must keep: one committed instruction per record; with an annotation, one
+// load state per dynamic load (without one, the 21164 counts every load as
+// PredNone and the 620 counts none); at least ⌈instructions / width⌉
+// cycles; and the same Stats from a second run.
+func TestSimulateInvariants(t *testing.T) {
 	s := NewSuiteParallel(1, 1)
-	var out []slabWorkload
-	for _, name := range []string{"eqntott", "grep", "doduc"} {
-		w := slabWorkload{name: name, tr: map[string]*trace.Trace{}, ann: map[string]trace.Annotation{}}
-		for _, tg := range []prog.Target{prog.PPC, prog.AXP} {
-			tr, err := s.Trace(name, tg)
+	for _, m := range timingModels {
+		var traces []*trace.Trace
+		for _, name := range []string{"eqntott", "grep", "doduc"} {
+			tr, err := s.Trace(name, m.target)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ann, _, err := s.Annotation(name, tg, lvp.Simple)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.tr[tg.Name], w.ann[tg.Name] = tr, ann
+			traces = append(traces, tr)
 		}
-		out = append(out, w)
-	}
-	for seed := int64(1); seed <= 4; seed++ {
-		out = append(out, randomWorkload(t, seed))
-	}
-	return out
-}
-
-// randomWorkload runs randomProgram(seed) on both targets.
-func randomWorkload(t *testing.T, seed int64) slabWorkload {
-	t.Helper()
-	w := slabWorkload{name: fmt.Sprintf("random%d", seed), tr: map[string]*trace.Trace{}, ann: map[string]trace.Annotation{}}
-	for _, tg := range []prog.Target{prog.PPC, prog.AXP} {
-		p, err := randomProgram(seed, tg)
-		if err != nil {
-			t.Fatal(err)
+		for seed := int64(1); seed <= 8; seed++ {
+			traces = append(traces, randomTrace(t, seed, m.target))
 		}
-		tr, _, err := vm.Run(p, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ann, _, err := lvp.Annotate(tr, lvp.Simple)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.tr[tg.Name], w.ann[tg.Name] = tr, ann
-	}
-	return w
-}
-
-// TestSimulateSlabContract: on every model, workload and annotation (nil
-// and Simple), Stats are identical whether the trace arrives as one span
-// (Trace.Slabs), as Pipe refills (Simple only: a Pipe always annotates), or
-// from a source cutting it into random slabs of 1–300 records and of
-// exactly 1 record.
-func TestSimulateSlabContract(t *testing.T) {
-	for _, w := range slabWorkloads(t) {
-		for _, m := range slabModels {
-			tr, simple := w.tr[m.target.Name], w.ann[m.target.Name]
-			for _, ann := range []trace.Annotation{nil, simple} {
-				label := fmt.Sprintf("%s/%s/annotated=%v", w.name, m.name, ann != nil)
-				want, err := m.sim(tr.Slabs(ann))
+		for _, tr := range traces {
+			loads := tr.Mem().Len()
+			for _, cfg := range []*lvp.Config{nil, &lvp.Simple, &lvp.Perfect} {
+				var ann trace.Annotation
+				if cfg != nil {
+					ann = annotate(t, tr, *cfg)
+				}
+				label := fmt.Sprintf("%s/%s/%s", m.name, tr.Name, lvpLabel(cfg))
+				got, err := m.sim(tr, ann)
 				if err != nil {
-					t.Fatalf("%s: span: %v", label, err)
+					t.Fatalf("%s: %v", label, err)
 				}
-				srcs := map[string]trace.SlabSource{
-					"slabs of 1":     newChopSource(1, 1, tr, ann, -1),
-					"slabs of 1-300": newChopSource(2, 300, tr, ann, -1),
+				if got.insts != tr.Len() {
+					t.Errorf("%s: %d instructions for %d records", label, got.insts, tr.Len())
 				}
-				if ann != nil {
-					pipe, err := lvp.NewPipe(&recSource{tr.Expand()}, lvp.Simple, nil)
-					if err != nil {
-						t.Fatal(err)
+				var want [trace.NumPredStates]int
+				switch {
+				case ann != nil:
+					sum := 0
+					for _, n := range got.loadStates {
+						sum += n
 					}
-					srcs["pipe"] = pipe
+					if sum != loads {
+						t.Errorf("%s: load states %v sum to %d, want the %d loads", label, got.loadStates, sum, loads)
+					}
+				case m.countsUnannotated:
+					want[trace.PredNone] = loads
+					fallthrough
+				default:
+					if got.loadStates != want {
+						t.Errorf("%s: load states %v without an annotation, want %v", label, got.loadStates, want)
+					}
 				}
-				for how, src := range srcs {
-					got, err := m.sim(src)
-					if err != nil {
-						t.Fatalf("%s: %s: %v", label, how, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: %s diverged from the span:\n span %+v\n got  %+v", label, how, want, got)
-					}
+				if floor := (got.insts + m.width - 1) / m.width; got.cycles < floor {
+					t.Errorf("%s: %d cycles for %d instructions at width %d, below %d", label, got.cycles, got.insts, m.width, floor)
+				}
+				again, err := m.sim(tr, ann)
+				if err != nil || !reflect.DeepEqual(again.stats, got.stats) {
+					t.Errorf("%s: a second run differs (err %v):\n first  %+v\n second %+v", label, err, got.stats, again.stats)
 				}
 			}
 		}
 	}
 }
 
-// TestSimulateReturnsSourceError: a source that fails after k records
-// (k = 0, 1, mid-trace, after the last record) makes every model return
-// that error with zero Stats — never a panic, never a partial result. So
-// does an in-memory trace paired with an annotation shorter or longer than
-// it.
-func TestSimulateReturnsSourceError(t *testing.T) {
-	w := randomWorkload(t, 1)
-	for _, m := range slabModels {
-		tr, simple := w.tr[m.target.Name], w.ann[m.target.Name]
+// TestSimulateRejectsAnnotationLength: an annotation shorter or longer than
+// its trace (an empty non-nil one included) makes every model return
+// trace.ErrAnnotationLength with zero Stats — never a panic, never a partial
+// result.
+func TestSimulateRejectsAnnotationLength(t *testing.T) {
+	for _, m := range timingModels {
+		tr := randomTrace(t, 1, m.target)
+		simple := annotate(t, tr, lvp.Simple)
 		n := tr.Len()
-		for _, ann := range []trace.Annotation{simple[:n/2], append(slices.Clip(simple), trace.PredNone)} {
-			got, err := m.sim(tr.Slabs(ann))
+		for _, ann := range []trace.Annotation{simple[:0], simple[:n/2], append(slices.Clip(simple), trace.PredNone)} {
+			got, err := m.sim(tr, ann)
 			if !errors.Is(err, trace.ErrAnnotationLength) {
 				t.Fatalf("%s: %d states for %d records: err %v, want %v", m.name, len(ann), n, err, trace.ErrAnnotationLength)
 			}
-			if !reflect.ValueOf(got).IsZero() {
-				t.Fatalf("%s: %d states for %d records: partial Stats %+v", m.name, len(ann), n, got)
-			}
-		}
-		for _, k := range []int{0, 1, n / 2, n} {
-			for _, ann := range []trace.Annotation{nil, simple} {
-				got, err := m.sim(newChopSource(int64(k), 300, tr, ann, k))
-				if !errors.Is(err, errSourceFailed) {
-					t.Fatalf("%s: fail after %d of %d records (annotated=%v): err %v, want %v",
-						m.name, k, n, ann != nil, err, errSourceFailed)
-				}
-				if !reflect.ValueOf(got).IsZero() {
-					t.Fatalf("%s: fail after %d records: partial Stats %+v", m.name, k, got)
-				}
+			if !reflect.ValueOf(got.stats).IsZero() {
+				t.Fatalf("%s: %d states for %d records: partial Stats %+v", m.name, len(ann), n, got.stats)
 			}
 		}
 	}
@@ -304,14 +242,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		}
 		files = append(files, b)
 	}
-	p, err := randomProgram(1, prog.PPC)
-	if err != nil {
-		f.Fatal(err)
-	}
-	tr, _, err := vm.Run(p, 0)
-	if err != nil {
-		f.Fatal(err)
-	}
+	tr := randomTrace(f, 1, prog.PPC)
 	tr = trace.FromRecords(tr.Name, tr.Target, tr.Expand()[:min(tr.Len(), 400)])
 	for _, opts := range []trace.Writer2Options{{}, {Codec: trace.CodecFlate}} {
 		var b bytes.Buffer
@@ -327,74 +258,56 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	return seeds
 }
 
-// openImage writes data to a file in t's temp dir and returns a function
-// that opens it through trace.OpenFile; every decoder and file it opens is
-// released when t ends.
-func openImage(t *testing.T, data []byte) func() (trace.Decoder, error) {
+// openImage writes data to a file in t's temp dir and opens it through
+// trace.OpenFile; the file and the decoder are released when t ends.
+func openImage(t *testing.T, data []byte) (trace.Decoder, error) {
 	path := filepath.Join(t.TempDir(), "trace")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return func() (trace.Decoder, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { f.Close() })
-		d, err := trace.OpenFile(f)
-		if err != nil {
-			return nil, err
-		}
-		if c, ok := d.(io.Closer); ok {
-			t.Cleanup(func() { c.Close() })
-		}
-		return d, nil
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { f.Close() })
+	d, err := trace.OpenFile(f)
+	if err != nil {
+		return nil, err
+	}
+	if c, ok := d.(io.Closer); ok {
+		t.Cleanup(func() { c.Close() })
+	}
+	return d, nil
 }
 
 // FuzzSimulate drives raw bytes through the whole file pipeline: a file
-// opened by trace.OpenFile → lvp.NewPipe(Simple) → each timing model's
-// Simulate, and trace.ReadAll → Trace.Slabs(nil) for the no-LVP path. Nothing may panic; a decode error
-// must come back from Simulate exactly when ReadAll reports one; and a
-// cleanly decoded trace must simulate identically streamed and in memory.
+// opened by trace.OpenFile → trace.ReadAll → lvp.Annotate(Simple) → each
+// timing model's Simulate, with that annotation and without one. Nothing
+// may panic; a decode error surfaces from ReadAll, and a decoded trace
+// simulates without error, one committed instruction per record.
 func FuzzSimulate(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		open := openImage(t, data)
-		d, err := open()
+		d, err := openImage(t, data)
 		if err != nil {
 			return
 		}
-		whole, readErr := trace.ReadAll(d)
-		var ann trace.Annotation
-		if readErr == nil {
-			if ann, _, err = lvp.Annotate(whole, lvp.Simple); err != nil {
-				t.Fatal(err)
-			}
+		tr, err := trace.ReadAll(d)
+		if err != nil {
+			return
 		}
-		for _, m := range slabModels {
-			d, err := open()
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			pipe, err := lvp.NewPipe(d, lvp.Simple, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := m.sim(pipe)
-			if (err != nil) != (readErr != nil) {
-				t.Fatalf("%s: Simulate error %v, ReadAll error %v", m.name, err, readErr)
-			}
-			if readErr != nil {
-				continue
-			}
-			if want, err := m.sim(whole.Slabs(ann)); err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: streamed stats differ from the in-memory span (err %v)", m.name, err)
-			}
-			if _, err := m.sim(whole.Slabs(nil)); err != nil {
-				t.Fatalf("%s: no-LVP span: %v", m.name, err)
+		ann := annotate(t, tr, lvp.Simple)
+		for _, m := range timingModels {
+			for _, a := range []trace.Annotation{ann, nil} {
+				got, err := m.sim(tr, a)
+				if err != nil {
+					t.Fatalf("%s (annotated=%v): %v", m.name, a != nil, err)
+				}
+				if got.insts != tr.Len() {
+					t.Fatalf("%s (annotated=%v): %d instructions for %d records", m.name, a != nil, got.insts, tr.Len())
+				}
 			}
 		}
 	})

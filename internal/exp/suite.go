@@ -381,7 +381,7 @@ func (s *Suite) Sim21164(name string, mc axp21164.Config, cfg *lvp.Config) (axp2
 type simModel[M comparable, S any] struct {
 	phase    string      // phase timer, progress counter and span name
 	target   prog.Target // the trace target the model consumes
-	simulate func(trace.SlabSource, M, string, *obs.Tracer) (S, error)
+	simulate func(*trace.Trace, trace.Annotation, M, string, *obs.Tracer) (S, error)
 	record   func(*Suite, S) // flushes one run's counters into Metrics
 }
 
@@ -416,7 +416,7 @@ func simulate[M comparable, S any](s *Suite, c *par.Cache[simKey[M], S], m simMo
 			return zero, err
 		}
 		start := time.Now()
-		st, err := m.simulate(t.Slabs(ann), mc, label, s.Tracer)
+		st, err := m.simulate(t, ann, mc, label, s.Tracer)
 		if err != nil {
 			return zero, err
 		}
@@ -483,7 +483,7 @@ func (s *Suite) forEachIdx(n int, fn func(i int) error) error {
 		// actually used.
 		meter = s.Metrics.Gauge("pool.busy")
 	}
-	return par.ForEachMeterCtx(s.context(), s.workers(), n, meter, fn)
+	return par.ForEach(s.context(), s.workers(), n, meter, fn)
 }
 
 // column gathers f of every row in reporting order, the input of a

@@ -323,9 +323,6 @@ func IsIndirect(op Op) bool { return op == JALR }
 // IsFPLoad reports whether op loads into the FPR file.
 func IsFPLoad(op Op) bool { return op == FLW || op == FLD }
 
-// IsFPStore reports whether op stores from the FPR file.
-func IsFPStore(op Op) bool { return op == FSW || op == FSD }
-
 // MemBytes reports the access width in bytes of a load or store opcode, and
 // zero for anything else.
 func MemBytes(op Op) int {

@@ -1,8 +1,6 @@
 package lvp
 
 import (
-	"io"
-
 	"lvp/internal/obs"
 	"lvp/internal/trace"
 )
@@ -13,8 +11,7 @@ import (
 // — the unit state, classification and CVU discipline are exactly
 // Annotate's, because Annotate is implemented on top of it. RecordBatch is
 // allocation-free once its gather scratch has grown, so the per-load
-// predict/verify path can run inside the fused gen→annotate→sim pipeline at
-// full speed.
+// predict/verify path runs at full speed over any record stream.
 type Annotator struct {
 	u *Unit
 	// Gather scratch for RecordBatch: consecutive loads are copied into
@@ -73,51 +70,3 @@ func (a *Annotator) RecordBatch(recs []trace.Record, states []trace.PredState) {
 
 // Stats returns the unit statistics accumulated so far.
 func (a *Annotator) Stats() Stats { return a.u.Stats() }
-
-// pipeBatch is Pipe's refill size: large enough to amortize the per-refill
-// interface calls to nothing, small enough to stay resident in L1 (256
-// records ≈ 20 KiB).
-const pipeBatch = 256
-
-// Pipe is the streaming trace.SlabSource: each NextSlab refills a
-// pipeBatch-record buffer through src.NextBatch, annotates the refill with
-// RecordBatch, and hands records and states downstream as one slab, so a
-// record source of any length reaches a timing model in bounded memory.
-// Stats is valid once the stream has drained (NextSlab returned io.EOF).
-type Pipe struct {
-	src    trace.BatchSource
-	a      *Annotator
-	recs   [pipeBatch]trace.Record
-	states [pipeBatch]trace.PredState
-	err    error // sticky: the source's error, returned after its records
-}
-
-// NewPipe returns an annotated stream over src under cfg; tr attaches an
-// event tracer (nil disables tracing).
-func NewPipe(src trace.BatchSource, cfg Config, tr *obs.Tracer) (*Pipe, error) {
-	a, err := NewAnnotator(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	return &Pipe{src: src, a: a}, nil
-}
-
-// NextSlab returns the next annotated refill (see trace.SlabSource).
-func (p *Pipe) NextSlab() ([]trace.Record, []trace.PredState, error) {
-	if p.err != nil {
-		return nil, nil, p.err
-	}
-	n, err := p.src.NextBatch(p.recs[:])
-	p.err = err
-	if n == 0 {
-		if err == nil {
-			p.err = io.EOF // a (0, nil) source would otherwise spin
-		}
-		return nil, nil, p.err
-	}
-	p.a.RecordBatch(p.recs[:n], p.states[:n])
-	return p.recs[:n], p.states[:n], nil
-}
-
-// Stats returns the unit statistics accumulated so far.
-func (p *Pipe) Stats() Stats { return p.a.Stats() }

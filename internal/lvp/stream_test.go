@@ -48,9 +48,8 @@ func mixedTrace(n int) *trace.Trace {
 
 // TestAnnotatorMatchesAnnotate pins the single-code-path contract of the
 // streaming layer: feeding records through an Annotator in small batches
-// (and through a Pipe over a trace source) yields exactly the annotation
-// and statistics of the whole-trace Annotate, for every paper
-// configuration.
+// yields exactly the annotation and statistics of the whole-trace Annotate,
+// for every paper configuration.
 func TestAnnotatorMatchesAnnotate(t *testing.T) {
 	tr := mixedTrace(4096)
 	for _, cfg := range Configs {
@@ -77,20 +76,6 @@ func TestAnnotatorMatchesAnnotate(t *testing.T) {
 				t.Fatalf("Annotator stats differ:\n got %+v\nwant %+v", a.Stats(), wantStats)
 			}
 
-			p, err := NewPipe(&recSource{tr.Expand()}, cfg, nil)
-			if err != nil {
-				t.Fatalf("NewPipe: %v", err)
-			}
-			_, pipeAnn, err := pipeDrain(p)
-			if err != nil {
-				t.Fatalf("Pipe.NextSlab: %v", err)
-			}
-			if !reflect.DeepEqual(pipeAnn, wantAnn) {
-				t.Fatal("Pipe states differ from Annotate")
-			}
-			if !reflect.DeepEqual(p.Stats(), wantStats) {
-				t.Fatalf("Pipe stats differ:\n got %+v\nwant %+v", p.Stats(), wantStats)
-			}
 		})
 	}
 }

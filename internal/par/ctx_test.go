@@ -16,7 +16,7 @@ func TestForEachCtxCancelStopsLaunching(t *testing.T) {
 	const n = 1000
 	ctx, cancel := context.WithCancel(context.Background())
 	var launched atomic.Int64
-	err := ForEachCtx(ctx, 2, n, func(i int) error {
+	err := ForEach(ctx, 2, n, nil, func(i int) error {
 		launched.Add(1)
 		if i == 3 {
 			cancel()
@@ -37,7 +37,7 @@ func TestForEachCtxCancelStopsLaunching(t *testing.T) {
 func TestForEachCtxTaskErrorWins(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	boom := errors.New("cell failed")
-	err := ForEachCtx(ctx, 4, 50, func(i int) error {
+	err := ForEach(ctx, 4, 50, nil, func(i int) error {
 		if i == 1 {
 			cancel()
 			return boom
@@ -54,7 +54,7 @@ func TestForEachCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var launched atomic.Int64
-	err := ForEachCtx(ctx, 4, 10, func(i int) error {
+	err := ForEach(ctx, 4, 10, nil, func(i int) error {
 		launched.Add(1)
 		return nil
 	})

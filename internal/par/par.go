@@ -1,9 +1,9 @@
 // Package par provides the concurrency primitives the experiment engine is
-// built from: a bounded worker pool, a deterministic indexed fan-out helper,
-// and a single-flight memoizing cache (cache.go).
+// built from: a bounded, deterministic indexed fan-out (ForEach) and a
+// single-flight memoizing cache (cache.go).
 //
 // The design goal is determinism under parallelism: experiment drivers fan
-// work out over a Pool but merge results into pre-sized, index-addressed
+// work out with ForEach but merge results into pre-sized, index-addressed
 // slots, so the rendered tables and figures are byte-identical regardless of
 // worker count or completion order.
 package par
@@ -19,54 +19,6 @@ func DefaultWorkers() int {
 	return max(1, runtime.GOMAXPROCS(0))
 }
 
-// Pool is a bounded parallel executor. Submitted tasks run on at most
-// `workers` goroutines at once; excess submissions block in Go until a slot
-// frees up. The zero value is not usable; call NewPool.
-type Pool struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-
-	mu  sync.Mutex
-	err error
-}
-
-// NewPool returns a pool running at most workers tasks concurrently.
-// workers <= 0 selects DefaultWorkers().
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	return &Pool{sem: make(chan struct{}, workers)}
-}
-
-// Go submits one task. It blocks while all workers are busy (providing
-// backpressure so a large fan-out does not materialize every task at once).
-func (p *Pool) Go(fn func() error) {
-	p.wg.Add(1)
-	p.sem <- struct{}{}
-	go func() {
-		defer p.wg.Done()
-		defer func() { <-p.sem }()
-		if err := fn(); err != nil {
-			p.mu.Lock()
-			if p.err == nil {
-				p.err = err
-			}
-			p.mu.Unlock()
-		}
-	}()
-}
-
-// Wait blocks until every submitted task has finished and returns the first
-// error observed (in completion order). For a deterministic error choice use
-// ForEach, which reports the lowest-index failure.
-func (p *Pool) Wait() error {
-	p.wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
 // Meter observes worker occupancy: Acquire when a task starts running,
 // Release when it finishes. Implementations must be safe for concurrent use
 // (obs.Gauge satisfies this, tracking busy count and high-water mark).
@@ -75,35 +27,17 @@ type Meter interface {
 	Release()
 }
 
-// ForEach runs fn(i) for every i in [0, n) on a bounded pool of `workers`
-// goroutines (<= 0 selects DefaultWorkers) and waits for all of them.
+// ForEach runs fn(i) for every i in [0, n) on at most `workers` goroutines
+// at once (<= 0 selects DefaultWorkers) and waits for all of them. m, when
+// non-nil, observes how many tasks are running at once.
 //
-// Each index writes its error into a private slot, and ForEach returns the
+// Once ctx is done no further indices are launched (already-running tasks
+// finish normally; fn observes cancellation itself if it checks ctx). Each
+// index writes its error into a private slot, and ForEach returns the
 // non-nil error with the lowest index — so the error path, like the success
-// path, is independent of scheduling order.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachMeter(workers, n, nil, fn)
-}
-
-// ForEachMeter is ForEach with an occupancy meter observing how many tasks
-// are running at once; m == nil meters nothing.
-func ForEachMeter(workers, n int, m Meter, fn func(i int) error) error {
-	return ForEachMeterCtx(context.Background(), workers, n, m, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: once ctx is done no further
-// indices are launched (already-running tasks finish normally; fn observes
-// cancellation itself if it checks ctx). If every launched task succeeded
-// but some indices were skipped, it returns ctx's error.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return ForEachMeterCtx(ctx, workers, n, nil, fn)
-}
-
-// ForEachMeterCtx is ForEachCtx with an occupancy meter; m == nil meters
-// nothing. Error choice stays deterministic: the non-nil error with the
-// lowest index wins, and a context error is reported only when no launched
-// task failed first.
-func ForEachMeterCtx(ctx context.Context, workers, n int, m Meter, fn func(i int) error) error {
+// path, is independent of scheduling order. ctx's error is reported only
+// when every launched task succeeded but some indices were skipped.
+func ForEach(ctx context.Context, workers, n int, m Meter, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -125,48 +126,40 @@ func TestCacheDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestPoolBounded submits far more tasks than workers and checks the
-// concurrency high-water mark never exceeds the bound.
-func TestPoolBounded(t *testing.T) {
-	const workers, tasks = 3, 40
-	p := NewPool(workers)
-	var running, highWater atomic.Int64
-	for i := 0; i < tasks; i++ {
-		p.Go(func() error {
-			n := running.Add(1)
-			for {
-				hw := highWater.Load()
-				if n <= hw || highWater.CompareAndSwap(hw, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			running.Add(-1)
-			return nil
-		})
-	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if hw := highWater.Load(); hw > workers {
-		t.Fatalf("observed %d concurrent tasks, bound is %d", hw, workers)
+// highWater is a Meter recording how many tasks run at once, and the most
+// that ever did.
+type highWater struct{ running, max atomic.Int64 }
+
+func (h *highWater) Acquire() {
+	n := h.running.Add(1)
+	for {
+		hw := h.max.Load()
+		if n <= hw || h.max.CompareAndSwap(hw, n) {
+			return
+		}
 	}
 }
 
-func TestPoolError(t *testing.T) {
-	p := NewPool(2)
-	boom := errors.New("task failed")
-	for i := 0; i < 10; i++ {
-		i := i
-		p.Go(func() error {
-			if i == 7 {
-				return boom
-			}
-			return nil
-		})
+func (h *highWater) Release() { h.running.Add(-1) }
+
+// TestForEachBounded runs far more tasks than workers and checks, through
+// the occupancy meter, that never more than workers run at once and that
+// every task is released.
+func TestForEachBounded(t *testing.T) {
+	const workers, tasks = 3, 40
+	var m highWater
+	err := ForEach(context.Background(), workers, tasks, &m, func(int) error {
+		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := p.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait = %v, want task error", err)
+	if hw := m.max.Load(); hw < 1 || hw > workers {
+		t.Fatalf("observed %d concurrent tasks, bound is %d", hw, workers)
+	}
+	if n := m.running.Load(); n != 0 {
+		t.Fatalf("%d tasks still metered as running after ForEach returned", n)
 	}
 }
 
@@ -174,7 +167,7 @@ func TestPoolError(t *testing.T) {
 func TestForEachVisitsAll(t *testing.T) {
 	const n = 100
 	var visits [n]atomic.Int64
-	err := ForEach(4, n, func(i int) error {
+	err := ForEach(context.Background(), 4, n, nil, func(i int) error {
 		visits[i].Add(1)
 		return nil
 	})
@@ -193,7 +186,7 @@ func TestForEachVisitsAll(t *testing.T) {
 // completion order.
 func TestForEachLowestIndexError(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
-		err := ForEach(8, 20, func(i int) error {
+		err := ForEach(context.Background(), 8, 20, nil, func(i int) error {
 			if i%3 == 2 { // fails at 2, 5, 8, ...
 				if i == 2 {
 					// Make the lowest failure finish last.
@@ -210,7 +203,7 @@ func TestForEachLowestIndexError(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("nope") }); err != nil {
+	if err := ForEach(context.Background(), 4, 0, nil, func(int) error { return errors.New("nope") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -220,12 +213,7 @@ func TestDefaultWorkersPositive(t *testing.T) {
 		t.Fatalf("DefaultWorkers = %d", DefaultWorkers())
 	}
 	// workers <= 0 must fall back to the default, not deadlock.
-	if err := ForEach(0, 5, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(-1)
-	p.Go(func() error { return nil })
-	if err := p.Wait(); err != nil {
+	if err := ForEach(context.Background(), 0, 5, nil, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,7 +2,7 @@ package ppc620
 
 import (
 	"fmt"
-	"io"
+	"iter"
 	"log/slog"
 
 	"lvp/internal/bpred"
@@ -15,7 +15,7 @@ import (
 const unknown = -1
 
 // entry is one dynamic instruction flowing through the machine. It keeps
-// only the record fields the model consults after fetch (the slab view a
+// only the record fields the model consults after fetch (the batch buffer a
 // record arrived in is recycled long before the entry retires): pc for
 // event tracing, addr/size for the memory disambiguation logic, the
 // register numbers plus the opTab flags for dispatch-time dependence
@@ -68,7 +68,8 @@ type entry struct {
 // below the head — see ringSize.
 type machine struct {
 	cfg  Config
-	src  trace.SlabSource
+	next func() (int, []trace.Record, bool) // pulls t.Batches()
+	ann  trace.Annotation
 	hier *cache.Hierarchy
 	bp   *bpred.Predictor
 
@@ -81,7 +82,7 @@ type machine struct {
 	liveFloor int // head at the start of the current cycle
 
 	srcDone bool
-	// The current slab: fetch consumes curRecs[bi:] record by record. A nil
+	// The current batch: fetch consumes curRecs[bi:] record by record. A nil
 	// curPreds means no LVP hardware: every record carries PredNone and no
 	// load state is counted.
 	curRecs  []trace.Record
@@ -179,20 +180,24 @@ func ringSize(cfg Config) int {
 	return size
 }
 
-// Simulate runs an annotated record stream through the machine model and
-// returns its statistics; lvpName labels the run. The fetch loop walks the
-// source's slabs in place, so an in-memory trace (Trace.Slabs) costs no
-// copies, and a streamed one (lvp.Pipe) runs in bounded memory: only the
-// machine's window of in-flight entries is held. Nil slab states model a
-// machine without LVP hardware. obsTr, when non-nil, receives machine
-// incidents (alias refetches, MSHR stalls, bank conflicts) on the sim
-// channel and L1 misses on the cache channel. An error from the source
-// (e.g. a trace decode failure) aborts the run and is returned with zero
-// Stats.
-func Simulate(src trace.SlabSource, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
+// Simulate runs trace t, annotated by ann, through the machine model and
+// returns its statistics; lvpName labels the run. Fetch pulls t's batches
+// as the machine consumes them, so only the machine's window of in-flight
+// entries is held beyond the trace. A nil ann models a machine without LVP
+// hardware; a non-nil ann must hold one state per record, or Simulate
+// returns trace.ErrAnnotationLength with zero Stats. obsTr, when non-nil,
+// receives machine incidents (alias refetches, MSHR stalls, bank conflicts)
+// on the sim channel and L1 misses on the cache channel.
+func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
+	if err := t.CheckAnnotation(ann); err != nil {
+		return Stats{}, err
+	}
+	next, stop := iter.Pull2(t.Batches())
+	defer stop()
 	m := &machine{
-		cfg: cfg,
-		src: src,
+		cfg:  cfg,
+		next: next,
+		ann:  ann,
 		hier: &cache.Hierarchy{
 			L1:        cache.MustNew(cfg.L1),
 			L2:        cache.MustNew(cfg.L2),
@@ -217,9 +222,7 @@ func Simulate(src trace.SlabSource, cfg Config, lvpName string, obsTr *obs.Trace
 	// plus a dispatch group, with retired entries not yet swept.
 	m.specHeld = make([]int, 0, 2*cfg.Completion+cfg.DispatchWidth)
 	m.rsCycle = -1
-	if err := m.run(); err != nil {
-		return Stats{}, err
-	}
+	m.run()
 	m.stats.Instructions = m.fetched
 	m.stats.L1 = m.hier.L1.Stats()
 	m.stats.L2 = m.hier.L2.Stats()
@@ -309,27 +312,20 @@ func execLatency(op isa.Op) int {
 	}
 }
 
-// refill loads the next slab into the fetch window's view. srcDone is set
-// once the upstream is exhausted; an empty source is detected by the prime
-// call before cycle 0 (an empty run performs zero cycles).
-func (m *machine) refill() error {
-	recs, preds, err := m.src.NextSlab()
-	if err == io.EOF {
-		m.srcDone = true
-		m.curRecs, m.curPreds, m.bi = nil, nil, 0
-		return nil
+// refill loads the next batch into the fetch window's view. srcDone is set
+// once the trace is exhausted; an empty trace is detected by the prime call
+// before cycle 0 (an empty run performs zero cycles).
+func (m *machine) refill() {
+	base, recs, ok := m.next()
+	m.srcDone = !ok
+	m.curRecs, m.curPreds, m.bi = recs, nil, 0
+	if ok && m.ann != nil {
+		m.curPreds = m.ann[base : base+len(recs)]
 	}
-	if err != nil {
-		return err
-	}
-	m.curRecs, m.curPreds, m.bi = recs, preds, 0
-	return nil
 }
 
-func (m *machine) run() error {
-	if err := m.refill(); err != nil {
-		return err
-	}
+func (m *machine) run() {
+	m.refill()
 	cycle := 0
 	const safetyFactor = 200 // cycles per instruction upper bound
 	for !m.srcDone || m.head < m.fetched {
@@ -337,9 +333,7 @@ func (m *machine) run() error {
 		m.complete(cycle)
 		m.issue(cycle)
 		m.dispatch(cycle)
-		if err := m.fetch(cycle); err != nil {
-			return err
-		}
+		m.fetch(cycle)
 		// Clear the bank-usage slot this cycle vacates.
 		m.bankRing[(cycle+len(m.bankRing)-1)&(len(m.bankRing)-1)] = [8]uint8{}
 		cycle++
@@ -348,17 +342,16 @@ func (m *machine) run() error {
 		}
 	}
 	m.stats.Cycles = cycle
-	return nil
 }
 
 // --- fetch ---
 
-func (m *machine) fetch(cycle int) error {
+func (m *machine) fetch(cycle int) {
 	// Fetch is blocked while a mispredicted branch is unresolved.
 	if m.fetchStallEntry >= 0 {
 		e := m.at(m.fetchStallEntry)
 		if !e.issued || cycle <= e.doneC {
-			return nil
+			return
 		}
 		m.fetchStallEntry = -1
 	}
@@ -366,11 +359,8 @@ func (m *machine) fetch(cycle int) error {
 	width := min(m.cfg.FetchWidth, space)
 	for k := 0; k < width && !m.srcDone; k++ {
 		if m.bi >= len(m.curRecs) {
-			if err := m.refill(); err != nil {
-				return err
-			}
-			if m.srcDone {
-				return nil
+			if m.refill(); m.srcDone {
+				return
 			}
 		}
 		r := &m.curRecs[m.bi]
@@ -391,18 +381,17 @@ func (m *machine) fetch(cycle int) error {
 		e := m.at(i)
 		m.prepare(e, i, r, pred, info)
 		m.fetched++
-		// Branch prediction happens at fetch, against the slab record
+		// Branch prediction happens at fetch, against the batch record
 		// (still valid here); a mispredicted branch stalls further fetch
 		// until it resolves.
 		if info.flags&opIsBranch != 0 {
 			if m.bp.Resolve(r) {
 				e.mispred = true
 				m.fetchStallEntry = i
-				return nil
+				return
 			}
 		}
 	}
-	return nil
 }
 
 // --- dispatch ---

@@ -387,7 +387,7 @@ func (m *Manager) runJob(job *Job) {
 	m.metrics.Histogram("serve.job.queue_wait_ns").Observe(int64(queueWait))
 
 	jobStart := time.Now()
-	err := par.ForEachCtx(jctx, m.cfg.Workers, len(job.Cells), func(i int) error {
+	err := par.ForEach(jctx, m.cfg.Workers, len(job.Cells), nil, func(i int) error {
 		cctx, endCell := obs.StartSpan(jctx, "cell",
 			slog.Int("index", i), slog.String("cell", job.Cells[i].String()))
 		res, cerr := m.runCell(cctx, job.Cells[i], job.Spec.Scale)

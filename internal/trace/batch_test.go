@@ -105,55 +105,38 @@ func runBatchErrDiff(t *testing.T, enc []byte) {
 	}
 }
 
-// TestSlabsOneSpan pins the in-memory SlabSource: the slabs concatenate to
-// the trace's records, each carrying its slice of the annotation (nil
-// without LVP hardware); then io.EOF on every later call, and an empty trace
-// is EOF at once. After the first slab, NextSlab allocates nothing.
-func TestSlabsOneSpan(t *testing.T) {
+// TestBatchesOneSpan pins the in-memory walk the timing models and the
+// record walks read: Batches yields non-empty batches of at most
+// batchRecords records whose bases are consecutive and which concatenate to
+// the trace's records; an empty trace yields nothing; and a walk allocates
+// once, its buffer.
+func TestBatchesOneSpan(t *testing.T) {
 	for _, n := range []int{1, batchRecords - 1, batchRecords, 3*batchRecords + 7} {
 		tr := genTrace(n)
-		want := tr.Expand()
-		ann := NewAnnotation(tr)
-		for i := range ann {
-			ann[i] = PredState(i % int(NumPredStates))
+		var recs []Record
+		for base, batch := range tr.Batches() {
+			if base != len(recs) || len(batch) == 0 || len(batch) > batchRecords {
+				t.Fatalf("n=%d: batch of %d records at base %d after %d records", n, len(batch), base, len(recs))
+			}
+			recs = append(recs, batch...)
 		}
-		for _, a := range []Annotation{nil, ann} {
-			src := tr.Slabs(a)
-			var recs []Record
-			var states Annotation
-			for {
-				r, st, err := src.NextSlab()
-				if err == io.EOF {
-					break
-				}
-				if err != nil || len(r) == 0 || (st == nil) != (a == nil) || (a != nil && len(st) != len(r)) {
-					t.Fatalf("n=%d: slab of %d records, %d states, err %v", n, len(r), len(st), err)
-				}
-				recs, states = append(recs, r...), append(states, st...)
-			}
-			if !reflect.DeepEqual(recs, want) || (a != nil && !reflect.DeepEqual(states, a)) {
-				t.Fatalf("n=%d: slabs do not concatenate to the trace and its annotation", n)
-			}
-			for i := 0; i < 2; i++ {
-				if recs, states, err := src.NextSlab(); err != io.EOF || recs != nil || states != nil {
-					t.Fatalf("after the last slab: %d records, %d states, err %v; want io.EOF", len(recs), len(states), err)
-				}
-			}
+		if !reflect.DeepEqual(recs, tr.Expand()) {
+			t.Fatalf("n=%d: batches do not concatenate to the trace", n)
 		}
 	}
-	if _, _, err := FromRecords("", "", nil).Slabs(nil).NextSlab(); err != io.EOF {
-		t.Fatalf("empty trace: err %v, want io.EOF", err)
+	for range FromRecords("", "", nil).Batches() {
+		t.Fatal("empty trace yielded a batch")
 	}
 	if raceEnabled {
 		return
 	}
 	tr := genTrace(8 * batchRecords)
-	src := tr.Slabs(NewAnnotation(tr))
-	if _, _, err := src.NextSlab(); err != nil {
-		t.Fatal(err)
+	walk := func() {
+		for range tr.Batches() {
+		}
 	}
-	if allocs := testing.AllocsPerRun(5, func() { src.NextSlab() }); allocs != 0 {
-		t.Fatalf("NextSlab after the first slab: %v allocs, want 0", allocs)
+	if allocs := testing.AllocsPerRun(5, walk); allocs != 1 {
+		t.Fatalf("a walk of Batches: %v allocs, want 1", allocs)
 	}
 }
 

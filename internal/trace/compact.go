@@ -25,8 +25,8 @@ import (
 //     every load's Value.
 //
 // A Trace is immutable once built and safe to share. Records materialize
-// only in reused buffers: Slabs for the timing models, Batches for the walks
-// and writers.
+// only in the reused buffer behind Batches, which the walks, the writers and
+// the timing models read.
 type Trace struct {
 	Name   string // benchmark name, e.g. "grep"
 	Target string // codegen target, e.g. "ppc" or "axp"
@@ -145,7 +145,7 @@ func (c *cursor) fill(buf []Record) int {
 	return n
 }
 
-// batchRecords is the size of the reused buffer behind Batches and Slabs
+// batchRecords is the size of the reused buffer behind Batches
 // (48 KiB of records).
 const batchRecords = 1024
 
@@ -165,48 +165,11 @@ func (t *Trace) Batches() iter.Seq2[int, []Record] {
 }
 
 // Expand returns all of t's records in a new slice, at 48 bytes per record:
-// for tests and small tools, where the pipeline uses Batches or Slabs.
+// for tests and small tools, where the pipeline uses Batches.
 func (t *Trace) Expand() []Record {
 	recs := make([]Record, t.Len())
 	(&cursor{t: t}).fill(recs)
 	return recs
-}
-
-// slabs is the in-memory SlabSource: the trace expanded into one buffer per
-// source, with the annotation handed out in place.
-type slabs struct {
-	c   cursor
-	ann Annotation
-	buf []Record
-	err error
-}
-
-func (s *slabs) NextSlab() ([]Record, []PredState, error) {
-	base := s.c.i
-	switch {
-	case s.err != nil:
-		return nil, nil, s.err
-	case base == s.c.t.Len():
-		return nil, nil, io.EOF
-	case s.buf == nil:
-		s.buf = make([]Record, min(s.c.t.Len(), batchRecords))
-	}
-	n := s.c.fill(s.buf)
-	if s.ann == nil {
-		return s.buf[:n], nil, nil
-	}
-	return s.buf[:n], s.ann[base : base+n], nil
-}
-
-// Slabs returns t's records paired with ann as a SlabSource of fixed-size
-// slabs, expanded into one buffer allocated on the first NextSlab. A nil ann
-// models a machine without LVP hardware; a non-nil ann whose length is not
-// t.Len() makes every NextSlab fail with ErrAnnotationLength.
-func (t *Trace) Slabs(ann Annotation) SlabSource {
-	if ann != nil && len(ann) != t.Len() {
-		return &slabs{err: fmt.Errorf("%w: %d states for %d records", ErrAnnotationLength, len(ann), t.Len())}
-	}
-	return &slabs{c: cursor{t: t}, ann: ann}
 }
 
 // lane accumulates one column of a trace under construction in chunks that

@@ -27,19 +27,14 @@ func workloadTrace(b *testing.B) *trace.Trace {
 	return tr
 }
 
-// BenchmarkTraceSlabs measures the expansion of a compact workload trace
-// into the timing models' slabs, per record.
-func BenchmarkTraceSlabs(b *testing.B) {
+// BenchmarkTraceBatches measures the expansion of a compact workload trace
+// into the batches the walks and the timing models read, per record.
+func BenchmarkTraceBatches(b *testing.B) {
 	tr := workloadTrace(b)
-	ann := trace.NewAnnotation(tr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := tr.Slabs(ann)
-		for {
-			if _, _, err := src.NextSlab(); err != nil {
-				break
-			}
+		for range tr.Batches() {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/rec")

@@ -73,7 +73,7 @@ func decodeRecords(b []byte) []Record {
 }
 
 // checkCompact requires FromRecords(recs) to give recs back exactly through
-// every reader: Expand, Batches and Slabs, and its memory-op lanes
+// every reader: Expand and Batches, and its memory-op lanes
 // to hold the loads and stores in order.
 func checkCompact(t *testing.T, recs []Record) {
 	t.Helper()
@@ -90,17 +90,6 @@ func checkCompact(t *testing.T, recs []Record) {
 			t.Fatalf("batch at %d (want %d) differs", base, n)
 		}
 		n += len(batch)
-	}
-	var slabbed []Record
-	for src := tr.Slabs(nil); ; {
-		r, _, err := src.NextSlab()
-		if err != nil {
-			break
-		}
-		slabbed = append(slabbed, r...)
-	}
-	if len(slabbed) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(slabbed, recs)) {
-		t.Fatalf("Slabs give %d records, want the input's %d", len(slabbed), len(recs))
 	}
 	m := tr.Mem()
 	if m.Records != len(recs) {

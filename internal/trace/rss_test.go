@@ -66,7 +66,7 @@ func TestStreamRSS(t *testing.T) {
 	}
 	defer f.Close()
 	seed := genTrace(64).Expand()
-	sw, err := NewWriter2(f, "rss", "ppc")
+	sw, err := NewWriter2Opts(f, "rss", "ppc", Writer2Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 
 	"lvp/internal/isa"
@@ -155,4 +156,18 @@ type Annotation []PredState
 // NewAnnotation allocates an all-PredNone annotation sized for t.
 func NewAnnotation(t *Trace) Annotation {
 	return make(Annotation, t.Len())
+}
+
+// ErrAnnotationLength reports an annotation whose length differs from its
+// trace's record count.
+var ErrAnnotationLength = errors.New("trace: annotation length differs from the trace")
+
+// CheckAnnotation reports whether ann fits t: nil (no LVP hardware) or one
+// state per record. Otherwise it returns an error wrapping
+// ErrAnnotationLength.
+func (t *Trace) CheckAnnotation(ann Annotation) error {
+	if ann != nil && len(ann) != t.Len() {
+		return fmt.Errorf("%w: %d states for %d records", ErrAnnotationLength, len(ann), t.Len())
+	}
+	return nil
 }

@@ -335,11 +335,6 @@ type Writer2 struct {
 	done bool
 }
 
-// NewWriter2 returns a streaming VLT2 writer with default options.
-func NewWriter2(w io.Writer, name, target string) (*Writer2, error) {
-	return NewWriter2Opts(w, name, target, Writer2Options{})
-}
-
 // NewWriter2Opts returns a streaming VLT2 writer with explicit options.
 func NewWriter2Opts(w io.Writer, name, target string, opts Writer2Options) (*Writer2, error) {
 	if opts.BlockRecords == 0 {

@@ -10,10 +10,8 @@
 //     Perfect), paper §3;
 //   - cycle-level machine models of the PowerPC 620, 620+ and Alpha AXP
 //     21164 with LVP integration (Simulate620, Simulate620Plus,
-//     Simulate21164), paper §4. These pass the in-memory trace to each
-//     model's single Simulate entry point as fixed-size slabs; the same
-//     entry point also runs a streamed, annotated trace in bounded memory
-//     (see README, "Streaming mode");
+//     Simulate21164), paper §4. Each passes the in-memory trace and its
+//     annotation to the model's single Simulate entry point;
 //   - experiment drivers regenerating every table and figure of the
 //     paper's evaluation (NewSuite and the exp.Suite methods), paper §6.
 //
@@ -254,19 +252,19 @@ type Stats21164 = axp21164.Stats
 // ann may be nil for a machine without LVP hardware; lvpName labels the run.
 // It panics if a non-nil ann does not have one state per record.
 func Simulate620(t *Trace, ann Annotation, lvpName string) Stats620 {
-	return must(ppc620.Simulate(t.Slabs(ann), ppc620.Config620(), lvpName, nil))
+	return must(ppc620.Simulate(t, ann, ppc620.Config620(), lvpName, nil))
 }
 
 // Simulate620Plus runs a trace through the enhanced 620+ model.
 // It panics if a non-nil ann does not have one state per record.
 func Simulate620Plus(t *Trace, ann Annotation, lvpName string) Stats620 {
-	return must(ppc620.Simulate(t.Slabs(ann), ppc620.Config620Plus(), lvpName, nil))
+	return must(ppc620.Simulate(t, ann, ppc620.Config620Plus(), lvpName, nil))
 }
 
 // Simulate21164 runs an (AXP-target) trace through the Alpha 21164 model.
 // It panics if a non-nil ann does not have one state per record.
 func Simulate21164(t *Trace, ann Annotation, lvpName string) Stats21164 {
-	return must(axp21164.Simulate(t.Slabs(ann), axp21164.Config21164(), lvpName, nil))
+	return must(axp21164.Simulate(t, ann, axp21164.Config21164(), lvpName, nil))
 }
 
 // must unwraps an in-memory simulation, whose only possible error is an
