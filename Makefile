@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream bench-json check-stream check-annotate check-zoo check-obs serve check-serve check-dist check-vlt2 loc verify clean
+.PHONY: all build check test vet race race-full fuzz bench bench-obs bench-stream bench-json check-stream check-test-lists check-annotate check-zoo check-obs serve check-serve check-dist check-vlt2 loc verify clean
 
 all: build
 
@@ -26,7 +26,7 @@ vet:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-check: build vet test race check-annotate check-zoo check-obs check-dist check-vlt2
+check: build vet check-test-lists test race check-annotate check-zoo check-obs check-dist check-vlt2
 
 # Race-detector pass over every package. -short skips the golden
 # double-render (TestGoldenSerialVsParallel), which the detector slows by an
@@ -105,17 +105,20 @@ bench-json:
 # never a panic), the batch-size checks of the VM and VLT1 sources (buffers
 # of 1, 7 and 256 records against vm.Run and ReadAll, errors included), the
 # compact in-memory trace (the FuzzTraceCompact seeds: arbitrary records,
-# hostile ones included, come back exactly through every reader; the
-# memory-op lane layout; the builder's exact-length lanes across its chunk
-# boundaries; its batches concatenating to the records with one allocation
-# per walk; the scale-1 suite's traces at most 20 B/record), the batched
+# hostile ones included, come back exactly through every reader, the row
+# view rebuilds every branch, and Scatter puts each load state on its load;
+# the memory-op lane layout; the builder's exact-length lanes across its
+# chunk boundaries; its batches concatenating to the records with one
+# allocation per walk; the scale-1 suite's traces at most 17 B/record; the
+# unit-run resident gauge equal to the cached states), the batched
 # annotation differential, and the CVU's address-boundary invalidation and
 # insert-refresh edge cases. All of these also run as part of plain
 # `make test` / `make check`.
-STREAM_TESTS = 'AllocFree|TestStreamRSS|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateInvariants|TestSimulateRejectsAnnotationLength|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestBatchesOneSpan|FuzzTraceCompact|TestMemOpsLanes|TestBuilderLanes|TestTraceResidentBytes|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
+STREAM_TESTS = 'AllocFree|TestStreamRSS|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateInvariants|TestSimulateRejectsAnnotationLength|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestBatchesOneSpan|FuzzTraceCompact|TestMemOpsLanes|TestBuilderLanes|TestTraceResidentBytes|TestUnitRunResidentBytes|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
+STREAM_PKGS = ./internal/trace/ ./internal/lvp/ ./internal/exp/ ./internal/vm/
 
 check-stream:
-	$(GO) test -count=1 -run $(STREAM_TESTS) ./internal/trace/ ./internal/lvp/ ./internal/exp/ ./internal/vm/
+	$(GO) test -count=1 -run $(STREAM_TESTS) $(STREAM_PKGS)
 
 # Annotation-slab gate, run standalone (uncached), then again under the race
 # detector (-short keeps three workloads in the suite differential): the
@@ -140,6 +143,22 @@ ANNOTATE_PKGS = . ./internal/lvp/ ./internal/exp/ ./internal/vm/ ./internal/dfg/
 check-annotate:
 	$(GO) test -count=1 -run $(ANNOTATE_TESTS) $(ANNOTATE_PKGS)
 	$(GO) test -race -count=1 -short -run $(ANNOTATE_TESTS) $(ANNOTATE_PKGS)
+
+# Test-list gate: every alternative of STREAM_TESTS and ANNOTATE_TESTS must
+# match at least one test in its packages (go test -list), so a test that is
+# deleted or renamed cannot drop out of check-stream or check-annotate
+# unnoticed. It lists each failing alternative and exits non-zero.
+check-test-lists:
+	@fail=0; \
+	check() { \
+		names=$$($(GO) test -list . $$3) || exit 1; \
+		for alt in $$(echo "$$2" | tr '|' ' '); do \
+			echo "$$names" | grep -E "^(Test|Fuzz|Benchmark|Example)" | grep -Eq -- "$$alt" || { echo "$$1: '$$alt' matches no test in $$3"; fail=1; }; \
+		done; \
+	}; \
+	check STREAM_TESTS $(STREAM_TESTS) "$(STREAM_PKGS)"; \
+	check ANNOTATE_TESTS $(ANNOTATE_TESTS) "$(ANNOTATE_PKGS)"; \
+	exit $$fail
 
 # Predictor-zoo gate, run standalone (uncached): the randomized two-level
 # differential against the map-based reference (predictions, confidence

@@ -199,9 +199,10 @@ func main() {
 	traces, locs, anns, sims := cellCounts(s)
 	recs := s.Metrics.Counter("trace.records").Value()
 	resident := s.Metrics.Gauge("trace.resident_bytes").Value()
-	fmt.Fprintf(os.Stderr, "lvpsim: %d experiments, %d cells (%d traces, %d locality, %d annotations, %d simulations) in %v; traces hold %d records in %.1f MB (%.1f B/record)\n",
+	unitRuns := s.Metrics.Gauge("annotate.resident_bytes").Value()
+	fmt.Fprintf(os.Stderr, "lvpsim: %d experiments, %d cells (%d traces, %d locality, %d annotations, %d simulations) in %v; traces hold %d records in %.1f MB (%.1f B/record); unit runs hold %.1f MB\n",
 		ran, traces+locs+anns+sims, traces, locs, anns, sims, time.Since(start).Round(time.Millisecond),
-		recs, float64(resident)/(1<<20), float64(resident)/float64(max(1, recs)))
+		recs, float64(resident)/(1<<20), float64(resident)/float64(max(1, recs)), float64(unitRuns)/(1<<20))
 
 	if *metrics != "" {
 		s.FinalizeMetrics()

@@ -129,13 +129,50 @@ func execLatency(op isa.Op) int {
 	}
 }
 
+// rowInfo is what the issue loop needs of one static row, derived once per
+// run from the isa switch functions and execLatency.
+type rowInfo struct {
+	lat   int32
+	flags uint8
+	src   [2]uint8 // scoreboard slots read (isa.Sources order); 0 = none
+	dst   uint8    // scoreboard slot written (isa.Dest); 0 = none
+}
+
+const (
+	aFP uint8 = 1 << iota
+	aLoad
+	aStore
+	aBranch
+)
+
+// rowInfos derives one rowInfo per static row.
+func rowInfos(static []trace.Record) []rowInfo {
+	rows := make([]rowInfo, len(static))
+	for j := range static {
+		r, info := &static[j], &rows[j]
+		info.lat = int32(execLatency(r.Op))
+		info.src, info.dst = isa.Slots(r.Inst())
+		switch {
+		case isFP(r.Op):
+			info.flags = aFP
+		case isa.IsLoad(r.Op):
+			info.flags = aLoad
+		case isa.IsStore(r.Op):
+			info.flags = aStore
+		case isa.IsBranch(r.Op):
+			info.flags = aBranch
+		}
+	}
+	return rows
+}
+
 // Simulate runs trace t, annotated by ann, through the in-order model and
 // returns its statistics; lvpName labels the run. The machine is a strict
-// forward pass over t's batches. A nil ann models a machine without LVP
-// hardware; a non-nil ann must hold one state per record, or Simulate
-// returns trace.ErrAnnotationLength with zero Stats. obsTr, when non-nil,
-// receives value-misprediction squashes and cancelled predictions on the
-// sim channel and L1 misses on the cache channel.
+// forward pass over t's rows and memory-op lanes, read in place. A nil ann
+// models a machine without LVP hardware; a non-nil ann must hold one state
+// per record, or Simulate returns trace.ErrAnnotationLength with zero Stats.
+// obsTr, when non-nil, receives value-misprediction squashes and cancelled
+// predictions on the sim channel and L1 misses on the cache channel.
 func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
 	if err := t.CheckAnnotation(ann); err != nil {
 		return Stats{}, err
@@ -147,9 +184,15 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 		Tracer: obsTr,
 	}
 	bp := bpred.New(bpred.Default21164)
-	st := Stats{Machine: cfg.Name, LVPConfig: lvpName}
+	st := Stats{Machine: cfg.Name, LVPConfig: lvpName, Instructions: t.Len()}
+	tr, lanes := t.Rows(), t.Mem()
+	rows := rowInfos(tr.Static)
+	load, store, tx := 0, 0, 0
+	var br trace.Record // the branch the loop last rebuilt
 
-	var readyG, readyF [isa.NumRegs]int
+	// ready[slot] is the cycle a register's value is available; slot 0
+	// (GPR R0) is never written, so it is always ready.
+	var ready [isa.NumSlots]int
 	cycle := 0
 	barrier := 0 // no instruction may issue before this cycle
 	intUsed, fpUsed, memUsed, totalUsed := 0, 0, 0, 0
@@ -162,88 +205,61 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 		intUsed, fpUsed, memUsed, totalUsed = 0, 0, 0, 0
 	}
 
-	for base, recs := range t.Batches() {
-		for bi := range recs {
-			r := &recs[bi]
+	for i, row := range tr.Sidx {
+		info := &rows[row]
+		f := info.flags
+
+		// Earliest cycle the operands allow (strict in-order).
+		start := max(cycle, barrier, ready[info.src[0]], ready[info.src[1]])
+		if start > cycle {
+			advance(start)
+		}
+		// Slot constraints.
+		fp := f&aFP != 0
+		mem := f&(aLoad|aStore) != 0
+		for totalUsed >= cfg.IssueWidth ||
+			(mem && memUsed >= cfg.MemPerCycle) ||
+			(fp && fpUsed >= cfg.FPSlots) ||
+			(!fp && intUsed >= cfg.IntSlots) {
+			advance(cycle + 1)
+			if cycle < barrier {
+				advance(barrier)
+			}
+		}
+
+		// Issue at `cycle`.
+		totalUsed++
+		if fp {
+			fpUsed++
+		} else {
+			intUsed++
+		}
+		done := cycle + int(info.lat)
+
+		switch f {
+		case aLoad:
+			memUsed++
 			pred := trace.PredNone
 			if ann != nil {
-				pred = ann[base+bi]
+				pred = ann[i]
 			}
-			st.Instructions++
-			info := axpInfoOf(r.Op)
-			f := info.flags
+			done, barrier = issueLoad(tr.Static[row].PC, lanes.Addrs[load], pred, cycle, barrier, cfg, hier, &st, obsTr)
+			load++
+		case aStore:
+			memUsed++
+			hier.Access(lanes.StoreAddrs[store])
+			store++
+			done = cycle + 1
+		case aBranch:
+			if tr.Branch(i, &tx, &br); bp.Resolve(&br) {
+				// Redirect after resolution (Table 5: 0/4).
+				barrier = max(barrier, cycle+1+cfg.BranchPenalty)
+			}
+		}
 
-			// Earliest cycle the operands allow (strict in-order). The
-			// read flags replay isa.Sources order (Ra then Rb); R0 is
-			// always ready.
-			start := max(cycle, barrier)
-			if f&aReadsAny != 0 {
-				if f&aReadsRaF != 0 {
-					if rc := readyF[r.Ra]; rc > start {
-						start = rc
-					}
-				} else if f&aReadsRaG != 0 && r.Ra != isa.R0 {
-					if rc := readyG[r.Ra]; rc > start {
-						start = rc
-					}
-				}
-				if f&aReadsRbF != 0 {
-					if rc := readyF[r.Rb]; rc > start {
-						start = rc
-					}
-				} else if f&aReadsRbG != 0 && r.Rb != isa.R0 {
-					if rc := readyG[r.Rb]; rc > start {
-						start = rc
-					}
-				}
-			}
-			if start > cycle {
-				advance(start)
-			}
-			// Slot constraints.
-			fp := f&aFP != 0
-			mem := f&(aLoad|aStore) != 0
-			for totalUsed >= cfg.IssueWidth ||
-				(mem && memUsed >= cfg.MemPerCycle) ||
-				(fp && fpUsed >= cfg.FPSlots) ||
-				(!fp && intUsed >= cfg.IntSlots) {
-				advance(cycle + 1)
-				if cycle < barrier {
-					advance(barrier)
-				}
-			}
-
-			// Issue at `cycle`.
-			totalUsed++
-			if fp {
-				fpUsed++
-			} else {
-				intUsed++
-			}
-			done := cycle + int(info.lat)
-
-			switch {
-			case f&aLoad != 0:
-				memUsed++
-				done, barrier = issueLoad(r, pred, cycle, barrier, cfg, hier, &st, obsTr)
-			case f&aStore != 0:
-				memUsed++
-				hier.Access(r.Addr)
-				done = cycle + 1
-			case f&aBranch != 0:
-				if bp.Resolve(r) {
-					// Redirect after resolution (Table 5: 0/4).
-					barrier = max(barrier, cycle+1+cfg.BranchPenalty)
-				}
-			}
-
-			// Destination availability, mirroring isa.Dest: an FPR dest
-			// wins, a GPR dest counts only for a real register.
-			if f&aDestF != 0 {
-				readyF[r.Rd] = done
-			} else if f&aDestG != 0 && r.Rd != isa.R0 {
-				readyG[r.Rd] = done
-			}
+		// Destination availability (isa.Dest).
+		if info.dst != 0 {
+			ready[info.dst] = done
 		}
 	}
 	st.Cycles = cycle + 1
@@ -255,7 +271,7 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 
 // issueLoad handles one load under the paper's 21164 LVP rules and returns
 // the cycle its value is available plus the updated issue barrier.
-func issueLoad(r *trace.Record, pred trace.PredState, cycle, barrier int,
+func issueLoad(pc, addr uint64, pred trace.PredState, cycle, barrier int,
 	cfg Config, hier *cache.Hierarchy, st *Stats, otr *obs.Tracer) (done int, newBarrier int) {
 	newBarrier = barrier
 	switch pred {
@@ -265,18 +281,18 @@ func issueLoad(r *trace.Record, pred trace.PredState, cycle, barrier int,
 		st.LoadStates[pred]++
 		return cycle, newBarrier
 	case trace.PredCorrect, trace.PredIncorrect:
-		if !hier.ProbeL1(r.Addr) {
+		if !hier.ProbeL1(addr) {
 			// The 21164 cannot stall past dispatch, so predictions
 			// on L1 misses are cancelled before any harm (§4.2).
 			st.PredictionsCancelled++
 			if otr.Enabled(obs.ChanSim) {
 				otr.Emit(obs.ChanSim, "prediction-cancelled",
-					slog.String("pc", fmt.Sprintf("%#x", r.PC)),
-					slog.String("addr", fmt.Sprintf("%#x", r.Addr)),
+					slog.String("pc", fmt.Sprintf("%#x", pc)),
+					slog.String("addr", fmt.Sprintf("%#x", addr)),
 					slog.Int("cycle", cycle))
 			}
 			st.LoadStates[trace.PredNone]++
-			res := hier.Access(r.Addr)
+			res := hier.Access(addr)
 			done = cycle + res.Latency
 			if !cfg.NonBlocking {
 				// Blocking miss: nothing issues until the fill.
@@ -285,7 +301,7 @@ func issueLoad(r *trace.Record, pred trace.PredState, cycle, barrier int,
 			}
 			return done, newBarrier
 		}
-		res := hier.Access(r.Addr) // L1 hit
+		res := hier.Access(addr) // L1 hit
 		st.LoadStates[pred]++
 		if pred == trace.PredCorrect {
 			// Dependents consumed the value at dispatch: the
@@ -300,15 +316,15 @@ func issueLoad(r *trace.Record, pred trace.PredState, cycle, barrier int,
 		newBarrier = max(newBarrier, done+1+cfg.ReissuePenalty)
 		if otr.Enabled(obs.ChanSim) {
 			otr.Emit(obs.ChanSim, "value-squash",
-				slog.String("pc", fmt.Sprintf("%#x", r.PC)),
-				slog.String("addr", fmt.Sprintf("%#x", r.Addr)),
+				slog.String("pc", fmt.Sprintf("%#x", pc)),
+				slog.String("addr", fmt.Sprintf("%#x", addr)),
 				slog.Int("cycle", cycle),
 				slog.Int("reissue_at", newBarrier))
 		}
 		return done, newBarrier
 	default:
 		st.LoadStates[trace.PredNone]++
-		res := hier.Access(r.Addr)
+		res := hier.Access(addr)
 		done = cycle + res.Latency
 		if !res.L1Hit && !cfg.NonBlocking {
 			st.MissStallCycles += res.Latency

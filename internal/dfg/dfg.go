@@ -86,61 +86,62 @@ func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) (Result, error
 	if err := t.CheckAnnotation(ann); err != nil {
 		return Result{}, err
 	}
-	var readyG, readyF [isa.NumRegs]int
+	tr, mem := t.Rows(), t.Mem()
+	// One row per static row: its latency and scoreboard slots, derived
+	// once from the isa switch functions.
+	type rowInfo struct {
+		lat         int
+		src         [2]uint8 // isa.Sources; 0 = none (GPR R0 is never written)
+		dst         uint8    // isa.Dest; 0 = none
+		size        uint64
+		load, store bool
+	}
+	rows := make([]rowInfo, len(tr.Static))
+	for j := range tr.Static {
+		r, info := &tr.Static[j], &rows[j]
+		*info = rowInfo{lat: lat.of(r.Op), size: uint64(r.Size), load: r.IsLoad(), store: r.IsStore()}
+		info.src, info.dst = isa.Slots(r.Inst())
+	}
+	var ready [isa.NumSlots]int
 	// lastStoreDone maps 8-byte-aligned addresses to the completion time
 	// of the last store covering them.
 	lastStoreDone := make(map[uint64]int)
 	res := Result{Instructions: t.Len()}
-	critical := 0
+	critical, load, store := 0, 0, 0
 
-	for base, recs := range t.Batches() {
-		for k := range recs {
-			i, r := base+k, &recs[k]
-			in := r.Inst()
-			start := 0
-			var srcs [4]isa.RegRef
-			for _, ref := range isa.Sources(in, srcs[:0]) {
-				var rc int
-				if ref.FP {
-					rc = readyF[ref.Reg]
-				} else if ref.Reg != isa.R0 {
-					rc = readyG[ref.Reg]
-				}
-				if rc > start {
-					start = rc
+	for i, row := range tr.Sidx {
+		info := &rows[row]
+		start := max(ready[info.src[0]], ready[info.src[1]])
+		latency := info.lat
+		if info.load {
+			// Memory dependence on the most recent overlapping store.
+			addr := mem.Addrs[load]
+			load++
+			for a := addr &^ 7; a < addr+info.size; a += 8 {
+				if d := lastStoreDone[a]; d > start {
+					start = d
 				}
 			}
-			latency := lat.of(r.Op)
-			if r.IsLoad() {
-				// Memory dependence on the most recent overlapping store.
-				for a := r.Addr &^ 7; a < r.Addr+uint64(r.Size); a += 8 {
-					if d := lastStoreDone[a]; d > start {
-						start = d
-					}
-				}
-				if ann != nil && (ann[i] == trace.PredCorrect || ann[i] == trace.PredConstant) {
-					latency = 0 // collapsed true dependence
-					res.CollapsedLoads++
-				}
+			if ann != nil && (ann[i] == trace.PredCorrect || ann[i] == trace.PredConstant) {
+				latency = 0 // collapsed true dependence
+				res.CollapsedLoads++
 			}
-			done := start + latency
-			if r.IsStore() {
-				for a := r.Addr &^ 7; a < r.Addr+uint64(r.Size); a += 8 {
-					if done > lastStoreDone[a] {
-						lastStoreDone[a] = done
-					}
+		}
+		done := start + latency
+		if info.store {
+			addr := mem.StoreAddrs[store]
+			store++
+			for a := addr &^ 7; a < addr+info.size; a += 8 {
+				if done > lastStoreDone[a] {
+					lastStoreDone[a] = done
 				}
 			}
-			if ref, ok := isa.Dest(in); ok {
-				if ref.FP {
-					readyF[ref.Reg] = done
-				} else {
-					readyG[ref.Reg] = done
-				}
-			}
-			if done > critical {
-				critical = done
-			}
+		}
+		if info.dst != 0 {
+			ready[info.dst] = done
+		}
+		if done > critical {
+			critical = done
 		}
 	}
 	res.CriticalPath = critical

@@ -2,11 +2,13 @@ package exp
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"lvp/internal/bench"
 	"lvp/internal/lvp"
+	"lvp/internal/ppc620"
 	"lvp/internal/prog"
 )
 
@@ -298,16 +300,26 @@ func TestSuiteCaching(t *testing.T) {
 	if t1 != t2 {
 		t.Error("trace not cached")
 	}
-	a1, _, err := s.Annotation("quick", prog.AXP, lvp.Simple)
+	// The per-record annotation is not cached, but the unit run behind it
+	// is: two Annotation calls and a 620 simulation that reads the same
+	// annotation run the unit once, and each call gets its own equal copy.
+	a1, _, err := s.Annotation("quick", prog.PPC, lvp.Simple)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := s.Annotation("quick", prog.AXP, lvp.Simple)
+	a2, _, err := s.Annotation("quick", prog.PPC, lvp.Simple)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &a1[0] != &a2[0] {
-		t.Error("annotation not cached")
+	if &a1[0] == &a2[0] || !slices.Equal(a1, a2) {
+		t.Error("Annotation calls share one annotation, or differ")
+	}
+	cfg := lvp.Simple
+	if _, err := s.Sim620("quick", ppc620.Config620(), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Metrics.Counter("progress.annotate").Value(); n != 1 {
+		t.Errorf("progress.annotate = %d, want 1", n)
 	}
 }
 

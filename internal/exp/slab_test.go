@@ -263,9 +263,9 @@ func TestUnitRunAllocs(t *testing.T) {
 	}
 	slab := tr.Mem()
 	const slack = 16 << 10
-	if slab.Records-slab.Len() < 4*slack {
+	if tr.Len()-slab.Len() < 4*slack {
 		t.Fatalf("%s: %d records, %d loads: too few non-loads to tell per-record from per-load bytes",
-			name, slab.Records, slab.Len())
+			name, tr.Len(), slab.Len())
 	}
 	measure := func(f func()) (mallocs, bytes uint64) {
 		var before, after runtime.MemStats

@@ -1,6 +1,6 @@
 // Package exp drives the reproduction: one driver per table and figure of
-// the paper's evaluation, sharing cached traces, LVP annotations, and
-// machine simulations across experiments.
+// the paper's evaluation, sharing cached traces, LVP unit runs, and machine
+// simulations across experiments.
 //
 // Machine/trace pairing follows the paper's methodology (§5): the PowerPC
 // 620 and 620+ models consume PPC-target traces (the AIX/xlc side), the
@@ -11,9 +11,12 @@
 // cells to a bounded worker pool (internal/par) instead of looping inline.
 // Three invariants keep the parallel run byte-identical to the serial one:
 //
-//  1. traces, annotations and simulations live in single-flight caches, so
-//     each is built exactly once no matter how many cells request it
-//     concurrently;
+//  1. traces, LVP unit runs (each load's prediction state, in load order)
+//     and simulations live in single-flight caches, so each is built
+//     exactly once no matter how many cells request it concurrently; the
+//     per-record annotation a simulation or dataflow analysis reads is
+//     scattered from the cached unit run for that one consumer and not
+//     kept;
 //  2. drivers merge results into pre-sized, index-addressed slots (or
 //     commutative integer accumulators), never by append-in-completion
 //     order;
@@ -96,9 +99,9 @@ type zooKey struct {
 }
 
 // unitRun is one cached LVP unit run: its statistics plus every load's
-// prediction state in load order, from which Annotation scatters the
-// per-record form — so one run serves both Annotation and AnnotationStats
-// callers, whichever comes first.
+// prediction state in load order, from which each Annotation call scatters
+// the per-record form — so one run serves both Annotation and
+// AnnotationStats callers, whichever comes first.
 type unitRun struct {
 	st     lvp.Stats
 	states []trace.PredState
@@ -137,7 +140,7 @@ type Suite struct {
 	ctx context.Context
 
 	// caches is shared by every WithContext view of the suite, so
-	// traces, annotations and simulations are built once across all
+	// traces, unit runs and simulations are built once across all
 	// concurrent jobs regardless of which view requested them.
 	caches *suiteCaches
 }
@@ -148,7 +151,6 @@ type suiteCaches struct {
 	traces par.Cache[traceKey, *trace.Trace]
 	locs   par.Cache[traceKey, []locality.Result]
 	runs   par.Cache[annKey, unitRun]
-	anns   par.Cache[annKey, trace.Annotation]
 	s620   par.Cache[simKey[ppc620.Config], ppc620.Stats]
 	s164   par.Cache[simKey[axp21164.Config], axp21164.Stats]
 	zoo    par.Cache[zooKey, ZooCell]
@@ -311,6 +313,7 @@ func (s *Suite) runUnit(name string, target prog.Target, cfg lvp.Config) (unitRu
 			return unitRun{}, fmt.Errorf("annotating %s/%s: %w", name, target.Name, err)
 		}
 		s.recordAnnStats(st)
+		s.Metrics.Gauge("annotate.resident_bytes").Add(int64(len(states)))
 		s.finishPhase("annotate", start,
 			slog.String("bench", name), slog.String("target", target.Name),
 			slog.String("config", cfg.Name))
@@ -318,29 +321,23 @@ func (s *Suite) runUnit(name string, target prog.Target, cfg lvp.Config) (unitRu
 	})
 }
 
-// Annotation returns the cached per-record LVP annotation and unit stats for
-// one benchmark/target/config — the form the machine models and the
-// dataflow analysis consume. It is scattered once per key from the cached
-// unit run, so the unit never re-runs for it.
+// Annotation returns the per-record LVP annotation and unit stats for one
+// benchmark/target/config — the form the machine models and the dataflow
+// analysis consume. It is scattered from the cached unit run on every call
+// and not kept, so the unit never re-runs for it and only its one consumer
+// holds it.
 func (s *Suite) Annotation(name string, target prog.Target, cfg lvp.Config) (trace.Annotation, lvp.Stats, error) {
 	r, err := s.runUnit(name, target, cfg)
 	if err != nil {
 		return nil, lvp.Stats{}, err
 	}
-	key := annKey{name, target.Name, s.Scale, hwConfig(cfg)}
-	ann, err := s.cacheState().anns.GetCtx(s.context(), key, func() (trace.Annotation, error) {
-		t, err := s.Trace(name, target)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		ann := t.Mem().Scatter(r.states)
-		s.Metrics.Timer("phase.annotate").Observe(time.Since(start))
-		return ann, nil
-	})
+	t, err := s.Trace(name, target)
 	if err != nil {
 		return nil, lvp.Stats{}, err
 	}
+	start := time.Now()
+	ann := t.Scatter(r.states)
+	s.Metrics.Timer("phase.annotate").Observe(time.Since(start))
 	r.st.Config = cfg.Name
 	return ann, r.st, nil
 }
@@ -429,9 +426,10 @@ func simulate[M comparable, S any](s *Suite, c *par.Cache[simKey[M], S], m simMo
 }
 
 // predictions returns the annotation a simulation consumes and the label
-// it runs under. The load annotation is the suite's cached one; the
-// general (all-result) annotation is built here for its one simulation and
-// not kept, and its time is charged to the annotate phase.
+// it runs under. The load annotation is scattered from the suite's cached
+// unit run; the general (all-result) annotation is built here. Either is
+// built for its one simulation and not kept, and its time is charged to the
+// annotate phase.
 func (s *Suite) predictions(t *trace.Trace, target prog.Target, name string, run lvp.Config, pred predSource) (trace.Annotation, string, error) {
 	switch pred {
 	case predLoads:

@@ -237,3 +237,44 @@ func TestClassStrings(t *testing.T) {
 		t.Error("out-of-range opcode must classify as nop")
 	}
 }
+
+// TestSlots pins what the timing models' per-row tables rely on: Slots
+// gives every register Sources reads, in order, in at most two slots, and
+// the register Dest writes, never in slot 0; Slot puts the two register
+// files side by side in NumSlots.
+func TestSlots(t *testing.T) {
+	for op := Op(0); int(op) < NumOps+2; op++ {
+		for _, r := range []Reg{0, 1, NumRegs - 1} {
+			in := Inst{Op: op, Rd: r, Ra: r, Rb: (r + 1) % NumRegs}
+			src, dst := Slots(in)
+			refs := Sources(in, nil)
+			if len(refs) > len(src) {
+				t.Fatalf("op %d reads %d registers, Slots keeps %d", op, len(refs), len(src))
+			}
+			for k := range src {
+				want := uint8(0)
+				if k < len(refs) {
+					want = refs[k].Slot()
+				}
+				if src[k] != want {
+					t.Errorf("op %d r %d: source slot %d = %d, want %d", op, r, k, src[k], want)
+				}
+			}
+			want := uint8(0)
+			if ref, ok := Dest(in); ok {
+				if want = ref.Slot(); want == 0 {
+					t.Errorf("op %d rd %d: Dest names slot 0", op, r)
+				}
+			}
+			if dst != want {
+				t.Errorf("op %d rd %d: dest slot %d, want %d", op, r, dst, want)
+			}
+		}
+	}
+	for r := Reg(0); r < NumRegs; r++ {
+		g, f := RegRef{Reg: r}.Slot(), RegRef{Reg: r, FP: true}.Slot()
+		if int(g) != int(r) || int(f) != NumRegs+int(r) || int(f) >= NumSlots {
+			t.Errorf("reg %d: slots %d and %d", r, g, f)
+		}
+	}
+}

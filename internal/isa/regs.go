@@ -62,3 +62,31 @@ func Dest(i Inst) (ref RegRef, ok bool) {
 	}
 	return RegRef{}, false
 }
+
+// NumSlots is the size of a scoreboard that holds both register files,
+// indexed by RegRef.Slot.
+const NumSlots = 2 * NumRegs
+
+// Slot is r's index in a scoreboard of NumSlots entries: the GPRs first,
+// then the FPRs.
+func (r RegRef) Slot() uint8 {
+	if r.FP {
+		return NumRegs + uint8(r.Reg)
+	}
+	return uint8(r.Reg)
+}
+
+// Slots returns the scoreboard slots i reads, in Sources order, and the
+// slot it writes (Dest). Slot 0, GPR R0, stands for "none" in both: Dest
+// never names it, so a scoreboard whose slot 0 is never written reads it,
+// and an absent source, as always ready.
+func Slots(i Inst) (src [2]uint8, dst uint8) {
+	var refs [2]RegRef
+	for k, ref := range Sources(i, refs[:0]) {
+		src[k] = ref.Slot()
+	}
+	if ref, ok := Dest(i); ok {
+		dst = ref.Slot()
+	}
+	return src, dst
+}

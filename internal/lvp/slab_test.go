@@ -38,7 +38,7 @@ func checkSlabMatchesRecordBatch(t *testing.T, recs []trace.Record) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := slab.Scatter(states); !reflect.DeepEqual(got, want) {
+		if got := tr.Scatter(states); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: scattered slab states differ from RecordBatch", cfg.Name)
 		}
 		if st != ref.Stats() {

@@ -2,7 +2,6 @@ package ppc620
 
 import (
 	"fmt"
-	"iter"
 	"log/slog"
 
 	"lvp/internal/bpred"
@@ -15,11 +14,10 @@ import (
 const unknown = -1
 
 // entry is one dynamic instruction flowing through the machine. It keeps
-// only the record fields the model consults after fetch (the batch buffer a
-// record arrived in is recycled long before the entry retires): pc for
-// event tracing, addr/size for the memory disambiguation logic, the
-// register numbers plus the opTab flags for dispatch-time dependence
-// capture, and the pre-resolved latency.
+// only what the model consults after fetch, copied from the instruction's
+// rowInfo and the memory-op lanes: pc for event tracing, addr/size for the
+// memory disambiguation logic, the scoreboard slots for dispatch-time
+// dependence capture, and the pre-resolved latency.
 type entry struct {
 	pc   uint64
 	addr uint64
@@ -40,19 +38,19 @@ type entry struct {
 	aliasStore int // conflicting older store detected by the alias logic
 
 	lat   int32
-	flags uint16 // the opTab flag set (read/write/kind bits)
+	flags uint16 // the rowInfo flag set
 	fu    FU
 
-	rd, ra, rb isa.Reg
-	size       uint8
-	pred       trace.PredState
+	src  [2]uint8 // scoreboard slots read, in isa.Sources order; 0 = none
+	dst  uint8    // scoreboard slot written; 0 = none
+	size uint8
+	pred trace.PredState
 
 	usesRename bool // consumes a GPR rename buffer (compares write CR instead)
 	dispatched bool
 	issued     bool
 	completed  bool
 	mispred    bool // branch that redirects fetch
-	writesGPR  bool
 	writesFPR  bool
 	isLoad     bool
 	isStore    bool
@@ -68,10 +66,19 @@ type entry struct {
 // below the head — see ringSize.
 type machine struct {
 	cfg  Config
-	next func() (int, []trace.Record, bool) // pulls t.Batches()
 	ann  trace.Annotation
 	hier *cache.Hierarchy
 	bp   *bpred.Predictor
+
+	// The trace, read in place: fetch takes record i's row from tr.Sidx
+	// and its rowInfo from rows (one per static row), a load's or store's
+	// address from the next slot of the memory-op lanes (load, store), and
+	// a branch's outcome through tr.Branch (tx is its exception cursor).
+	tr              trace.Rows
+	mem             trace.MemOps
+	rows            []rowInfo
+	load, store, tx int
+	br              trace.Record // the branch fetch last rebuilt
 
 	entries  []entry // ring; index with at()
 	ringMask int
@@ -81,13 +88,10 @@ type machine struct {
 	fetched   int // number fetched so far (fetch buffer tail)
 	liveFloor int // head at the start of the current cycle
 
+	// srcDone is set once fetch finds the trace exhausted (or the trace is
+	// empty): the run ends when it is set and every fetched entry has
+	// completed.
 	srcDone bool
-	// The current batch: fetch consumes curRecs[bi:] record by record. A nil
-	// curPreds means no LVP hardware: every record carries PredNone and no
-	// load state is counted.
-	curRecs  []trace.Record
-	curPreds []trace.PredState
-	bi       int
 
 	// pend lists dispatched-but-not-issued entries in dispatch order — the
 	// only candidates issue must consider (bounded by the completion
@@ -119,8 +123,7 @@ type machine struct {
 	// after). complete is a no-op until then.
 	headWaitC int
 
-	lastWriterG [isa.NumRegs]int
-	lastWriterF [isa.NumRegs]int
+	lastWriter [isa.NumSlots]int // newest producer per scoreboard slot, or -1
 
 	mcfxBusyUntil int
 	fpuBusyUntil  int
@@ -181,23 +184,23 @@ func ringSize(cfg Config) int {
 }
 
 // Simulate runs trace t, annotated by ann, through the machine model and
-// returns its statistics; lvpName labels the run. Fetch pulls t's batches
-// as the machine consumes them, so only the machine's window of in-flight
-// entries is held beyond the trace. A nil ann models a machine without LVP
-// hardware; a non-nil ann must hold one state per record, or Simulate
-// returns trace.ErrAnnotationLength with zero Stats. obsTr, when non-nil,
-// receives machine incidents (alias refetches, MSHR stalls, bank conflicts)
-// on the sim channel and L1 misses on the cache channel.
+// returns its statistics; lvpName labels the run. Fetch reads t's rows and
+// memory-op lanes in place (no record is expanded), so only the machine's
+// window of in-flight entries is held beyond the trace. A nil ann models a
+// machine without LVP hardware; a non-nil ann must hold one state per
+// record, or Simulate returns trace.ErrAnnotationLength with zero Stats.
+// obsTr, when non-nil, receives machine incidents (alias refetches, MSHR
+// stalls, bank conflicts) on the sim channel and L1 misses on the cache
+// channel.
 func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, obsTr *obs.Tracer) (Stats, error) {
 	if err := t.CheckAnnotation(ann); err != nil {
 		return Stats{}, err
 	}
-	next, stop := iter.Pull2(t.Batches())
-	defer stop()
 	m := &machine{
-		cfg:  cfg,
-		next: next,
-		ann:  ann,
+		cfg: cfg,
+		ann: ann,
+		tr:  t.Rows(),
+		mem: t.Mem(),
 		hier: &cache.Hierarchy{
 			L1:        cache.MustNew(cfg.L1),
 			L2:        cache.MustNew(cfg.L2),
@@ -208,9 +211,10 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 		fetchStallEntry: -1,
 		otr:             obsTr,
 	}
-	for i := range m.lastWriterG {
-		m.lastWriterG[i] = -1
-		m.lastWriterF[i] = -1
+	m.rows = rowInfos(m.tr.Static)
+	m.srcDone = t.Len() == 0
+	for i := range m.lastWriter {
+		m.lastWriter[i] = -1
 	}
 	m.stats.Machine = cfg.Name
 	m.stats.LVPConfig = lvpName
@@ -230,10 +234,10 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 	return m.stats, nil
 }
 
-// prepare resets ring slot e and fills its static fields from record r, all
-// read from the record's opTab row (a pointer-free memclr plus direct field
-// stores, no isa switches and no whole-record copy).
-func (m *machine) prepare(e *entry, i int, r *trace.Record, pred trace.PredState, info *opInfo) {
+// prepare resets ring slot e for entry i, an instance of row info at
+// address addr (memory ops; 0 otherwise) with prediction state pred: direct
+// field stores from the row, no isa switches and no struct clear.
+func (m *machine) prepare(e *entry, i int, info *rowInfo, addr uint64, pred trace.PredState) {
 	// Every field is stored explicitly (no struct clear): the stores below
 	// cover exactly the fields some cycle loop may read before writing.
 	// dispatchC/issueC/doneC/readyMax/aliasStore are deliberately left
@@ -243,10 +247,10 @@ func (m *machine) prepare(e *entry, i int, r *trace.Record, pred trace.PredState
 	// cross-entry read is guarded by the state bools reset here.
 	e.idx = i
 	f := info.flags
-	e.pc = r.PC
-	e.addr = r.Addr
-	e.size = r.Size
-	e.rd, e.ra, e.rb = r.Rd, r.Ra, r.Rb
+	e.pc = info.pc
+	e.addr = addr
+	e.size = info.size
+	e.src, e.dst = info.src, info.dst
 	e.fu = info.fu
 	e.lat = info.lat
 	e.flags = f
@@ -256,12 +260,59 @@ func (m *machine) prepare(e *entry, i int, r *trace.Record, pred trace.PredState
 	e.pred = pred
 	e.dispatched, e.issued, e.completed = false, false, false
 	e.mispred, e.cancelled = false, false
-	wg := f&opWritesGPR != 0 && r.Rd != isa.R0
-	e.writesGPR = wg
 	e.writesFPR = f&opWritesFPR != 0
-	e.usesRename = wg && f&opIsCompare == 0
+	e.usesRename = f&opUsesRename != 0
 	e.isLoad = f&opIsLoad != 0
 	e.isStore = f&opIsStore != 0
+}
+
+// rowInfo is what the model needs of one static row, derived once per run
+// from the isa switch functions and this file's fuOf, execLatency and
+// isCompare.
+type rowInfo struct {
+	pc    uint64
+	lat   int32
+	flags uint16
+	fu    FU
+	src   [2]uint8 // scoreboard slots read (isa.Sources order); 0 = none
+	dst   uint8    // scoreboard slot written (isa.Dest); 0 = none
+	size  uint8
+}
+
+const (
+	opWritesFPR  uint16 = 1 << iota
+	opUsesRename        // writes a GPR other than R0 and is no compare
+	opIsLoad
+	opIsStore
+	opIsBranch
+	opNonPipeFP // ClassComplexFP: occupies the FPU until done
+)
+
+// rowInfos derives one rowInfo per static row.
+func rowInfos(static []trace.Record) []rowInfo {
+	rows := make([]rowInfo, len(static))
+	for j := range static {
+		r, info := &static[j], &rows[j]
+		in := r.Inst()
+		*info = rowInfo{pc: r.PC, lat: int32(execLatency(r.Op)), fu: fuOf(r.Op), size: r.Size}
+		info.src, info.dst = isa.Slots(in)
+		for _, b := range []struct {
+			bit uint16
+			on  bool
+		}{
+			{opWritesFPR, isa.WritesFPR(in)},
+			{opUsesRename, isa.WritesGPR(in) && r.Rd != isa.R0 && !isCompare(r.Op)},
+			{opIsLoad, isa.IsLoad(r.Op)},
+			{opIsStore, isa.IsStore(r.Op)},
+			{opIsBranch, isa.IsBranch(r.Op)},
+			{opNonPipeFP, isa.ClassOf(r.Op) == isa.ClassComplexFP},
+		} {
+			if b.on {
+				info.flags |= b.bit
+			}
+		}
+	}
+	return rows
 }
 
 // isCompare reports VLR compare ops. On the PowerPC these are cmp/fcmp
@@ -312,20 +363,7 @@ func execLatency(op isa.Op) int {
 	}
 }
 
-// refill loads the next batch into the fetch window's view. srcDone is set
-// once the trace is exhausted; an empty trace is detected by the prime call
-// before cycle 0 (an empty run performs zero cycles).
-func (m *machine) refill() {
-	base, recs, ok := m.next()
-	m.srcDone = !ok
-	m.curRecs, m.curPreds, m.bi = recs, nil, 0
-	if ok && m.ann != nil {
-		m.curPreds = m.ann[base : base+len(recs)]
-	}
-}
-
 func (m *machine) run() {
-	m.refill()
 	cycle := 0
 	const safetyFactor = 200 // cycles per instruction upper bound
 	for !m.srcDone || m.head < m.fetched {
@@ -358,34 +396,42 @@ func (m *machine) fetch(cycle int) {
 	space := m.cfg.FetchBuffer - (m.fetched - m.dispPtr)
 	width := min(m.cfg.FetchWidth, space)
 	for k := 0; k < width && !m.srcDone; k++ {
-		if m.bi >= len(m.curRecs) {
-			if m.refill(); m.srcDone {
-				return
-			}
+		i := m.fetched
+		if i == len(m.tr.Sidx) {
+			m.srcDone = true
+			return
 		}
-		r := &m.curRecs[m.bi]
-		info := infoOf(r.Op)
+		info := &m.rows[m.tr.Sidx[i]]
 		// Annotations normally cover loads only; AnnotateGeneral also marks
 		// other register-writing instructions, which this model handles
 		// with the same forward-at-dispatch / verify-after-execute
-		// semantics.
+		// semantics. A nil annotation means no LVP hardware: every record
+		// carries PredNone and no load state is counted.
 		pred := trace.PredNone
-		if m.curPreds != nil {
-			pred = m.curPreds[m.bi]
+		if m.ann != nil {
+			pred = m.ann[i]
 			if info.flags&opIsLoad != 0 {
 				m.stats.LoadStates[pred]++
 			}
 		}
-		m.bi++
-		i := m.fetched
+		var addr uint64
+		switch {
+		case info.flags&opIsLoad != 0:
+			addr = m.mem.Addrs[m.load]
+			m.load++
+		case info.flags&opIsStore != 0:
+			addr = m.mem.StoreAddrs[m.store]
+			m.store++
+		}
 		e := m.at(i)
-		m.prepare(e, i, r, pred, info)
+		m.prepare(e, i, info, addr, pred)
 		m.fetched++
-		// Branch prediction happens at fetch, against the batch record
-		// (still valid here); a mispredicted branch stalls further fetch
-		// until it resolves.
+		// Branch prediction happens at fetch, against the record rebuilt
+		// from its row; a mispredicted branch stalls further fetch until
+		// it resolves.
 		if info.flags&opIsBranch != 0 {
-			if m.bp.Resolve(r) {
+			m.tr.Branch(i, &m.tx, &m.br)
+			if m.bp.Resolve(&m.br) {
 				e.mispred = true
 				m.fetchStallEntry = i
 				return
@@ -436,23 +482,16 @@ func (m *machine) dispatch(cycle int) {
 			}
 		}
 
-		// Dependence capture, driven by the opcode's read flags in
-		// isa.Sources order (Ra before Rb). Producers completed before
-		// this cycle are dead for both readiness (their result is long
-		// available) and spec-tag propagation (their verification is in
-		// the past), so only entries at or above the cycle's live floor
+		// Dependence capture, in isa.Sources order (Ra before Rb); slot 0
+		// (GPR R0, never written) is always ready. Producers completed
+		// before this cycle are dead for both readiness (their result is
+		// long available) and spec-tag propagation (their verification is
+		// in the past), so only entries at or above the cycle's live floor
 		// are consulted — which also keeps every consulted index within
 		// the ring.
-		if f := e.flags; f&opReadsAny != 0 {
-			if f&opReadsRaF != 0 {
-				m.captureSrc(e, m.lastWriterF[e.ra], cycle)
-			} else if f&opReadsRaG != 0 && e.ra != isa.R0 {
-				m.captureSrc(e, m.lastWriterG[e.ra], cycle)
-			}
-			if f&opReadsRbF != 0 {
-				m.captureSrc(e, m.lastWriterF[e.rb], cycle)
-			} else if f&opReadsRbG != 0 && e.rb != isa.R0 {
-				m.captureSrc(e, m.lastWriterG[e.rb], cycle)
+		for _, sl := range e.src {
+			if sl != 0 {
+				m.captureSrc(e, m.lastWriter[sl], cycle)
 			}
 		}
 
@@ -463,12 +502,11 @@ func (m *machine) dispatch(cycle int) {
 		if e.usesRename {
 			m.renameG++
 		}
-		if e.writesGPR {
-			m.lastWriterG[e.rd] = i
-		}
 		if e.writesFPR {
 			m.renameF++
-			m.lastWriterF[e.rd] = i
+		}
+		if e.dst != 0 {
+			m.lastWriter[e.dst] = i
 		}
 		// A predicted instruction forwards its value at dispatch.
 		if e.pred == trace.PredCorrect || e.pred == trace.PredConstant {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -403,6 +404,80 @@ func TestLocalityDepthBound(t *testing.T) {
 	})
 	if msg := readErr(resp); resp.StatusCode != http.StatusOK {
 		t.Errorf("cell with depths 1 and %d: status %d body %q, want 200", locality.MaxDepth, resp.StatusCode, msg)
+	}
+}
+
+// depthListCases are locality depth lists that each depth alone admits but
+// the list does not: one past locality.MaxDepth entries (all distinct
+// values are used up, so it repeats one) and a short list with a
+// duplicate. Each once passed validation, and a long enough list made
+// locality.Measure build one history table per entry.
+var depthListCases = []struct {
+	depths []int
+	want   string // in the 400 body
+}{
+	{append([]int{1}, seqDepths()...), "MaxDepth"},
+	{[]int{4, 1, 4}, "listed twice"},
+}
+
+func seqDepths() []int {
+	ds := make([]int, locality.MaxDepth)
+	for i := range ds {
+		ds[i] = i + 1
+	}
+	return ds
+}
+
+// depthListServer serves a manager whose cell runner fails the test: the
+// depth-list checks must reject a request by validation alone.
+func depthListServer(t *testing.T) (*httptest.Server, func()) {
+	mgr := NewManager(Config{
+		Workers: 1,
+		CellRunner: func(ctx context.Context, cell Cell, scale int) (json.RawMessage, error) {
+			t.Errorf("cell %s ran; want it rejected before it runs", cell)
+			return nil, errors.New("cell ran")
+		},
+	})
+	srv := httptest.NewServer(NewHandler(mgr))
+	return srv, func() { srv.Close(); shutdownNow(t, mgr) }
+}
+
+// TestLocalityDepthListJobs: POST /v1/jobs answers 400 naming the bound to
+// a depth list longer than locality.MaxDepth or with a duplicate.
+func TestLocalityDepthListJobs(t *testing.T) {
+	srv, done := depthListServer(t)
+	defer done()
+	for _, c := range depthListCases {
+		spec := JobSpec{Benchmarks: []string{"quick"}, LocalityTargets: []string{"ppc"}, LocalityDepths: c.depths}
+		body, _ := json.Marshal(spec)
+		resp, err := srv.Client().Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		b.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(b.String(), c.want) {
+			t.Errorf("job with %d depths %v: status %d body %q, want 400 naming %q", len(c.depths), c.depths, resp.StatusCode, b.String(), c.want)
+		}
+	}
+}
+
+// TestLocalityDepthListCells: POST /v1/cells answers 400 naming the bound
+// to the same depth lists.
+func TestLocalityDepthListCells(t *testing.T) {
+	srv, done := depthListServer(t)
+	defer done()
+	for _, c := range depthListCases {
+		resp := execCell(t, srv.Client(), srv.URL, CellRequest{
+			Cell: Cell{Kind: "locality", Bench: "quick", Target: "ppc", Depths: c.depths},
+		})
+		var b bytes.Buffer
+		b.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(b.String(), c.want) {
+			t.Errorf("cell with %d depths %v: status %d body %q, want 400 naming %q", len(c.depths), c.depths, resp.StatusCode, b.String(), c.want)
+		}
 	}
 }
 

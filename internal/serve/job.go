@@ -112,10 +112,8 @@ func (c Cell) Validate() error {
 		if len(c.Depths) == 0 {
 			return fmt.Errorf("serve: locality cell needs at least one depth")
 		}
-		for _, d := range c.Depths {
-			if err := validDepth(d); err != nil {
-				return err
-			}
+		if err := validDepths(c.Depths); err != nil {
+			return err
 		}
 	case "zoo":
 		if _, err := lvp.FamilyByName(c.Predictor); err != nil {
@@ -127,10 +125,22 @@ func (c Cell) Validate() error {
 	return nil
 }
 
-// validDepth checks a locality history depth against [1, locality.MaxDepth].
-func validDepth(d int) error {
-	if d < 1 || d > locality.MaxDepth {
-		return fmt.Errorf("serve: locality depth %d out of range (want 1..%d, locality.MaxDepth)", d, locality.MaxDepth)
+// validDepths checks a list of locality history depths: each in [1,
+// locality.MaxDepth], none twice, so at most locality.MaxDepth of them
+// (locality.Measure builds one history table per depth listed).
+func validDepths(ds []int) error {
+	if len(ds) > locality.MaxDepth {
+		return fmt.Errorf("serve: %d locality depths listed (want at most %d, locality.MaxDepth)", len(ds), locality.MaxDepth)
+	}
+	var seen [locality.MaxDepth + 1]bool
+	for _, d := range ds {
+		if d < 1 || d > locality.MaxDepth {
+			return fmt.Errorf("serve: locality depth %d out of range (want 1..%d, locality.MaxDepth)", d, locality.MaxDepth)
+		}
+		if seen[d] {
+			return fmt.Errorf("serve: locality depth %d listed twice", d)
+		}
+		seen[d] = true
 	}
 	return nil
 }
@@ -175,10 +185,8 @@ func (s JobSpec) Validate() error {
 			return err
 		}
 	}
-	for _, d := range s.LocalityDepths {
-		if err := validDepth(d); err != nil {
-			return err
-		}
+	if err := validDepths(s.LocalityDepths); err != nil {
+		return err
 	}
 	for _, p := range s.Predictors {
 		if _, err := lvp.FamilyByName(p); err != nil {

@@ -24,9 +24,10 @@ import (
 //   - mem: the memory-op lanes, holding every load's and store's Addr and
 //     every load's Value.
 //
-// A Trace is immutable once built and safe to share. Records materialize
-// only in the reused buffer behind Batches, which the walks, the writers and
-// the timing models read.
+// A Trace is immutable once built and safe to share. The timing models and
+// the dataflow analysis read the rows and lanes directly (Rows, Mem);
+// records materialize only in the reused buffer behind Batches, which the
+// other walks and the writers read.
 type Trace struct {
 	Name   string // benchmark name, e.g. "grep"
 	Target string // codegen target, e.g. "ppc" or "axp"
@@ -42,17 +43,14 @@ type Trace struct {
 
 // MemOps is a trace's memory-op lanes: every load and every store, in trace
 // order, shared read-only by every consumer of the memory-op stream (each
-// LVP unit configuration annotated over the trace, each zoo family).
+// LVP unit configuration annotated over the trace, each zoo family, each
+// timing model).
 type MemOps struct {
-	// Records is the length of the trace the lanes belong to.
-	Records int
-
-	// Load lanes: load i executed at PCs[i], read Addrs[i], returned
-	// Values[i], and is record Recs[i] of the trace.
+	// Load lanes: load i executed at PCs[i], read Addrs[i] and returned
+	// Values[i].
 	PCs    []uint64
 	Addrs  []uint64
 	Values []uint64
-	Recs   []int32
 
 	// Store lanes: store k wrote StoreSizes[k] bytes at StoreAddrs[k] after
 	// the first StoreAt[k] loads of the stream and before the rest.
@@ -64,13 +62,59 @@ type MemOps struct {
 // Len reports the number of dynamic loads.
 func (m MemOps) Len() int { return len(m.PCs) }
 
-// Scatter expands load-order states (one per load) into the per-record
-// annotation of the lanes' trace: load i's state lands on record Recs[i],
-// and every other record is PredNone.
-func (m MemOps) Scatter(states []PredState) Annotation {
-	ann := make(Annotation, m.Records)
-	for i, r := range m.Recs {
-		ann[r] = states[i]
+// Rows is a read-only view of a trace's per-record structure, for the walks
+// that read the trace without expanding its records (the timing models and
+// the dataflow analysis): each derives what it needs once per static row,
+// then reads one row index per record, takes the dynamic fields from the
+// memory-op lanes, and rebuilds only the branches (Branch).
+type Rows struct {
+	// Static holds each distinct static row once: a Record with Value,
+	// Taken and Targ zeroed, and Addr zeroed on memory ops.
+	Static []Record
+	// Sidx[i] is record i's row in Static.
+	Sidx []uint32
+
+	taken  []uint64
+	targAt []uint32
+	targs  []uint64
+}
+
+// Rows returns the trace's row view (shared; read only).
+func (t *Trace) Rows() Rows {
+	return Rows{Static: t.static, Sidx: t.sidx, taken: t.taken, targAt: t.targAt, targs: t.targs}
+}
+
+// Branch rebuilds record i, a branch, into r from its row: the static
+// fields, its Taken bit and its Targ (Value zero). tx is the caller's
+// position in the Targ exceptions, at most the first one at or after i;
+// calls must come in increasing i, and each moves tx past i.
+func (v *Rows) Branch(i int, tx *int, r *Record) {
+	*r = v.Static[v.Sidx[i]]
+	r.Taken = v.taken[i>>6]>>(i&63)&1 != 0
+	r.Targ = derivedTarg(r, isa.ClassOf(r.Op), r.Taken)
+	for *tx < len(v.targAt) && int(v.targAt[*tx]) <= i {
+		if int(v.targAt[*tx]) == i {
+			r.Targ = v.targs[*tx]
+		}
+		*tx++
+	}
+}
+
+// Scatter expands load-order states (one per load, len(states) = Mem().Len())
+// into the per-record annotation of t: the k-th load record gets states[k],
+// and every other record PredNone.
+func (t *Trace) Scatter(states []PredState) Annotation {
+	isLoad := make([]bool, len(t.static))
+	for j := range t.static {
+		isLoad[j] = isa.IsLoad(t.static[j].Op)
+	}
+	ann := make(Annotation, len(t.sidx))
+	k := 0
+	for i, s := range t.sidx {
+		if isLoad[s] {
+			ann[i] = states[k]
+			k++
+		}
 	}
 	return ann
 }
@@ -86,7 +130,7 @@ func (t *Trace) Mem() MemOps { return t.mem }
 func (t *Trace) ResidentBytes() int64 {
 	m := &t.mem
 	return int64(cap(t.static))*int64(unsafe.Sizeof(Record{})) + int64(cap(m.StoreSizes)) +
-		4*int64(cap(t.sidx)+cap(t.targAt)+cap(m.Recs)+cap(m.StoreAt)) +
+		4*int64(cap(t.sidx)+cap(t.targAt)+cap(m.StoreAt)) +
 		8*int64(cap(t.vals)+cap(t.taken)+cap(t.targs)+cap(m.PCs)+cap(m.Addrs)+cap(m.Values)+cap(m.StoreAddrs))
 }
 
@@ -216,7 +260,7 @@ type builder struct {
 	sidx, tAt                lane[uint32]
 	vals, taken, targs       lane[uint64]
 	pcs, addrs, lvals, sAddr lane[uint64]
-	recs, sAt                lane[int32]
+	sAt                      lane[int32]
 	sSize                    lane[uint8]
 }
 
@@ -242,7 +286,6 @@ func (b *builder) append(recs []Record) {
 			b.pcs.add(r.PC)
 			b.addrs.add(r.Addr)
 			b.lvals.add(r.Value)
-			b.recs.add(int32(i))
 			b.loads++
 		case isa.ClassStore:
 			b.sAddr.add(r.Addr)
@@ -306,8 +349,8 @@ func (b *builder) trace() *Trace {
 		sidx: b.sidx.finish(), vals: b.vals.finish(), taken: b.taken.finish(),
 		targAt: b.tAt.finish(), targs: b.targs.finish(),
 		mem: MemOps{
-			Records: b.n, PCs: b.pcs.finish(), Addrs: b.addrs.finish(), Values: b.lvals.finish(),
-			Recs: b.recs.finish(), StoreAddrs: b.sAddr.finish(), StoreSizes: b.sSize.finish(), StoreAt: b.sAt.finish(),
+			PCs: b.pcs.finish(), Addrs: b.addrs.finish(), Values: b.lvals.finish(),
+			StoreAddrs: b.sAddr.finish(), StoreSizes: b.sSize.finish(), StoreAt: b.sAt.finish(),
 		},
 	}
 }

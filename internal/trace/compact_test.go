@@ -73,8 +73,9 @@ func decodeRecords(b []byte) []Record {
 }
 
 // checkCompact requires FromRecords(recs) to give recs back exactly through
-// every reader: Expand and Batches, and its memory-op lanes
-// to hold the loads and stores in order.
+// every reader: Expand and Batches; its memory-op lanes to hold the loads
+// and stores in order; its row view to rebuild every branch but its Value;
+// and Scatter to put the k-th of a list of load states on the k-th load.
 func checkCompact(t *testing.T, recs []Record) {
 	t.Helper()
 	tr := FromRecords("fuzz", "ppc", recs)
@@ -91,15 +92,35 @@ func checkCompact(t *testing.T, recs []Record) {
 		}
 		n += len(batch)
 	}
-	m := tr.Mem()
-	if m.Records != len(recs) {
-		t.Fatalf("Mem().Records = %d, want %d", m.Records, len(recs))
+	m, rows := tr.Mem(), tr.Rows()
+	states := make([]PredState, m.Len())
+	for k := range states {
+		states[k] = PredState(k*7/3) % NumPredStates
 	}
-	loads, stores := 0, 0
+	ann := tr.Scatter(states)
+	if len(ann) != len(recs) {
+		t.Fatalf("Scatter gave %d states for %d records", len(ann), len(recs))
+	}
+	loads, stores, tx := 0, 0, 0
 	for i, r := range recs {
+		if r.IsBranch() {
+			want := r
+			want.Value = 0
+			var got Record
+			if rows.Branch(i, &tx, &got); got != want {
+				t.Fatalf("Rows().Branch(%d) = %+v, want %+v", i, got, want)
+			}
+		}
+		want := PredNone
+		if r.IsLoad() {
+			want = states[loads]
+		}
+		if ann[i] != want {
+			t.Fatalf("Scatter: record %d has %v, want %v", i, ann[i], want)
+		}
 		switch {
 		case r.IsLoad():
-			if m.PCs[loads] != r.PC || m.Addrs[loads] != r.Addr || m.Values[loads] != r.Value || int(m.Recs[loads]) != i {
+			if m.PCs[loads] != r.PC || m.Addrs[loads] != r.Addr || m.Values[loads] != r.Value {
 				t.Fatalf("load lane %d does not match record %d", loads, i)
 			}
 			loads++
@@ -129,8 +150,8 @@ func FuzzTraceCompact(f *testing.F) {
 }
 
 // TestMemOpsLanes pins the memory-op lane layout on a small hand-built
-// trace: load lanes in trace order with their record indices, store lanes
-// with their position in the load stream, and Scatter's inverse mapping.
+// trace: load lanes in trace order, store lanes with their position in the
+// load stream, and Scatter's mapping of load order onto the records.
 func TestMemOpsLanes(t *testing.T) {
 	load := func(pc, addr, value uint64) Record {
 		return Record{PC: pc, Op: isa.LD, Rd: 3, Ra: 1, Addr: addr, Value: value, Size: 8, Class: isa.LoadIntData}
@@ -150,20 +171,18 @@ func TestMemOpsLanes(t *testing.T) {
 		store(0x48, 1),            // trailing
 	}
 	want := MemOps{
-		Records:    len(recs),
 		PCs:        []uint64{0x100, 0x108, 0x110},
 		Addrs:      []uint64{0x20, 0x28, 0x40},
 		Values:     []uint64{1, 2, 3},
-		Recs:       []int32{1, 3, 6},
 		StoreAddrs: []uint64{0x10, 0x30, 0x38, 0x48},
 		StoreSizes: []uint8{8, 4, 2, 1},
 		StoreAt:    []int32{0, 2, 2, 3},
 	}
-	m := FromRecords("", "", recs).Mem()
-	if !reflect.DeepEqual(m, want) {
+	tr := FromRecords("", "", recs)
+	if m := tr.Mem(); !reflect.DeepEqual(m, want) {
 		t.Fatalf("lanes = %+v\nwant    %+v", m, want)
 	}
-	ann := m.Scatter([]PredState{PredCorrect, PredIncorrect, PredConstant})
+	ann := tr.Scatter([]PredState{PredCorrect, PredIncorrect, PredConstant})
 	wantAnn := Annotation{0, PredCorrect, 0, PredIncorrect, 0, 0, PredConstant, 0, 0}
 	if !reflect.DeepEqual(ann, wantAnn) {
 		t.Fatalf("Scatter = %v, want %v", ann, wantAnn)
@@ -196,8 +215,10 @@ func TestBuilderLanes(t *testing.T) {
 			{"vals", len(tr.vals), cap(tr.vals)},
 			{"taken", len(tr.taken), cap(tr.taken)},
 			{"targs", len(tr.targs), cap(tr.targs)},
+			{"targAt", len(tr.targAt), cap(tr.targAt)},
 			{"PCs", len(m.PCs), cap(m.PCs)},
-			{"Recs", len(m.Recs), cap(m.Recs)},
+			{"Addrs", len(m.Addrs), cap(m.Addrs)},
+			{"Values", len(m.Values), cap(m.Values)},
 			{"StoreAddrs", len(m.StoreAddrs), cap(m.StoreAddrs)},
 			{"StoreSizes", len(m.StoreSizes), cap(m.StoreSizes)},
 			{"StoreAt", len(m.StoreAt), cap(m.StoreAt)},

@@ -11,7 +11,8 @@
 //   - cycle-level machine models of the PowerPC 620, 620+ and Alpha AXP
 //     21164 with LVP integration (Simulate620, Simulate620Plus,
 //     Simulate21164), paper §4. Each passes the in-memory trace and its
-//     annotation to the model's single Simulate entry point;
+//     annotation to the model's single Simulate entry point, which reads
+//     the trace's static rows and memory-op lanes in place;
 //   - experiment drivers regenerating every table and figure of the
 //     paper's evaluation (NewSuite and the exp.Suite methods), paper §6.
 //
@@ -75,7 +76,9 @@ func BenchmarkNames() []string { return bench.Names() }
 // static instruction once, plus per-record lanes of dynamic facts. Len is
 // the record count; Batches walks the records in reused batches
 // (for base, recs := range t.Batches()), Mem returns the load and store
-// lanes, and Expand materializes every record (48 B each).
+// lanes, Rows the static rows with each record's row index (what the
+// timing models read), Scatter turns one state per load into an
+// Annotation, and Expand materializes every record (48 B each).
 type Trace = trace.Trace
 
 // Record is one dynamic instruction.
@@ -352,7 +355,9 @@ type SuiteCacheStats = exp.SuiteCacheStats
 // Suite drives full-paper experiment reproduction with caching; see the
 // methods on exp.Suite (Table1, Figure1, ... Figure9, plus ablations).
 // Experiment cells run on a bounded worker pool with single-flight caches
-// (each trace, annotation and simulation is built exactly once) and
+// (each trace, LVP unit run and simulation is built exactly once; the
+// per-record annotation a simulation reads is scattered from its unit run
+// for that simulation and not kept) and
 // deterministic result merging: output is byte-identical for every worker
 // count.
 //
