@@ -106,16 +106,20 @@ bench-json:
 # of 1, 7 and 256 records against vm.Run and ReadAll, errors included), the
 # compact in-memory trace (the FuzzTraceCompact seeds: arbitrary records,
 # hostile ones included, come back exactly through every reader, the row
-# view rebuilds every branch, and Scatter puts each load state on its load;
-# the memory-op lane layout; the builder's exact-length lanes across its
-# chunk boundaries; its batches concatenating to the records with one
-# allocation per walk; the scale-1 suite's traces at most 17 B/record; the
-# unit-run resident gauge equal to the cached states), the batched
+# view rebuilds every branch, each load's row and PC and each Value
+# exception come back, and Scatter puts each load state on its load; the
+# memory-op lane layout; the builder's exact-length lanes across its chunk
+# boundaries; the MaxStaticRows bound, at it and one past it, through
+# FromRecords, Collect, ReadAll and vm.Run; its batches concatenating to the
+# records with one allocation per walk; the scale-1 suite's traces at most
+# 12 B/record with no Value exceptions; the unit-run resident gauge equal to
+# the cached states), the 620's end of run after a final mispredicted
+# branch, the batched
 # annotation differential, and the CVU's address-boundary invalidation and
 # insert-refresh edge cases. All of these also run as part of plain
 # `make test` / `make check`.
-STREAM_TESTS = 'AllocFree|TestStreamRSS|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateInvariants|TestSimulateRejectsAnnotationLength|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestBatchesOneSpan|FuzzTraceCompact|TestMemOpsLanes|TestBuilderLanes|TestTraceResidentBytes|TestUnitRunResidentBytes|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
-STREAM_PKGS = ./internal/trace/ ./internal/lvp/ ./internal/exp/ ./internal/vm/
+STREAM_TESTS = 'AllocFree|TestStreamRSS|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateInvariants|TestSimulateRejectsAnnotationLength|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestBatchesOneSpan|FuzzTraceCompact|TestMemOpsLanes|TestBuilderLanes|TestStaticRowsBound|TestRunMatchesSource|TestRunEndsAfterLastMispredict|TestTraceResidentBytes|TestUnitRunResidentBytes|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
+STREAM_PKGS = ./internal/trace/ ./internal/lvp/ ./internal/exp/ ./internal/vm/ ./internal/ppc620/
 
 check-stream:
 	$(GO) test -count=1 -run $(STREAM_TESTS) $(STREAM_PKGS)

@@ -5,14 +5,18 @@ import (
 
 	"lvp/internal/axp21164"
 	"lvp/internal/bench"
+	"lvp/internal/isa"
 	"lvp/internal/lvp"
 	"lvp/internal/prog"
+	"lvp/internal/trace"
 )
 
 // TestTraceResidentBytes bounds the compact in-memory trace: the scale-1
-// suite's traces, memory-op lanes and static rows included, hold at most
-// 17 bytes per record (a Record is 48; 16.7 measured). Trace.ResidentBytes
-// sums every lane's capacity times its element size.
+// suite's traces, memory-op lanes, static rows and per-row tables included,
+// hold at most 12 bytes per record (a Record is 48; 11.8 measured).
+// Trace.ResidentBytes sums every lane's capacity times its element size.
+// Every trace keeps its Values in the dense lanes (no Value exceptions) and
+// fits the 16-bit row index.
 func TestTraceResidentBytes(t *testing.T) {
 	s := NewSuite(1)
 	var recs, bytes int64
@@ -24,16 +28,38 @@ func TestTraceResidentBytes(t *testing.T) {
 			}
 			recs += int64(tr.Len())
 			bytes += tr.ResidentBytes()
+			if n := valueExceptions(tr); n != 0 {
+				t.Errorf("%s/%s: %d Value exceptions, want 0", b.Name, target.Name, n)
+			}
+			if n := len(tr.Rows().Static); n > trace.MaxStaticRows {
+				t.Errorf("%s/%s: %d static rows, more than MaxStaticRows", b.Name, target.Name, n)
+			}
 		}
 	}
 	perRec := float64(bytes) / float64(recs)
 	t.Logf("%d records, %.1f MB resident, %.2f B/record", recs, float64(bytes)/(1<<20), perRec)
-	if perRec > 17 {
-		t.Fatalf("traces hold %.2f B/record, want <= 17", perRec)
+	if perRec > 12 {
+		t.Fatalf("traces hold %.2f B/record, want <= 12", perRec)
 	}
 	if got := s.Metrics.Gauge("trace.resident_bytes").Value(); got != bytes {
 		t.Fatalf("trace.resident_bytes gauge = %d, want %d", got, bytes)
 	}
+}
+
+// valueExceptions counts t's records that the compact trace keeps in its
+// Value exception lane: a nonzero Value on a record that is not a load or a
+// store and writes no register but R0 (isa.Dest).
+func valueExceptions(t *trace.Trace) int {
+	n := 0
+	for _, recs := range t.Batches() {
+		for i := range recs {
+			r := &recs[i]
+			if _, dest := isa.Dest(r.Inst()); !dest && !r.IsLoad() && !r.IsStore() && r.Value != 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestUnitRunResidentBytes checks the annotate.resident_bytes gauge: after

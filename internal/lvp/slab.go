@@ -7,10 +7,10 @@ import (
 
 // Slab runs the unit over a trace's memory-op lanes (Trace.Mem) in trace
 // order: each run of loads between two stores goes to Unit.LoadBatch as
-// sub-slices of the load lanes, and each store to Unit.Store. Records that
-// are neither never reach the unit, so this is exactly RecordBatch over the
-// trace. Load i's state is written to states[i] (load order; len(states)
-// must be at least s.Len()), so the walk itself allocates nothing.
+// sub-slices of the load lanes (PCs gathered), and each store to Unit.Store.
+// Records that are neither never reach the unit, so this is exactly
+// RecordBatch over the trace. Load i's state is written to states[i] (load
+// order; len(states) must be at least s.Len()); the walk allocates nothing.
 func (a *Annotator) Slab(s trace.MemOps, states []trace.PredState) {
 	next := 0
 	for k, at := range s.StoreAt {
@@ -21,10 +21,18 @@ func (a *Annotator) Slab(s trace.MemOps, states []trace.PredState) {
 	a.slabLoads(s, next, s.Len(), states)
 }
 
-// slabLoads hands loads [i, j) of the lanes to Unit.LoadBatch.
+const slabPCs = 1024 // the most load PCs Slab gathers for one Unit.LoadBatch
+
+// slabLoads hands loads [i, j) of the lanes to Unit.LoadBatch, gathering
+// their PCs from the row table into a.pcs.
 func (a *Annotator) slabLoads(s trace.MemOps, i, j int, states []trace.PredState) {
-	if i < j {
-		a.u.LoadBatch(s.PCs[i:j], s.Addrs[i:j], s.Values[i:j], states[i:j])
+	for n := 0; i < j; i += n {
+		n = min(j-i, slabPCs)
+		pcs := a.pcs[:n]
+		for k, row := range s.LoadRows[i : i+n] {
+			pcs[k] = s.RowPCs[row]
+		}
+		a.u.LoadBatch(pcs, s.Addrs[i:i+n], s.Values[i:i+n], states[i:i+n])
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 // predict/verify path runs at full speed over any record stream.
 type Annotator struct {
 	u *Unit
-	// Gather scratch for RecordBatch: consecutive loads are copied into
-	// these parallel slices so Unit.LoadBatch runs over plain arrays. They
-	// grow to the longest load run seen and are then reused.
+	// Gather scratch: consecutive loads are copied into these parallel
+	// slices so Unit.LoadBatch runs over plain arrays (Slab gathers PCs
+	// only). They grow to the longest run seen and are then reused.
 	pcs, addrs, vals []uint64
 }
 
@@ -28,7 +28,7 @@ func NewAnnotator(cfg Config, tr *obs.Tracer) (*Annotator, error) {
 		return nil, err
 	}
 	u.SetTracer(tr)
-	return &Annotator{u: u}, nil
+	return &Annotator{u: u, pcs: make([]uint64, 0, slabPCs)}, nil
 }
 
 // RecordBatch processes recs in order, writing each record's state into the

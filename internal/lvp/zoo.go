@@ -149,8 +149,8 @@ func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
 	var m ZooMeasure
 	cp, hasConf := p.(ConfidencePredictor)
 	m.Loads = int64(loads.Len())
-	for i, pc := range loads.PCs {
-		value := loads.Values[i]
+	for i, row := range loads.LoadRows {
+		pc, value := loads.RowPCs[row], loads.Values[i]
 		if hasConf {
 			v, ok := cp.Lookup(pc)
 			if ok {

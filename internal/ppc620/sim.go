@@ -88,11 +88,6 @@ type machine struct {
 	fetched   int // number fetched so far (fetch buffer tail)
 	liveFloor int // head at the start of the current cycle
 
-	// srcDone is set once fetch finds the trace exhausted (or the trace is
-	// empty): the run ends when it is set and every fetched entry has
-	// completed.
-	srcDone bool
-
 	// pend lists dispatched-but-not-issued entries in dispatch order — the
 	// only candidates issue must consider (bounded by the completion
 	// buffer, so it never reallocates after construction). Each carries a
@@ -212,7 +207,6 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 		otr:             obsTr,
 	}
 	m.rows = rowInfos(m.tr.Static)
-	m.srcDone = t.Len() == 0
 	for i := range m.lastWriter {
 		m.lastWriter[i] = -1
 	}
@@ -366,7 +360,7 @@ func execLatency(op isa.Op) int {
 func (m *machine) run() {
 	cycle := 0
 	const safetyFactor = 200 // cycles per instruction upper bound
-	for !m.srcDone || m.head < m.fetched {
+	for m.fetched < len(m.tr.Sidx) || m.head < m.fetched {
 		m.liveFloor = m.head
 		m.complete(cycle)
 		m.issue(cycle)
@@ -395,12 +389,8 @@ func (m *machine) fetch(cycle int) {
 	}
 	space := m.cfg.FetchBuffer - (m.fetched - m.dispPtr)
 	width := min(m.cfg.FetchWidth, space)
-	for k := 0; k < width && !m.srcDone; k++ {
+	for k := 0; k < width && m.fetched < len(m.tr.Sidx); k++ {
 		i := m.fetched
-		if i == len(m.tr.Sidx) {
-			m.srcDone = true
-			return
-		}
 		info := &m.rows[m.tr.Sidx[i]]
 		// Annotations normally cover loads only; AnnotateGeneral also marks
 		// other register-writing instructions, which this model handles

@@ -365,3 +365,32 @@ func TestComplexUnitsNotPipelined(t *testing.T) {
 		t.Errorf("fadds %.2f cycles/op; simple FP must be pipelined (~1)", perOp)
 	}
 }
+
+// TestRunEndsAfterLastMispredict pins the end of a run on a trace whose last
+// record is a mispredicted branch: the run ends when that branch completes,
+// not one cycle later, when a fetch past the end would first be allowed.
+func TestRunEndsAfterLastMispredict(t *testing.T) {
+	for _, tc := range []struct {
+		taken  bool
+		cycles int
+	}{
+		{false, 5}, // the BHT predicts taken: a mispredict at the end
+		{true, 5},
+	} {
+		targ := uint64(0x1008)
+		if tc.taken {
+			targ = 0x1000
+		}
+		tr := trace.FromRecords("t", "ppc", []trace.Record{
+			{PC: 0x1000, Op: isa.ADD, Rd: 5, Ra: 1, Rb: 2},
+			{PC: 0x1004, Op: isa.BEQ, Ra: 5, Rb: 5, Imm: 0x1000, Taken: tc.taken, Targ: targ},
+		})
+		s := simTrace(tr, nil, Config620(), "")
+		if s.Cycles != tc.cycles || s.Instructions != 2 {
+			t.Errorf("taken=%v: %d cycles for %d instructions, want %d for 2", tc.taken, s.Cycles, s.Instructions, tc.cycles)
+		}
+		if !tc.taken && s.Branch.CondMispredict != 1 {
+			t.Errorf("not-taken BEQ: %d mispredicts, want 1", s.Branch.CondMispredict)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -146,7 +147,10 @@ func TestReaderNextBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	enc := encodeTrace(genTrace(200_000))
+	// genTrace puts every record on its own static row, so the 200,000
+	// records repeat 50,000 to stay within MaxStaticRows.
+	recs := genTrace(50_000).Expand()
+	enc := encodeTrace(FromRecords("gen", "ppc", slices.Concat(recs, recs, recs, recs)))
 	r, err := NewReader(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)

@@ -16,13 +16,15 @@ import (
 //
 //   - static: each distinct static row once — a Record with Value, Taken,
 //     Targ and (on memory ops) Addr zeroed, keyed by the whole remaining
-//     tuple, so any record sequence compacts without loss;
-//   - per record: its static row (sidx) and Taken bit (taken, 64 per word);
-//     the Value of every record but a load, in order (vals);
-//   - Targ exceptions (targAt/targs): only the records whose Targ differs
-//     from derivedTarg, in practice JALR;
-//   - mem: the memory-op lanes, holding every load's and store's Addr and
-//     every load's Value.
+//     tuple, so any record sequence compacts without loss — and whether
+//     its records carry a Value (hasVal: a store, or a write to a register
+//     other than R0);
+//   - per record: its 16-bit row (sidx), Taken bit (taken, 64 per word) and,
+//     on a non-load whose row carries one, Value (vals);
+//   - sparse exceptions: Targs other than derivedTarg (JALR; targX) and
+//     nonzero Values on rows that carry none (valX; none in VM traces);
+//   - mem: the memory-op lanes, holding every load's row, Addr and Value
+//     and every store's Addr: about 11.8 B/record in all on the suite.
 //
 // A Trace is immutable once built and safe to share. The timing models and
 // the dataflow analysis read the rows and lanes directly (Rows, Mem);
@@ -32,13 +34,38 @@ type Trace struct {
 	Name   string // benchmark name, e.g. "grep"
 	Target string // codegen target, e.g. "ppc" or "axp"
 
-	static []Record
-	sidx   []uint32
-	vals   []uint64
-	taken  []uint64
-	targAt []uint32
-	targs  []uint64
-	mem    MemOps
+	static      []Record
+	hasVal      []bool
+	sidx        []uint16
+	vals        []uint64
+	taken       []uint64
+	targX, valX sparse // Targ and Value exceptions
+	mem         MemOps
+}
+
+// MaxStaticRows bounds a trace's static rows; the suite's hold a few hundred.
+const MaxStaticRows = 1 << 16
+
+// ErrStaticRows reports a record stream with more static rows than that.
+var ErrStaticRows = fmt.Errorf("trace: more than MaxStaticRows (%d) distinct static rows", MaxStaticRows)
+
+// sparse is a lane few records fill: their indices, increasing, and values.
+type sparse struct {
+	at []uint32
+	v  []uint64
+}
+
+// get returns record i's value, if the lane holds one. x is the caller's
+// position, at most the first entry at or after i; calls come in
+// increasing i, and each moves x past i.
+func (s *sparse) get(i int, x *int) (v uint64, ok bool) {
+	for *x < len(s.at) && int(s.at[*x]) <= i {
+		if int(s.at[*x]) == i {
+			v, ok = s.v[*x], true
+		}
+		*x++
+	}
+	return v, ok
 }
 
 // MemOps is a trace's memory-op lanes: every load and every store, in trace
@@ -46,11 +73,12 @@ type Trace struct {
 // LVP unit configuration annotated over the trace, each zoo family, each
 // timing model).
 type MemOps struct {
-	// Load lanes: load i executed at PCs[i], read Addrs[i] and returned
-	// Values[i].
-	PCs    []uint64
-	Addrs  []uint64
-	Values []uint64
+	// Load lanes: load i executed static row LoadRows[i] at PC
+	// RowPCs[LoadRows[i]] (one per row), read Addrs[i] and returned Values[i].
+	LoadRows []uint16
+	RowPCs   []uint64
+	Addrs    []uint64
+	Values   []uint64
 
 	// Store lanes: store k wrote StoreSizes[k] bytes at StoreAddrs[k] after
 	// the first StoreAt[k] loads of the stream and before the rest.
@@ -60,7 +88,7 @@ type MemOps struct {
 }
 
 // Len reports the number of dynamic loads.
-func (m MemOps) Len() int { return len(m.PCs) }
+func (m MemOps) Len() int { return len(m.LoadRows) }
 
 // Rows is a read-only view of a trace's per-record structure, for the walks
 // that read the trace without expanding its records (the timing models and
@@ -72,16 +100,15 @@ type Rows struct {
 	// Taken and Targ zeroed, and Addr zeroed on memory ops.
 	Static []Record
 	// Sidx[i] is record i's row in Static.
-	Sidx []uint32
+	Sidx []uint16
 
-	taken  []uint64
-	targAt []uint32
-	targs  []uint64
+	taken []uint64
+	targX sparse
 }
 
 // Rows returns the trace's row view (shared; read only).
 func (t *Trace) Rows() Rows {
-	return Rows{Static: t.static, Sidx: t.sidx, taken: t.taken, targAt: t.targAt, targs: t.targs}
+	return Rows{Static: t.static, Sidx: t.sidx, taken: t.taken, targX: t.targX}
 }
 
 // Branch rebuilds record i, a branch, into r from its row: the static
@@ -92,26 +119,19 @@ func (v *Rows) Branch(i int, tx *int, r *Record) {
 	*r = v.Static[v.Sidx[i]]
 	r.Taken = v.taken[i>>6]>>(i&63)&1 != 0
 	r.Targ = derivedTarg(r, isa.ClassOf(r.Op), r.Taken)
-	for *tx < len(v.targAt) && int(v.targAt[*tx]) <= i {
-		if int(v.targAt[*tx]) == i {
-			r.Targ = v.targs[*tx]
-		}
-		*tx++
+	if targ, ok := v.targX.get(i, tx); ok {
+		r.Targ = targ
 	}
 }
 
 // Scatter expands load-order states (one per load, len(states) = Mem().Len())
-// into the per-record annotation of t: the k-th load record gets states[k],
-// and every other record PredNone.
+// into the per-record annotation of t: the k-th load record (the next record
+// on the k-th load's row) gets states[k], and every other record PredNone.
 func (t *Trace) Scatter(states []PredState) Annotation {
-	isLoad := make([]bool, len(t.static))
-	for j := range t.static {
-		isLoad[j] = isa.IsLoad(t.static[j].Op)
-	}
 	ann := make(Annotation, len(t.sidx))
-	k := 0
+	k, rows := 0, t.mem.LoadRows
 	for i, s := range t.sidx {
-		if isLoad[s] {
+		if k < len(rows) && rows[k] == s {
 			ann[i] = states[k]
 			k++
 		}
@@ -126,12 +146,12 @@ func (t *Trace) Len() int { return len(t.sidx) }
 func (t *Trace) Mem() MemOps { return t.mem }
 
 // ResidentBytes is the memory the trace holds: every lane's capacity times
-// its element size, memory-op lanes and static rows included.
+// its element size, memory-op lanes, static rows and row tables included.
 func (t *Trace) ResidentBytes() int64 {
 	m := &t.mem
-	return int64(cap(t.static))*int64(unsafe.Sizeof(Record{})) + int64(cap(m.StoreSizes)) +
-		4*int64(cap(t.sidx)+cap(t.targAt)+cap(m.StoreAt)) +
-		8*int64(cap(t.vals)+cap(t.taken)+cap(t.targs)+cap(m.PCs)+cap(m.Addrs)+cap(m.Values)+cap(m.StoreAddrs))
+	return int64(cap(t.static))*int64(unsafe.Sizeof(Record{})) + int64(cap(t.hasVal)+cap(m.StoreSizes)) +
+		2*int64(cap(t.sidx)+cap(m.LoadRows)) + 4*int64(cap(m.StoreAt)+cap(t.targX.at)+cap(t.valX.at)) +
+		8*int64(cap(t.vals)+cap(t.taken)+cap(t.targX.v)+cap(t.valX.v)+cap(m.RowPCs)+cap(m.Addrs)+cap(m.Values)+cap(m.StoreAddrs))
 }
 
 // derivedTarg is the Targ of a record with static row s, of class cls, and
@@ -148,10 +168,10 @@ func derivedTarg(s *Record, cls isa.Class, taken bool) uint64 {
 }
 
 // cursor is a read position in a Trace: the next record, and the next
-// non-load Value, load, store and Targ exception at or after it.
+// Value, load, store and Targ and Value exception at or after it.
 type cursor struct {
-	t                       *Trace
-	i, val, load, store, tx int
+	t                           *Trace
+	i, val, load, store, tx, vx int
 }
 
 // fill expands the next records into buf and returns how many it wrote.
@@ -160,18 +180,21 @@ type cursor struct {
 func (c *cursor) fill(buf []Record) int {
 	t, m := c.t, &c.t.mem
 	n := min(len(buf), len(t.sidx)-c.i)
-	val, load, store, tx := c.val, c.load, c.store, c.tx
+	val, load, store, tx, vx := c.val, c.load, c.store, c.tx, c.vx
 	for k, s := range t.sidx[c.i : c.i+n] {
 		i, r := c.i+k, &buf[k]
 		*r = t.static[s]
 		r.Taken = t.taken[i>>6]>>(i&63)&1 != 0
 		cls := isa.ClassOf(r.Op)
-		if cls == isa.ClassLoad {
+		switch {
+		case cls == isa.ClassLoad:
 			r.Addr, r.Value = m.Addrs[load], m.Values[load]
 			load++
-		} else {
+		case t.hasVal[s]:
 			r.Value = t.vals[val]
 			val++
+		default:
+			r.Value, _ = t.valX.get(i, &vx)
 		}
 		switch cls {
 		case isa.ClassStore:
@@ -180,12 +203,11 @@ func (c *cursor) fill(buf []Record) int {
 		case isa.ClassBranch:
 			r.Targ = derivedTarg(r, cls, r.Taken)
 		}
-		if tx < len(t.targAt) && t.targAt[tx] == uint32(i) {
-			r.Targ = t.targs[tx]
-			tx++
+		if targ, ok := t.targX.get(i, &tx); ok {
+			r.Targ = targ
 		}
 	}
-	c.i, c.val, c.load, c.store, c.tx = c.i+n, val, load, store, tx
+	c.i, c.val, c.load, c.store, c.tx, c.vx = c.i+n, val, load, store, tx, vx
 	return n
 }
 
@@ -252,16 +274,19 @@ type builder struct {
 	n, loads     int
 	word         uint64 // Taken bits of the records since the last full word
 	static       []Record
+	hasVal       []bool
+	rowPCs       []uint64
 	index        map[Record]uint32
 	// hot is a direct-mapped PC → static row+1 cache in front of index: a
 	// program's static instructions sit at distinct word addresses, so
 	// almost every record finds its row here with one compare.
-	hot                      [4096]uint32
-	sidx, tAt                lane[uint32]
-	vals, taken, targs       lane[uint64]
-	pcs, addrs, lvals, sAddr lane[uint64]
-	sAt                      lane[int32]
-	sSize                    lane[uint8]
+	hot                       [4096]uint32
+	sidx, lRows               lane[uint16]
+	tAt, vAt                  lane[uint32]
+	vals, taken, targs, xvals lane[uint64]
+	addrs, lvals, sAddr       lane[uint64]
+	sAt                       lane[int32]
+	sSize                     lane[uint8]
 }
 
 func newBuilder(name, target string) *builder {
@@ -272,8 +297,9 @@ func newBuilder(name, target string) *builder {
 const MaxRecords = math.MaxInt32
 
 // append adds recs to the trace. Callers bound the trace at MaxRecords
-// records; append panics past that.
-func (b *builder) append(recs []Record) {
+// records; append panics past that. Past MaxStaticRows static rows it
+// returns an error wrapping ErrStaticRows, after which b is unusable.
+func (b *builder) append(recs []Record) error {
 	for k := range recs {
 		r, i := &recs[k], b.n
 		if i == MaxRecords {
@@ -281,21 +307,25 @@ func (b *builder) append(recs []Record) {
 		}
 		b.n++
 		cls := isa.ClassOf(r.Op)
-		switch cls {
-		case isa.ClassLoad:
-			b.pcs.add(r.PC)
+		j := b.row(r, cls == isa.ClassLoad || cls == isa.ClassStore)
+		b.sidx.add(uint16(j)) // wraps past MaxStaticRows: see below
+		switch {
+		case cls == isa.ClassLoad:
+			b.lRows.add(uint16(j))
 			b.addrs.add(r.Addr)
 			b.lvals.add(r.Value)
 			b.loads++
-		case isa.ClassStore:
+		case b.hasVal[j]:
+			b.vals.add(r.Value)
+		case r.Value != 0:
+			b.vAt.add(uint32(i))
+			b.xvals.add(r.Value)
+		}
+		if cls == isa.ClassStore {
 			b.sAddr.add(r.Addr)
 			b.sSize.add(r.Size)
 			b.sAt.add(int32(b.loads))
-			b.vals.add(r.Value)
-		default:
-			b.vals.add(r.Value)
 		}
-		b.sidx.add(b.row(r, cls == isa.ClassLoad || cls == isa.ClassStore))
 		if r.Taken {
 			b.word |= 1 << (i & 63)
 		}
@@ -308,6 +338,10 @@ func (b *builder) append(recs []Record) {
 			b.targs.add(r.Targ)
 		}
 	}
+	if len(b.static) > MaxStaticRows {
+		return fmt.Errorf("%w: %s", ErrStaticRows, b.name)
+	}
+	return nil
 }
 
 // row returns the index of r's static row (r without its dynamic fields;
@@ -331,7 +365,9 @@ func (b *builder) row(r *Record, mem bool) uint32 {
 	j, ok := b.index[s]
 	if !ok {
 		j = uint32(len(b.static))
-		b.static = append(b.static, s)
+		_, dest := isa.Dest(s.Inst())
+		b.static, b.rowPCs = append(b.static, s), append(b.rowPCs, s.PC)
+		b.hasVal = append(b.hasVal, dest || isa.IsStore(s.Op))
 		b.index[s] = j
 	}
 	*h = j + 1
@@ -345,30 +381,36 @@ func (b *builder) trace() *Trace {
 		b.taken.add(b.word)
 	}
 	return &Trace{
-		Name: b.name, Target: b.target, static: slices.Clone(b.static),
+		Name: b.name, Target: b.target, static: slices.Clone(b.static), hasVal: slices.Clone(b.hasVal),
 		sidx: b.sidx.finish(), vals: b.vals.finish(), taken: b.taken.finish(),
-		targAt: b.tAt.finish(), targs: b.targs.finish(),
+		targX: sparse{b.tAt.finish(), b.targs.finish()}, valX: sparse{b.vAt.finish(), b.xvals.finish()},
 		mem: MemOps{
-			PCs: b.pcs.finish(), Addrs: b.addrs.finish(), Values: b.lvals.finish(),
+			LoadRows: b.lRows.finish(), RowPCs: slices.Clone(b.rowPCs), Addrs: b.addrs.finish(), Values: b.lvals.finish(),
 			StoreAddrs: b.sAddr.finish(), StoreSizes: b.sSize.finish(), StoreAt: b.sAt.finish(),
 		},
 	}
 }
 
 // FromRecords compacts recs into a Trace; t.Expand() returns recs exactly.
+// It panics if recs hold more than MaxStaticRows distinct static rows.
 func FromRecords(name, target string, recs []Record) *Trace {
 	b := newBuilder(name, target)
-	b.append(recs)
+	if err := b.append(recs); err != nil {
+		panic(err.Error())
+	}
 	return b.trace()
 }
 
 // Collect drains src into a Trace with the given header, compacting each
-// batch as it arrives. The caller bounds src at MaxRecords records.
+// batch as it arrives. The caller bounds src at MaxRecords records; past
+// MaxStaticRows static rows it returns an error wrapping ErrStaticRows.
 func Collect(name, target string, src BatchSource) (*Trace, error) {
 	b, buf := newBuilder(name, target), make([]Record, batchRecords)
 	for {
 		n, err := src.NextBatch(buf)
-		b.append(buf[:n])
+		if err := b.append(buf[:n]); err != nil {
+			return nil, err
+		}
 		if err == io.EOF {
 			return b.trace(), nil
 		}

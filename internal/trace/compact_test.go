@@ -2,7 +2,10 @@ package trace
 
 import (
 	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lvp/internal/isa"
@@ -30,6 +33,47 @@ var compactSeeds = [][]Record{
 		{PC: 0x1018, Op: isa.SD, Ra: 3, Rb: 4, Addr: 0x2000, Value: 5, Size: 8, Taken: true},
 		{PC: 0x101c, Op: isa.JAL, Rd: 31, Imm: 0x1000, Taken: false, Targ: 0x1020},
 	},
+	// Nonzero Values on rows that carry none (the Value exceptions), each
+	// row seen again with a zero Value, between rows that do carry one.
+	{
+		{PC: 0x1000, Op: isa.BEQ, Ra: 4, Imm: 0x1000, Value: 5, Targ: 0x1004},
+		{PC: 0x1004, Op: isa.ADD, Rd: 0, Ra: 1, Rb: 2, Value: 7},
+		{PC: 0x1008, Op: isa.ADD, Rd: 3, Ra: 1, Rb: 2, Value: 0},
+		{PC: 0x100c, Op: isa.OUT, Ra: 3, Value: 1 << 63},
+		{PC: 0x1000, Op: isa.BEQ, Ra: 4, Imm: 0x1000, Targ: 0x1004},
+		{PC: 0x1010, Op: isa.JAL, Rd: 0, Imm: 0x1000, Taken: true, Targ: 0x1000, Value: 9},
+		{PC: 0x1014, Op: isa.SD, Ra: 3, Rb: 4, Addr: 0x2000, Value: 0, Size: 8},
+		{PC: 0x1018, Op: isa.FADD, Rd: 0, Ra: 1, Rb: 2, Value: 3},
+		{PC: 0x101c, Op: isa.NOP, Value: 2},
+		{PC: 0x1004, Op: isa.ADD, Rd: 0, Ra: 1, Rb: 2},
+		{PC: 0x1020, Op: isa.HALT, Value: 11},
+	},
+}
+
+// recordSource is a BatchSource over a record slice.
+type recordSource []Record
+
+func (s *recordSource) NextBatch(buf []Record) (int, error) {
+	if len(*s) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(buf, *s)
+	*s = (*s)[n:]
+	return n, nil
+}
+
+// staticRows counts recs' distinct static rows: records keyed without
+// their dynamic fields (Value, Taken, Targ, and Addr on memory ops).
+func staticRows(recs []Record) int {
+	rows := make(map[Record]bool)
+	for _, r := range recs {
+		r.Value, r.Taken, r.Targ = 0, false, 0
+		if r.IsLoad() || r.IsStore() {
+			r.Addr = 0
+		}
+		rows[r] = true
+	}
+	return len(rows)
 }
 
 // recordBytes is one record's fuzz encoding: 48 bytes in Record field order.
@@ -72,13 +116,26 @@ func decodeRecords(b []byte) []Record {
 	return recs
 }
 
-// checkCompact requires FromRecords(recs) to give recs back exactly through
+// checkCompact requires Collect over recs to give recs back exactly through
 // every reader: Expand and Batches; its memory-op lanes to hold the loads
-// and stores in order; its row view to rebuild every branch but its Value;
-// and Scatter to put the k-th of a list of load states on the k-th load.
+// (with each load's row and PC) and stores in order; its row view to
+// rebuild every branch but its Value; its Value exceptions to be exactly
+// the nonzero Values on rows that carry none; and Scatter to put the k-th
+// of a list of load states on the k-th load. Input with more than
+// MaxStaticRows static rows must fail with ErrStaticRows.
 func checkCompact(t *testing.T, recs []Record) {
 	t.Helper()
-	tr := FromRecords("fuzz", "ppc", recs)
+	src := recordSource(recs)
+	tr, err := Collect("fuzz", "ppc", &src)
+	if staticRows(recs) > MaxStaticRows {
+		if !errors.Is(err, ErrStaticRows) || tr != nil {
+			t.Fatalf("%d static rows: Collect = %v, %v; want ErrStaticRows", staticRows(recs), tr, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tr.Len() != len(recs) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(recs))
 	}
@@ -101,8 +158,19 @@ func checkCompact(t *testing.T, recs []Record) {
 	if len(ann) != len(recs) {
 		t.Fatalf("Scatter gave %d states for %d records", len(ann), len(recs))
 	}
-	loads, stores, tx := 0, 0, 0
+	for j, s := range rows.Static {
+		if m.RowPCs[j] != s.PC {
+			t.Fatalf("RowPCs[%d] = %#x, want row %d's PC %#x", j, m.RowPCs[j], j, s.PC)
+		}
+	}
+	if len(m.RowPCs) != len(rows.Static) {
+		t.Fatalf("%d row PCs for %d static rows", len(m.RowPCs), len(rows.Static))
+	}
+	loads, stores, tx, valX := 0, 0, 0, 0
 	for i, r := range recs {
+		if _, dest := isa.Dest(r.Inst()); !r.IsLoad() && !r.IsStore() && !dest && r.Value != 0 {
+			valX++
+		}
 		if r.IsBranch() {
 			want := r
 			want.Value = 0
@@ -120,7 +188,8 @@ func checkCompact(t *testing.T, recs []Record) {
 		}
 		switch {
 		case r.IsLoad():
-			if m.PCs[loads] != r.PC || m.Addrs[loads] != r.Addr || m.Values[loads] != r.Value {
+			row := m.LoadRows[loads]
+			if row != rows.Sidx[i] || m.RowPCs[row] != r.PC || m.Addrs[loads] != r.Addr || m.Values[loads] != r.Value {
 				t.Fatalf("load lane %d does not match record %d", loads, i)
 			}
 			loads++
@@ -134,6 +203,46 @@ func checkCompact(t *testing.T, recs []Record) {
 	if loads != m.Len() || stores != len(m.StoreAddrs) {
 		t.Fatalf("lanes hold %d loads and %d stores, want %d and %d", m.Len(), len(m.StoreAddrs), loads, stores)
 	}
+	if len(tr.valX.at) != valX {
+		t.Fatalf("%d Value exceptions, want %d", len(tr.valX.at), valX)
+	}
+}
+
+// TestStaticRowsBound drives a trace to MaxStaticRows distinct static rows,
+// which compacts and expands back exactly, and one past it, which Collect
+// and ReadAll of a VLT2 file reject with ErrStaticRows and FromRecords
+// panics on.
+func TestStaticRowsBound(t *testing.T) {
+	recs := make([]Record, MaxStaticRows+1)
+	for i := range recs {
+		recs[i] = Record{PC: 0x1000 + isa.InstBytes*uint64(i), Op: isa.ADD, Rd: 3, Ra: 1, Rb: 2, Value: uint64(i)}
+	}
+	at := FromRecords("at", "ppc", recs[:MaxStaticRows])
+	if rows := at.Rows(); len(rows.Static) != MaxStaticRows || rows.Sidx[MaxStaticRows-1] != MaxStaticRows-1 {
+		t.Fatalf("%d static rows, last record on row %d", len(rows.Static), rows.Sidx[MaxStaticRows-1])
+	}
+	if !reflect.DeepEqual(at.Expand(), recs[:MaxStaticRows]) {
+		t.Fatal("a trace of MaxStaticRows rows does not expand to its input")
+	}
+
+	src := recordSource(recs)
+	if tr, err := Collect("past", "ppc", &src); !errors.Is(err, ErrStaticRows) || tr != nil {
+		t.Fatalf("Collect past MaxStaticRows = %v, %v; want ErrStaticRows", tr, err)
+	}
+	d, err := NewIndexedReaderBytes(encodeRecordsVLT2("past", "ppc", recs, Writer2Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := ReadAll(d); !errors.Is(err, ErrStaticRows) || tr != nil {
+		t.Fatalf("ReadAll past MaxStaticRows = %v, %v; want ErrStaticRows", tr, err)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "MaxStaticRows") {
+			t.Fatalf("FromRecords past MaxStaticRows panicked with %q", msg)
+		}
+	}()
+	FromRecords("past", "ppc", recs)
+	t.Fatal("FromRecords past MaxStaticRows did not panic")
 }
 
 // FuzzTraceCompact builds a trace from arbitrary records with FromRecords,
@@ -150,8 +259,9 @@ func FuzzTraceCompact(f *testing.F) {
 }
 
 // TestMemOpsLanes pins the memory-op lane layout on a small hand-built
-// trace: load lanes in trace order, store lanes with their position in the
-// load stream, and Scatter's mapping of load order onto the records.
+// trace: load lanes in trace order (each load's static row, and every
+// row's PC), store lanes with their position in the load stream, and
+// Scatter's mapping of load order onto the records.
 func TestMemOpsLanes(t *testing.T) {
 	load := func(pc, addr, value uint64) Record {
 		return Record{PC: pc, Op: isa.LD, Rd: 3, Ra: 1, Addr: addr, Value: value, Size: 8, Class: isa.LoadIntData}
@@ -171,7 +281,8 @@ func TestMemOpsLanes(t *testing.T) {
 		store(0x48, 1),            // trailing
 	}
 	want := MemOps{
-		PCs:        []uint64{0x100, 0x108, 0x110},
+		LoadRows:   []uint16{1, 3, 6},
+		RowPCs:     []uint64{0x5000, 0x100, 0x104, 0x108, 0x5000, 0x5000, 0x110, 0x114, 0x5000},
 		Addrs:      []uint64{0x20, 0x28, 0x40},
 		Values:     []uint64{1, 2, 3},
 		StoreAddrs: []uint64{0x10, 0x30, 0x38, 0x48},
@@ -192,7 +303,8 @@ func TestMemOpsLanes(t *testing.T) {
 // TestBuilderLanes drives the trace builder across its chunk boundaries (traces
 // of 0 to 3 chunks and one record either side), in batches that do not
 // divide a chunk: every lane is allocated at exactly its final length, and
-// the trace expands to its input.
+// the trace expands to its input. Every branch carries a nonzero Value, so
+// the Value exception lane crosses the chunk boundaries too.
 func TestBuilderLanes(t *testing.T) {
 	shapes := genTrace(5).Expand() // ALU, load, store, branch, ALU
 	for _, n := range []int{0, 1, 63, 64, 65, laneChunk - 1, laneChunk, laneChunk + 1, 3 * laneChunk} {
@@ -214,9 +326,11 @@ func TestBuilderLanes(t *testing.T) {
 			{"sidx", len(tr.sidx), cap(tr.sidx)},
 			{"vals", len(tr.vals), cap(tr.vals)},
 			{"taken", len(tr.taken), cap(tr.taken)},
-			{"targs", len(tr.targs), cap(tr.targs)},
-			{"targAt", len(tr.targAt), cap(tr.targAt)},
-			{"PCs", len(m.PCs), cap(m.PCs)},
+			{"targX.at", len(tr.targX.at), cap(tr.targX.at)},
+			{"targX.v", len(tr.targX.v), cap(tr.targX.v)},
+			{"valX.at", len(tr.valX.at), cap(tr.valX.at)},
+			{"valX.v", len(tr.valX.v), cap(tr.valX.v)},
+			{"LoadRows", len(m.LoadRows), cap(m.LoadRows)},
 			{"Addrs", len(m.Addrs), cap(m.Addrs)},
 			{"Values", len(m.Values), cap(m.Values)},
 			{"StoreAddrs", len(m.StoreAddrs), cap(m.StoreAddrs)},
@@ -227,8 +341,13 @@ func TestBuilderLanes(t *testing.T) {
 				t.Fatalf("n=%d: lane %s has len %d, cap %d", n, l.name, l.len, l.cap)
 			}
 		}
-		if len(tr.sidx) != n || len(tr.taken) != (n+63)/64 || len(m.PCs)+len(tr.vals) != n {
-			t.Fatalf("n=%d: lanes hold %d records, %d taken words, %d+%d values", n, len(tr.sidx), len(tr.taken), len(m.PCs), len(tr.vals))
+		if len(tr.sidx) != n || len(tr.taken) != (n+63)/64 || m.Len()+len(tr.vals)+len(tr.valX.at) != n {
+			t.Fatalf("n=%d: lanes hold %d records, %d taken words, %d+%d+%d values",
+				n, len(tr.sidx), len(tr.taken), m.Len(), len(tr.vals), len(tr.valX.at))
+		}
+		// Records 3, 8, 13, … are the branches.
+		if len(tr.valX.at) != (n+1)/len(shapes) {
+			t.Fatalf("n=%d: %d Value exceptions, want one per branch", n, len(tr.valX.at))
 		}
 		if n > 0 && !reflect.DeepEqual(tr.Expand(), recs) {
 			t.Fatalf("n=%d: trace does not expand to its input", n)

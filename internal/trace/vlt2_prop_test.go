@@ -4,6 +4,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -83,7 +84,10 @@ func TestVLT2NextBatchAllocs(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const batch, maxFlatePerBlock = 256, 32
-	tr := FromRecords("alloc", "ppc", genRecords(200_000, 41))
+	// genRecords puts almost every record on its own static row, so the
+	// 200,000 records repeat 50,000 to stay within MaxStaticRows.
+	recs := genRecords(50_000, 41)
+	tr := FromRecords("alloc", "ppc", slices.Concat(recs, recs, recs, recs))
 	for _, c := range batchDecodeCases(tr) {
 		t.Run(c.name, func(t *testing.T) {
 			d, err := NewIndexedReaderBytes(c.enc)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -244,9 +245,12 @@ func batchDecodeCases(tr *Trace) []batchDecodeCase {
 
 // --- benchmarks: the VLT2 encode and batched decode paths ---
 
+// benchTraceV2 is genRecords(n/2) twice over: genRecords puts almost every
+// record on its own static row, and a trace holds at most MaxStaticRows.
 func benchTraceV2(b *testing.B, n int) *Trace {
 	b.Helper()
-	return FromRecords("bench", "ppc", genRecords(n, 99))
+	recs := genRecords(n/2, 99)
+	return FromRecords("bench", "ppc", slices.Concat(recs, recs))
 }
 
 // BenchmarkVLT2DecodeBatch drains the trace in 256-record batches with the

@@ -1,10 +1,12 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"lvp/internal/bench"
@@ -36,10 +38,27 @@ func loopProgram(iters int) *prog.Program {
 	return &prog.Program{Name: "loop", Target: prog.PPC, Code: code, Entry: prog.CodeBase}
 }
 
+// countProgram retires exactly n >= 1 instructions from at most five static
+// instructions: loopProgram's countdown, with a NOP before the HALT when n
+// is odd (below four, nopProgram).
+func countProgram(n int) *prog.Program {
+	if n < 4 {
+		return nopProgram(n)
+	}
+	p := loopProgram((n - 2 - n%2) / 2)
+	if n%2 == 1 {
+		p.Code = slices.Insert(p.Code, 3, isa.Inst{Op: isa.NOP})
+	}
+	p.Name = fmt.Sprintf("count%d", n)
+	return p
+}
+
 // TestRunMatchesSource checks that Run's compact trace expands to exactly
-// the Source's record stream, with the same Result: on NOP programs around
-// the trace builder's chunk boundaries (pulled one record per NextBatch),
-// and on every workload of the suite on both targets at scale 1.
+// the Source's record stream, with the same Result: on programs whose runs
+// end around the trace builder's chunk boundaries (pulled one record per
+// NextBatch), on a straight-line program of trace.MaxStaticRows static
+// instructions, and on every workload of the suite on both targets at
+// scale 1. One static instruction more fails with trace.ErrStaticRows.
 func TestRunMatchesSource(t *testing.T) {
 	check := func(name string, p *prog.Program, batch int) {
 		tr, res, err := Run(p, 0)
@@ -71,8 +90,15 @@ func TestRunMatchesSource(t *testing.T) {
 		}
 	}
 	const chunk = 1 << 16
-	for _, n := range []int{1, chunk - 1, chunk, chunk + 1, 3 * chunk} {
-		check(fmt.Sprintf("nop%d", n), nopProgram(n), 1)
+	for _, n := range []int{1, 2, 5, chunk - 1, chunk, chunk + 1, 3 * chunk} {
+		if res, err := Exec(countProgram(n), 0); err != nil || res.Steps != n {
+			t.Fatalf("countProgram(%d) retires %+v, %v", n, res, err)
+		}
+		check(fmt.Sprintf("count%d", n), countProgram(n), 1)
+	}
+	check("nop", nopProgram(trace.MaxStaticRows), 1)
+	if _, _, err := Run(nopProgram(trace.MaxStaticRows+1), 0); !errors.Is(err, trace.ErrStaticRows) {
+		t.Fatalf("Run of %d static instructions: %v, want trace.ErrStaticRows", trace.MaxStaticRows+1, err)
 	}
 	for _, b := range bench.All() {
 		for _, target := range []prog.Target{prog.PPC, prog.AXP} {

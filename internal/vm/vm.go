@@ -30,8 +30,8 @@ type Result struct {
 }
 
 // Run executes p to completion and returns its full trace, compacted as it
-// runs (trace.Collect), and its result. A run longer than a trace can hold
-// (trace.MaxRecords) fails with ErrStepLimit.
+// runs (trace.Collect), and its result. A run past trace.MaxRecords fails
+// with ErrStepLimit, one past trace.MaxStaticRows rows with trace.ErrStaticRows.
 func Run(p *prog.Program, maxSteps int) (*trace.Trace, *Result, error) {
 	src := NewSource(p, min(maxSteps, trace.MaxRecords))
 	t, err := trace.Collect(p.Name, p.Target.Name, src)
