@@ -45,7 +45,8 @@ race-full:
 # Short fuzz sessions over the trace codecs — the read-only VLT1 Reader's
 # whole-trace and one-record-per-batch round-trip properties (re-encoded by
 # the tests' reference encoder), and the VLT2 block-codec round-trip (the
-# indexed reader, both codecs), the compact in-memory trace's lossless
+# indexed reader, both codecs), the VLT2 record decoder on arbitrary block
+# payloads behind a valid CRC, the compact in-memory trace's lossless
 # round trip (FromRecords then every reader) — over the whole file pipeline:
 # raw bytes → trace.OpenFile → trace.ReadAll → lvp.Annotate(Simple) → both
 # timing models, with the annotation and without (never a panic; decode
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -fuzz='FuzzRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzStreamRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzVLT2RoundTrip$$' -fuzztime=30s ./internal/trace/
+	$(GO) test -run XXX -fuzz='FuzzVLT2Payload$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -run XXX -fuzz='FuzzTraceCompact$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -run XXX -fuzz='FuzzSimulate$$' -fuzztime=30s ./internal/exp/
 	$(GO) test -run XXX -fuzz='FuzzAssemble$$' -fuzztime=30s ./internal/asm/

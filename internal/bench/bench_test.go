@@ -140,6 +140,35 @@ func TestNamesMatchAll(t *testing.T) {
 	}
 }
 
+// TestCompressHaltsAtScale8 runs compress at the largest scale lvpd accepts
+// on both targets: the run reaches its HALT with a dictionary of exactly
+// the entries a Go LZW pass over the same text inserts. Its hash table had
+// a fixed 4096 slots once, which the scale-6 text fills, and the probe for
+// an empty slot never ended.
+func TestCompressHaltsAtScale8(t *testing.T) {
+	bm, err := ByName("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tg := range prog.Targets {
+		p, err := bm.Build(tg, 8)
+		if err != nil {
+			t.Fatalf("%s: build: %v", tg.Name, err)
+		}
+		res, err := vm.Exec(p, testMaxSteps)
+		if err != nil {
+			t.Fatalf("%s: run: %v", tg.Name, err)
+		}
+		entries := lzwEntries(compressText(tg, 8))
+		if entries < 4096 {
+			t.Fatalf("%s: scale 8 inserts %d entries, no more than the 4096 slots of scale 1", tg.Name, entries)
+		}
+		if len(res.Output) != 2 || res.Output[1] != uint64(256+entries) {
+			t.Fatalf("%s: output %v, want a dictionary size of %d", tg.Name, res.Output, 256+entries)
+		}
+	}
+}
+
 // TestLocalityStableAcrossScales validates the DESIGN.md substitution claim
 // that the scaled-down run lengths already exhibit converged value locality:
 // doubling the run length must not move depth-1 locality by more than a few

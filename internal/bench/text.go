@@ -304,11 +304,39 @@ func buildGawk(t prog.Target, scale int) (*prog.Program, error) {
 	return b.Build()
 }
 
+// compressText is compress's input: 4096×scale bytes of word text.
+func compressText(t prog.Target, scale int) []byte {
+	return makeText(newRNG(303+targetSalt(t.Name)), 4096*clampScale(scale))
+}
+
+// lzwEntries counts the dictionary entries compress's LZW loop inserts for
+// text: one for each (prefix, char) pair that does not extend a known
+// prefix.
+func lzwEntries(text []byte) int {
+	dict := make(map[uint64]uint64)
+	prefix := uint64(text[0])
+	for _, c := range text[1:] {
+		key := prefix<<9 | uint64(c)
+		if code, ok := dict[key]; ok {
+			prefix = code
+			continue
+		}
+		dict[key] = uint64(256 + len(dict))
+		prefix = uint64(c)
+	}
+	return len(dict)
+}
+
 func buildCompress(t prog.Target, scale int) (*prog.Program, error) {
-	scale = clampScale(scale)
 	b := prog.New("compress", t)
-	text := makeText(newRNG(303+targetSalt(t.Name)), 4096*scale)
-	const tableSize = 4096 // power of two
+	text := compressText(t, scale)
+	// The probe loop ends only at a match or an empty slot, so the table
+	// (a power of two) must outnumber the dictionary: 4096 slots hold it
+	// up to scale 5, and a larger text doubles the table until they do.
+	tableSize := 4096
+	for entries := lzwEntries(text); tableSize <= entries; {
+		tableSize *= 2
+	}
 	b.Bytes("text", text)
 	b.Zeros("hkeys", tableSize*8)  // hashed (prefix<<9|char)+1, 0 = empty
 	b.Zeros("hcodes", tableSize*8) // assigned code
@@ -341,7 +369,7 @@ func buildCompress(t prog.Target, scale int) (*prog.Program, error) {
 	b.MaterializeInt(prog.T3, 2654435761)
 	b.Op3(isa.MUL, prog.T4, prog.T2, prog.T3)
 	b.OpI(isa.SHRI, prog.T4, prog.T4, 8)
-	b.OpI(isa.ANDI, prog.T4, prog.T4, tableSize-1)
+	b.OpI(isa.ANDI, prog.T4, prog.T4, int64(tableSize-1))
 	probe, insert, hit, advance := b.NewLabel("probe"), b.NewLabel("insert"), b.NewLabel("hit"), b.NewLabel("advance")
 	b.Label(probe)
 	b.OpI(isa.SHLI, prog.T5, prog.T4, 3)
@@ -350,7 +378,7 @@ func buildCompress(t prog.Target, scale int) (*prog.Program, error) {
 	b.Branch(isa.BEQ, prog.T6, prog.Zero, insert)        // empty slot
 	b.Branch(isa.BEQ, prog.T6, prog.T2, hit)             // match
 	b.OpI(isa.ADDI, prog.T4, prog.T4, 1)                 // linear probe
-	b.OpI(isa.ANDI, prog.T4, prog.T4, tableSize-1)
+	b.OpI(isa.ANDI, prog.T4, prog.T4, int64(tableSize-1))
 	b.Jump(probe)
 	b.Label(insert)
 	b.Store(isa.SD, prog.T2, prog.T5, 0) // key

@@ -21,9 +21,10 @@ type Decoder interface {
 
 // OpenFile is the one trace opener. It detects f's format on its magic
 // bytes and returns an IndexedReader for VLT2 (O(log blocks) seeking,
-// zero-copy block access) or a streaming Reader for VLT1. The file must stay
-// open while the Decoder is in use; if the Decoder implements io.Closer (the
-// indexed reader does, to release its mapping), close it before closing f.
+// blocks read in place from a mapping) or a streaming Reader for VLT1. The
+// file must stay open while the Decoder is in use; if the Decoder
+// implements io.Closer (the indexed reader does, to release its mapping),
+// close it before closing f.
 func OpenFile(f *os.File) (Decoder, error) {
 	var m [4]byte
 	if _, err := f.ReadAt(m[:], 0); err != nil {

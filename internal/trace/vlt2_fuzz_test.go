@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,10 +52,8 @@ func encodeRecordsVLT2(name, target string, recs []Record, opts Writer2Options) 
 	return buf.Bytes()
 }
 
-// forgeCodec rewrites block 0's codec byte and re-signs the block CRC over
-// the forged header and the block's uncompressed payload, so the codec byte
-// is the input's only defect.
-func forgeCodec(enc []byte, codec byte) []byte {
+// block0 returns block 0's header and a copy of its uncompressed payload.
+func block0(enc []byte) (blockHdr2, []byte) {
 	ir, err := NewIndexedReaderBytes(enc)
 	if err != nil {
 		panic(err)
@@ -70,13 +69,55 @@ func forgeCodec(enc []byte, codec byte) []byte {
 	if err != nil {
 		panic(err)
 	}
-	h.codec = BlockCodec(codec)
-	hdr := h.appendWire(nil)
-	out := bytes.Clone(enc)
-	copy(out[e.off:], hdr)
-	binary.LittleEndian.PutUint32(out[e.off+uint64(len(hdr)):],
-		crc32.Update(crc32.Checksum(hdr, castagnoli), castagnoli, raw))
-	return out
+	return h, bytes.Clone(raw[:h.rawLen])
+}
+
+// forgeBlock0 re-emits enc with block 0 stored raw and passed through edit,
+// which may change the header and returns the new payload. The header's
+// lengths follow the new payload unless edit set either of them; the block
+// CRC is re-signed and the footer index rebuilt around the new block, its
+// entry taking the header's count where an index entry may hold it, so
+// edit's change is the input's only defect.
+func forgeBlock0(enc []byte, edit func(h *blockHdr2, payload []byte) []byte) []byte {
+	ir, err := NewIndexedReaderBytes(enc)
+	if err != nil {
+		panic(err)
+	}
+	h, payload := block0(enc)
+	h.codec, h.encLen = CodecRaw, h.rawLen
+	rawLen, encLen := h.rawLen, h.encLen
+	payload = edit(&h, payload)
+	if h.rawLen == rawLen && h.encLen == encLen {
+		h.rawLen, h.encLen = uint64(len(payload)), uint64(len(payload))
+	}
+	e := ir.idx[0]
+	out := h.appendWire(bytes.Clone(enc[:e.off]))
+	out = binary.LittleEndian.AppendUint32(out,
+		crc32.Update(crc32.Checksum(out[e.off:], castagnoli), castagnoli, payload))
+	out = append(out, payload...)
+	idx := slices.Clone(ir.idx)
+	idx[0].size = uint64(len(out)) - e.off
+	if h.count >= 1 && h.count <= MaxBlockRecords {
+		idx[0].count = h.count
+	}
+	var total uint64
+	for i := range idx {
+		if i > 0 {
+			idx[i].off += idx[0].size - e.size // mod 2^64: the block may shrink
+		}
+		total += idx[i].count
+	}
+	out = append(out, enc[e.off+e.size:ir.fOff]...)
+	return appendFooter(out, idx, total)
+}
+
+// forgeCodec rewrites block 0's codec byte and re-signs the block CRC, so
+// the codec byte is the input's only defect.
+func forgeCodec(enc []byte, codec byte) []byte {
+	return forgeBlock0(enc, func(h *blockHdr2, p []byte) []byte {
+		h.codec = BlockCodec(codec)
+		return p
+	})
 }
 
 // FuzzVLT2RoundTrip feeds arbitrary bytes to the VLT2 decoder. The
@@ -136,7 +177,13 @@ func FuzzVLT2RoundTrip(f *testing.F) {
 // recomputing the footer CRC so only the index semantics — not the
 // checksum — are under test.
 func rebuiltFooter(enc []byte, ir *IndexedReader, entries []indexEnt2, total uint64) []byte {
-	out := bytes.Clone(enc[:ir.fOff])
+	return appendFooter(bytes.Clone(enc[:ir.fOff]), entries, total)
+}
+
+// appendFooter appends a footer holding entries and total, its CRC, and the
+// trailer pointing at it.
+func appendFooter(out []byte, entries []indexEnt2, total uint64) []byte {
+	fOff := uint64(len(out))
 	f := []byte{blockKindFooter}
 	f = appendUvarint(f, uint64(len(entries)))
 	for _, e := range entries {
@@ -147,7 +194,7 @@ func rebuiltFooter(enc []byte, ir *IndexedReader, entries []indexEnt2, total uin
 	f = appendUvarint(f, total)
 	out = append(out, f...)
 	out = appendUint32LE(out, crc32.Checksum(f, castagnoli))
-	out = appendUint64LE(out, ir.fOff)
+	out = appendUint64LE(out, fOff)
 	out = append(out, trailerMagic2...)
 	return out
 }
@@ -240,24 +287,43 @@ func TestVLT2Hostile(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// header forges block 0's header, re-signed, with its payload
+			// left as written.
+			header := func(edit func(h *blockHdr2)) []byte {
+				return forgeBlock0(enc, func(h *blockHdr2, p []byte) []byte {
+					edit(h)
+					return p
+				})
+			}
+
 			cases := []struct {
 				name string
 				data []byte
-				want error // sentinel the error must unwrap to, if non-nil
+				want error  // sentinel the error must unwrap to, if non-nil
+				msg  string // text the error must contain, if non-empty
 			}{
-				{"truncated-mid-block", enc[:idx[1].off+idx[1].size/2], nil},
-				{"truncated-trailer", enc[:len(enc)-3], nil},
-				{"payload-flip", flip(idx[0].off + uint64(hdr0) + (idx[0].size-uint64(hdr0))/2), ErrCorrupt},
-				{"header-anchor-flip", flip(idx[1].off + uint64(hdr1) - 5), ErrCorrupt},
-				{"footer-off-zero", overwriteFooterOff(enc, 0), ErrCorrupt},
-				{"footer-off-into-block", overwriteFooterOff(enc, idx[0].off), nil},
-				{"index-overlap", rebuiltFooter(enc, ir, overlap, total), ErrCorrupt},
-				{"index-gap", rebuiltFooter(enc, ir, gap, total), ErrCorrupt},
-				{"index-lying-size", rebuiltFooter(enc, ir, lyingSize, total), ErrCorrupt},
-				{"footer-lying-total", rebuiltFooter(enc, ir, idx, total+1), ErrCorrupt},
-				{"footer-size-overflow", rebuiltFooter(enc, ir, wrap, total), ErrCorrupt},
-				{"codec-byte-2", forgeCodec(enc, 2), ErrCorrupt},
-				{"codec-byte-3", forgeCodec(enc, 3), ErrCorrupt},
+				{"truncated-mid-block", enc[:idx[1].off+idx[1].size/2], nil, ""},
+				{"truncated-trailer", enc[:len(enc)-3], nil, ""},
+				{"payload-flip", flip(idx[0].off + uint64(hdr0) + (idx[0].size-uint64(hdr0))/2), ErrCorrupt, ""},
+				{"header-anchor-flip", flip(idx[1].off + uint64(hdr1) - 5), ErrCorrupt, ""},
+				{"footer-off-zero", overwriteFooterOff(enc, 0), ErrCorrupt, ""},
+				{"footer-off-into-block", overwriteFooterOff(enc, idx[0].off), nil, ""},
+				{"index-overlap", rebuiltFooter(enc, ir, overlap, total), ErrCorrupt, ""},
+				{"index-gap", rebuiltFooter(enc, ir, gap, total), ErrCorrupt, ""},
+				{"index-lying-size", rebuiltFooter(enc, ir, lyingSize, total), ErrCorrupt, ""},
+				{"footer-lying-total", rebuiltFooter(enc, ir, idx, total+1), ErrCorrupt, ""},
+				{"footer-size-overflow", rebuiltFooter(enc, ir, wrap, total), ErrCorrupt, ""},
+				{"codec-byte-2", forgeCodec(enc, 2), ErrCorrupt, "unknown block codec"},
+				{"codec-byte-3", forgeCodec(enc, 3), ErrCorrupt, "unknown block codec"},
+				{"header-count-zero", header(func(h *blockHdr2) { h.count = 0 }), ErrCorrupt, "record count 0 out of range"},
+				{"header-count-over-max", header(func(h *blockHdr2) { h.count = MaxBlockRecords + 1 }), ErrCorrupt, "block record count"},
+				{"header-rawlen-over-max", header(func(h *blockHdr2) { h.rawLen = MaxBlockBytes + 1 }), ErrCorrupt, "exceeds"},
+				{"header-rawlen-implausible", header(func(h *blockHdr2) {
+					h.rawLen = h.count*minEncRecord2 - 1
+					h.encLen = h.rawLen
+				}), ErrCorrupt, "implausible"},
+				{"header-flate-enclen-not-below-rawlen", header(func(h *blockHdr2) { h.codec = CodecFlate }), ErrCorrupt, "flate block encoded length"},
+				{"header-raw-enclen-not-rawlen", header(func(h *blockHdr2) { h.encLen = h.rawLen + 1 }), ErrCorrupt, "raw block encoded length"},
 			}
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {
@@ -269,6 +335,9 @@ func TestVLT2Hostile(t *testing.T) {
 					}
 					if tc.want != nil && !errors.Is(err, tc.want) {
 						t.Fatalf("indexed reader error %v does not unwrap to %v", err, tc.want)
+					}
+					if !strings.Contains(err.Error(), tc.msg) {
+						t.Fatalf("indexed reader error %v does not say %q", err, tc.msg)
 					}
 				})
 			}

@@ -16,8 +16,9 @@ import (
 // Indexed VLT2 access: with an io.ReaderAt the footer index turns a trace
 // file into a random-access collection of independently decodable blocks,
 // so seeking to any record costs O(log blocks). When the underlying file
-// can be memory-mapped the reader works directly on the mapping: raw block
-// payloads decode with no copy at all.
+// can be memory-mapped the reader works directly on the mapping: a block is
+// read in place, and its payload is inflated or copied once, into the
+// decoder's padded buffer.
 
 // IndexedReader is the VLT2 decoder: it reads a file through its footer
 // index. It satisfies Decoder (batched reads from the current position) and
@@ -61,8 +62,8 @@ func NewIndexedReader(ra io.ReaderAt, size int64) (*IndexedReader, error) {
 	return ir, nil
 }
 
-// NewIndexedReaderBytes opens an in-memory VLT2 image zero-copy: block
-// payloads decode directly from data.
+// NewIndexedReaderBytes opens an in-memory VLT2 image without copying it:
+// blocks are read in place from data.
 func NewIndexedReaderBytes(data []byte) (*IndexedReader, error) {
 	ir := &IndexedReader{ra: bytes.NewReader(data), data: data, m: newV2Metrics(nil)}
 	if err := ir.open(int64(len(data))); err != nil {

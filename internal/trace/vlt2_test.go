@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -125,6 +126,74 @@ func TestVLT2RoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVLT2WideVarints round-trips records whose PC, Imm, Addr and Targ
+// deltas encode as 9- and 10-byte varints (PC jumps near ±2^63, Imm
+// math.MinInt64 and math.MaxInt64), under both codecs, at block sizes that
+// put them at block heads and tails, in batches of 1 and 256.
+func TestVLT2WideVarints(t *testing.T) {
+	const pc0 = 0x1000
+	addr0 := uint64(0x10)
+	pc1 := uint64(pc0 + 1<<62) // dpc 2^62: 10 bytes
+	pc2 := pc1 + 1<<56         // dpc 2^56: 9 bytes
+	pc3 := pc2 + 1<<63         // dpc -2^63: 10 bytes
+	pc5 := pc3 + 4 + 1<<61     // the branch's target, 2^61 on: 9 bytes
+	pc6 := pc5 + 4 + 1<<57     // dpc 2^57: 9 bytes
+	pc7 := pc6 + 1<<63 + 1<<62 // dpc -2^62: 9 bytes
+	recs := []Record{
+		{PC: pc0, Op: isa.ADDI, Rd: 1, Imm: math.MinInt64, Value: 1},
+		{PC: pc1, Op: isa.ADDI, Rd: 2, Imm: 1 << 56, Value: 2},
+		{PC: pc2, Op: isa.LD, Rd: 3, Imm: math.MaxInt64, Class: isa.LoadIntData, Size: 8, Addr: addr0, Value: math.MaxUint64},
+		{PC: pc3, Op: isa.SD, Ra: 3, Rb: 4, Size: 8, Addr: addr0 + 1<<62, Value: 3},
+		{PC: pc3 + 4, Op: isa.BEQ, Ra: 1, Rb: 2, Imm: int64(pc3 + 4 + 1<<61), Taken: true, Targ: pc3 + 4 + 1<<61},
+		{PC: pc5, Op: isa.LD, Rd: 5, Class: isa.LoadDataAddr, Size: 4, Addr: addr0 + 1<<62 - 1<<57, Value: 4},
+		{PC: pc6, Op: isa.JAL, Rd: 31, Imm: int64(pc6 + 1<<63), Taken: true, Targ: pc6 + 1<<63},
+		{PC: pc7, Op: isa.BNE, Ra: 1, Rb: 2, Imm: int64(pc7 - 1<<56), Targ: pc7 + 4},
+		{PC: pc7 + 4, Op: isa.LD, Rd: 6, Class: isa.LoadIntData, Size: 8, Addr: addr0 - 1<<63, Value: 1 << 63},
+	}
+	// Every field carries both widths somewhere in the sequence.
+	widths := map[string]map[int]bool{"pc": {}, "imm": {}, "addr": {}, "targ": {}}
+	prevPC, prevAddr := recs[0].PC, recs[2].Addr
+	for _, r := range recs {
+		widths["pc"][uvarintLen(zigzag(int64(r.PC-prevPC)))] = true
+		prevPC = r.PC
+		imm := r.Imm
+		if r.IsBranch() {
+			imm -= int64(r.PC)
+			widths["targ"][uvarintLen(zigzag(int64(r.Targ-r.PC)))] = true
+		}
+		widths["imm"][uvarintLen(zigzag(imm))] = true
+		if r.IsLoad() || r.IsStore() {
+			widths["addr"][uvarintLen(zigzag(int64(r.Addr-prevAddr)))] = true
+			prevAddr = r.Addr
+		}
+	}
+	for f, w := range widths {
+		if !w[9] || !w[10] {
+			t.Fatalf("%s deltas have widths %v, want 9 and 10 bytes among them", f, w)
+		}
+	}
+	var want []Record
+	for i := 0; i < 40; i++ {
+		want = append(want, recs...)
+	}
+	for _, opts := range []Writer2Options{{}, {Codec: CodecFlate}, {BlockRecords: 3}, {BlockRecords: 7}, {Codec: CodecFlate, BlockRecords: 5}} {
+		enc := encodeRecordsVLT2("wide", "ppc", want, opts)
+		for _, bufSize := range []int{1, 256} {
+			ir, err := NewIndexedReaderBytes(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := drainBatch(ir, bufSize)
+			if err != nil {
+				t.Fatalf("%+v, batches of %d: %v", opts, bufSize, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v, batches of %d: records differ", opts, bufSize)
+			}
+		}
 	}
 }
 
