@@ -52,7 +52,9 @@ race-full:
 # timing models, with the annotation and without (never a panic; decode
 # errors come back from ReadAll) — and over the assembler: source text →
 # asm.Assemble → a step-bounded vm.Exec (errors allowed, never a panic or
-# an unbounded allocation).
+# an unbounded allocation) — and over lvpd's cell endpoint: arbitrary bodies
+# to POST /v1/cells with a stub cell runner (200 or a 4xx JSON error, never a
+# panic).
 fuzz:
 	$(GO) test -fuzz='FuzzRoundTrip$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz='FuzzStreamRoundTrip$$' -fuzztime=30s ./internal/trace/
@@ -61,6 +63,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz='FuzzTraceCompact$$' -fuzztime=30s ./internal/trace/
 	$(GO) test -run XXX -fuzz='FuzzSimulate$$' -fuzztime=30s ./internal/exp/
 	$(GO) test -run XXX -fuzz='FuzzAssemble$$' -fuzztime=30s ./internal/asm/
+	$(GO) test -run XXX -fuzz='FuzzCellRequest$$' -fuzztime=30s ./internal/serve/
 
 # Experiment-engine benchmarks: compare ExpAllSerial vs ExpAllParallel for
 # the worker-pool speedup.
@@ -128,7 +131,7 @@ check-stream:
 
 # Annotation-slab gate, run standalone (uncached), then again under the race
 # detector (-short keeps three workloads in the suite differential): the
-# memory-op slab walk against Annotator.RecordBatch (states and Stats on the
+# memory-op slab walk against Unit.RecordBatch (states and Stats on the
 # edge cases, and through the suite on every workload, both targets and
 # every unit configuration and sweep point), one unit run per hardware
 # configuration and its hardware-identity label, the allocation bounds of

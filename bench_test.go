@@ -177,7 +177,7 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkAblationLVPTSweep(b *testing.B) {
 	for b.Loop() {
 		s := exp.NewSuite(1)
-		if _, err := s.LVPTSweep([]int{256, 1024, 4096}); err != nil {
+		if _, err := s.LVPTSweep(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -351,7 +351,7 @@ func BenchmarkExtensionGVL(b *testing.B) {
 func BenchmarkExtensionPathLVP(b *testing.B) {
 	for b.Loop() {
 		s := exp.NewSuite(1)
-		if _, err := s.PathLVPStudy([]int{0, 8}); err != nil {
+		if _, err := s.PathLVPStudy(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,9 +62,9 @@ func main() {
 	// One pass, every accumulator fed per decoded batch.
 	z := trace.NewSummarizer(sr.Name(), sr.Target())
 	meter := locality.NewMeter(locality.DefaultEntries, 1, 16)
-	anns := make([]*lvp.Annotator, len(lvp.Configs))
+	units := make([]*lvp.Unit, len(lvp.Configs))
 	for i, cfg := range lvp.Configs {
-		if anns[i], err = lvp.NewAnnotator(cfg, nil); err != nil {
+		if units[i], err = lvp.NewUnit(cfg); err != nil {
 			fatal(err)
 		}
 	}
@@ -76,8 +76,8 @@ func main() {
 			z.Add(&buf[i])
 			meter.Add(&buf[i])
 		}
-		for _, a := range anns {
-			a.RecordBatch(buf[:n], states)
+		for _, u := range units {
+			u.RecordBatch(buf[:n], states)
 		}
 		if err == io.EOF {
 			break
@@ -137,7 +137,7 @@ func main() {
 		Columns: []string{"Config", "Coverage", "Accuracy", "Constants"},
 	}
 	for i, cfg := range lvp.Configs {
-		st := anns[i].Stats()
+		st := units[i].Stats()
 		ut.AddRow(cfg.Name, stats.Pct(st.Coverage(), 1),
 			stats.Pct(st.Accuracy(), 1), stats.Pct(st.ConstantRate(), 1))
 	}

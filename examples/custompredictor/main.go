@@ -39,17 +39,18 @@ func (h *hybrid) Name() string { return "hybrid" }
 
 func (h *hybrid) idx(pc uint64) int { return int((pc / 4) & h.mask) }
 
-func (h *hybrid) Predict(pc uint64) uint64 {
+func (h *hybrid) Lookup(pc uint64) (uint64, bool) {
 	if h.chooser[h.idx(pc)] > 0 {
-		return h.stride.Predict(pc)
+		return h.stride.Lookup(pc)
 	}
-	return h.last.Predict(pc)
+	return h.last.Lookup(pc)
 }
 
 func (h *hybrid) Update(pc, actual uint64) {
 	i := h.idx(pc)
-	lv := h.last.Predict(pc) == actual
-	st := h.stride.Predict(pc) == actual
+	lvGuess, _ := h.last.Lookup(pc)
+	stGuess, _ := h.stride.Lookup(pc)
+	lv, st := lvGuess == actual, stGuess == actual
 	switch {
 	case st && !lv && h.chooser[i] < 2:
 		h.chooser[i]++

@@ -17,7 +17,7 @@ import (
 // design-space directions the paper's §7 calls out (table sizing,
 // classification, and predictors beyond last-value).
 
-// Default points of the three unit-geometry sweeps.
+// Points of the three unit-geometry sweeps.
 var (
 	lvptSweepSizes = []int{256, 512, 1024, 2048, 4096, 8192}
 	lctSweepBits   = []int{1, 2, 3}
@@ -100,10 +100,8 @@ type LVPTSweepResult struct {
 
 // LVPTSweep measures untagged-table interference: coverage vs LVPT entries
 // on the PPC target.
-func (s *Suite) LVPTSweep(sizes []int) (*LVPTSweepResult, error) {
-	if len(sizes) == 0 {
-		sizes = lvptSweepSizes
-	}
+func (s *Suite) LVPTSweep() (*LVPTSweepResult, error) {
+	sizes := lvptSweepSizes
 	res := &LVPTSweepResult{Sizes: sizes, Coverage: make([]float64, len(sizes))}
 	for i, size := range sizes {
 		sts, err := s.suiteStats(lvptSweepConfig(size))
@@ -148,10 +146,8 @@ type LCTBitsResult struct {
 }
 
 // LCTBitsSweep measures classification quality vs counter width.
-func (s *Suite) LCTBitsSweep(bits []int) (*LCTBitsResult, error) {
-	if len(bits) == 0 {
-		bits = lctSweepBits
-	}
+func (s *Suite) LCTBitsSweep() (*LCTBitsResult, error) {
+	bits := lctSweepBits
 	res := &LCTBitsResult{Bits: bits,
 		Accuracy: make([]float64, len(bits)), Coverage: make([]float64, len(bits))}
 	for i, b := range bits {
@@ -184,10 +180,8 @@ type CVUSweepResult struct {
 }
 
 // CVUSweep measures the CVU-capacity sensitivity of constant verification.
-func (s *Suite) CVUSweep(sizes []int) (*CVUSweepResult, error) {
-	if len(sizes) == 0 {
-		sizes = cvuSweepSizes
-	}
+func (s *Suite) CVUSweep() (*CVUSweepResult, error) {
+	sizes := cvuSweepSizes
 	res := &CVUSweepResult{Sizes: sizes, ConstRate: make([]float64, len(sizes))}
 	for i, size := range sizes {
 		sts, err := s.suiteStats(cvuSweepConfig(size))

@@ -244,26 +244,28 @@ func TestFigure9ConstantReducesConflicts(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	sweep, err := testSuite.LVPTSweep([]int{256, 4096})
+	sweep, err := testSuite.LVPTSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sweep.Coverage[1] < sweep.Coverage[0] {
+	if sweep.Coverage[len(sweep.Coverage)-1] < sweep.Coverage[0] {
 		t.Errorf("bigger LVPT should not reduce coverage: %v", sweep.Coverage)
 	}
-	cvu, err := testSuite.CVUSweep([]int{8, 256})
+	cvu, err := testSuite.CVUSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cvu.ConstRate[1] < cvu.ConstRate[0] {
+	if cvu.ConstRate[len(cvu.ConstRate)-1] < cvu.ConstRate[0] {
 		t.Errorf("bigger CVU should not reduce constants: %v", cvu.ConstRate)
 	}
-	lct, err := testSuite.LCTBitsSweep([]int{1, 2})
+	lct, err := testSuite.LCTBitsSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lct.Accuracy[0] <= 0 || lct.Accuracy[1] <= 0 {
-		t.Errorf("LCT sweep produced zero accuracy: %v", lct.Accuracy)
+	for _, acc := range lct.Accuracy {
+		if acc <= 0 {
+			t.Errorf("LCT sweep produced zero accuracy: %v", lct.Accuracy)
+		}
 	}
 }
 
@@ -351,22 +353,22 @@ func TestGeneralValueLocality(t *testing.T) {
 }
 
 func TestPathLVPStudy(t *testing.T) {
-	r, err := testSuite.PathLVPStudy([]int{0, 8})
+	r, err := testSuite.PathLVPStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Mean) != 2 {
-		t.Fatalf("mean columns = %d", len(r.Mean))
+	if len(r.Mean) != 4 || r.HistBits[0] != 0 || r.HistBits[3] != 8 {
+		t.Fatalf("history bits = %v, mean columns = %d", r.HistBits, len(r.Mean))
 	}
 	// On average, folding branch history in should not hurt, and the
 	// switch-heavy compiler benchmarks should gain noticeably.
-	if r.Mean[1] < r.Mean[0]-1 {
-		t.Errorf("ghr=8 mean (%.1f%%) fell below ghr=0 (%.1f%%)", r.Mean[1], r.Mean[0])
+	if r.Mean[3] < r.Mean[0]-1 {
+		t.Errorf("ghr=8 mean (%.1f%%) fell below ghr=0 (%.1f%%)", r.Mean[3], r.Mean[0])
 	}
 	for _, row := range r.Rows {
-		if row.Name == "cc1" && row.Acc[1] < row.Acc[0]+5 {
+		if row.Name == "cc1" && row.Acc[3] < row.Acc[0]+5 {
 			t.Errorf("cc1 should gain from path history: %.1f%% -> %.1f%%",
-				row.Acc[0], row.Acc[1])
+				row.Acc[0], row.Acc[3])
 		}
 	}
 }
@@ -501,7 +503,7 @@ func TestAllRendersProduceOutput(t *testing.T) {
 		r.Render(&buf)
 		check("gvl")
 	}
-	if r, err := testSuite.PathLVPStudy([]int{0, 4}); err == nil {
+	if r, err := testSuite.PathLVPStudy(); err == nil {
 		r.Render(&buf)
 		check("pathlvp")
 	}
@@ -543,21 +545,21 @@ func TestAllRendersProduceOutput(t *testing.T) {
 		}
 		buf.Reset()
 	}
-	if r, err := testSuite.LVPTSweep([]int{256, 512}); err == nil {
+	if r, err := testSuite.LVPTSweep(); err == nil {
 		r.Render(&buf)
 		if buf.Len() == 0 {
 			t.Error("lvptsweep render empty")
 		}
 		buf.Reset()
 	}
-	if r, err := testSuite.LCTBitsSweep([]int{1, 2}); err == nil {
+	if r, err := testSuite.LCTBitsSweep(); err == nil {
 		r.Render(&buf)
 		if buf.Len() == 0 {
 			t.Error("lctsweep render empty")
 		}
 		buf.Reset()
 	}
-	if r, err := testSuite.CVUSweep([]int{8, 16}); err == nil {
+	if r, err := testSuite.CVUSweep(); err == nil {
 		r.Render(&buf)
 		if buf.Len() == 0 {
 			t.Error("cvusweep render empty")

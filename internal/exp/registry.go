@@ -55,19 +55,19 @@ var experiments = []Experiment{
 	{"fig9", "L1 bank conflict rates", true,
 		render(func(s *Suite) (*Fig9Result, error) { return s.Figure9() })},
 	{"lvptsweep", "ablation: LVPT size vs coverage", false,
-		render(func(s *Suite) (*LVPTSweepResult, error) { return s.LVPTSweep(nil) })},
+		render(func(s *Suite) (*LVPTSweepResult, error) { return s.LVPTSweep() })},
 	{"lctsweep", "ablation: LCT counter width", false,
-		render(func(s *Suite) (*LCTBitsResult, error) { return s.LCTBitsSweep(nil) })},
+		render(func(s *Suite) (*LCTBitsResult, error) { return s.LCTBitsSweep() })},
 	{"cvusweep", "ablation: CVU capacity", false,
-		render(func(s *Suite) (*CVUSweepResult, error) { return s.CVUSweep(nil) })},
+		render(func(s *Suite) (*CVUSweepResult, error) { return s.CVUSweep() })},
 	{"predictors", "extension: stride/context predictors (paper §7)", false,
 		render(func(s *Suite) (*PredictorResult, error) { return s.PredictorStudy() })},
 	{"zoosweep", "ablation: predictor-family zoo × workload sweep", false,
-		render(func(s *Suite) (*ZooResult, error) { return s.ZooSweep(nil) })},
+		render(func(s *Suite) (*ZooResult, error) { return s.ZooSweep() })},
 	{"gvl", "extension: general value locality, all results (paper §7)", false,
 		render(func(s *Suite) (*GVLResult, error) { return s.GeneralValueLocality() })},
 	{"pathlvp", "extension: branch-history-indexed LVPT (paper §7)", false,
-		render(func(s *Suite) (*PathResult, error) { return s.PathLVPStudy(nil) })},
+		render(func(s *Suite) (*PathResult, error) { return s.PathLVPStudy() })},
 	{"mafablation", "ablation: 21164 blocking vs non-blocking misses", false,
 		render(func(s *Suite) (*MAFResult, error) { return s.MAFAblation() })},
 	{"limits", "limit study: dataflow critical-path speedups", false,

@@ -20,7 +20,7 @@ import (
 // the record-stream reference: for every workload, both targets and every
 // unit configuration, Annotation's per-record states and Stats, and
 // AnnotationStats, equal lvp.AnnotateTraced over the trace's records
-// (Annotator.RecordBatch over Trace.Batches). Configurations that share
+// (Unit.RecordBatch over Trace.Batches). Configurations that share
 // hardware share one unit run, so this also proves the name stamped on a
 // shared run. -short keeps three workloads.
 func TestSlabAnnotationDifferential(t *testing.T) {
@@ -73,13 +73,13 @@ func TestSlabAnnotationDifferential(t *testing.T) {
 // name it was requested under.
 func TestOneUnitRunPerHardwareConfig(t *testing.T) {
 	s := NewSuite(1)
-	if _, err := s.LVPTSweep(nil); err != nil {
+	if _, err := s.LVPTSweep(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LCTBitsSweep(nil); err != nil {
+	if _, err := s.LCTBitsSweep(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CVUSweep(nil); err != nil {
+	if _, err := s.CVUSweep(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Table3(); err != nil {
@@ -244,8 +244,8 @@ func TestSharedRunLabel(t *testing.T) {
 	}
 }
 
-// annSink keeps the annotator TestUnitRunAllocs measures alive.
-var annSink *lvp.Annotator
+// unitSink keeps the unit TestUnitRunAllocs measures alive.
+var unitSink *lvp.Unit
 
 // TestUnitRunAllocs gates a unit run from a cached slab, the path every
 // Annotation and AnnotationStats call takes: a small constant number of
@@ -280,7 +280,7 @@ func TestUnitRunAllocs(t *testing.T) {
 	for _, entries := range []int{24, 40, 48} {
 		cfg := lvp.Simple
 		cfg.CVUEntries = entries // a hardware identity not run yet
-		_, tables := measure(func() { annSink, _ = lvp.NewAnnotator(cfg, nil) })
+		_, tables := measure(func() { unitSink, _ = lvp.NewUnit(cfg) })
 		mallocs, bytes := measure(func() {
 			if _, err := s.AnnotationStats(name, prog.PPC, cfg); err != nil {
 				t.Fatal(err)

@@ -37,7 +37,7 @@ func recordWalkAccuracy(t *trace.Trace, p lvp.Predictor) locality.Ratio {
 			continue
 		}
 		r.Total++
-		if p.Predict(rec.PC) == rec.Value {
+		if v, _ := p.Lookup(rec.PC); v == rec.Value {
 			r.Hits++
 		}
 		p.Update(rec.PC, rec.Value)
@@ -116,7 +116,7 @@ func TestSlabPredictorWalk(t *testing.T) {
 // Exact/Loads.
 func TestPredictorStudyReadsZooCells(t *testing.T) {
 	s := NewSuite(1)
-	if _, err := s.ZooSweep(nil); err != nil {
+	if _, err := s.ZooSweep(); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Metrics.Snapshot()

@@ -55,12 +55,10 @@ func (s *Suite) ZooCell(benchName, family string) (ZooCell, error) {
 	})
 }
 
-// zooFamilies resolves a family selection: the explicit argument first, the
-// suite's ZooFamilies field next, the full registry last.
-func (s *Suite) zooFamilies(families []string) ([]string, error) {
-	if len(families) == 0 {
-		families = s.ZooFamilies
-	}
+// zooFamilies resolves the family selection: the suite's ZooFamilies field,
+// or the full registry when it is empty.
+func (s *Suite) zooFamilies() ([]string, error) {
+	families := s.ZooFamilies
 	if len(families) == 0 {
 		return lvp.FamilyNames(), nil
 	}
@@ -84,10 +82,10 @@ type ZooResult struct {
 	MeanAcc    []float64
 }
 
-// ZooSweep measures the selected predictor families (nil = the suite's
+// ZooSweep measures the selected predictor families (the suite's
 // ZooFamilies selection, or every registered family) over the whole suite.
-func (s *Suite) ZooSweep(families []string) (*ZooResult, error) {
-	fams, err := s.zooFamilies(families)
+func (s *Suite) ZooSweep() (*ZooResult, error) {
+	fams, err := s.zooFamilies()
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files fro
 // Regenerate deliberately with: go test ./internal/exp -run ZooSweepGolden -update
 func TestZooSweepGoldenFile(t *testing.T) {
 	s := NewSuiteParallel(1, 1)
-	res, err := s.ZooSweep(nil)
+	res, err := s.ZooSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestZooSweepGoldenFile(t *testing.T) {
 func TestZooSweepSerialVsParallel(t *testing.T) {
 	render := func(workers int) []byte {
 		s := NewSuiteParallel(1, workers)
-		res, err := s.ZooSweep(nil)
+		res, err := s.ZooSweep()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,27 +83,29 @@ func TestZooCellCoalesces(t *testing.T) {
 	}
 }
 
-// TestZooFamilySelection pins the selection precedence (argument over
-// suite field over full registry) and name validation.
+// TestZooFamilySelection pins the selection precedence (suite field over
+// full registry) and name validation.
 func TestZooFamilySelection(t *testing.T) {
 	s := NewSuiteParallel(1, 4)
 
-	if _, err := s.ZooSweep([]string{"nope"}); err == nil {
-		t.Fatal("unknown family in argument did not error")
+	s.ZooFamilies = []string{"nope"}
+	if _, err := s.ZooSweep(); err == nil {
+		t.Fatal("unknown family in the selection did not error")
 	}
 	if _, err := s.ZooCell("quick", "nope"); err == nil {
 		t.Fatal("unknown family in cell did not error")
 	}
 
 	s.ZooFamilies = []string{"stride"}
-	res, err := s.ZooSweep(nil)
+	res, err := s.ZooSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Families) != 1 || res.Families[0] != "stride" {
 		t.Fatalf("suite selection gave families %v, want [stride]", res.Families)
 	}
-	res, err = s.ZooSweep([]string{"last-value", "two-level"})
+	s.ZooFamilies = []string{"last-value", "two-level"}
+	res, err = s.ZooSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestZooFamilySelection(t *testing.T) {
 	}
 
 	s.ZooFamilies = nil
-	res, err = s.ZooSweep(nil)
+	res, err = s.ZooSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func recordRef(t *testing.T, cfg Config, recs []trace.Record) (trace.Annotation,
 	return ann, u.Stats()
 }
 
-// TestRecordBatchMatchesRecord pins Annotator.RecordBatch, over the whole
+// TestRecordBatchMatchesRecord pins Unit.RecordBatch, over the whole
 // trace and over odd-sized pieces of it, against the per-record reference on
 // the same unit configuration.
 func TestRecordBatchMatchesRecord(t *testing.T) {
@@ -35,14 +35,14 @@ func TestRecordBatchMatchesRecord(t *testing.T) {
 		recs := tr.Expand()
 		wantAnn, wantStats := recordRef(t, cfg, recs)
 		for _, k := range []int{1, 13, len(recs)} {
-			a, err := NewAnnotator(cfg, nil)
+			u, err := NewUnit(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			states := make(trace.Annotation, len(recs))
 			for i := 0; i < len(recs); i += k {
 				j := min(i+k, len(recs))
-				a.RecordBatch(recs[i:j], states[i:j])
+				u.RecordBatch(recs[i:j], states[i:j])
 			}
 			for i := range states {
 				if states[i] != wantAnn[i] {
@@ -50,17 +50,17 @@ func TestRecordBatchMatchesRecord(t *testing.T) {
 						cfg.Name, k, i, states[i], wantAnn[i])
 				}
 			}
-			if st := a.Stats(); st != wantStats {
+			if st := u.Stats(); st != wantStats {
 				t.Fatalf("cfg %s pieces of %d: stats diverged:\n record %+v\n batch  %+v", cfg.Name, k, wantStats, st)
 			}
 		}
 	}
 }
 
-// BenchmarkAnnotatorRecordBatch measures the batched annotation hot path.
-func BenchmarkAnnotatorRecordBatch(b *testing.B) {
+// BenchmarkRecordBatch measures the batched annotation hot path.
+func BenchmarkRecordBatch(b *testing.B) {
 	recs := mixedTrace(1 << 16).Expand()
-	a, err := NewAnnotator(Simple, nil)
+	u, err := NewUnit(Simple)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func BenchmarkAnnotatorRecordBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.RecordBatch(recs, states)
+		u.RecordBatch(recs, states)
 	}
 	b.SetBytes(int64(len(recs)))
 }

@@ -1,10 +1,12 @@
 package lvp
 
 import (
+	"io"
 	"reflect"
 	"testing"
 
 	"lvp/internal/isa"
+	"lvp/internal/obs"
 	"lvp/internal/trace"
 )
 
@@ -128,5 +130,62 @@ func TestLoadBatchAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Unit.LoadBatch allocates %v allocs/call, want 0", avg)
+	}
+}
+
+// TestUnitWithoutCVU pins a unit built with CVUEntries 0: there is no CVU,
+// so a load its 1-bit LCT classifies constant is verified against the value
+// like a predicted one. Nothing is counted as a CVU lookup, insert or
+// invalidation, and no load is annotated PredConstant, on the per-load path
+// (tracer attached) and on LoadBatch's direct path alike.
+func TestUnitWithoutCVU(t *testing.T) {
+	cfg := Simple
+	cfg.Name, cfg.CVUEntries, cfg.LCTBits = "NoCVU", 0, 1
+	const n = 50
+	pcs, addrs, vals := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	for i := range pcs {
+		pcs[i], addrs[i], vals[i] = 0x1000, 0x8000, 42
+	}
+	check := func(path string, u *Unit, states []trace.PredState) {
+		t.Helper()
+		st := u.Stats()
+		if st.Loads != n {
+			t.Fatalf("%s: Loads = %d, want %d", path, st.Loads, n)
+		}
+		if st.CVUInserts != 0 || st.CVUIndexInvalidations != 0 || st.CVU != (CVUStats{}) {
+			t.Errorf("%s: CVU counted without a CVU: CVUInserts=%d CVUIndexInvalidations=%d CVU=%+v",
+				path, st.CVUInserts, st.CVUIndexInvalidations, st.CVU)
+		}
+		for i, s := range states {
+			if s == trace.PredConstant {
+				t.Fatalf("%s: load %d is PredConstant without a CVU", path, i)
+			}
+		}
+		if st.States[trace.PredCorrect] == 0 {
+			t.Errorf("%s: no load predicted correctly: %v", path, st.States)
+		}
+	}
+
+	traced, err := NewUnit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced.SetTracer(obs.NewTracer(io.Discard, obs.ChanAll))
+	states := make([]trace.PredState, n)
+	for i := range pcs {
+		states[i] = traced.Load(pcs[i], addrs[i], vals[i])
+	}
+	check("Load", traced, states)
+
+	direct, err := NewUnit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]trace.PredState, n)
+	direct.LoadBatch(pcs, addrs, vals, batch)
+	check("LoadBatch", direct, batch)
+	if !reflect.DeepEqual(batch, states) || !reflect.DeepEqual(direct.Stats(), traced.Stats()) {
+		t.Errorf("LoadBatch diverged from Load:\n batch %v %+v\n load  %v %+v",
+			batch, direct.Stats(), states, traced.Stats())
 	}
 }

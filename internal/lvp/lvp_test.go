@@ -338,13 +338,13 @@ func TestStridePredictor(t *testing.T) {
 	for i := uint64(0); i < 5; i++ {
 		p.Update(pc, 100+8*i)
 	}
-	if got := p.Predict(pc); got != 100+8*5 {
+	if got, _ := p.Lookup(pc); got != 100+8*5 {
 		t.Errorf("stride predict = %d, want %d", got, 100+8*5)
 	}
 	// One irregular value must not destroy the stride (two-delta rule).
 	p.Update(pc, 999)
 	p.Update(pc, 999+8)
-	if got := p.Predict(pc); got != 999+16 {
+	if got, _ := p.Lookup(pc); got != 999+16 {
 		t.Errorf("after blip, predict = %d, want %d (stride preserved)", got, 999+16)
 	}
 }
@@ -359,7 +359,7 @@ func TestContextPredictorLearnsCycle(t *testing.T) {
 		}
 	}
 	// After (7, 9) the next value is 3.
-	if got := p.Predict(pc); got != seq[0] {
+	if got, _ := p.Lookup(pc); got != seq[0] {
 		t.Errorf("context predict = %d, want %d", got, seq[0])
 	}
 }
@@ -419,10 +419,10 @@ func TestTwoValuePredictorLearnsAlternation(t *testing.T) {
 		if i%10 == 9 {
 			v = 99
 		}
-		if p.Predict(pc) == v {
+		if got, _ := p.Lookup(pc); got == v {
 			hitsTV++
 		}
-		if lv.Predict(pc) == v {
+		if got, _ := lv.Lookup(pc); got == v {
 			hitsLV++
 		}
 		p.Update(pc, v)
@@ -487,7 +487,7 @@ func TestAnnotateGeneralPerfect(t *testing.T) {
 		{PC: 0x1000, Op: isa.ADD, Rd: 5, Value: 1},
 		{PC: 0x1004, Op: isa.ADD, Rd: 5, Value: 2},
 	})
-	ann, _, err := AnnotateGeneral(tr, Perfect)
+	ann, st, err := AnnotateGeneral(tr, Perfect)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,6 +495,10 @@ func TestAnnotateGeneralPerfect(t *testing.T) {
 		if a != trace.PredCorrect {
 			t.Errorf("record %d = %v under Perfect", i, a)
 		}
+	}
+	// Every writer is predictable and identified, as for loads.
+	if st.Loads != 2 || st.PredictableTotal != 2 || st.PredictableIdentified != 2 {
+		t.Errorf("Perfect GVP stats = %+v, want 2 writers, all predictable and identified", st)
 	}
 }
 

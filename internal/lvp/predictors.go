@@ -9,8 +9,10 @@ import "lvp/internal/isa"
 type Predictor interface {
 	// Name identifies the predictor in reports.
 	Name() string
-	// Predict returns the predicted value for the load at pc.
-	Predict(pc uint64) uint64
+	// Lookup returns the predicted value for the load at pc and whether
+	// the predictor speaks: a cold table entry, a tag miss or confidence
+	// below threshold declines, with value 0.
+	Lookup(pc uint64) (value uint64, ok bool)
 	// Update trains the predictor with the actual loaded value.
 	Update(pc, actual uint64)
 }
@@ -36,14 +38,8 @@ func NewTableValue(name string, t ValueTable) *TableValue {
 // Name implements Predictor.
 func (p *TableValue) Name() string { return p.name }
 
-// Lookup implements ConfidencePredictor: tag misses and cold sets decline.
+// Lookup implements Predictor: tag misses and cold sets decline.
 func (p *TableValue) Lookup(pc uint64) (uint64, bool) { return p.t.Predict(pc) }
-
-// Predict implements Predictor.
-func (p *TableValue) Predict(pc uint64) uint64 {
-	v, _ := p.t.Predict(pc)
-	return v
-}
 
 // Update implements Predictor.
 func (p *TableValue) Update(pc, actual uint64) { p.t.Update(pc, actual) }
@@ -85,22 +81,13 @@ func (p *Stride) Name() string { return "stride" }
 
 func (p *Stride) index(pc uint64) int { return int((pc / isa.InstBytes) & p.mask) }
 
-// Lookup implements ConfidencePredictor: cold entries decline.
+// Lookup implements Predictor: cold entries decline.
 func (p *Stride) Lookup(pc uint64) (uint64, bool) {
 	i := p.index(pc)
 	if !p.valid[i] {
 		return 0, false
 	}
 	return p.last[i] + p.stride[i], true
-}
-
-// Predict implements Predictor.
-func (p *Stride) Predict(pc uint64) uint64 {
-	i := p.index(pc)
-	if !p.valid[i] {
-		return 0
-	}
-	return p.last[i] + p.stride[i]
 }
 
 // Update implements Predictor.
@@ -164,22 +151,13 @@ func (p *Context) slot(pc uint64) int {
 	return int(h & p.pmask)
 }
 
-// Lookup implements ConfidencePredictor: untrained pattern slots decline.
+// Lookup implements Predictor: untrained pattern slots decline.
 func (p *Context) Lookup(pc uint64) (uint64, bool) {
 	s := p.slot(pc)
 	if !p.pvalid[s] {
 		return 0, false
 	}
 	return p.pattern[s], true
-}
-
-// Predict implements Predictor.
-func (p *Context) Predict(pc uint64) uint64 {
-	s := p.slot(pc)
-	if !p.pvalid[s] {
-		return 0
-	}
-	return p.pattern[s]
 }
 
 // Update implements Predictor.
@@ -223,13 +201,13 @@ func (p *TwoValue) Name() string { return "two-value" }
 
 func (p *TwoValue) index(pc uint64) int { return int((pc / isa.InstBytes) & p.mask) }
 
-// Predict implements Predictor.
-func (p *TwoValue) Predict(pc uint64) uint64 {
+// Lookup implements Predictor: the two-value predictor always speaks.
+func (p *TwoValue) Lookup(pc uint64) (uint64, bool) {
 	i := p.index(pc)
 	if p.sel[i] >= 2 {
-		return p.v1[i]
+		return p.v1[i], true
 	}
-	return p.v0[i]
+	return p.v0[i], true
 }
 
 // Update implements Predictor.

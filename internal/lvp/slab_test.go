@@ -26,7 +26,7 @@ func checkSlabMatchesRecordBatch(t *testing.T, recs []trace.Record) {
 	slab := tr.Mem()
 	cfgs := append(append([]Config{}, Configs...), AblationConfigs...)
 	for _, cfg := range cfgs {
-		ref, err := NewAnnotator(cfg, nil)
+		ref, err := NewUnit(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestAnnotateSlabAllocs(t *testing.T) {
 
 // BenchmarkAnnotateSlab measures the slab walk under Simple (32-entry CVU)
 // and Constant (128-entry CVU): the gap is the CVU work the larger CAM adds.
-// Its record-stream baseline is BenchmarkAnnotatorRecordBatch.
+// Its record-stream baseline is BenchmarkRecordBatch.
 func BenchmarkAnnotateSlab(b *testing.B) {
 	tr := mixedTrace(1 << 16)
 	s := tr.Mem()

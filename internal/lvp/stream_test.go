@@ -47,7 +47,7 @@ func mixedTrace(n int) *trace.Trace {
 }
 
 // TestAnnotatorMatchesAnnotate pins the single-code-path contract of the
-// streaming layer: feeding records through an Annotator in small batches
+// streaming layer: feeding records through Unit.RecordBatch in small batches
 // yields exactly the annotation and statistics of the whole-trace Annotate,
 // for every paper configuration.
 func TestAnnotatorMatchesAnnotate(t *testing.T) {
@@ -59,21 +59,21 @@ func TestAnnotatorMatchesAnnotate(t *testing.T) {
 				t.Fatalf("Annotate: %v", err)
 			}
 
-			a, err := NewAnnotator(cfg, nil)
+			u, err := NewUnit(cfg)
 			if err != nil {
-				t.Fatalf("NewAnnotator: %v", err)
+				t.Fatalf("NewUnit: %v", err)
 			}
 			recs := tr.Expand()
 			gotAnn := make(trace.Annotation, len(recs))
 			for i := 0; i < len(recs); i += 3 {
 				j := min(i+3, len(recs))
-				a.RecordBatch(recs[i:j], gotAnn[i:j])
+				u.RecordBatch(recs[i:j], gotAnn[i:j])
 			}
 			if !reflect.DeepEqual(gotAnn, wantAnn) {
-				t.Fatal("Annotator states differ from Annotate")
+				t.Fatal("RecordBatch states differ from Annotate")
 			}
-			if !reflect.DeepEqual(a.Stats(), wantStats) {
-				t.Fatalf("Annotator stats differ:\n got %+v\nwant %+v", a.Stats(), wantStats)
+			if !reflect.DeepEqual(u.Stats(), wantStats) {
+				t.Fatalf("RecordBatch stats differ:\n got %+v\nwant %+v", u.Stats(), wantStats)
 			}
 
 		})

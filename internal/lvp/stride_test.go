@@ -12,14 +12,11 @@ import (
 )
 
 // TestStrideColdDeclines pins the confidence contract: an untrained entry
-// declines Lookup and predicts zero.
+// declines Lookup with value zero.
 func TestStrideColdDeclines(t *testing.T) {
 	p := NewStride(16)
-	if _, ok := p.Lookup(0x1000); ok {
-		t.Fatal("cold stride entry must decline")
-	}
-	if v := p.Predict(0x1000); v != 0 {
-		t.Fatalf("cold Predict = %d, want 0", v)
+	if v, ok := p.Lookup(0x1000); ok || v != 0 {
+		t.Fatalf("cold stride entry Lookup = (%d, %v), want (0, false)", v, ok)
 	}
 	// After one update the entry speaks (stride still 0: last value).
 	p.Update(0x1000, 77)
@@ -38,26 +35,26 @@ func TestStrideTwoDeltaConfirmation(t *testing.T) {
 	for _, v := range []uint64{0, 8, 16} {
 		p.Update(pc, v)
 	}
-	if v := p.Predict(pc); v != 24 {
+	if v, _ := p.Lookup(pc); v != 24 {
 		t.Fatalf("trained predict = %d, want 24", v)
 	}
 
 	// A single foreign delta leaves the stride intact...
 	p.Update(pc, 100) // delta 84: pending only
-	if v := p.Predict(pc); v != 108 {
+	if v, _ := p.Lookup(pc); v != 108 {
 		t.Fatalf("after blip predict = %d, want 108 (stride 8 kept)", v)
 	}
 	// ...and a matching old-stride delta cancels the pending candidate:
 	p.Update(pc, 108) // delta 8 == stride: pending cleared
 	p.Update(pc, 192) // delta 84 again — but NOT twice in a row
-	if v := p.Predict(pc); v != 200 {
+	if v, _ := p.Lookup(pc); v != 200 {
 		t.Fatalf("after separated deltas predict = %d, want 200 (stride still 8)", v)
 	}
 
 	// Two consecutive foreign deltas do retrain.
 	p.Update(pc, 196) // delta 4: pending
 	p.Update(pc, 200) // delta 4 again: stride becomes 4
-	if v := p.Predict(pc); v != 204 {
+	if v, _ := p.Lookup(pc); v != 204 {
 		t.Fatalf("after two-delta retrain predict = %d, want 204 (stride 4)", v)
 	}
 }
@@ -79,7 +76,7 @@ func TestStrideAlternatingDeltasNeverConfirm(t *testing.T) {
 			last += 2
 		}
 		p.Update(pc, last)
-		if v := p.Predict(pc); v != last {
+		if v, _ := p.Lookup(pc); v != last {
 			t.Fatalf("step %d: predict = %d, want %d (stride must stay 0)", i, v, last)
 		}
 	}
@@ -186,13 +183,12 @@ func strideTrace(n int, pc, start, stride uint64) *trace.Trace {
 }
 
 // TestMeasureZooAccounting pins the coverage/accuracy split MeasureZoo
-// builds on: confidence predictors only accrue attempts when they speak;
-// plain predictors always speak.
+// builds on: predictors only accrue attempts when they speak.
 func TestMeasureZooAccounting(t *testing.T) {
 	tr := strideTrace(100, 0x1000, 1000, 8)
 
-	// Stride (a ConfidencePredictor): declines only the first, cold load,
-	// then locks the sequence after the two-delta warm-up.
+	// Stride declines only the first, cold load, then locks the sequence
+	// after the two-delta warm-up.
 	m := MeasureZoo(tr, NewStride(16))
 	if m.Loads != 100 || m.Attempts != 99 {
 		t.Fatalf("stride loads/attempts = %d/%d, want 100/99", m.Loads, m.Attempts)
@@ -205,10 +201,10 @@ func TestMeasureZooAccounting(t *testing.T) {
 			m.Accuracy(), m.Coverage())
 	}
 
-	// TwoValue has no Lookup: it always speaks, so attempts == loads.
+	// TwoValue always speaks, so attempts == loads.
 	m = MeasureZoo(tr, NewTwoValue(16))
 	if m.Attempts != m.Loads {
-		t.Fatalf("plain predictor attempts = %d, want loads = %d", m.Attempts, m.Loads)
+		t.Fatalf("two-value attempts = %d, want loads = %d", m.Attempts, m.Loads)
 	}
 
 	// Interference counters flow through for table-backed families only.

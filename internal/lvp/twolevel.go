@@ -8,9 +8,8 @@ import "lvp/internal/isa"
 // produced, a hash of that history — the value-history signature — indexes a
 // Value Prediction Table (VPT) whose entries pair a predicted value with a
 // saturating confidence counter. The predictor only speaks when confidence
-// has reached the threshold; below it, Lookup declines (and Predict returns
-// zero), which is what a real pipeline would do rather than inject a
-// low-confidence value.
+// has reached the threshold; below it, Lookup declines, which is what a real
+// pipeline would do rather than inject a low-confidence value.
 //
 // Both tables are direct-mapped flat arrays, so the predict/update path is
 // allocation-free. The VHT is untagged (per-PC entries alias like the
@@ -45,7 +44,7 @@ var DefaultTwoLevel = TwoLevelConfig{
 // TwoLevelStats counts predictor events. Plain ints: one predictor runs on
 // one goroutine; aggregation into shared counters happens per sweep cell.
 type TwoLevelStats struct {
-	// Lookups counts Lookup/Predict calls; Predicted the subset where
+	// Lookups counts Lookup calls; Predicted the subset where
 	// confidence cleared the threshold (the predictor spoke).
 	Lookups   int64
 	Predicted int64
@@ -147,8 +146,8 @@ func (p *TwoLevel) slot(pc uint64) int {
 	return int(h & p.vptMask)
 }
 
-// Lookup returns the prediction for the load at pc; ok is false when the
-// VPT slot is untrained or its confidence is below threshold.
+// Lookup implements Predictor: ok is false when the VPT slot is untrained
+// or its confidence is below threshold.
 func (p *TwoLevel) Lookup(pc uint64) (value uint64, ok bool) {
 	p.stats.Lookups++
 	s := p.slot(pc)
@@ -157,12 +156,6 @@ func (p *TwoLevel) Lookup(pc uint64) (value uint64, ok bool) {
 	}
 	p.stats.Predicted++
 	return p.vals[s], true
-}
-
-// Predict implements Predictor: Lookup's value, zero when it declines.
-func (p *TwoLevel) Predict(pc uint64) uint64 {
-	v, _ := p.Lookup(pc)
-	return v
 }
 
 // Update trains the predictor: the VPT slot selected by the pre-update

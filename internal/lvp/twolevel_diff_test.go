@@ -159,7 +159,7 @@ func checkTwoLevelState(t *testing.T, step int, got *TwoLevel, want *referenceTw
 
 // twoLevelOp is one step of a differential script.
 type twoLevelOp struct {
-	kind int // 0 lookup, 1 predict, 2 update
+	kind int // 0 lookup, 1 update
 	pc   uint64
 	val  uint64
 }
@@ -175,15 +175,6 @@ func applyTwoLevelOp(t *testing.T, step int, op twoLevelOp, got *TwoLevel, want 
 				step, op.pc, gv, gok, wv, wok)
 		}
 	case 1:
-		g := got.Predict(op.pc)
-		wv, wok := want.Lookup(op.pc)
-		if !wok {
-			wv = 0
-		}
-		if g != wv {
-			t.Fatalf("step %d: Predict(%#x) = %d, reference %d", step, op.pc, g, wv)
-		}
-	case 2:
 		got.Update(op.pc, op.val)
 		want.Update(op.pc, op.val)
 	}
@@ -195,7 +186,7 @@ func applyTwoLevelOp(t *testing.T, step int, op twoLevelOp, got *TwoLevel, want 
 // signatures recur, so slots confirm, demote and replace) salted with
 // occasional arbitrary values.
 func randomTwoLevelOp(rnd *rand.Rand, cfg TwoLevelConfig) twoLevelOp {
-	op := twoLevelOp{kind: rnd.Intn(3)}
+	op := twoLevelOp{kind: rnd.Intn(2)}
 	op.pc = uint64(rnd.Intn(cfg.VHTEntries*6)) * isa.InstBytes
 	if rnd.Intn(8) == 0 {
 		op.pc += uint64(rnd.Intn(int(isa.InstBytes))) // unaligned pcs too
@@ -247,7 +238,7 @@ func FuzzTwoLevelDifferential(f *testing.F) {
 		want := newReferenceTwoLevel(cfg)
 		for step := 0; len(script) >= 3; step++ {
 			op := twoLevelOp{
-				kind: int(script[0] % 3),
+				kind: int(script[0] % 2),
 				pc:   uint64(script[1]) * isa.InstBytes,
 				val:  uint64(script[2] % 16),
 			}
@@ -347,12 +338,10 @@ func TestTwoLevelOpsAllocFree(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	work := func() {
 		pc := uint64(rnd.Intn(256)) * isa.InstBytes
-		switch rnd.Intn(3) {
+		switch rnd.Intn(2) {
 		case 0:
 			p.Lookup(pc)
 		case 1:
-			p.Predict(pc)
-		case 2:
 			p.Update(pc, uint64(rnd.Intn(8)))
 		}
 	}

@@ -86,14 +86,20 @@ func (s Stats) Coverage() float64 {
 
 // Unit is a complete LVP Unit instance. The value table is any ValueTable
 // organisation (untagged direct-mapped by default; Config.LVPTStyle selects
-// the tagged or set-associative variants).
+// the tagged or set-associative variants). A unit built with CVUEntries 0
+// has no CVU: loads the LCT classifies constant are verified against the
+// value like predicted ones.
 type Unit struct {
 	cfg   Config
 	lvpt  ValueTable
 	lct   *LCT
-	cvu   *CVU
+	cvu   *CVU // nil without a CVU
 	tr    *obs.Tracer
 	stats Stats
+	// Gather scratch: RecordBatch copies consecutive loads into these
+	// parallel slices so LoadBatch runs over plain arrays (Slab gathers
+	// PCs only). They grow to the longest run seen and are then reused.
+	pcs, addrs, vals []uint64
 }
 
 // NewUnit builds a unit for the given configuration.
@@ -101,11 +107,13 @@ func NewUnit(cfg Config) (*Unit, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	u := &Unit{cfg: cfg, stats: Stats{Config: cfg.Name}}
+	u := &Unit{cfg: cfg, stats: Stats{Config: cfg.Name}, pcs: make([]uint64, 0, slabPCs)}
 	if !cfg.Perfect {
 		u.lvpt = newValueTable(cfg)
 		u.lct = NewLCT(cfg.LCTEntries, cfg.LCTBits)
-		u.cvu = NewCVU(cfg.CVUEntries)
+		if cfg.CVUEntries > 0 {
+			u.cvu = NewCVU(cfg.CVUEntries)
+		}
 	}
 	return u, nil
 }
@@ -179,7 +187,7 @@ func (u *Unit) Load(pc, addr, actual uint64) trace.PredState {
 			state = trace.PredIncorrect
 		}
 	case ClassConstant:
-		hit := u.cvu.Lookup(addr, idx)
+		hit := u.cvu != nil && u.cvu.Lookup(addr, idx)
 		switch {
 		case hit && correct:
 			state = trace.PredConstant
@@ -199,6 +207,9 @@ func (u *Unit) Load(pc, addr, actual uint64) trace.PredState {
 			// Demoted to predictable this time (paper §3.3); the
 			// now-verified pair enters the CVU for next time.
 			state = trace.PredCorrect
+			if u.cvu == nil {
+				break
+			}
 			u.cvu.Insert(addr, idx)
 			u.stats.CVUInserts++
 			if u.tr.Enabled(obs.ChanCVU) {
@@ -227,7 +238,7 @@ func (u *Unit) Load(pc, addr, actual uint64) trace.PredState {
 				slog.String("class", u.lct.classOf(after).String()))
 		}
 	}
-	if changed := u.lvpt.Update(pc, actual); changed {
+	if changed := u.lvpt.Update(pc, actual); changed && u.cvu != nil {
 		removed := u.cvu.InvalidateIndex(idx)
 		u.stats.CVUIndexInvalidations += removed
 		if removed > 0 && u.tr.Enabled(obs.ChanCVU) {
@@ -312,6 +323,7 @@ func (u *Unit) LoadBatch(pcs, addrs, actuals []uint64, states []trace.PredState)
 func (u *Unit) loadBatchDirect(t *LVPT, pcs, addrs, actuals []uint64, states []trace.PredState) {
 	h := &t.h
 	l := u.lct
+	cvu := u.cvu
 	st := &u.stats
 	st.Loads += len(pcs)
 	for i := range pcs {
@@ -343,7 +355,7 @@ func (u *Unit) loadBatchDirect(t *LVPT, pcs, addrs, actuals []uint64, states []t
 		case ClassConstant:
 			// The CVU seam is the per-load one: Lookup, then Insert on
 			// the verified-correct miss (paper §3.3).
-			hit := u.cvu.Lookup(addrs[i], idx)
+			hit := cvu != nil && cvu.Lookup(addrs[i], idx)
 			switch {
 			case hit && correct:
 				state = trace.PredConstant
@@ -352,8 +364,10 @@ func (u *Unit) loadBatchDirect(t *LVPT, pcs, addrs, actuals []uint64, states []t
 				state = trace.PredIncorrect
 			case correct:
 				state = trace.PredCorrect
-				u.cvu.Insert(addrs[i], idx)
-				st.CVUInserts++
+				if cvu != nil {
+					cvu.Insert(addrs[i], idx)
+					st.CVUInserts++
+				}
 			default:
 				state = trace.PredIncorrect
 			}
@@ -383,7 +397,9 @@ func (u *Unit) loadBatchDirect(t *LVPT, pcs, addrs, actuals []uint64, states []t
 				t.stats.Replacements++
 			}
 			h.SetHead(idx, actual)
-			st.CVUIndexInvalidations += u.cvu.InvalidateIndex(idx)
+			if cvu != nil {
+				st.CVUIndexInvalidations += cvu.InvalidateIndex(idx)
+			}
 		}
 
 		st.States[state]++
@@ -412,17 +428,18 @@ func Annotate(t *trace.Trace, cfg Config) (trace.Annotation, Stats, error) {
 // AnnotateTraced is Annotate with an event tracer attached to the unit
 // (lvpt, lct and cvu channels); tr == nil is exactly Annotate. Tracing never
 // changes the annotation or the statistics, only what is emitted. It is the
-// materialized form of the streaming Annotator: the per-record path is the
-// same code either way, and the record-walk reference for the suite's walk
-// of the memory-op lanes (Annotator.Slab).
+// materialized form of the streaming Unit.RecordBatch: the per-record path
+// is the same code either way, and the record-walk reference for the
+// suite's walk of the memory-op lanes (Unit.Slab).
 func AnnotateTraced(t *trace.Trace, cfg Config, tr *obs.Tracer) (trace.Annotation, Stats, error) {
-	a, err := NewAnnotator(cfg, tr)
+	u, err := NewUnit(cfg)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("annotating %s: %w", t.Name, err)
 	}
+	u.SetTracer(tr)
 	ann := trace.NewAnnotation(t)
 	for base, recs := range t.Batches() {
-		a.RecordBatch(recs, ann[base:base+len(recs)])
+		u.RecordBatch(recs, ann[base:base+len(recs)])
 	}
-	return ann, a.Stats(), nil
+	return ann, u.Stats(), nil
 }

@@ -12,18 +12,6 @@ import (
 	"lvp/internal/trace"
 )
 
-// ConfidencePredictor is a Predictor that can decline to predict — a cold
-// table entry, a tag miss, or confidence below threshold. The zoo's
-// measurement pass uses it to separate coverage (hits over all loads) from
-// accuracy (hits over the loads the predictor actually spoke on), which is
-// the pair a real pipeline cares about: mispredictions cost cycles,
-// declined predictions don't.
-type ConfidencePredictor interface {
-	Predictor
-	// Lookup returns the prediction and whether the predictor speaks.
-	Lookup(pc uint64) (value uint64, ok bool)
-}
-
 // TableStatser exposes the LVPT-style event counters of a table-backed
 // predictor, so sweeps can surface interference (tag misses, alias
 // evictions) alongside accuracy.
@@ -112,8 +100,7 @@ type ZooMeasure struct {
 	Hits     int64 `json:"hits"`
 	// Exact counts the loads whose value equals the predictor's guess when
 	// it is made to speak: a decline guesses 0, the value every Lookup
-	// returns with ok false and every Predict returns for it. It is the
-	// always-speaking regime of the paper's §7 predictor comparison, and
+	// returns with ok false. It is the always-speaking regime of the paper's §7 predictor comparison, and
 	// is not part of the served zoo-cell payload.
 	Exact int64 `json:"-"`
 	// TagMisses and AliasEvicts surface table interference for the
@@ -140,34 +127,24 @@ func (m ZooMeasure) Accuracy() float64 {
 }
 
 // MeasureZoo runs a predictor over every load in the trace, reading only its
-// load lanes (Trace.Mem), which every family of a sweep shares. Predictors
-// implementing ConfidencePredictor are measured through Lookup, so declined
-// predictions count against coverage but not accuracy; plain Predictors are
-// treated as always speaking.
+// load lanes (Trace.Mem), which every family of a sweep shares. Declined
+// predictions count against coverage but not accuracy, which is the pair a
+// real pipeline cares about: mispredictions cost cycles, declined
+// predictions don't.
 func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
 	loads := t.Mem()
-	var m ZooMeasure
-	cp, hasConf := p.(ConfidencePredictor)
-	m.Loads = int64(loads.Len())
+	m := ZooMeasure{Loads: int64(loads.Len())}
 	for i, row := range loads.LoadRows {
 		pc, value := loads.RowPCs[row], loads.Values[i]
-		if hasConf {
-			v, ok := cp.Lookup(pc)
-			if ok {
-				m.Attempts++
-				if v == value {
-					m.Hits++
-				}
-			}
-			if v == value {
-				m.Exact++
-			}
-		} else {
+		v, ok := p.Lookup(pc)
+		if ok {
 			m.Attempts++
-			if p.Predict(pc) == value {
+			if v == value {
 				m.Hits++
-				m.Exact++
 			}
+		}
+		if v == value {
+			m.Exact++
 		}
 		p.Update(pc, value)
 	}

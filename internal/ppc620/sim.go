@@ -80,8 +80,7 @@ type machine struct {
 	load, store, tx int
 	br              trace.Record // the branch fetch last rebuilt
 
-	entries  []entry // ring; index with at()
-	ringMask int
+	entries []entry // ring; index with at()
 
 	head      int // oldest not-completed (absolute index)
 	dispPtr   int // next to dispatch (into entries/window)
@@ -214,7 +213,6 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 	m.stats.LVPConfig = lvpName
 	size := ringSize(cfg)
 	m.entries = make([]entry, size)
-	m.ringMask = size - 1
 	m.pend = make([]pendEnt, 0, cfg.Completion+cfg.DispatchWidth)
 	// Worst case between two sweeps: a full window of spec-held issues
 	// plus a dispatch group, with retired entries not yet swept.

@@ -62,9 +62,6 @@ type Config struct {
 	// RetryAfter is the backoff hint returned with queue-full rejections
 	// (default 1s).
 	RetryAfter time.Duration
-	// MaxSteps overrides the suites' functional-execution bound when > 0
-	// (tests use a small value; 0 keeps the engine default).
-	MaxSteps int
 	// Metrics receives serving and engine telemetry; nil allocates a
 	// fresh registry.
 	Metrics *obs.Registry
@@ -196,9 +193,6 @@ func (m *Manager) suiteLocked(scale int) *exp.Suite {
 	s := m.suites[scale]
 	if s == nil {
 		s = exp.NewSuiteParallel(scale, m.cfg.Workers)
-		if m.cfg.MaxSteps > 0 {
-			s.MaxSteps = m.cfg.MaxSteps
-		}
 		// All suites report into the manager's registry so /metrics is
 		// one snapshot across every scale, and share the manager's
 		// tracer so engine events carry through served jobs.
