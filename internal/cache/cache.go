@@ -63,16 +63,14 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	used  uint64
-}
+// line is one cache line: its tag and the clock of its last access, 0 while
+// the line is invalid (Access bumps the clock before every fill).
+type line struct{ tag, used uint64 }
 
 // Cache is one set-associative level.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set s is lines[s*Assoc : (s+1)*Assoc]
 	setMask  uint64
 	lineBits uint
 	clock    uint64
@@ -85,17 +83,11 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
-	nsets := lines / cfg.Assoc
-	sets := make([][]line, nsets)
-	backing := make([]line, lines)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-	}
 	lb := uint(0)
 	for 1<<lb < cfg.LineBytes {
 		lb++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), lineBits: lb}, nil
+	return &Cache{cfg: cfg, lines: make([]line, lines), setMask: uint64(lines/cfg.Assoc - 1), lineBits: lb}, nil
 }
 
 // MustNew is New but panics on error (for fixed machine-model configs).
@@ -124,9 +116,9 @@ func (c *Cache) Access(addr uint64) bool {
 	c.clock++
 	c.stats.Accesses++
 	tag := addr >> c.lineBits
-	set := c.sets[tag&c.setMask]
+	set := c.set(tag)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].used != 0 && set[i].tag == tag {
 			set[i].used = c.clock
 			return true
 		}
@@ -134,7 +126,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.stats.Misses++
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].used == 0 {
 			victim = i
 			break
 		}
@@ -142,19 +134,24 @@ func (c *Cache) Access(addr uint64) bool {
 			victim = i
 		}
 	}
-	if set[victim].valid {
+	if set[victim].used != 0 {
 		c.stats.Evictions++
 	}
-	set[victim] = line{tag: tag, valid: true, used: c.clock}
+	set[victim] = line{tag: tag, used: c.clock}
 	return false
+}
+
+// set returns the ways of tag's set.
+func (c *Cache) set(tag uint64) []line {
+	s := int(tag&c.setMask) * c.cfg.Assoc
+	return c.lines[s : s+c.cfg.Assoc]
 }
 
 // Probe checks for a hit without updating LRU or statistics.
 func (c *Cache) Probe(addr uint64) bool {
 	tag := addr >> c.lineBits
-	set := c.sets[tag&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	for _, l := range c.set(tag) {
+		if l.used != 0 && l.tag == tag {
 			return true
 		}
 	}

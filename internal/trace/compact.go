@@ -20,11 +20,14 @@ import (
 //     its records carry a Value (hasVal: a store, or a write to a register
 //     other than R0);
 //   - per record: its 16-bit row (sidx), Taken bit (taken, 64 per word) and,
-//     on a non-load whose row carries one, Value (vals);
+//     on a non-load whose row carries one, Value (vals), coded for the
+//     paper's value locality: the uvarint of the zigzagged difference from
+//     the previous Value on the same row (0 before the row's first), so a
+//     row repeating its last Value costs one byte;
 //   - sparse exceptions: Targs other than derivedTarg (JALR; targX) and
 //     nonzero Values on rows that carry none (valX; none in VM traces);
 //   - mem: the memory-op lanes, holding every load's row, Addr and Value
-//     and every store's Addr: about 11.8 B/record in all on the suite.
+//     and every store's Addr: about 8.3 B/record in all on the suite.
 //
 // A Trace is immutable once built and safe to share. The timing models and
 // the dataflow analysis read the rows and lanes directly (Rows, Mem);
@@ -37,7 +40,7 @@ type Trace struct {
 	static      []Record
 	hasVal      []bool
 	sidx        []uint16
-	vals        []uint64
+	vals        []byte
 	taken       []uint64
 	targX, valX sparse // Targ and Value exceptions
 	mem         MemOps
@@ -149,9 +152,9 @@ func (t *Trace) Mem() MemOps { return t.mem }
 // its element size, memory-op lanes, static rows and row tables included.
 func (t *Trace) ResidentBytes() int64 {
 	m := &t.mem
-	return int64(cap(t.static))*int64(unsafe.Sizeof(Record{})) + int64(cap(t.hasVal)+cap(m.StoreSizes)) +
+	return int64(cap(t.static))*int64(unsafe.Sizeof(Record{})) + int64(cap(t.hasVal)+cap(t.vals)+cap(m.StoreSizes)) +
 		2*int64(cap(t.sidx)+cap(m.LoadRows)) + 4*int64(cap(m.StoreAt)+cap(t.targX.at)+cap(t.valX.at)) +
-		8*int64(cap(t.vals)+cap(t.taken)+cap(t.targX.v)+cap(t.valX.v)+cap(m.RowPCs)+cap(m.Addrs)+cap(m.Values)+cap(m.StoreAddrs))
+		8*int64(cap(t.taken)+cap(t.targX.v)+cap(t.valX.v)+cap(m.RowPCs)+cap(m.Addrs)+cap(m.Values)+cap(m.StoreAddrs))
 }
 
 // derivedTarg is the Targ of a record with static row s, of class cls, and
@@ -167,11 +170,22 @@ func derivedTarg(s *Record, cls isa.Class, taken bool) uint64 {
 	return s.PC + isa.InstBytes
 }
 
-// cursor is a read position in a Trace: the next record, and the next
-// Value, load, store and Targ and Value exception at or after it.
+// cursor is a read position in a Trace: the next record, the next Value
+// byte, load, store and Targ and Value exception at or after it, and each
+// row's last Value (the walk's own table: the Trace stays immutable).
 type cursor struct {
 	t                           *Trace
 	i, val, load, store, tx, vx int
+	last                        []uint64
+}
+
+// newCursor returns a cursor at t's start and a buffer of n records, the
+// cursor's per-row table taken from the same allocation.
+func newCursor(t *Trace, n int) (cursor, []Record) {
+	const words = int(unsafe.Sizeof(Record{}) / 8)
+	buf := make([]Record, n+(len(t.static)+words-1)/words)
+	last := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(buf[n:]))), len(t.static))
+	return cursor{t: t, last: last}, buf[:n:n]
 }
 
 // fill expands the next records into buf and returns how many it wrote.
@@ -180,7 +194,7 @@ type cursor struct {
 func (c *cursor) fill(buf []Record) int {
 	t, m := c.t, &c.t.mem
 	n := min(len(buf), len(t.sidx)-c.i)
-	val, load, store, tx, vx := c.val, c.load, c.store, c.tx, c.vx
+	val, load, store, tx, vx, vals, last := c.val, c.load, c.store, c.tx, c.vx, t.vals, c.last
 	for k, s := range t.sidx[c.i : c.i+n] {
 		i, r := c.i+k, &buf[k]
 		*r = t.static[s]
@@ -191,8 +205,17 @@ func (c *cursor) fill(buf []Record) int {
 			r.Addr, r.Value = m.Addrs[load], m.Values[load]
 			load++
 		case t.hasVal[s]:
-			r.Value = t.vals[val]
-			val++
+			var z uint64
+			for shift := 0; ; shift += 7 {
+				b := vals[val]
+				val++
+				z |= uint64(b&0x7f) << shift
+				if b < 0x80 {
+					break
+				}
+			}
+			last[s] += z>>1 ^ -(z & 1)
+			r.Value = last[s]
 		default:
 			r.Value, _ = t.valX.get(i, &vx)
 		}
@@ -220,8 +243,7 @@ const batchRecords = 1024
 // valid only until the next step.
 func (t *Trace) Batches() iter.Seq2[int, []Record] {
 	return func(yield func(int, []Record) bool) {
-		c := cursor{t: t}
-		buf := make([]Record, min(t.Len(), batchRecords))
+		c, buf := newCursor(t, min(t.Len(), batchRecords))
 		for base := 0; base < t.Len(); base = c.i {
 			if !yield(base, buf[:c.fill(buf)]) {
 				return
@@ -233,8 +255,8 @@ func (t *Trace) Batches() iter.Seq2[int, []Record] {
 // Expand returns all of t's records in a new slice, at 48 bytes per record:
 // for tests and small tools, where the pipeline uses Batches.
 func (t *Trace) Expand() []Record {
-	recs := make([]Record, t.Len())
-	(&cursor{t: t}).fill(recs)
+	c, recs := newCursor(t, t.Len())
+	c.fill(recs)
 	return recs
 }
 
@@ -275,18 +297,18 @@ type builder struct {
 	word         uint64 // Taken bits of the records since the last full word
 	static       []Record
 	hasVal       []bool
-	rowPCs       []uint64
+	last, rowPCs []uint64 // per row: its last Value in vals, its PC
 	index        map[Record]uint32
 	// hot is a direct-mapped PC → static row+1 cache in front of index: a
 	// program's static instructions sit at distinct word addresses, so
 	// almost every record finds its row here with one compare.
-	hot                       [4096]uint32
-	sidx, lRows               lane[uint16]
-	tAt, vAt                  lane[uint32]
-	vals, taken, targs, xvals lane[uint64]
-	addrs, lvals, sAddr       lane[uint64]
-	sAt                       lane[int32]
-	sSize                     lane[uint8]
+	hot                 [4096]uint32
+	vals, sSize         lane[uint8]
+	sidx, lRows         lane[uint16]
+	tAt, vAt            lane[uint32]
+	taken, targs, xvals lane[uint64]
+	addrs, lvals, sAddr lane[uint64]
+	sAt                 lane[int32]
 }
 
 func newBuilder(name, target string) *builder {
@@ -316,7 +338,13 @@ func (b *builder) append(recs []Record) error {
 			b.lvals.add(r.Value)
 			b.loads++
 		case b.hasVal[j]:
-			b.vals.add(r.Value)
+			d := r.Value - b.last[j]
+			b.last[j] = r.Value
+			z := d<<1 ^ uint64(int64(d)>>63)
+			for ; z >= 0x80; z >>= 7 {
+				b.vals.add(byte(z) | 0x80)
+			}
+			b.vals.add(byte(z))
 		case r.Value != 0:
 			b.vAt.add(uint32(i))
 			b.xvals.add(r.Value)
@@ -366,7 +394,7 @@ func (b *builder) row(r *Record, mem bool) uint32 {
 	if !ok {
 		j = uint32(len(b.static))
 		_, dest := isa.Dest(s.Inst())
-		b.static, b.rowPCs = append(b.static, s), append(b.rowPCs, s.PC)
+		b.static, b.rowPCs, b.last = append(b.static, s), append(b.rowPCs, s.PC), append(b.last, 0)
 		b.hasVal = append(b.hasVal, dest || isa.IsStore(s.Op))
 		b.index[s] = j
 	}

@@ -41,13 +41,15 @@ func BenchmarkTraceBatches(b *testing.B) {
 }
 
 // BenchmarkTraceBuild measures FromRecords compacting the same workload's
-// records, per record.
+// records, per record, and the built trace's resident bytes per record.
 func BenchmarkTraceBuild(b *testing.B) {
 	recs := workloadTrace(b).Expand()
+	var tr *trace.Trace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trace.FromRecords("cc1", "ppc", recs)
+		tr = trace.FromRecords("cc1", "ppc", recs)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/rec")
+	b.ReportMetric(float64(tr.ResidentBytes())/float64(len(recs)), "B/rec")
 }

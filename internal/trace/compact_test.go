@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"lvp/internal/isa"
@@ -253,9 +255,87 @@ func FuzzTraceCompact(f *testing.F) {
 		f.Add(encodeRecords(s))
 	}
 	f.Add(encodeRecords(genTrace(300).Expand()))
+	for _, c := range valueLaneCases() {
+		f.Add(encodeRecords(c.recs))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkCompact(t, decodeRecords(data))
 	})
+}
+
+// valueLaneCase is a hand-built register and store Value sequence and the
+// bytes it costs in the Value lane: per record, the uvarint of the
+// zigzagged difference from the previous Value on its row (0 before the
+// row's first). The difference wraps, so 0 ↔ MaxUint64 is a step of ∓1.
+type valueLaneCase struct {
+	name  string
+	recs  []Record
+	bytes int
+}
+
+func valueLaneCases() []valueLaneCase {
+	add := func(pc, v uint64) Record { return Record{PC: pc, Op: isa.ADD, Rd: 3, Ra: 1, Rb: 2, Value: v} }
+	store := func(v uint64) Record {
+		return Record{PC: 0x2000, Op: isa.SD, Ra: 3, Rb: 4, Addr: 0x8000, Value: v, Size: 8}
+	}
+	load := Record{PC: 0x3000, Op: isa.LD, Rd: 5, Ra: 3, Addr: 0x8000, Value: math.MaxUint64, Size: 8, Class: isa.LoadIntData}
+	repeat := make([]Record, 10)
+	for i := range repeat {
+		repeat[i] = add(0x1000, 0)
+	}
+	return []valueLaneCase{
+		{"repeat", repeat, 10},
+		{"nonzero first", []Record{add(0x1000, 0x1234), add(0x1000, 0x1234), add(0x1000, 0x1234)}, 2 + 1 + 1},
+		{"MinInt64 step", []Record{store(0), store(1 << 63), store(0)}, 1 + 10 + 10},
+		{"0-MaxInt64 flips", []Record{add(0x1000, 0), add(0x1000, math.MaxInt64), add(0x1000, 0)}, 1 + 10 + 10},
+		{"0-MaxUint64 flips", []Record{store(0), store(math.MaxUint64), store(0), store(math.MaxUint64)}, 4},
+		{"interleaved rows", []Record{
+			add(0x1000, 100), store(5000), load, add(0x1000, 101), store(5000), load, add(0x1000, 102), store(4999),
+		}, 2 + 2 + 1 + 1 + 1 + 1},
+	}
+}
+
+// TestValueLaneCoding pins the Value lane's coding on hand-built traces:
+// each round-trips through Expand and Batches, costs its bytes in the lane
+// (load Values stay in the load lanes), and ResidentBytes counts the lane
+// at one byte per element.
+func TestValueLaneCoding(t *testing.T) {
+	for _, c := range valueLaneCases() {
+		t.Run(c.name, func(t *testing.T) {
+			checkCompact(t, c.recs)
+			tr := FromRecords("", "", c.recs)
+			if len(tr.vals) != c.bytes {
+				t.Fatalf("Value lane holds %d bytes, want %d", len(tr.vals), c.bytes)
+			}
+			bare := *tr
+			bare.vals = nil
+			if d := tr.ResidentBytes() - bare.ResidentBytes(); d != int64(c.bytes) {
+				t.Fatalf("ResidentBytes counts the %d-byte Value lane as %d bytes", c.bytes, d)
+			}
+		})
+	}
+}
+
+// TestConcurrentWalks walks one trace from several goroutines at once: each
+// walk decodes the Value lane against its own per-row table, so every walk
+// reads the records Expand gives.
+func TestConcurrentWalks(t *testing.T) {
+	tr := genTrace(4 * batchRecords)
+	want := tr.Expand()
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for base, batch := range tr.Batches() {
+				if !reflect.DeepEqual(batch, want[base:base+len(batch)]) {
+					t.Errorf("a concurrent walk differs in the batch at record %d", base)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestMemOpsLanes pins the memory-op lane layout on a small hand-built
@@ -304,7 +384,9 @@ func TestMemOpsLanes(t *testing.T) {
 // of 0 to 3 chunks and one record either side), in batches that do not
 // divide a chunk: every lane is allocated at exactly its final length, and
 // the trace expands to its input. Every branch carries a nonzero Value, so
-// the Value exception lane crosses the chunk boundaries too.
+// the Value exception lane crosses the chunk boundaries too. Record i's
+// Value is i, so each row steps by 5 and every coded Value is one byte:
+// the Value lane's length is its count of Values.
 func TestBuilderLanes(t *testing.T) {
 	shapes := genTrace(5).Expand() // ALU, load, store, branch, ALU
 	for _, n := range []int{0, 1, 63, 64, 65, laneChunk - 1, laneChunk, laneChunk + 1, 3 * laneChunk} {
