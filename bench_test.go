@@ -290,13 +290,16 @@ func BenchmarkSimulate620(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	cycles := 0
 	for b.Loop() {
 		st, err := ppc620.Simulate(tr, ann, ppc620.Config620(), "Simple", nil)
 		if err != nil || st.Cycles == 0 {
 			b.Fatal("no cycles")
 		}
+		cycles = st.Cycles
 	}
 	b.ReportMetric(float64(tr.Len()), "instrs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
 }
 
 func BenchmarkSimulate21164(b *testing.B) {
@@ -309,12 +312,16 @@ func BenchmarkSimulate21164(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
+	cycles := 0
 	for b.Loop() {
 		st := lvp.Simulate21164(tr, ann, "Simple")
 		if st.Cycles == 0 {
 			b.Fatal("no cycles")
 		}
+		cycles = st.Cycles
 	}
+	b.ReportMetric(float64(tr.Len()), "instrs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
 }
 
 func BenchmarkLVPTAccess(b *testing.B) {

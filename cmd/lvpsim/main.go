@@ -203,6 +203,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "lvpsim: %d experiments, %d cells (%d traces, %d locality, %d annotations, %d simulations) in %v; traces hold %d records in %.1f MB (%.1f B/record); unit runs hold %.1f MB\n",
 		ran, traces+locs+anns+sims, traces, locs, anns, sims, time.Since(start).Round(time.Millisecond),
 		recs, float64(resident)/(1<<20), float64(resident)/float64(max(1, recs)), float64(unitRuns)/(1<<20))
+	if costs := layerCosts(s); costs != "" {
+		fmt.Fprintf(os.Stderr, "lvpsim: per layer: %s\n", costs)
+	}
 
 	if *metrics != "" {
 		s.FinalizeMetrics()
@@ -221,6 +224,28 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// layerCosts gives the cost of each layer that ran per unit of its work,
+// from its phase timer and work counter: the LVP units and the zoo per load,
+// the walks and the locality meters per record, the models per instruction.
+func layerCosts(s *exp.Suite) string {
+	snap := s.Metrics.Snapshot()
+	var costs []string
+	for _, l := range []struct{ phase, counter, unit string }{
+		{"annotate", "lvp.loads", "load"},
+		{"zoo", "zoo.loads", "load"},
+		{"walk", "walk.records", "record"},
+		{"locality", "locality.records", "record"},
+		{"sim620", "sim620.instructions", "instruction"},
+		{"sim21164", "sim21164.instructions", "instruction"},
+	} {
+		if n := snap.Counters[l.counter]; n > 0 {
+			ns := float64(snap.Timers["phase."+l.phase].TotalNS) / float64(n)
+			costs = append(costs, fmt.Sprintf("%s %.1f ns/%s", l.phase, ns, l.unit))
+		}
+	}
+	return strings.Join(costs, ", ")
 }
 
 // cellCounts reads the completed-build counters from the suite registry.

@@ -185,9 +185,8 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 	}
 	bp := bpred.New(bpred.Default21164)
 	st := Stats{Machine: cfg.Name, LVPConfig: lvpName, Instructions: t.Len()}
-	tr, lanes := t.Rows(), t.Mem()
-	rows := rowInfos(tr.Static)
-	load, store, tx := 0, 0, 0
+	static, w := t.Static(), t.Walk()
+	rows := rowInfos(static)
 	var br trace.Record // the branch the loop last rebuilt
 
 	// ready[slot] is the cycle a register's value is available; slot 0
@@ -205,7 +204,8 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 		intUsed, fpUsed, memUsed, totalUsed = 0, 0, 0, 0
 	}
 
-	for i, row := range tr.Sidx {
+	for i := range t.Len() {
+		row := w.Next()
 		info := &rows[row]
 		f := info.flags
 
@@ -243,15 +243,13 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 			if ann != nil {
 				pred = ann[i]
 			}
-			done, barrier = issueLoad(tr.Static[row].PC, lanes.Addrs[load], pred, cycle, barrier, cfg, hier, &st, obsTr)
-			load++
+			done, barrier = issueLoad(static[row].PC, w.Addr(), pred, cycle, barrier, cfg, hier, &st, obsTr)
 		case aStore:
 			memUsed++
-			hier.Access(lanes.StoreAddrs[store])
-			store++
+			hier.Access(w.Addr())
 			done = cycle + 1
 		case aBranch:
-			if tr.Branch(i, &tx, &br); bp.Resolve(&br) {
+			if w.Branch(&br); bp.Resolve(&br) {
 				// Redirect after resolution (Table 5: 0/4).
 				barrier = max(barrier, cycle+1+cfg.BranchPenalty)
 			}

@@ -86,7 +86,7 @@ func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) (Result, error
 	if err := t.CheckAnnotation(ann); err != nil {
 		return Result{}, err
 	}
-	tr, mem := t.Rows(), t.Mem()
+	static, w := t.Static(), t.Walk()
 	// One row per static row: its latency and scoreboard slots, derived
 	// once from the isa switch functions.
 	type rowInfo struct {
@@ -96,9 +96,9 @@ func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) (Result, error
 		size        uint64
 		load, store bool
 	}
-	rows := make([]rowInfo, len(tr.Static))
-	for j := range tr.Static {
-		r, info := &tr.Static[j], &rows[j]
+	rows := make([]rowInfo, len(static))
+	for j := range static {
+		r, info := &static[j], &rows[j]
 		*info = rowInfo{lat: lat.of(r.Op), size: uint64(r.Size), load: r.IsLoad(), store: r.IsStore()}
 		info.src, info.dst = isa.Slots(r.Inst())
 	}
@@ -107,16 +107,15 @@ func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) (Result, error
 	// of the last store covering them.
 	lastStoreDone := make(map[uint64]int)
 	res := Result{Instructions: t.Len()}
-	critical, load, store := 0, 0, 0
+	critical := 0
 
-	for i, row := range tr.Sidx {
-		info := &rows[row]
+	for i := range t.Len() {
+		info := &rows[w.Next()]
 		start := max(ready[info.src[0]], ready[info.src[1]])
 		latency := info.lat
 		if info.load {
 			// Memory dependence on the most recent overlapping store.
-			addr := mem.Addrs[load]
-			load++
+			addr := w.Addr()
 			for a := addr &^ 7; a < addr+info.size; a += 8 {
 				if d := lastStoreDone[a]; d > start {
 					start = d
@@ -129,8 +128,7 @@ func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) (Result, error
 		}
 		done := start + latency
 		if info.store {
-			addr := mem.StoreAddrs[store]
-			store++
+			addr := w.Addr()
 			for a := addr &^ 7; a < addr+info.size; a += 8 {
 				if done > lastStoreDone[a] {
 					lastStoreDone[a] = done

@@ -13,11 +13,12 @@ import (
 
 // TestTraceResidentBytes bounds the compact in-memory trace: the scale-1
 // suite's traces, memory-op lanes, static rows and per-row tables included,
-// hold at most 8.5 bytes per record (a Record is 48; 8.27 measured, with
-// the register and store Values coded against each row's previous Value).
-// Trace.ResidentBytes sums every lane's capacity times its element size.
-// Every trace keeps its Values in the dense lanes (no Value exceptions) and
-// fits the 16-bit row index.
+// hold at most 3.44 bytes per record (a Record is 48; 3.14 measured, with no
+// row lane and every Value and Addr coded against the last on its row, or
+// the last store's). Trace.ResidentBytes sums every lane's capacity times
+// its element size. Every trace keeps its Values in the dense lanes (no
+// Value exceptions), derives every row from control flow (no row
+// exceptions) and fits the 16-bit row index.
 func TestTraceResidentBytes(t *testing.T) {
 	s := NewSuite(1)
 	var recs, bytes int64
@@ -32,15 +33,18 @@ func TestTraceResidentBytes(t *testing.T) {
 			if n := valueExceptions(tr); n != 0 {
 				t.Errorf("%s/%s: %d Value exceptions, want 0", b.Name, target.Name, n)
 			}
-			if n := len(tr.Rows().Static); n > trace.MaxStaticRows {
+			if n := rowExceptions(tr); n != 0 {
+				t.Errorf("%s/%s: %d row exceptions, want 0", b.Name, target.Name, n)
+			}
+			if n := len(tr.Static()); n > trace.MaxStaticRows {
 				t.Errorf("%s/%s: %d static rows, more than MaxStaticRows", b.Name, target.Name, n)
 			}
 		}
 	}
 	perRec := float64(bytes) / float64(recs)
 	t.Logf("%d records, %.1f MB resident, %.2f B/record", recs, float64(bytes)/(1<<20), perRec)
-	if perRec > 8.5 {
-		t.Fatalf("traces hold %.2f B/record, want <= 8.5", perRec)
+	if perRec > 3.44 {
+		t.Fatalf("traces hold %.2f B/record, want <= 3.44", perRec)
 	}
 	if got := s.Metrics.Gauge("trace.resident_bytes").Value(); got != bytes {
 		t.Fatalf("trace.resident_bytes gauge = %d, want %d", got, bytes)
@@ -56,6 +60,35 @@ func valueExceptions(t *trace.Trace) int {
 		for i := range recs {
 			r := &recs[i]
 			if _, dest := isa.Dest(r.Inst()); !dest && !r.IsLoad() && !r.IsStore() && r.Value != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// rowExceptions counts t's records that the compact trace keeps in its row
+// exception lane: a record after the first whose PC is not the last
+// record's next PC (a branch's Targ, else PC + isa.InstBytes), or whose
+// static row (the record without Value, Taken, Targ, and Addr on a memory
+// op) is not the first one at its PC.
+func rowExceptions(t *trace.Trace) int {
+	n, next, first := 0, uint64(0), make(map[uint64]trace.Record)
+	for base, recs := range t.Batches() {
+		for k, r := range recs {
+			want := next
+			next = r.PC + isa.InstBytes
+			if r.IsBranch() {
+				next = r.Targ
+			}
+			r.Value, r.Taken, r.Targ = 0, false, 0
+			if r.IsLoad() || r.IsStore() {
+				r.Addr = 0
+			}
+			if _, ok := first[r.PC]; !ok {
+				first[r.PC] = r
+			}
+			if base+k > 0 && (r.PC != want || first[r.PC] != r) {
 				n++
 			}
 		}

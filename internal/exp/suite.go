@@ -265,6 +265,7 @@ func (s *Suite) Locality(name string, target prog.Target) ([]locality.Result, er
 		}
 		start := time.Now()
 		rs := locality.Measure(t, locality.DefaultEntries, 1, 16)
+		s.Metrics.Counter("locality.records").Add(int64(t.Len()))
 		s.finishPhase("locality", start,
 			slog.String("bench", name), slog.String("target", target.Name))
 		return rs, nil

@@ -149,12 +149,16 @@ type Result struct {
 }
 
 // Measure computes value locality for every requested history depth in one
-// pass over the trace.
+// pass over the trace's load lanes (Trace.Mem), read a chunk of loads at a
+// time: the other records never need expanding.
 func Measure(t *trace.Trace, entries int, depths ...int) []Result {
-	m := NewMeter(entries, depths...)
-	for _, recs := range t.Batches() {
-		for i := range recs {
-			m.Add(&recs[i])
+	const chunk = 1024
+	m, loads, static := NewMeter(entries, depths...), t.Mem(), t.Static()
+	r, buf := loads.Loads(), make([]uint64, 2*chunk)
+	pcs, values := buf[:chunk], buf[chunk:]
+	for i, n := 0, r.Read(pcs, nil, values); n > 0; i, n = i+n, r.Read(pcs, nil, values) {
+		for k, row := range loads.LoadRows[i : i+n] {
+			m.add(pcs[k], values[k], static[row].Class)
 		}
 	}
 	return m.Results()
@@ -186,13 +190,17 @@ func NewMeter(entries int, depths ...int) *Meter {
 
 // Add accumulates one record; non-loads are ignored.
 func (m *Meter) Add(r *trace.Record) {
-	if !r.IsLoad() {
-		return
+	if r.IsLoad() {
+		m.add(r.PC, r.Value, r.Class)
 	}
+}
+
+// add accumulates one load.
+func (m *Meter) add(pc, value uint64, cls isa.LoadClass) {
 	for k, tab := range m.tables {
-		hit := tab.Access(r.PC, r.Value)
+		hit := tab.Access(pc, value)
 		m.results[k].Overall.add(hit)
-		m.results[k].ByClass[r.Class].add(hit)
+		m.results[k].ByClass[cls].add(hit)
 	}
 }
 

@@ -6,35 +6,33 @@ import (
 )
 
 // Slab runs the unit over a trace's memory-op lanes (Trace.Mem) in trace
-// order: each run of loads between two stores goes to LoadBatch as
-// sub-slices of the load lanes (PCs gathered), and each store to Store.
-// Records that are neither never reach the unit, so this is exactly
-// RecordBatch over the trace. Load i's state is written to states[i] (load
-// order; len(states) must be at least s.Len()); the walk allocates nothing.
+// order: their LoadReader decodes up to slabPCs loads at a time into the
+// unit's scratch, each run of them between two stores goes to LoadBatch,
+// and each store to Store. Records that are neither never reach the unit,
+// so this is exactly RecordBatch over the trace. Load i's state is written
+// to states[i] (load order; len(states) must be at least s.Len()).
 func (u *Unit) Slab(s trace.MemOps, states []trace.PredState) {
-	next := 0
-	for k, at := range s.StoreAt {
-		u.slabLoads(s, next, int(at), states)
-		next = int(at)
-		u.Store(s.StoreAddrs[k], int(s.StoreSizes[k]))
-	}
-	u.slabLoads(s, next, s.Len(), states)
-}
-
-const slabPCs = 1024 // the most load PCs Slab gathers for one LoadBatch
-
-// slabLoads hands loads [i, j) of the lanes to LoadBatch, gathering their
-// PCs from the row table into u.pcs.
-func (u *Unit) slabLoads(s trace.MemOps, i, j int, states []trace.PredState) {
-	for n := 0; i < j; i += n {
-		n = min(j-i, slabPCs)
-		pcs := u.pcs[:n]
-		for k, row := range s.LoadRows[i : i+n] {
-			pcs[k] = s.RowPCs[row]
+	r, k := s.Loads(), 0
+	pcs, addrs, vals := u.pcs[:slabPCs], u.addrs[:slabPCs], u.vals[:slabPCs]
+	for i, n := 0, 0; ; i += n {
+		// Loads [i, i+n), split at the stores before load i+n: at every
+		// store left, once no load is.
+		n = r.Read(pcs, addrs, vals)
+		j := i
+		for ; k < len(s.StoreAt) && (n == 0 || int(s.StoreAt[k]) < i+n); k++ {
+			at := int(s.StoreAt[k])
+			u.LoadBatch(pcs[j-i:at-i], addrs[j-i:at-i], vals[j-i:at-i], states[j:at])
+			u.Store(r.Store())
+			j = at
 		}
-		u.LoadBatch(pcs, s.Addrs[i:i+n], s.Values[i:i+n], states[i:i+n])
+		if n == 0 {
+			return
+		}
+		u.LoadBatch(pcs[j-i:n], addrs[j-i:n], vals[j-i:n], states[j:i+n])
 	}
 }
+
+const slabPCs = 1024 // the most loads Slab decodes at once
 
 // AnnotateSlab runs a fresh unit under cfg over memory-op lanes (see
 // Unit.Slab), writes every load's state into states in load order and

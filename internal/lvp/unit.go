@@ -96,9 +96,9 @@ type Unit struct {
 	cvu   *CVU // nil without a CVU
 	tr    *obs.Tracer
 	stats Stats
-	// Gather scratch: RecordBatch copies consecutive loads into these
-	// parallel slices so LoadBatch runs over plain arrays (Slab gathers
-	// PCs only). They grow to the longest run seen and are then reused.
+	// Gather scratch: RecordBatch copies loads, and Slab decodes them, into
+	// these parallel slices so LoadBatch runs over plain arrays. They grow
+	// to the longest run seen and are then reused.
 	pcs, addrs, vals []uint64
 }
 
@@ -107,7 +107,7 @@ func NewUnit(cfg Config) (*Unit, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	u := &Unit{cfg: cfg, stats: Stats{Config: cfg.Name}, pcs: make([]uint64, 0, slabPCs)}
+	u := &Unit{cfg: cfg, stats: Stats{Config: cfg.Name}, pcs: make([]uint64, 0, slabPCs), addrs: make([]uint64, 0, slabPCs), vals: make([]uint64, 0, slabPCs)}
 	if !cfg.Perfect {
 		u.lvpt = newValueTable(cfg)
 		u.lct = NewLCT(cfg.LCTEntries, cfg.LCTBits)

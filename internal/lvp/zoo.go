@@ -132,21 +132,22 @@ func (m ZooMeasure) Accuracy() float64 {
 // real pipeline cares about: mispredictions cost cycles, declined
 // predictions don't.
 func MeasureZoo(t *trace.Trace, p Predictor) ZooMeasure {
-	loads := t.Mem()
-	m := ZooMeasure{Loads: int64(loads.Len())}
-	for i, row := range loads.LoadRows {
-		pc, value := loads.RowPCs[row], loads.Values[i]
-		v, ok := p.Lookup(pc)
-		if ok {
-			m.Attempts++
-			if v == value {
-				m.Hits++
+	r, pcs, values := t.Mem().Loads(), make([]uint64, slabPCs), make([]uint64, slabPCs)
+	m := ZooMeasure{Loads: int64(t.Mem().Len())}
+	for n := r.Read(pcs, nil, values); n > 0; n = r.Read(pcs, nil, values) {
+		for k, pc := range pcs[:n] {
+			v, ok := p.Lookup(pc)
+			if ok {
+				m.Attempts++
+				if v == values[k] {
+					m.Hits++
+				}
 			}
+			if v == values[k] {
+				m.Exact++
+			}
+			p.Update(pc, values[k])
 		}
-		if v == value {
-			m.Exact++
-		}
-		p.Update(pc, value)
 	}
 	if ts, ok := p.(TableStatser); ok {
 		st := ts.TableStats()

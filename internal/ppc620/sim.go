@@ -70,15 +70,13 @@ type machine struct {
 	hier *cache.Hierarchy
 	bp   *bpred.Predictor
 
-	// The trace, read in place: fetch takes record i's row from tr.Sidx
-	// and its rowInfo from rows (one per static row), a load's or store's
-	// address from the next slot of the memory-op lanes (load, store), and
-	// a branch's outcome through tr.Branch (tx is its exception cursor).
-	tr              trace.Rows
-	mem             trace.MemOps
-	rows            []rowInfo
-	load, store, tx int
-	br              trace.Record // the branch fetch last rebuilt
+	// The trace, read in place: fetch steps the walker to record i, takes
+	// its rowInfo from rows (one per static row), a load's or store's
+	// address from w.Addr, and a branch's outcome through w.Branch.
+	w    trace.Walker
+	n    int // records
+	rows []rowInfo
+	br   trace.Record // the branch fetch last rebuilt
 
 	entries []entry // ring; index with at()
 
@@ -193,8 +191,8 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 	m := &machine{
 		cfg: cfg,
 		ann: ann,
-		tr:  t.Rows(),
-		mem: t.Mem(),
+		w:   t.Walk(),
+		n:   t.Len(),
 		hier: &cache.Hierarchy{
 			L1:        cache.MustNew(cfg.L1),
 			L2:        cache.MustNew(cfg.L2),
@@ -205,7 +203,7 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 		fetchStallEntry: -1,
 		otr:             obsTr,
 	}
-	m.rows = rowInfos(m.tr.Static)
+	m.rows = rowInfos(t.Static())
 	for i := range m.lastWriter {
 		m.lastWriter[i] = -1
 	}
@@ -358,7 +356,7 @@ func execLatency(op isa.Op) int {
 func (m *machine) run() {
 	cycle := 0
 	const safetyFactor = 200 // cycles per instruction upper bound
-	for m.fetched < len(m.tr.Sidx) || m.head < m.fetched {
+	for m.fetched < m.n || m.head < m.fetched {
 		m.liveFloor = m.head
 		m.complete(cycle)
 		m.issue(cycle)
@@ -387,9 +385,9 @@ func (m *machine) fetch(cycle int) {
 	}
 	space := m.cfg.FetchBuffer - (m.fetched - m.dispPtr)
 	width := min(m.cfg.FetchWidth, space)
-	for k := 0; k < width && m.fetched < len(m.tr.Sidx); k++ {
+	for k := 0; k < width && m.fetched < m.n; k++ {
 		i := m.fetched
-		info := &m.rows[m.tr.Sidx[i]]
+		info := &m.rows[m.w.Next()]
 		// Annotations normally cover loads only; AnnotateGeneral also marks
 		// other register-writing instructions, which this model handles
 		// with the same forward-at-dispatch / verify-after-execute
@@ -403,13 +401,8 @@ func (m *machine) fetch(cycle int) {
 			}
 		}
 		var addr uint64
-		switch {
-		case info.flags&opIsLoad != 0:
-			addr = m.mem.Addrs[m.load]
-			m.load++
-		case info.flags&opIsStore != 0:
-			addr = m.mem.StoreAddrs[m.store]
-			m.store++
+		if info.flags&(opIsLoad|opIsStore) != 0 {
+			addr = m.w.Addr()
 		}
 		e := m.at(i)
 		m.prepare(e, i, info, addr, pred)
@@ -418,7 +411,7 @@ func (m *machine) fetch(cycle int) {
 		// from its row; a mispredicted branch stalls further fetch until
 		// it resolves.
 		if info.flags&opIsBranch != 0 {
-			m.tr.Branch(i, &m.tx, &m.br)
+			m.w.Branch(&m.br)
 			if m.bp.Resolve(&m.br) {
 				e.mispred = true
 				m.fetchStallEntry = i

@@ -53,3 +53,25 @@ func BenchmarkTraceBuild(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(recs)), "ns/rec")
 	b.ReportMetric(float64(tr.ResidentBytes())/float64(len(recs)), "B/rec")
 }
+
+// BenchmarkTraceWalk measures a Walker over the same workload, per record:
+// each record's row, and its Addr on a load or a store.
+func BenchmarkTraceWalk(b *testing.B) {
+	tr := workloadTrace(b)
+	kind := make([]bool, len(tr.Static()))
+	for j, s := range tr.Static() {
+		kind[j] = s.IsLoad() || s.IsStore()
+	}
+	var sum uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := tr.Walk()
+		for range tr.Len() {
+			if row := w.Next(); kind[row] {
+				sum += w.Addr()
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/rec")
+}
