@@ -108,29 +108,22 @@ func (s Stats) L1MissesPerInstruction() float64 {
 	return float64(s.L1.Misses) / float64(s.Instructions)
 }
 
-// execLatency is the 21164 result latency (Table 5, AXP column).
-func execLatency(op isa.Op) int {
-	switch isa.ClassOf(op) {
-	case isa.ClassComplexInt:
-		if op == isa.MUL {
-			return 8 // mull; Table 5's class bound is 16 (used for DIV/REM)
-		}
-		return 16
-	case isa.ClassSimpleFP:
-		return 4
-	case isa.ClassComplexFP:
-		return 36
-	case isa.ClassStore:
-		return 1
-	case isa.ClassBranch:
-		return 1
-	default:
-		return 1
+// Latencies returns the 21164's column of paper Table 5: the one description
+// of its instruction latencies that the model and the printed table read.
+// Every row issues at interval 1: the in-order model pipelines every unit.
+// Multiply takes the 21164's mull latency, divide the paper's class bound
+// of 16, and complex FP the low end of its range.
+func (c Config) Latencies() isa.Latencies {
+	pipelined := func(result int) isa.Latency { return isa.Latency{Issue: 1, Result: result} }
+	return isa.Latencies{
+		SimpleInt: pipelined(1), Mul: pipelined(8), Div: pipelined(16),
+		Load: pipelined(c.L1Latency), Store: pipelined(1),
+		SimpleFP: pipelined(4), ComplexFP: pipelined(36), Branch: pipelined(1),
 	}
 }
 
 // rowInfo is what the issue loop needs of one static row, derived once per
-// run from the isa switch functions and execLatency.
+// run from the isa switch functions and the machine's Latencies.
 type rowInfo struct {
 	lat   int32
 	flags uint8
@@ -145,12 +138,12 @@ const (
 	aBranch
 )
 
-// rowInfos derives one rowInfo per static row.
-func rowInfos(static []trace.Record) []rowInfo {
+// rowInfos derives one rowInfo per static row, its latencies from lat.
+func rowInfos(static []trace.Record, lat isa.Latencies) []rowInfo {
 	rows := make([]rowInfo, len(static))
 	for j := range static {
 		r, info := &static[j], &rows[j]
-		info.lat = int32(execLatency(r.Op))
+		info.lat = int32(lat.Result(r.Op))
 		info.src, info.dst = isa.Slots(r.Inst())
 		switch {
 		case isFP(r.Op):
@@ -186,7 +179,7 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 	bp := bpred.New(bpred.Default21164)
 	st := Stats{Machine: cfg.Name, LVPConfig: lvpName, Instructions: t.Len()}
 	static, w := t.Static(), t.Walk()
-	rows := rowInfos(static)
+	rows := rowInfos(static, cfg.Latencies())
 	var br trace.Record // the branch the loop last rebuilt
 
 	// ready[slot] is the cycle a register's value is available; slot 0
@@ -247,7 +240,6 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 		case aStore:
 			memUsed++
 			hier.Access(w.Addr())
-			done = cycle + 1
 		case aBranch:
 			if w.Branch(&br); bp.Resolve(&br) {
 				// Redirect after resolution (Table 5: 0/4).

@@ -226,23 +226,30 @@ func TestStatsBasics(t *testing.T) {
 	}
 }
 
+// TestComplexLatencies reads the 21164's latency table: every row issues at
+// interval 1 (the in-order model pipelines every unit), and a dependent
+// chain of multiplies, divides or FP divides runs at the row's result
+// latency per instruction.
 func TestComplexLatencies(t *testing.T) {
-	// A dependent chain of MULs runs at ~8 cycles each; FDIVs at ~36.
-	var recs []trace.Record
-	for i := 0; i < 100; i++ {
-		recs = append(recs, trace.Record{Op: isa.MUL, Rd: 5, Ra: 5, Rb: 5})
+	lat := Config21164().Latencies()
+	for row, l := range map[string]isa.Latency{"SimpleInt": lat.SimpleInt, "Mul": lat.Mul, "Div": lat.Div,
+		"Load": lat.Load, "Store": lat.Store, "SimpleFP": lat.SimpleFP, "ComplexFP": lat.ComplexFP, "Branch": lat.Branch} {
+		if l.Issue != 1 {
+			t.Errorf("%s: issue interval %d, want 1", row, l.Issue)
+		}
 	}
-	s := simTrace(mkTrace(recs), nil, Config21164(), "")
-	if perOp := float64(s.Cycles) / 100; perOp < 7 || perOp > 10 {
-		t.Errorf("dependent muls %.1f cycles/op, want ~8", perOp)
-	}
-	recs = nil
-	for i := 0; i < 50; i++ {
-		recs = append(recs, trace.Record{Op: isa.FDIV, Rd: 5, Ra: 5, Rb: 5})
-	}
-	s = simTrace(mkTrace(recs), nil, Config21164(), "")
-	if perOp := float64(s.Cycles) / 50; perOp < 30 {
-		t.Errorf("dependent fdivs %.1f cycles/op, want ~36", perOp)
+	for _, op := range []isa.Op{isa.MUL, isa.DIV, isa.FDIV} {
+		const n = 50
+		recs := make([]trace.Record, n)
+		for i := range recs {
+			recs[i] = trace.Record{Op: op, Rd: 5, Ra: 5, Rb: 5}
+		}
+		s := simTrace(mkTrace(recs), nil, Config21164(), "")
+		// Each instruction issues when its predecessor's result is ready;
+		// the run ends on the cycle the last one issues.
+		if want := 1 + (n-1)*lat.Result(op); s.Cycles != want {
+			t.Errorf("%d dependent %vs take %d cycles, want %d (result latency %d)", n, op, s.Cycles, want, lat.Result(op))
+		}
 	}
 }
 

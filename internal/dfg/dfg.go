@@ -12,51 +12,6 @@ import (
 	"lvp/internal/trace"
 )
 
-// Latencies gives per-class result latencies for the limit computation.
-// The defaults mirror the 620 column of paper Table 5.
-type Latencies struct {
-	SimpleInt int
-	Mul       int
-	Div       int
-	Load      int
-	Store     int
-	SimpleFP  int
-	ComplexFP int
-	Branch    int
-}
-
-// Default620 returns the 620-flavoured latency set.
-func Default620() Latencies {
-	return Latencies{
-		SimpleInt: 1, Mul: 4, Div: 35,
-		Load: 2, Store: 1,
-		SimpleFP: 3, ComplexFP: 18,
-		Branch: 1,
-	}
-}
-
-func (l Latencies) of(op isa.Op) int {
-	switch isa.ClassOf(op) {
-	case isa.ClassComplexInt:
-		if op == isa.MUL {
-			return l.Mul
-		}
-		return l.Div
-	case isa.ClassLoad:
-		return l.Load
-	case isa.ClassStore:
-		return l.Store
-	case isa.ClassSimpleFP:
-		return l.SimpleFP
-	case isa.ClassComplexFP:
-		return l.ComplexFP
-	case isa.ClassBranch:
-		return l.Branch
-	default:
-		return l.SimpleInt
-	}
-}
-
 // Result summarises one dataflow-limit computation.
 type Result struct {
 	// CriticalPath is the longest register-dataflow chain in cycles.
@@ -77,18 +32,19 @@ func (r Result) LimitIPC() float64 {
 
 // Analyze computes the dataflow limit of a trace. If ann is non-nil, loads
 // annotated PredCorrect or PredConstant contribute zero latency (their
-// values were forwarded at dispatch); all other instructions use their
-// class latency. Memory dependences are honoured conservatively: a load
+// values were forwarded at dispatch); every other instruction takes lat of
+// its opcode, a machine's result latency (such as the 620's
+// Latencies.Result). Memory dependences are honoured conservatively: a load
 // depends on the latest older store that overlaps its address. A non-nil
 // ann must hold one state per record; otherwise Analyze returns
 // trace.ErrAnnotationLength.
-func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) (Result, error) {
+func Analyze(t *trace.Trace, ann trace.Annotation, lat func(isa.Op) int) (Result, error) {
 	if err := t.CheckAnnotation(ann); err != nil {
 		return Result{}, err
 	}
 	static, w := t.Static(), t.Walk()
 	// One row per static row: its latency and scoreboard slots, derived
-	// once from the isa switch functions.
+	// once from lat and the isa switch functions.
 	type rowInfo struct {
 		lat         int
 		src         [2]uint8 // isa.Sources; 0 = none (GPR R0 is never written)
@@ -99,7 +55,7 @@ func Analyze(t *trace.Trace, ann trace.Annotation, lat Latencies) (Result, error
 	rows := make([]rowInfo, len(static))
 	for j := range static {
 		r, info := &static[j], &rows[j]
-		*info = rowInfo{lat: lat.of(r.Op), size: uint64(r.Size), load: r.IsLoad(), store: r.IsStore()}
+		*info = rowInfo{lat: lat(r.Op), size: uint64(r.Size), load: r.IsLoad(), store: r.IsStore()}
 		info.src, info.dst = isa.Slots(r.Inst())
 	}
 	var ready [isa.NumSlots]int

@@ -5,13 +5,17 @@ import (
 	"testing"
 
 	"lvp/internal/isa"
+	"lvp/internal/ppc620"
 	"lvp/internal/trace"
 )
 
-// analyze is Analyze for a well-formed annotation.
-func analyze(t *testing.T, tr *trace.Trace, ann trace.Annotation, lat Latencies) Result {
+// lat is the 620's latency table, the one the dataflow limit study passes.
+var lat = ppc620.Config620().Latencies()
+
+// analyze is Analyze over the 620's latencies for a well-formed annotation.
+func analyze(t *testing.T, tr *trace.Trace, ann trace.Annotation) Result {
 	t.Helper()
-	r, err := Analyze(tr, ann, lat)
+	r, err := Analyze(tr, ann, lat.Result)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +30,7 @@ func TestSerialChainCriticalPath(t *testing.T) {
 			PC: uint64(0x1000 + 4*i), Op: isa.ADD, Rd: 5, Ra: 5, Rb: 5,
 		})
 	}
-	r := analyze(t, trace.FromRecords("", "", recs), nil, Default620())
+	r := analyze(t, trace.FromRecords("", "", recs), nil)
 	if r.CriticalPath != 100 {
 		t.Errorf("critical path = %d, want 100", r.CriticalPath)
 	}
@@ -42,7 +46,7 @@ func TestIndependentOpsFlat(t *testing.T) {
 			PC: uint64(0x1000 + 4*i), Op: isa.ADD, Rd: isa.Reg(1 + i%20), Ra: 0, Rb: 0,
 		})
 	}
-	r := analyze(t, trace.FromRecords("", "", recs), nil, Default620())
+	r := analyze(t, trace.FromRecords("", "", recs), nil)
 	if r.CriticalPath != 1 {
 		t.Errorf("independent ops critical path = %d, want 1", r.CriticalPath)
 	}
@@ -62,20 +66,20 @@ func loadChain(n int) *trace.Trace {
 
 func TestCollapsedLoadsShortenPath(t *testing.T) {
 	tr := loadChain(100)
-	base := analyze(t, tr, nil, Default620())
+	base := analyze(t, tr, nil)
 	ann := trace.NewAnnotation(tr)
 	for i, r := range tr.Expand() {
 		if r.IsLoad() {
 			ann[i] = trace.PredCorrect
 		}
 	}
-	collapsed := analyze(t, tr, ann, Default620())
-	// Chain per pair: load(2) + add(1) = 3 -> collapsed: add(1) only.
-	if base.CriticalPath != 300 {
-		t.Errorf("base critical path = %d, want 300", base.CriticalPath)
+	collapsed := analyze(t, tr, ann)
+	// Chain per pair: load + add -> collapsed: the add only.
+	if want := 100 * (lat.Load.Result + lat.SimpleInt.Result); base.CriticalPath != want {
+		t.Errorf("base critical path = %d, want %d", base.CriticalPath, want)
 	}
-	if collapsed.CriticalPath != 100 {
-		t.Errorf("collapsed critical path = %d, want 100", collapsed.CriticalPath)
+	if want := 100 * lat.SimpleInt.Result; collapsed.CriticalPath != want {
+		t.Errorf("collapsed critical path = %d, want %d", collapsed.CriticalPath, want)
 	}
 	if collapsed.CollapsedLoads != 100 {
 		t.Errorf("collapsed loads = %d, want 100", collapsed.CollapsedLoads)
@@ -90,8 +94,8 @@ func TestIncorrectPredictionsNotCollapsed(t *testing.T) {
 			ann[i] = trace.PredIncorrect
 		}
 	}
-	r := analyze(t, tr, ann, Default620())
-	base := analyze(t, tr, nil, Default620())
+	r := analyze(t, tr, ann)
+	base := analyze(t, tr, nil)
 	if r.CriticalPath != base.CriticalPath {
 		t.Errorf("incorrect predictions must not shorten the path: %d vs %d",
 			r.CriticalPath, base.CriticalPath)
@@ -109,17 +113,16 @@ func TestMemoryDependenceHonoured(t *testing.T) {
 		{PC: 0x1004, Op: isa.SD, Rb: 7, Ra: 1, Addr: 0x100000, Value: 1, Size: 8},
 		{PC: 0x1008, Op: isa.LD, Rd: 5, Ra: 3, Addr: 0x100000, Value: 1, Size: 8, Class: isa.LoadIntData},
 	}
-	lat := Default620()
-	r := analyze(t, trace.FromRecords("", "", recs), nil, lat)
-	want := lat.Div + lat.Store + lat.Load
+	r := analyze(t, trace.FromRecords("", "", recs), nil)
+	want := lat.Div.Result + lat.Store.Result + lat.Load.Result
 	if r.CriticalPath != want {
 		t.Errorf("critical path = %d, want %d (div -> store -> load)", r.CriticalPath, want)
 	}
 	// Disjoint address: the load no longer chains behind the store.
 	recs[2].Addr = 0x200000
-	r2 := analyze(t, trace.FromRecords("", "", recs), nil, lat)
-	if r2.CriticalPath != lat.Div+lat.Store {
-		t.Errorf("disjoint critical path = %d, want %d", r2.CriticalPath, lat.Div+lat.Store)
+	r2 := analyze(t, trace.FromRecords("", "", recs), nil)
+	if r2.CriticalPath != lat.Div.Result+lat.Store.Result {
+		t.Errorf("disjoint critical path = %d, want %d", r2.CriticalPath, lat.Div.Result+lat.Store.Result)
 	}
 }
 
@@ -141,7 +144,7 @@ func TestAnalyzeAnnotationLength(t *testing.T) {
 		for i := range ann {
 			ann[i] = trace.PredCorrect
 		}
-		if _, err := Analyze(tr, ann, Default620()); !errors.Is(err, trace.ErrAnnotationLength) {
+		if _, err := Analyze(tr, ann, lat.Result); !errors.Is(err, trace.ErrAnnotationLength) {
 			t.Errorf("%d states for %d records: err %v, want %v", n, tr.Len(), err, trace.ErrAnnotationLength)
 		}
 	}

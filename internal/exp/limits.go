@@ -40,7 +40,7 @@ type LimitResult struct {
 // of the paper's "collapsing true dependencies" claim.
 func (s *Suite) DataflowLimits() (*LimitResult, error) {
 	res := &LimitResult{Rows: make([]LimitRow, len(bench.All()))}
-	lat := dfg.Default620()
+	lat := ppc620.Config620().Latencies().Result
 	err := s.forEachBenchIdx(func(i int, b bench.Benchmark) error {
 		t, err := s.Trace(b.Name, prog.PPC)
 		if err != nil {

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"io"
 
+	"lvp/internal/axp21164"
 	"lvp/internal/bench"
+	"lvp/internal/isa"
 	"lvp/internal/lvp"
+	"lvp/internal/ppc620"
 	"lvp/internal/prog"
 	"lvp/internal/report"
 	"lvp/internal/stats"
@@ -174,17 +177,27 @@ func (r *Table4Result) Render(w io.Writer) {
 	t.Render(w)
 }
 
-// Table5 renders the (static) instruction-latency table, paper Table 5.
+// Table5 renders paper Table 5 from the two models' latency tables: each
+// cell is issue interval/result latency. After a mispredicted branch the
+// 620 refetches once the branch resolves (its result latency, plus any wait
+// to issue); the 21164 pays its BranchPenalty.
 func Table5(w io.Writer) {
+	axp := axp21164.Config21164()
+	ppcLat, axpLat := ppc620.Config620().Latencies(), axp.Latencies()
 	t := report.Table{
 		Title:   "Table 5: Instruction Latencies (issue/result)",
 		Columns: []string{"Class", "PPC 620", "AXP 21164"},
 	}
-	t.AddRow("Simple integer", "1/1", "1/1")
-	t.AddRow("Complex integer", "1/4 (mul), 1/35 (div)", "1/8 (mul), 1/16 (div)")
-	t.AddRow("Load/store (L1 hit)", "1/2", "1/2")
-	t.AddRow("Simple FP", "1/3", "1/4")
-	t.AddRow("Complex FP", "18/18", "1/36")
-	t.AddRow("Branch (pred/mispred)", "1, 0/1+", "1, 0/4")
+	pair := func(l isa.Latency) string { return fmt.Sprintf("%d/%d", l.Issue, l.Result) }
+	cells := func(l isa.Latencies) []string {
+		return []string{pair(l.SimpleInt), pair(l.Mul) + " (mul), " + pair(l.Div) + " (div)",
+			pair(l.Load), pair(l.SimpleFP), pair(l.ComplexFP)}
+	}
+	ppcCells := append(cells(ppcLat), fmt.Sprintf("%d, 0/%d+", ppcLat.Branch.Issue, ppcLat.Branch.Result))
+	axpCells := append(cells(axpLat), fmt.Sprintf("%d, 0/%d", axpLat.Branch.Issue, axp.BranchPenalty))
+	for i, class := range []string{"Simple integer", "Complex integer", "Load/store (L1 hit)",
+		"Simple FP", "Complex FP", "Branch (pred/mispred)"} {
+		t.AddRow(class, ppcCells[i], axpCells[i])
+	}
 	t.Render(w)
 }

@@ -299,6 +299,34 @@ func ClassOf(op Op) Class {
 	return opClass[op]
 }
 
+// Latency is one row of a machine's column of paper Table 5: Issue is the
+// cycles from an instruction's issue until its unit accepts the next one (1
+// = pipelined), Result the cycles from its issue to its result.
+type Latency struct{ Issue, Result int }
+
+// Latencies is one machine's column of paper Table 5: a Latency per Class,
+// with complex integer split into multiply (MUL) and divide (DIV, REM).
+// NOP and SYS take SimpleInt's.
+type Latencies struct {
+	SimpleInt, Mul, Div, Load, Store, SimpleFP, ComplexFP, Branch Latency
+}
+
+// Of returns op's row.
+func (l Latencies) Of(op Op) Latency {
+	if op == MUL {
+		return l.Mul
+	}
+	byClass := [NumClasses]Latency{
+		ClassNop: l.SimpleInt, ClassSimpleInt: l.SimpleInt, ClassComplexInt: l.Div,
+		ClassLoad: l.Load, ClassStore: l.Store, ClassSimpleFP: l.SimpleFP,
+		ClassComplexFP: l.ComplexFP, ClassBranch: l.Branch, ClassSys: l.SimpleInt,
+	}
+	return byClass[ClassOf(op)]
+}
+
+// Result returns op's result latency.
+func (l Latencies) Result(op Op) int { return l.Of(op).Result }
+
 // IsLoad reports whether op reads memory.
 func IsLoad(op Op) bool { return ClassOf(op) == ClassLoad }
 

@@ -278,3 +278,24 @@ func TestSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestLatenciesOf checks opcodes read their own row of a latency table:
+// multiply and divide apart, and NOP and the system ops on simple integer.
+func TestLatenciesOf(t *testing.T) {
+	var l Latencies
+	rows := []*Latency{&l.SimpleInt, &l.Mul, &l.Div, &l.Load, &l.Store, &l.SimpleFP, &l.ComplexFP, &l.Branch}
+	for i, r := range rows {
+		*r = Latency{Issue: i + 1, Result: 10 * (i + 1)}
+	}
+	for op, want := range map[Op]Latency{
+		NOP: l.SimpleInt, ADD: l.SimpleInt, LI: l.SimpleInt, OUT: l.SimpleInt, HALT: l.SimpleInt,
+		MUL: l.Mul, DIV: l.Div, REM: l.Div,
+		LB: l.Load, FLD: l.Load, SB: l.Store, FSD: l.Store,
+		FADD: l.SimpleFP, FEQ: l.SimpleFP, MOVFI: l.SimpleFP, FDIV: l.ComplexFP, FSQRT: l.ComplexFP,
+		BEQ: l.Branch, JAL: l.Branch, JALR: l.Branch,
+	} {
+		if got := l.Of(op); got != want || l.Result(op) != want.Result {
+			t.Errorf("%v: row %+v, result %d; want %+v", op, got, l.Result(op), want)
+		}
+	}
+}

@@ -45,6 +45,9 @@ func NewHistoryTable(entries, depth int) *HistoryTable {
 	if depth < 1 {
 		depth = 1
 	}
+	if entries*depth/depth != entries {
+		panic(fmt.Sprintf("locality: %d entries * depth %d overflows int", entries, depth))
+	}
 	return &HistoryTable{
 		depth:   depth,
 		mask:    uint64(entries - 1),

@@ -53,6 +53,9 @@ func NewAssocLVPT(entries, ways, depth, tagBits int) *AssocLVPT {
 	if depth < 1 {
 		depth = 1
 	}
+	if entries*depth/depth != entries {
+		panic("lvp: assoc LVPT entries * depth overflows int")
+	}
 	sets := entries / ways
 	setBits := uint(0)
 	for 1<<setBits < sets {

@@ -6,10 +6,13 @@ package lvp
 // geometry panics at construction, and the hot path stays allocation-free.
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lvp/internal/isa"
+	"lvp/internal/locality"
 )
 
 // pcForLine returns the pc whose word-aligned line is n — the inverse of
@@ -292,5 +295,35 @@ func TestAssocOpsAllocFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(10_000, work); avg != 0 {
 		t.Fatalf("assoc LVPT ops allocate %v allocs/op, want 0", avg)
+	}
+}
+
+// TestTableGeometryOverflow checks each table constructor whose size is a
+// product refuses a geometry that overflows int, panicking with its own
+// message before it allocates, instead of building a wrapped (often empty)
+// table whose first lookup indexes out of range. Every geometry here wraps
+// or exceeds the largest allocation Go allows, so none allocates memory.
+func TestTableGeometryOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func()
+	}{
+		{"two-level VHT entries", func() { NewTwoLevel(TwoLevelConfig{VHTEntries: 1 << 62, HistLen: 4, VPTEntries: 1}) }},
+		{"two-level history length", func() { NewTwoLevel(TwoLevelConfig{VHTEntries: 2, HistLen: math.MaxInt, VPTEntries: 1}) }},
+		{"assoc LVPT entries", func() { NewAssocLVPT(1<<62, 1, 4, 8) }},
+		{"assoc LVPT depth", func() { NewAssocLVPT(16, 4, 1<<60, 8) }},
+		{"history table entries", func() { locality.NewHistoryTable(1<<62, 4) }},
+		{"CVU capacity", func() { NewCVU(1 << 62) }},
+		{"CVU capacity MaxInt", func() { NewCVU(math.MaxInt) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "overflows") {
+					t.Errorf("panic %v, want the constructor's overflow message", r)
+				}
+			}()
+			tc.build()
+		})
 	}
 }

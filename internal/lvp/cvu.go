@@ -92,6 +92,9 @@ func NewCVU(capacity int) *CVU {
 	if capacity < 0 {
 		capacity = 0
 	}
+	if capacity >= 1<<30 {
+		panic("lvp: CVU capacity overflows its int32-indexed chains")
+	}
 	c := &CVU{capacity: capacity, free: -1, head: -1, tail: -1}
 	if capacity > 0 {
 		slots := 2

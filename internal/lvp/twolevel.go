@@ -101,6 +101,9 @@ func NewTwoLevel(cfg TwoLevelConfig) *TwoLevel {
 	if cfg.HistLen < 1 {
 		panic("lvp: two-level history length must be >= 1")
 	}
+	if cfg.VHTEntries*cfg.HistLen/cfg.HistLen != cfg.VHTEntries {
+		panic("lvp: two-level VHT entries * history length overflows int")
+	}
 	if cfg.ConfBits < 1 || cfg.ConfBits > 8 {
 		panic("lvp: two-level confidence bits must be in [1,8]")
 	}

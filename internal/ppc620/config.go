@@ -12,13 +12,18 @@
 // reservation stations until verification, and a one-cycle reissue penalty
 // on misprediction. Constant-verified loads (CVU) skip the cache entirely.
 //
-// Deliberate simplification (documented in DESIGN.md): the LSU issues memory
-// operations oldest-first, so loads never bypass older stores and the 620's
-// store-to-load alias refetch never fires; store-to-load forwarding from the
-// pending-store queue is modelled.
+// Memory ordering: stores issue in order among stores, but a load may issue
+// past an older store whose address is not yet known. An older overlapping
+// store that has executed forwards its data from the pending-store queue;
+// one that has not cannot be seen when the load issues, and the 620's
+// store-to-load alias detection refetches the load once the store's
+// address is generated (Stats.AliasRefetches).
 package ppc620
 
-import "lvp/internal/cache"
+import (
+	"lvp/internal/cache"
+	"lvp/internal/isa"
+)
 
 // FU enumerates the 620's functional unit types.
 type FU int
@@ -76,7 +81,7 @@ type Config struct {
 	// Cache geometry and latencies.
 	L1         cache.Config
 	L2         cache.Config
-	L1Latency  int // load-to-use on L1 hit (Table 5: 2)
+	L1Latency  int // load-to-use on L1 hit: the load row of Latencies
 	L2Latency  int
 	MemLatency int
 	// MSHRs bounds outstanding L1 misses (the 620's non-blocking cache
@@ -129,4 +134,20 @@ func Config620Plus() Config {
 	c.MaxStoreDispatch = 2
 	c.RelaxedLS = true
 	return c
+}
+
+// Latencies returns the 620's column of paper Table 5: the one description
+// of its instruction latencies that the model, the dataflow limit and the
+// printed table read. A row whose issue interval exceeds 1 holds its unit
+// for that long: the MCFX is not pipelined, nor is the FPU for divide and
+// square root. The paper gives complex integer as a range; multiply takes
+// the 620 class of cores' mull latency and divide the range's upper bound.
+func (c Config) Latencies() isa.Latencies {
+	pipelined := func(result int) isa.Latency { return isa.Latency{Issue: 1, Result: result} }
+	held := func(result int) isa.Latency { return isa.Latency{Issue: result, Result: result} }
+	return isa.Latencies{
+		SimpleInt: pipelined(1), Mul: held(4), Div: held(35),
+		Load: pipelined(c.L1Latency), Store: pipelined(1), // a store's result is its address
+		SimpleFP: pipelined(3), ComplexFP: held(18), Branch: pipelined(1),
+	}
 }

@@ -17,7 +17,7 @@ const unknown = -1
 // only what the model consults after fetch, copied from the instruction's
 // rowInfo and the memory-op lanes: pc for event tracing, addr/size for the
 // memory disambiguation logic, the scoreboard slots for dispatch-time
-// dependence capture, and the pre-resolved latency.
+// dependence capture, and the pre-resolved issue interval and latency.
 type entry struct {
 	pc   uint64
 	addr uint64
@@ -39,6 +39,7 @@ type entry struct {
 
 	lat   int32
 	flags uint16 // the rowInfo flag set
+	issue uint16 // issue interval: cycles the instruction holds its unit
 	fu    FU
 
 	src  [2]uint8 // scoreboard slots read, in isa.Sources order; 0 = none
@@ -117,8 +118,9 @@ type machine struct {
 
 	lastWriter [isa.NumSlots]int // newest producer per scoreboard slot, or -1
 
-	mcfxBusyUntil int
-	fpuBusyUntil  int
+	// busyUntil is, per FU type, the cycle its non-pipelined instruction
+	// (issue interval above 1) frees it.
+	busyUntil [NumFU]int
 
 	fetchStallEntry   int // entry index of unresolved mispredicted branch, or -1
 	lastConflictCycle int
@@ -203,7 +205,7 @@ func Simulate(t *trace.Trace, ann trace.Annotation, cfg Config, lvpName string, 
 		fetchStallEntry: -1,
 		otr:             obsTr,
 	}
-	m.rows = rowInfos(t.Static())
+	m.rows = rowInfos(t.Static(), cfg.Latencies())
 	for i := range m.lastWriter {
 		m.lastWriter[i] = -1
 	}
@@ -243,6 +245,7 @@ func (m *machine) prepare(e *entry, i int, info *rowInfo, addr uint64, pred trac
 	e.src, e.dst = info.src, info.dst
 	e.fu = info.fu
 	e.lat = info.lat
+	e.issue = info.issue
 	e.flags = f
 	e.srcA, e.srcB, e.specSrc = -1, -1, -1
 	e.resultReadyC = unknown
@@ -257,12 +260,13 @@ func (m *machine) prepare(e *entry, i int, info *rowInfo, addr uint64, pred trac
 }
 
 // rowInfo is what the model needs of one static row, derived once per run
-// from the isa switch functions and this file's fuOf, execLatency and
-// isCompare.
+// from the isa switch functions, the machine's Latencies and this file's
+// fuOf and isCompare.
 type rowInfo struct {
 	pc    uint64
 	lat   int32
 	flags uint16
+	issue uint16
 	fu    FU
 	src   [2]uint8 // scoreboard slots read (isa.Sources order); 0 = none
 	dst   uint8    // scoreboard slot written (isa.Dest); 0 = none
@@ -275,16 +279,15 @@ const (
 	opIsLoad
 	opIsStore
 	opIsBranch
-	opNonPipeFP // ClassComplexFP: occupies the FPU until done
 )
 
-// rowInfos derives one rowInfo per static row.
-func rowInfos(static []trace.Record) []rowInfo {
+// rowInfos derives one rowInfo per static row, its latencies from lat.
+func rowInfos(static []trace.Record, lat isa.Latencies) []rowInfo {
 	rows := make([]rowInfo, len(static))
 	for j := range static {
 		r, info := &static[j], &rows[j]
-		in := r.Inst()
-		*info = rowInfo{pc: r.PC, lat: int32(execLatency(r.Op)), fu: fuOf(r.Op), size: r.Size}
+		in, l := r.Inst(), lat.Of(r.Op)
+		*info = rowInfo{pc: r.PC, lat: int32(l.Result), issue: uint16(l.Issue), fu: fuOf(r.Op), size: r.Size}
 		info.src, info.dst = isa.Slots(in)
 		for _, b := range []struct {
 			bit uint16
@@ -295,7 +298,6 @@ func rowInfos(static []trace.Record) []rowInfo {
 			{opIsLoad, isa.IsLoad(r.Op)},
 			{opIsStore, isa.IsStore(r.Op)},
 			{opIsBranch, isa.IsBranch(r.Op)},
-			{opNonPipeFP, isa.ClassOf(r.Op) == isa.ClassComplexFP},
 		} {
 			if b.on {
 				info.flags |= b.bit
@@ -329,27 +331,6 @@ func fuOf(op isa.Op) FU {
 		return BRU
 	default:
 		return SCFX
-	}
-}
-
-// execLatency is the result latency on the 620 (Table 5), excluding memory.
-func execLatency(op isa.Op) int {
-	switch isa.ClassOf(op) {
-	case isa.ClassComplexInt:
-		if op == isa.MUL {
-			return 4 // mull on the 620 class of cores
-		}
-		return 35 // DIV, REM (Table 5's upper bound)
-	case isa.ClassSimpleFP:
-		return 3
-	case isa.ClassComplexFP:
-		return 18
-	case isa.ClassStore:
-		return 1 // address generation; data written at completion
-	case isa.ClassBranch:
-		return 1
-	default:
-		return 1
 	}
 }
 
@@ -585,11 +566,10 @@ func (m *machine) rsInUse(f FU, cycle int) int {
 func (m *machine) issue(cycle int) {
 	var issuedPerFU [NumFU]int
 	capacity := m.cfg.Units
-	if m.mcfxBusyUntil > cycle {
-		capacity[MCFX] = 0
-	}
-	if m.fpuBusyUntil > cycle {
-		capacity[FPU] = 0
+	for f, until := range m.busyUntil {
+		if until > cycle {
+			capacity[f] = 0
+		}
 	}
 	// Stores issue in order among stores; loads may issue past older
 	// stores with unknown addresses — the 620's store-to-load alias
@@ -688,7 +668,7 @@ func (m *machine) execute(e *entry, i, cycle int) {
 		m.executeLoad(e, i, cycle)
 	case e.isStore:
 		// Address generation; the cache write happens at completion.
-		e.doneC = cycle + 1
+		e.doneC = cycle + int(e.lat)
 		e.resultReadyC = e.doneC
 	default:
 		e.doneC = cycle + int(e.lat)
@@ -708,14 +688,9 @@ func (m *machine) execute(e *entry, i, cycle int) {
 		if e.resultReadyC == unknown {
 			e.resultReadyC = e.doneC
 		}
-		switch e.fu {
-		case MCFX:
-			m.mcfxBusyUntil = e.doneC // non-pipelined
-		case FPU:
-			if e.flags&opNonPipeFP != 0 {
-				m.fpuBusyUntil = e.doneC // FDIV/FSQRT are non-pipelined
-			}
-		}
+	}
+	if e.issue > 1 {
+		m.busyUntil[e.fu] = cycle + int(e.issue) // not pipelined
 	}
 }
 

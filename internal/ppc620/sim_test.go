@@ -339,30 +339,49 @@ func TestMSHRLimitThrottlesMisses(t *testing.T) {
 	}
 }
 
+// TestComplexUnitsNotPipelined reads the 620's latency table. The MCFX is
+// not pipelined, nor is the FPU for divide and square root: those rows hold
+// their unit until their result, so their issue interval is their result
+// latency, and independent instructions of each serialize at that
+// interval. Every other row is pipelined (issue interval 1): simple FP, on
+// the one FPU, issues about one per cycle although each takes several to
+// finish.
 func TestComplexUnitsNotPipelined(t *testing.T) {
-	// Back-to-back independent divides serialize on the single MCFX unit
-	// (non-pipelined, 35 cycles); independent FDIVs on the FPU (18).
-	var divs, fdivs []trace.Record
-	for i := 0; i < 100; i++ {
-		divs = append(divs, trace.Record{Op: isa.DIV, Rd: isa.Reg(5 + i%8), Ra: 1, Rb: 2})
-		fdivs = append(fdivs, trace.Record{Op: isa.FDIV, Rd: isa.Reg(5 + i%8), Ra: 1, Rb: 2})
-	}
-	sd := simTrace(mkTrace(divs), nil, Config620(), "")
-	if perOp := float64(sd.Cycles) / 100; perOp < 30 {
-		t.Errorf("divides %.1f cycles/op; MCFX must be non-pipelined (~35)", perOp)
-	}
-	sf := simTrace(mkTrace(fdivs), nil, Config620(), "")
-	if perOp := float64(sf.Cycles) / 100; perOp < 15 {
-		t.Errorf("fdivs %.1f cycles/op; complex FP must be non-pipelined (~18)", perOp)
-	}
-	// Simple FP is pipelined: much better than 3 cycles/op.
-	var fadds []trace.Record
-	for i := 0; i < 300; i++ {
-		fadds = append(fadds, trace.Record{Op: isa.FADD, Rd: isa.Reg(5 + i%8), Ra: 1, Rb: 2})
-	}
-	sa := simTrace(mkTrace(fadds), nil, Config620(), "")
-	if perOp := float64(sa.Cycles) / 300; perOp > 2 {
-		t.Errorf("fadds %.2f cycles/op; simple FP must be pipelined (~1)", perOp)
+	lat := Config620().Latencies()
+	for _, tc := range []struct {
+		row       string
+		l         isa.Latency
+		pipelined bool
+		op        isa.Op // an instruction of the row; NOP: the row runs nothing here
+	}{
+		{"Mul", lat.Mul, false, isa.MUL},
+		{"Div", lat.Div, false, isa.DIV},
+		{"ComplexFP", lat.ComplexFP, false, isa.FDIV},
+		{"SimpleFP", lat.SimpleFP, true, isa.FADD},
+		{"SimpleInt", lat.SimpleInt, true, isa.NOP},
+		{"Load", lat.Load, true, isa.NOP},
+		{"Store", lat.Store, true, isa.NOP},
+		{"Branch", lat.Branch, true, isa.NOP},
+	} {
+		want := tc.l.Result
+		if tc.pipelined {
+			want = 1
+		}
+		if tc.l.Issue != want {
+			t.Errorf("%s: issue interval %d, want %d (pipelined %v)", tc.row, tc.l.Issue, want, tc.pipelined)
+		}
+		if tc.op == isa.NOP {
+			continue
+		}
+		const n = 100
+		recs := make([]trace.Record, n)
+		for i := range recs {
+			recs[i] = trace.Record{Op: tc.op, Rd: isa.Reg(5 + i%8), Ra: 1, Rb: 2}
+		}
+		s := simTrace(mkTrace(recs), nil, Config620(), "")
+		if perOp := float64(s.Cycles) / n; perOp < float64(tc.l.Issue) || perOp >= float64(tc.l.Issue)+1 {
+			t.Errorf("%s: independent %v %.2f cycles/op, want the issue interval %d", tc.row, tc.op, perOp, tc.l.Issue)
+		}
 	}
 }
 
