@@ -123,7 +123,7 @@ bench-json:
 # annotation differential, and the CVU's address-boundary invalidation and
 # insert-refresh edge cases. All of these also run as part of plain
 # `make test` / `make check`.
-STREAM_TESTS = 'AllocFree|TestStreamRSS|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateInvariants|TestSimulateRejectsAnnotationLength|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestBatchesOneSpan|FuzzTraceCompact|TestValueLaneCoding|TestRowLaneDerivation|TestLoadLaneCoding|TestMemOpsLanes|TestBuilderLanes|TestStaticRowsBound|TestRunMatchesSource|TestRunEndsAfterLastMispredict|TestTraceResidentBytes|TestUnitRunResidentBytes|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
+STREAM_TESTS = 'AllocFree|TestStreamRSS|TestAnnotatorMatchesAnnotate|TestReaderMatchesRead|TestSimulateInvariants|TestSimulateRejectsAnnotationLength|NextBatch|BatchSizes|TestReaderBatchErrorsAgree|TestWalkerOneAllocation|FuzzTraceCompact|TestValueLaneCoding|TestRowLaneDerivation|TestLoadLaneCoding|TestMemOpsLanes|TestBuilderLanes|TestStaticRowsBound|TestRunMatchesSource|TestRunEndsAfterLastMispredict|TestTraceResidentBytes|TestUnitRunResidentBytes|TestRecordBatch|TestCVUInvalidateAddrBoundaries|TestCVUInsertRefresh'
 STREAM_PKGS = ./internal/trace/ ./internal/lvp/ ./internal/exp/ ./internal/vm/ ./internal/ppc620/
 
 check-stream:

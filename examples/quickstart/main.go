@@ -18,17 +18,10 @@ func main() {
 	}
 	fmt.Printf("trace: %s/%s, %d instructions\n", tr.Name, tr.Target, tr.Len())
 
-	// The trace stores each static instruction once; records expand on
-	// demand, a reused batch at a time.
-	branches := 0
-	for _, recs := range tr.Batches() {
-		for _, r := range recs {
-			if r.IsBranch() {
-				branches++
-			}
-		}
-	}
-	fmt.Printf("branches: %d, loads: %d\n", branches, tr.Mem().Len())
+	// The trace stores each static instruction once, plus per-record
+	// lanes of dynamic facts; Summarize counts them by kind in one walk.
+	sum := tr.Summarize()
+	fmt.Printf("branches: %d, loads: %d\n", sum.Branches, sum.Loads)
 
 	// 2. Measure load value locality at history depths 1 and 16
 	// (paper Figure 1).

@@ -56,12 +56,9 @@ func TestTraceResidentBytes(t *testing.T) {
 // store and writes no register but R0 (isa.Dest).
 func valueExceptions(t *trace.Trace) int {
 	n := 0
-	for _, recs := range t.Batches() {
-		for i := range recs {
-			r := &recs[i]
-			if _, dest := isa.Dest(r.Inst()); !dest && !r.IsLoad() && !r.IsStore() && r.Value != 0 {
-				n++
-			}
+	for _, r := range t.Expand() {
+		if _, dest := isa.Dest(r.Inst()); !dest && !r.IsLoad() && !r.IsStore() && r.Value != 0 {
+			n++
 		}
 	}
 	return n
@@ -74,23 +71,21 @@ func valueExceptions(t *trace.Trace) int {
 // op) is not the first one at its PC.
 func rowExceptions(t *trace.Trace) int {
 	n, next, first := 0, uint64(0), make(map[uint64]trace.Record)
-	for base, recs := range t.Batches() {
-		for k, r := range recs {
-			want := next
-			next = r.PC + isa.InstBytes
-			if r.IsBranch() {
-				next = r.Targ
-			}
-			r.Value, r.Taken, r.Targ = 0, false, 0
-			if r.IsLoad() || r.IsStore() {
-				r.Addr = 0
-			}
-			if _, ok := first[r.PC]; !ok {
-				first[r.PC] = r
-			}
-			if base+k > 0 && (r.PC != want || first[r.PC] != r) {
-				n++
-			}
+	for i, r := range t.Expand() {
+		want := next
+		next = r.PC + isa.InstBytes
+		if r.IsBranch() {
+			next = r.Targ
+		}
+		r.Value, r.Taken, r.Targ = 0, false, 0
+		if r.IsLoad() || r.IsStore() {
+			r.Addr = 0
+		}
+		if _, ok := first[r.PC]; !ok {
+			first[r.PC] = r
+		}
+		if i > 0 && (r.PC != want || first[r.PC] != r) {
+			n++
 		}
 	}
 	return n

@@ -14,15 +14,15 @@ import (
 	"lvp/internal/obs"
 	"lvp/internal/ppc620"
 	"lvp/internal/prog"
+	"lvp/internal/trace"
 )
 
 // TestSlabAnnotationDifferential pins the suite's slab-backed annotation to
 // the record-stream reference: for every workload, both targets and every
 // unit configuration, Annotation's per-record states and Stats, and
-// AnnotationStats, equal lvp.AnnotateTraced over the trace's records
-// (Unit.RecordBatch over Trace.Batches). Configurations that share
-// hardware share one unit run, so this also proves the name stamped on a
-// shared run. -short keeps three workloads.
+// AnnotationStats, equal Unit.RecordBatch over the trace's expanded records.
+// Configurations that share hardware share one unit run, so this also
+// proves the name stamped on a shared run. -short keeps three workloads.
 func TestSlabAnnotationDifferential(t *testing.T) {
 	benches := bench.All()
 	if testing.Short() {
@@ -36,11 +36,15 @@ func TestSlabAnnotationDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			recs := tr.Expand()
 			for _, cfg := range cfgs {
-				wantAnn, wantSt, err := lvp.AnnotateTraced(tr, cfg, nil)
+				ref, err := lvp.NewUnit(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				wantAnn := make(trace.Annotation, len(recs))
+				ref.RecordBatch(recs, wantAnn)
+				wantSt := ref.Stats()
 				st, err := s.AnnotationStats(b.Name, tg, cfg)
 				if err != nil {
 					t.Fatal(err)

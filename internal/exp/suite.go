@@ -338,7 +338,8 @@ func (s *Suite) Annotation(name string, target prog.Target, cfg lvp.Config) (tra
 	}
 	start := time.Now()
 	ann := t.Scatter(r.states)
-	s.Metrics.Timer("phase.annotate").Observe(time.Since(start))
+	s.Metrics.Timer("phase.walk").Observe(time.Since(start))
+	s.Metrics.Counter("walk.records").Add(int64(t.Len()))
 	r.st.Config = cfg.Name
 	return ann, r.st, nil
 }
@@ -429,8 +430,8 @@ func simulate[M comparable, S any](s *Suite, c *par.Cache[simKey[M], S], m simMo
 // predictions returns the annotation a simulation consumes and the label
 // it runs under. The load annotation is scattered from the suite's cached
 // unit run; the general (all-result) annotation is built here. Either is
-// built for its one simulation and not kept, and its time is charged to the
-// annotate phase.
+// built for its one simulation and not kept, and its walk of the trace is
+// charged to the walk phase.
 func (s *Suite) predictions(t *trace.Trace, target prog.Target, name string, run lvp.Config, pred predSource) (trace.Annotation, string, error) {
 	switch pred {
 	case predLoads:
@@ -439,7 +440,8 @@ func (s *Suite) predictions(t *trace.Trace, target prog.Target, name string, run
 	case predAll:
 		start := time.Now()
 		ann, _, err := lvp.AnnotateGeneral(t, run)
-		s.Metrics.Timer("phase.annotate").Observe(time.Since(start))
+		s.Metrics.Timer("phase.walk").Observe(time.Since(start))
+		s.Metrics.Counter("walk.records").Add(int64(t.Len()))
 		return ann, "GVP-" + run.Name, err
 	}
 	return nil, lvpLabel(nil), nil

@@ -30,17 +30,22 @@ func MeasureGeneral(t *trace.Trace, entries int, depths ...int) []GeneralResult 
 		tables[i] = NewHistoryTable(entries, d)
 		results[i].Depth = d
 	}
-	for _, recs := range t.Batches() {
-		for i := range recs {
-			r := &recs[i]
-			if in := r.Inst(); !isa.WritesGPR(in) && !isa.WritesFPR(in) {
-				continue
-			}
-			cls := isa.ClassOf(r.Op)
+	static := t.Static()
+	cls := make([]int8, len(static)) // per row: its class if it writes a register, else -1
+	for j, s := range static {
+		cls[j] = -1
+		if in := s.Inst(); isa.WritesGPR(in) || isa.WritesFPR(in) {
+			cls[j] = int8(isa.ClassOf(s.Op))
+		}
+	}
+	w := t.Walk()
+	for range t.Len() {
+		row := w.Next()
+		if v := w.Value(); cls[row] >= 0 {
 			for k, tab := range tables {
-				hit := tab.Access(r.PC, r.Value)
+				hit := tab.Access(static[row].PC, v)
 				results[k].Overall.add(hit)
-				results[k].ByClass[cls].add(hit)
+				results[k].ByClass[cls[row]].add(hit)
 			}
 		}
 	}

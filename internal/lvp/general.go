@@ -25,13 +25,17 @@ func AnnotateGeneral(t *trace.Trace, cfg Config) (trace.Annotation, Stats, error
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("annotating %s: %w", t.Name, err)
 	}
+	writes := make([]bool, len(t.Static()))
+	for j, s := range t.Static() {
+		in := s.Inst()
+		writes[j] = isa.WritesGPR(in) || isa.WritesFPR(in)
+	}
 	ann := trace.NewAnnotation(t)
-	for base, recs := range t.Batches() {
-		for k := range recs {
-			r := &recs[k]
-			if in := r.Inst(); isa.WritesGPR(in) || isa.WritesFPR(in) {
-				ann[base+k] = u.Load(r.PC, 0, r.Value)
-			}
+	w := t.Walk()
+	for i := range ann {
+		row := w.Next()
+		if v := w.Value(); writes[row] {
+			ann[i] = u.Load(t.Static()[row].PC, 0, v)
 		}
 	}
 	st := u.Stats()

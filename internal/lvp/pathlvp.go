@@ -66,24 +66,27 @@ func MeasurePathAccuracy(t *trace.Trace, entries int, histBits ...int) []localit
 		tables[k] = NewPathLVP(entries, hb)
 	}
 	rs := make([]locality.Ratio, len(histBits))
-	for _, recs := range t.Batches() {
-		for i := range recs {
-			rec := &recs[i]
-			if isa.IsCondBranch(rec.Op) {
-				for _, p := range tables {
-					p.Branch(rec.Taken)
-				}
-				continue
+	cond, load := make([]bool, len(t.Static())), make([]bool, len(t.Static())) // per row
+	for j, s := range t.Static() {
+		cond[j], load[j] = isa.IsCondBranch(s.Op), s.IsLoad()
+	}
+	w := t.Walk()
+	var br trace.Record
+	for range t.Len() {
+		switch row := w.Next(); {
+		case cond[row]:
+			w.Branch(&br)
+			for _, p := range tables {
+				p.Branch(br.Taken)
 			}
-			if !rec.IsLoad() {
-				continue
-			}
+		case load[row]:
+			pc, v := t.Static()[row].PC, w.Value()
 			for k, p := range tables {
 				rs[k].Total++
-				if p.Predict(rec.PC) == rec.Value {
+				if p.Predict(pc) == v {
 					rs[k].Hits++
 				}
-				p.Update(rec.PC, rec.Value)
+				p.Update(pc, v)
 			}
 		}
 	}

@@ -37,7 +37,8 @@ const slabPCs = 1024 // the most loads Slab decodes at once
 // AnnotateSlab runs a fresh unit under cfg over memory-op lanes (see
 // Unit.Slab), writes every load's state into states in load order and
 // returns the unit's statistics. tr attaches an event tracer (nil disables
-// tracing); the events are Annotate's, in the same order.
+// tracing); the events are RecordBatch's over the records, in the same
+// order.
 func AnnotateSlab(s trace.MemOps, cfg Config, tr *obs.Tracer, states []trace.PredState) (Stats, error) {
 	u, err := NewUnit(cfg)
 	if err != nil {

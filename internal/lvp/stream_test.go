@@ -48,8 +48,9 @@ func mixedTrace(n int) *trace.Trace {
 
 // TestAnnotatorMatchesAnnotate pins the single-code-path contract of the
 // streaming layer: feeding records through Unit.RecordBatch in small batches
-// yields exactly the annotation and statistics of the whole-trace Annotate,
-// for every paper configuration.
+// yields exactly the annotation and statistics of the whole-trace Annotate
+// (the unit over the memory-op lanes, scattered), for every paper
+// configuration.
 func TestAnnotatorMatchesAnnotate(t *testing.T) {
 	tr := mixedTrace(4096)
 	for _, cfg := range Configs {

@@ -427,19 +427,14 @@ func Annotate(t *trace.Trace, cfg Config) (trace.Annotation, Stats, error) {
 
 // AnnotateTraced is Annotate with an event tracer attached to the unit
 // (lvpt, lct and cvu channels); tr == nil is exactly Annotate. Tracing never
-// changes the annotation or the statistics, only what is emitted. It is the
-// materialized form of the streaming Unit.RecordBatch: the per-record path
-// is the same code either way, and the record-walk reference for the
-// suite's walk of the memory-op lanes (Unit.Slab).
+// changes the annotation or the statistics, only what is emitted. It runs
+// the unit over the trace's memory-op lanes (AnnotateSlab) and scatters the
+// load-order states onto the records (Trace.Scatter), as the suite does.
 func AnnotateTraced(t *trace.Trace, cfg Config, tr *obs.Tracer) (trace.Annotation, Stats, error) {
-	u, err := NewUnit(cfg)
+	states := make([]trace.PredState, t.Mem().Len())
+	st, err := AnnotateSlab(t.Mem(), cfg, tr, states)
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("annotating %s: %w", t.Name, err)
 	}
-	u.SetTracer(tr)
-	ann := trace.NewAnnotation(t)
-	for base, recs := range t.Batches() {
-		u.RecordBatch(recs, ann[base:base+len(recs)])
-	}
-	return ann, u.Stats(), nil
+	return t.Scatter(states), st, nil
 }

@@ -106,41 +106,6 @@ func runBatchErrDiff(t *testing.T, enc []byte) {
 	}
 }
 
-// TestBatchesOneSpan pins the in-memory walk the timing models and the
-// record walks read: Batches yields non-empty batches of at most
-// batchRecords records whose bases are consecutive and which concatenate to
-// the trace's records; an empty trace yields nothing; and a walk allocates
-// once, its buffer.
-func TestBatchesOneSpan(t *testing.T) {
-	for _, n := range []int{1, batchRecords - 1, batchRecords, 3*batchRecords + 7} {
-		tr := genTrace(n)
-		var recs []Record
-		for base, batch := range tr.Batches() {
-			if base != len(recs) || len(batch) == 0 || len(batch) > batchRecords {
-				t.Fatalf("n=%d: batch of %d records at base %d after %d records", n, len(batch), base, len(recs))
-			}
-			recs = append(recs, batch...)
-		}
-		if !reflect.DeepEqual(recs, tr.Expand()) {
-			t.Fatalf("n=%d: batches do not concatenate to the trace", n)
-		}
-	}
-	for range FromRecords("", "", nil).Batches() {
-		t.Fatal("empty trace yielded a batch")
-	}
-	if raceEnabled {
-		return
-	}
-	tr := genTrace(8 * batchRecords)
-	walk := func() {
-		for range tr.Batches() {
-		}
-	}
-	if allocs := testing.AllocsPerRun(5, walk); allocs != 1 {
-		t.Fatalf("a walk of Batches: %v allocs, want 1", allocs)
-	}
-}
-
 // TestReaderNextBatchAllocFree pins the batched decode hot path at zero
 // allocations per batch once the reader is constructed.
 func TestReaderNextBatchAllocFree(t *testing.T) {

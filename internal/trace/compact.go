@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"iter"
 	"math"
 	"slices"
 	"unsafe"
@@ -28,9 +27,9 @@ import (
 // suite's traces hold about 3.14 B/record.
 //
 // A Trace is immutable once built and safe to share. Its records are read
-// in order: through a Walker (the timing models, the dataflow analysis), a
-// LoadReader (the load-only walks) or Batches, which expands them into one
-// reused buffer.
+// in order, by one of two decoders: a Walker (every record's row, and its
+// Addr, Value and control flow on demand) or a LoadReader (the loads and
+// stores alone).
 type Trace struct {
 	Name   string // benchmark name, e.g. "grep"
 	Target string // codegen target, e.g. "ppc" or "axp"
@@ -145,10 +144,8 @@ type LoadReader struct {
 }
 
 // Loads returns a LoadReader at m's start; its tables are its one allocation.
-func (m MemOps) Loads() LoadReader { return m.reader(make([]uint64, 2*len(m.RowPCs))) }
-
-// reader returns a LoadReader at m's start over tab, zeroed, two words per row.
-func (m MemOps) reader(tab []uint64) LoadReader {
+func (m MemOps) Loads() LoadReader {
+	tab := make([]uint64, 2*len(m.RowPCs))
 	return LoadReader{m: m, lastA: tab[:len(m.RowPCs):len(m.RowPCs)], lastV: tab[len(m.RowPCs):]}
 }
 
@@ -183,8 +180,9 @@ func (r *LoadReader) Store() (addr uint64, size int) {
 
 // Walker reads a trace's records in order without expanding them: Next
 // steps to the next record and gives its row, Addr decodes its Addr if it
-// is a load or a store, and Branch rebuilds it if it is a branch. Its
-// tables are its own, so walks of one trace may run concurrently.
+// is a load or a store, Value decodes its Value, and Branch rebuilds the
+// rest (all of a branch). Its tables are its own, so walks of one trace may
+// run concurrently.
 type Walker struct {
 	t          *Trace
 	mem        LoadReader              // the Addr and Value lanes' positions and tables
@@ -199,12 +197,10 @@ type Walker struct {
 // walkRecords is how many records ahead decodes at a time.
 const walkRecords = 256
 
-// Walk returns a Walker at t's start; its tables are its one allocation.
-func (t *Trace) Walk() Walker { return t.walker(make([]uint64, 2*len(t.static))) }
-
-// walker returns a Walker at t's start over tab, zeroed, two words per row.
-func (t *Trace) walker(tab []uint64) Walker {
-	return Walker{t: t, mem: t.mem.reader(tab), k: -1, tNext: t.targX.record(0) + 1, rAt: t.rowX.record(0)}
+// Walk returns a Walker at t's start; its tables (a LoadReader's, one per
+// row) are its one allocation.
+func (t *Trace) Walk() Walker {
+	return Walker{t: t, mem: t.mem.Loads(), k: -1, tNext: t.targX.record(0) + 1, rAt: t.rowX.record(0)}
 }
 
 // record returns entry x's record, or MaxRecords past the last entry.
@@ -311,16 +307,47 @@ func (w *Walker) Addr() uint64 {
 	return addr
 }
 
-// Branch rebuilds the current record, a branch, into r: its row's static
-// fields, its Taken bit and its Targ (Value zero).
+// Value decodes the current record's Value: a load's from the load Value
+// lane, a register write's or a store's from the Value lane, any other's
+// from the exceptions (0 if none). Each lane's Values are coded against the
+// last on their row, so a walk that reads one load's Value must read every
+// load's, and one that reads a register write's or a store's must read
+// every one's; the simplest walk reads every record's.
+func (w *Walker) Value() uint64 {
+	t, row := w.t, w.rows[w.k]
+	switch kd := t.kind[row]; {
+	case kd&rowLoad != 0:
+		return delta(t.mem.values, &w.mem.v, &w.mem.lastV[row])
+	case kd&rowVal != 0:
+		return delta(t.vals, &w.val, &w.mem.lastV[row]) // rows apart from the loads'
+	}
+	v, _ := t.valX.get(w.base+w.k, &w.vx)
+	return v
+}
+
+// Branch rebuilds the current record into r but for its Addr and Value:
+// its row's static fields, its Taken bit and its Targ. That is all of a
+// branch but its Value (zero).
 func (w *Walker) Branch(r *Record) {
-	t, i := w.t, w.base+w.k
-	*r = t.static[w.rows[w.k]]
+	t, i, row := w.t, w.base+w.k, w.rows[w.k]
+	*r = t.static[row]
 	r.Taken = t.taken[i>>6]>>(i&63)&1 != 0
-	r.Targ = derivedTarg(r, isa.ClassBranch, r.Taken)
+	if t.kind[row]&rowBranch != 0 {
+		r.Targ = derivedTarg(r, isa.ClassBranch, r.Taken)
+	}
 	if targ, ok := t.targX.get(i, &w.bx); ok {
 		r.Targ = targ
 	}
+}
+
+// record rebuilds the current record into r, every field. A walk that
+// rebuilds one record must rebuild every one (see Addr and Value).
+func (w *Walker) record(r *Record) {
+	w.Branch(r)
+	if w.t.kind[w.rows[w.k]]&(rowLoad|rowStore) != 0 {
+		r.Addr = w.Addr()
+	}
+	r.Value = w.Value()
 }
 
 // rowAt returns the first row at pc, or 0 if none is: a record that follows
@@ -391,75 +418,15 @@ func derivedTarg(s *Record, cls isa.Class, taken bool) uint64 {
 	return s.PC + isa.InstBytes
 }
 
-// newCursor returns a Walker at t's start and a buffer of n records, the
-// walker's tables taken from the same allocation.
-func newCursor(t *Trace, n int) (Walker, []Record) {
-	const words = int(unsafe.Sizeof(Record{}) / 8)
-	buf := make([]Record, n+(2*len(t.static)+words-1)/words)
-	return t.walker(unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(buf[n:]))), 2*len(t.static))), buf[:n:n]
-}
-
-// fill expands the next records into buf and returns how many it wrote.
-// The lane positions live in locals for the loop, which writes through the
-// record pointer; register and store Values share the load Value table,
-// the rows being apart.
-func (w *Walker) fill(buf []Record) int {
-	t, m := w.t, &w.t.mem
-	n := min(len(buf), t.n-w.base-w.k-1)
-	a, s, v, val, vx, bx, store, last, lastA := w.mem.a, w.mem.s, w.mem.v, w.val, w.vx, w.bx, w.mem.store, w.mem.lastV, w.mem.lastA
-	for done := 0; done < n; {
-		rows, first := w.run(n - done)
-		for k, row := range rows {
-			i, r, kd := first+k, &buf[done+k], t.kind[row]
-			*r = t.static[row]
-			r.Taken = t.taken[i>>6]>>(i&63)&1 != 0
-			switch {
-			case kd&rowLoad != 0:
-				r.Addr, r.Value = delta(m.addrs, &a, &lastA[row]), delta(m.values, &v, &last[row])
-			case kd&rowVal != 0:
-				r.Value = delta(t.vals, &val, &last[row])
-			default:
-				r.Value, _ = t.valX.get(i, &vx)
-			}
-			if kd&rowStore != 0 {
-				r.Addr = delta(m.storeAddrs, &s, &store)
-			}
-			if kd&rowBranch != 0 {
-				r.Targ = derivedTarg(r, isa.ClassBranch, r.Taken)
-			}
-			if targ, ok := t.targX.get(i, &bx); ok {
-				r.Targ = targ
-			}
-		}
-		done += len(rows)
-	}
-	w.mem.a, w.mem.s, w.mem.v, w.val, w.vx, w.bx, w.mem.store = a, s, v, val, vx, bx, store
-	return n
-}
-
-// batchRecords is the size of the reused buffer behind Batches
-// (48 KiB of records).
-const batchRecords = 1024
-
-// Batches yields t's records in order, expanded into one reused buffer: each
-// step gives the index of the batch's first record and the batch, which is
-// valid only until the next step.
-func (t *Trace) Batches() iter.Seq2[int, []Record] {
-	return func(yield func(int, []Record) bool) {
-		c, buf := newCursor(t, min(t.n, batchRecords))
-		for base := 0; base < t.n; base = c.base + c.k + 1 {
-			if !yield(base, buf[:c.fill(buf)]) {
-				return
-			}
-		}
-	}
-}
-
 // Expand returns all of t's records in a new slice, at 48 bytes per record:
-// for tests and small tools, where the pipeline uses Batches.
+// for tests and small tools, where the pipeline reads a Walker.
 func (t *Trace) Expand() []Record {
-	c, recs := newCursor(t, t.n)
-	c.fill(recs)
+	recs := make([]Record, t.n)
+	w := t.Walk()
+	for i := range recs {
+		w.Next()
+		w.record(&recs[i])
+	}
 	return recs
 }
 
@@ -675,7 +642,7 @@ func FromRecords(name, target string, recs []Record) *Trace {
 // batch as it arrives. The caller bounds src at MaxRecords records; past
 // MaxStaticRows static rows it returns an error wrapping ErrStaticRows.
 func Collect(name, target string, src BatchSource) (*Trace, error) {
-	b, buf := newBuilder(name, target), make([]Record, batchRecords)
+	b, buf := newBuilder(name, target), make([]Record, 1024) // 48 KiB of records
 	for {
 		n, err := src.NextBatch(buf)
 		if err := b.append(buf[:n]); err != nil {

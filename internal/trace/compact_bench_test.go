@@ -27,19 +27,6 @@ func workloadTrace(b *testing.B) *trace.Trace {
 	return tr
 }
 
-// BenchmarkTraceBatches measures the expansion of a compact workload trace
-// into the batches the walks and the timing models read, per record.
-func BenchmarkTraceBatches(b *testing.B) {
-	tr := workloadTrace(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for range tr.Batches() {
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/rec")
-}
-
 // BenchmarkTraceBuild measures FromRecords compacting the same workload's
 // records, per record, and the built trace's resident bytes per record.
 func BenchmarkTraceBuild(b *testing.B) {
@@ -70,6 +57,36 @@ func BenchmarkTraceWalk(b *testing.B) {
 		for range tr.Len() {
 			if row := w.Next(); kind[row] {
 				sum += w.Addr()
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/rec")
+}
+
+// BenchmarkTraceWalkAll measures a Walker that reads every field of the
+// same workload's records, per record: each one's row and Value, its Addr
+// on a load or a store, and its Taken bit and Targ on a branch.
+func BenchmarkTraceWalkAll(b *testing.B) {
+	tr := workloadTrace(b)
+	mem, branch := make([]bool, len(tr.Static())), make([]bool, len(tr.Static()))
+	for j, s := range tr.Static() {
+		mem[j], branch[j] = s.IsLoad() || s.IsStore(), s.IsBranch()
+	}
+	var sum uint64
+	var r trace.Record
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := tr.Walk()
+		for range tr.Len() {
+			row := w.Next()
+			sum += w.Value()
+			if mem[row] {
+				sum += w.Addr()
+			}
+			if branch[row] {
+				w.Branch(&r)
+				sum += r.Targ
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -124,13 +125,13 @@ func decodeRecords(b []byte) []Record {
 }
 
 // checkCompact requires Collect over recs to give recs back exactly through
-// every reader: Expand and Batches; a Walker's rows, Addrs and rebuilt
-// branches (Value zero); a LoadReader's loads, in chunks of 1 to 1024, and
-// stores in order; its row PCs; its Value and row exceptions to be exactly
-// the nonzero Values on rows that carry none and the records off their
-// predecessor's next PC's first row; and Scatter to put the k-th of a list
-// of load states on the k-th load. Input with more than MaxStaticRows
-// static rows must fail with ErrStaticRows.
+// every reader: Expand; a Walker's rows, Addrs, Values and rebuilt branches
+// (Value zero), and another's load Values alone; a LoadReader's loads, in
+// chunks of 1 to 1024, and stores in order; its row PCs; its Value and row
+// exceptions to be exactly the nonzero Values on rows that carry none and
+// the records off their predecessor's next PC's first row; and Scatter to
+// put the k-th of a list of load states on the k-th load. Input with more
+// than MaxStaticRows static rows must fail with ErrStaticRows.
 func checkCompact(t *testing.T, recs []Record) {
 	t.Helper()
 	src := recordSource(recs)
@@ -149,13 +150,6 @@ func checkCompact(t *testing.T, recs []Record) {
 	}
 	if got := tr.Expand(); len(recs) > 0 && !reflect.DeepEqual(got, recs) {
 		t.Fatalf("Expand differs:\n got %+v\nwant %+v", got, recs)
-	}
-	n := 0
-	for base, batch := range tr.Batches() {
-		if base != n || !reflect.DeepEqual(batch, recs[n:n+len(batch)]) {
-			t.Fatalf("batch at %d (want %d) differs", base, n)
-		}
-		n += len(batch)
 	}
 	m, static := tr.Mem(), tr.Static()
 	states := make([]PredState, m.Len())
@@ -182,6 +176,9 @@ func checkCompact(t *testing.T, recs []Record) {
 		}
 		if row := static[w.Next()]; row != staticKey(r) {
 			t.Fatalf("Walker: record %d on row %+v, want %+v", i, row, staticKey(r))
+		}
+		if v := w.Value(); v != r.Value {
+			t.Fatalf("Walker.Value at %d = %#x, want %#x", i, v, r.Value)
 		}
 		if r.IsBranch() {
 			want := r
@@ -213,6 +210,17 @@ func checkCompact(t *testing.T, recs []Record) {
 	}
 	if len(loads) != m.Len() || len(stores) != len(m.StoreSizes) {
 		t.Fatalf("lanes hold %d loads and %d stores, want %d and %d", m.Len(), len(m.StoreSizes), len(loads), len(stores))
+	}
+	// Load Values are coded apart from the others: a walk may read them
+	// alone.
+	w, k := tr.Walk(), 0
+	for range tr.Len() {
+		if static[w.Next()].IsLoad() {
+			if v := w.Value(); v != loads[k].Value {
+				t.Fatalf("load-only Walker: load %d Value = %#x, want %#x", k, v, loads[k].Value)
+			}
+			k++
+		}
 	}
 	checkLoadReader(t, m, loads, stores)
 	if len(tr.valX.at) != valX {
@@ -375,13 +383,43 @@ func valueLaneCases() []valueLaneCase {
 		{"interleaved rows", []Record{
 			add(0x1000, 100), store(5000), load, add(0x1000, 101), store(5000), load, add(0x1000, 102), store(4999),
 		}, 2 + 2 + 1 + 1 + 1 + 1},
+		// A register write and a store at one byte each per pass.
+		{"runs across chunks", loopValues(120), 2 * 120},
 	}
 }
 
+// loopValues is a five-record loop body run n times, across the walker's
+// chunks for n past 51: a register write, a load, a store, an R0 write
+// (nonzero every third pass, a Value exception) and its loop branch
+// (nonzero every fourth pass, another).
+func loopValues(n int) []Record {
+	var recs []Record
+	for it := range n {
+		i := uint64(it)
+		r0 := Record{PC: 0x400c, Op: isa.ADD, Rd: isa.R0, Ra: 1, Rb: 2}
+		if it%3 == 0 {
+			r0.Value = i + 1
+		}
+		br := Record{PC: 0x4010, Op: isa.BNE, Ra: 1, Imm: 0x4000, Taken: it < n-1, Targ: 0x4000}
+		if it == n-1 {
+			br.Targ = 0x4014
+		}
+		if it%4 == 1 {
+			br.Value = 7
+		}
+		recs = append(recs,
+			Record{PC: 0x4000, Op: isa.ADD, Rd: 3, Ra: 1, Rb: 2, Value: i % 4},
+			Record{PC: 0x4004, Op: isa.LD, Rd: 5, Ra: 3, Addr: 0x8000 + 8*(i%8), Value: i * i, Size: 8, Class: isa.LoadIntData},
+			Record{PC: 0x4008, Op: isa.SD, Ra: 3, Rb: 5, Addr: 0x9000 + 8*(i%3), Value: i % 5, Size: 8},
+			r0, br)
+	}
+	return recs
+}
+
 // TestValueLaneCoding pins the Value lane's coding on hand-built traces:
-// each round-trips through Expand and Batches, costs its bytes in the lane
-// (load Values stay in the load lanes), and ResidentBytes counts the lane
-// at one byte per element.
+// each round-trips through every reader (checkCompact), costs its bytes in
+// the lane (load Values stay in the load lanes), and ResidentBytes counts
+// the lane at one byte per element.
 func TestValueLaneCoding(t *testing.T) {
 	for _, c := range valueLaneCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -399,12 +437,50 @@ func TestValueLaneCoding(t *testing.T) {
 	}
 }
 
+// TestWalkerOneAllocation pins the in-memory walk every record reader
+// uses: a walk that rebuilds every record, reading each lane, allocates
+// once, its tables; and an empty trace walks nothing: it expands, scatters,
+// summarizes and writes no record.
+func TestWalkerOneAllocation(t *testing.T) {
+	empty := FromRecords("", "", nil)
+	var buf bytes.Buffer
+	if err := Write2(&buf, empty, Writer2Options{}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewIndexedReaderBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadAll(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ann, sum := len(empty.Expand()), empty.Scatter(nil), empty.Summarize(); n != 0 || len(ann) != 0 || sum.Instructions != 0 || back.Len() != 0 {
+		t.Fatalf("an empty trace expands to %d records, scatters to %d, summarizes %d and writes %d", n, len(ann), sum.Instructions, back.Len())
+	}
+	if raceEnabled {
+		return
+	}
+	tr := genTrace(32 * walkRecords)
+	var r Record
+	walk := func() {
+		w := tr.Walk()
+		for range tr.Len() {
+			w.Next()
+			w.record(&r)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, walk); allocs != 1 {
+		t.Fatalf("a walk rebuilding every record: %v allocs, want 1", allocs)
+	}
+}
+
 // TestConcurrentWalks walks one trace from several goroutines at once,
-// through Batches, a Walker and a LoadReader: each walk decodes the coded
-// lanes against its own per-row tables, so every walk reads the records
-// Expand gives.
+// through a Walker reading Values, one reading Addrs and a LoadReader: each
+// walk decodes the coded lanes against its own per-row tables, so every
+// walk reads the records Expand gives.
 func TestConcurrentWalks(t *testing.T) {
-	tr := genTrace(4 * batchRecords)
+	tr := genTrace(16 * walkRecords)
 	want := tr.Expand()
 	var loads []Record
 	for _, r := range want {
@@ -417,9 +493,10 @@ func TestConcurrentWalks(t *testing.T) {
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			for base, batch := range tr.Batches() {
-				if !reflect.DeepEqual(batch, want[base:base+len(batch)]) {
-					t.Errorf("a concurrent walk differs in the batch at record %d", base)
+			w := tr.Walk()
+			for i, r := range want {
+				if w.Next(); w.Value() != r.Value {
+					t.Errorf("a concurrent Walker's Value differs at record %d", i)
 					return
 				}
 			}
@@ -544,7 +621,7 @@ func rowLaneCases() []laneCase {
 }
 
 // TestRowLaneDerivation pins the row derivation on hand-built traces: each
-// round-trips through Expand, Batches, a Walker and a LoadReader, and keeps
+// round-trips through Expand, a Walker and a LoadReader, and keeps
 // as row exceptions exactly the records off the first row at their
 // predecessor's next PC.
 func TestRowLaneDerivation(t *testing.T) {
@@ -598,8 +675,8 @@ func loadLaneCases() []laneCase {
 }
 
 // TestLoadLaneCoding pins the load Addr, load Value and store Addr lanes'
-// coding on hand-built traces: each round-trips through Expand, Batches, a
-// Walker and a LoadReader and costs its bytes in the lanes.
+// coding on hand-built traces: each round-trips through Expand, a Walker
+// and a LoadReader and costs its bytes in the lanes.
 func TestLoadLaneCoding(t *testing.T) {
 	for _, c := range loadLaneCases() {
 		t.Run(c.name, func(t *testing.T) { checkLaneCase(t, c) })

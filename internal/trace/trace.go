@@ -56,11 +56,12 @@ type Summary struct {
 
 // Summarize scans the trace once and returns its Summary.
 func (t *Trace) Summarize() Summary {
-	z := NewSummarizer(t.Name, t.Target)
-	for _, recs := range t.Batches() {
-		for i := range recs {
-			z.Add(&recs[i])
-		}
+	z, w := NewSummarizer(t.Name, t.Target), t.Walk()
+	var r Record
+	for range t.n {
+		w.Next()
+		w.Branch(&r) // the row and Taken bit, all Add reads
+		z.Add(&r)
 	}
 	return z.Summary()
 }

@@ -528,12 +528,14 @@ func Write2(w io.Writer, t *Trace, opts Writer2Options) error {
 	if err != nil {
 		return err
 	}
-	for _, recs := range t.Batches() {
-		for i := range recs {
-			if err := w2.WriteRecord(&recs[i]); err != nil {
-				w2.Close()
-				return err
-			}
+	var r Record
+	tw := t.Walk()
+	for range t.n {
+		tw.Next()
+		tw.record(&r)
+		if err := w2.WriteRecord(&r); err != nil {
+			w2.Close()
+			return err
 		}
 	}
 	return w2.Close()

@@ -68,19 +68,17 @@ func TestRunMatchesSource(t *testing.T) {
 		src := NewSource(p, 0)
 		buf := make([]trace.Record, batch)
 		n := 0
-		for _, recs := range tr.Batches() {
-			for len(recs) > 0 {
-				k, err := src.NextBatch(buf[:min(batch, len(recs))])
-				if err != nil {
-					t.Fatalf("%s: Source failed after %d records: %v", name, n, err)
-				}
-				for i := range buf[:k] {
-					if buf[i] != recs[i] {
-						t.Fatalf("%s: record %d: Run %+v, Source %+v", name, n+i, recs[i], buf[i])
-					}
-				}
-				recs, n = recs[k:], n+k
+		for recs := tr.Expand(); len(recs) > 0; {
+			k, err := src.NextBatch(buf[:min(batch, len(recs))])
+			if err != nil {
+				t.Fatalf("%s: Source failed after %d records: %v", name, n, err)
 			}
+			for i := range buf[:k] {
+				if buf[i] != recs[i] {
+					t.Fatalf("%s: record %d: Run %+v, Source %+v", name, n+i, recs[i], buf[i])
+				}
+			}
+			recs, n = recs[k:], n+k
 		}
 		if k, err := src.NextBatch(buf); k != 0 || err != io.EOF {
 			t.Fatalf("%s: Source has records past Run's %d (%d, %v)", name, n, k, err)

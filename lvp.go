@@ -74,10 +74,10 @@ func BenchmarkNames() []string { return bench.Names() }
 
 // Trace is a dynamic instruction trace, stored compactly: each distinct
 // static instruction once, plus per-record lanes of dynamic facts. Len is
-// the record count; Batches walks the records in reused batches
-// (for base, recs := range t.Batches()), Mem returns the load and store
-// lanes, Rows the static rows with each record's row index (what the
-// timing models read), Scatter turns one state per load into an
+// the record count; Walk steps through the records (each one's static row
+// in Static, and its Addr, Value or branch outcome on demand: what the
+// timing models read), Mem returns the load and store lanes, Summarize
+// counts the records by kind, Scatter turns one state per load into an
 // Annotation, and Expand materializes every record (48 B each).
 type Trace = trace.Trace
 
